@@ -58,7 +58,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--r2-min", type=float, default=0.30)
     parser.add_argument("--se-ratio-max", type=float, default=20.0)
     parser.add_argument("--mag-max", type=float, default=1e6)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="recorded in run_config.json only; nothing in domstab is random")
     parser.add_argument("--plot", action="store_true",
                         help="also write SVG charts")
 

@@ -67,7 +67,8 @@ def iterate(
     values = [float(start)]
     for step in range(1, max_steps + 1):
         current = values[-1]
-        rate = evaluate(kind, params, current)
+        # the array form lets a pole's non-finite rate reach the divergence check
+        rate = float(evaluate_array(kind, params, np.array([current]))[0])
         nxt = current * (1.0 + rate)
         if not math.isfinite(nxt):
             raise DivergenceError(f"non-finite dominance at step {step}", step=step)

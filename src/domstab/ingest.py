@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -210,17 +211,14 @@ def split_subjects(
         columns = [i for i, (s, _) in enumerate(parsed) if s == subject]
         columns.sort(key=lambda i: (rule.sort_key(parsed[i][1]), i))
         block = table.counts[:, columns]
-        roster = [i for i in range(len(table.species_ids)) if block[i].any()]
-        absent = tuple(
-            table.species_ids[i] for i in range(len(table.species_ids)) if i not in set(roster)
-        )
+        present = block.any(axis=1)
         out.append(
             SubjectSeries(
                 subject_id=subject,
-                species_ids=tuple(table.species_ids[i] for i in roster),
+                species_ids=tuple(compress(table.species_ids, present)),
                 sample_ids=tuple(table.sample_ids[i] for i in columns),
-                counts=block[roster, :].copy(),
-                dropped_species=absent,
+                counts=block[present],
+                dropped_species=tuple(compress(table.species_ids, ~present)),
             )
         )
     return out
@@ -231,18 +229,14 @@ def filter_low_reads(
 ) -> SubjectSeries:
     """Drop roster species whose reads summed over the subject fall below
     ``min_total``.  The dropped ids are recorded on the returned series."""
-    totals = series.counts.sum(axis=1)
-    keep = [i for i, tot in enumerate(totals) if tot >= min_total]
-    if not keep:
+    keep = series.counts.sum(axis=1) >= min_total
+    if not keep.any():
         raise EmptyRosterError(
             f"subject {series.subject_id}: no species with >= {min_total} reads"
         )
-    dropped = tuple(
-        series.species_ids[i] for i in range(len(series.species_ids)) if i not in set(keep)
-    )
     return replace(
         series,
-        species_ids=tuple(series.species_ids[i] for i in keep),
-        counts=series.counts[keep, :].copy(),
-        dropped_species=series.dropped_species + dropped,
+        species_ids=tuple(compress(series.species_ids, keep)),
+        counts=series.counts[keep],
+        dropped_species=series.dropped_species + tuple(compress(series.species_ids, ~keep)),
     )

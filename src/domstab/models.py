@@ -165,7 +165,10 @@ def derivative(
         return float(vec[1])
     if kind is ModelKind.LOGISTIC or kind is ModelKind.LOGISTIC_SINE:
         big_k, a, r = vec
-        expo = math.exp(-r * dom)
+        try:
+            expo = math.exp(-r * dom)
+        except OverflowError:
+            raise EvalError(f"{kind.value} derivative overflows at D={dom!r}") from None
         denom = 1.0 + a * expo
         core = big_k * a * r * expo / (denom * denom)
         if kind is ModelKind.LOGISTIC:

@@ -1,20 +1,18 @@
 """Cohort pipeline and CSV/SVG emitters behind the command-line interface.
 
-Every command takes a RunConfig, analyzes what it needs, and writes files
-into the configured output directory.  Output is deterministic for a given
-config: subjects are processed in sorted order, floats are serialized with
-the shortest round-trip representation (inf and -inf spelled literally),
-and each file is written atomically (temp file + rename).  Per-subject
-analysis failures are recorded inside the output rows; one bad subject
-never aborts the cohort.
+Each command reads the table once and builds each subject's sentinel-applied
+dominance records once; the emitters only format that analysed data.  Output
+is deterministic for a given config: subjects in sorted order, floats in the
+shortest round-trip form (inf and -inf spelled literally), and rows streamed
+into a temp file that is renamed over the target when complete.  Per-subject
+failures are recorded in the output rows; one bad subject never aborts the run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +31,7 @@ from .ingest import (
     parse_table,
     split_subjects,
 )
-from .metrics import IndexKind, community_stats, diversity_indices
+from .metrics import IndexKind, community_stats, diversity_indices, regress_dominance_vs_index
 from .models import ModelKind, evaluate_array
 from .selection import (
     SelectedModel,
@@ -103,21 +101,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_atomic(path: Path, text: str) -> Path:
+@contextlib.contextmanager
+def _atomic_open(path: Path):
+    """Text handle on ``<path>.tmp``, renamed over ``path`` once the block completes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        yield fh
     os.replace(tmp, path)
+
+
+def _write_atomic(path: Path, text: str) -> Path:
+    with _atomic_open(path) as fh:
+        fh.write(text)
     return path
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
-    return _write_atomic(path, out.getvalue())
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    return path
 
 
 def load_subjects(config: RunConfig) -> list[SubjectSeries]:
@@ -131,47 +136,45 @@ def load_subjects(config: RunConfig) -> list[SubjectSeries]:
 # ---------------------------------------------------------------- metrics
 
 
+def _metrics_table(
+    series: SubjectSeries, records: list[DominanceRecord], out_dir: Path
+) -> Path:
+    header = ["sample_id", "community_dominance"]
+    for sid in series.species_ids:
+        header.extend([f"distance_{sid}", f"dominance_{sid}"])
+    header.append("sentinel_replaced")
+    rows = []
+    for record in records:
+        row: list = [record.sample_id, record.community]
+        replaced = []
+        for sp in record.per_species:
+            row.extend([sp.distance, sp.dominance])
+            if sp.sentinel_replaced:
+                replaced.append(sp.species_id)
+        row.append(";".join(replaced))
+        rows.append(row)
+    return _write_csv(out_dir / f"metrics_{series.subject_id}.csv", header, rows)
+
+
 def cmd_metrics(config: RunConfig) -> list[Path]:
     """Per-subject dominance tables: community dominance plus per-species
     distance and dominance, with sentinel-replaced cells flagged."""
-    paths = []
-    for series in load_subjects(config):
-        records = apply_sentinel(dominance_records(series))
-        header = ["sample_id", "community_dominance"]
-        for sid in series.species_ids:
-            header.extend([f"distance_{sid}", f"dominance_{sid}"])
-        header.append("sentinel_replaced")
-        rows = []
-        for record in records:
-            row: list = [record.sample_id, record.community]
-            replaced = []
-            for sp in record.per_species:
-                row.extend([sp.distance, sp.dominance])
-                if sp.sentinel_replaced:
-                    replaced.append(sp.species_id)
-            row.append(";".join(replaced))
-            rows.append(row)
-        paths.append(
-            _write_csv(
-                Path(config.out_dir) / f"metrics_{series.subject_id}.csv", header, rows
-            )
-        )
-    return paths
+    out_dir = Path(config.out_dir)
+    return [
+        _metrics_table(series, apply_sentinel(dominance_records(series)), out_dir)
+        for series in load_subjects(config)
+    ]
 
 
 # ---------------------------------------------------------------- indices
 
 
-def cmd_compare_indices(config: RunConfig) -> Path:
-    """Regress community dominance on each classical index, per subject,
-    with cross-subject means appended."""
-    from .metrics import regress_dominance_vs_index
-
+def _index_table(subjects: list[SubjectSeries], out_dir: Path) -> Path:
     rows: list[list] = []
     collected: dict[IndexKind, list[tuple[float, float, float]]] = {
         which: [] for which in _INDEX_ORDER
     }
-    for series in load_subjects(config):
+    for series in subjects:
         dominance = []
         index_values: dict[IndexKind, list[float]] = {w: [] for w in _INDEX_ORDER}
         for t in range(series.n_samples):
@@ -212,7 +215,13 @@ def cmd_compare_indices(config: RunConfig) -> Path:
              float(arr[:, 2].mean()), len(entries), "cross-subject mean"]
         )
     header = ["subject", "index", "slope", "intercept", "correlation", "n", "note"]
-    return _write_csv(Path(config.out_dir) / "index_regressions.csv", header, rows)
+    return _write_csv(out_dir / "index_regressions.csv", header, rows)
+
+
+def cmd_compare_indices(config: RunConfig) -> Path:
+    """Regress community dominance on each classical index, per subject,
+    with cross-subject means appended."""
+    return _index_table(load_subjects(config), Path(config.out_dir))
 
 
 # ---------------------------------------------------------------- fitting
@@ -264,10 +273,6 @@ def analyze_subject(series: SubjectSeries, config: RunConfig) -> SubjectAnalysis
     else:
         analysis.selection_error = "no converged fits"
     return analysis
-
-
-def analyze(config: RunConfig) -> list[SubjectAnalysis]:
-    return [analyze_subject(series, config) for series in load_subjects(config)]
 
 
 _KIND_SLUG = {
@@ -381,13 +386,7 @@ def _run_manifest(config: RunConfig, out_dir: Path) -> Path:
     return _write_atomic(out_dir / "run_config.json", text)
 
 
-def cmd_fit_select(
-    config: RunConfig, analyses: list[SubjectAnalysis] | None = None
-) -> list[Path]:
-    """Fit every configured kind per subject, then select; one CSV per kind
-    plus the selection summary, resilience table, and run manifest."""
-    if analyses is None:
-        analyses = analyze(config)
+def _fit_select_tables(analyses: list[SubjectAnalysis], config: RunConfig) -> list[Path]:
     out_dir = Path(config.out_dir)
     paths = [_fit_table(kind, analyses, config, out_dir) for kind in config.models]
     paths.append(_selection_table(analyses, out_dir))
@@ -397,12 +396,17 @@ def cmd_fit_select(
     return paths
 
 
+def cmd_fit_select(config: RunConfig) -> list[Path]:
+    """Fit every configured kind per subject, then select; one CSV per kind
+    plus the selection summary, resilience table, and run manifest."""
+    analyses = [analyze_subject(series, config) for series in load_subjects(config)]
+    return _fit_select_tables(analyses, config)
+
+
 # ---------------------------------------------------------------- simulate
 
 
-def _response_svg(analysis: SubjectAnalysis, out_dir: Path) -> Path | None:
-    if analysis.fit_input is None or analysis.selected is None:
-        return None
+def _response_svg(analysis: SubjectAnalysis, out_dir: Path) -> Path:
     fit = analysis.selected.fit
     lo, hi = fit.dominance_min, fit.dominance_max
     xs = np.linspace(lo, hi, 256)
@@ -428,19 +432,17 @@ def simulate_subject(
     """Trajectory and fixed-point tables for one analyzed subject."""
     out_dir = Path(config.out_dir)
     subject = analysis.series.subject_id
-    paths: list[Path] = []
+    trajectory_csv = out_dir / f"simulate_{subject}_trajectory.csv"
+    header = ["step", "dominance", "status"]
     if analysis.selected is None:
-        header = ["step", "dominance", "status"]
         rows = [[None, None, analysis.selection_error or "no selected model"]]
-        paths.append(_write_csv(out_dir / f"simulate_{subject}_trajectory.csv", header, rows))
-        return paths
+        return [_write_csv(trajectory_csv, header, rows)]
     fit = analysis.selected.fit
     if start is None:
         start = analysis.records[-1].community
     n_steps = steps if steps is not None else config.simulate_steps
 
-    header = ["step", "dominance", "status"]
-    rows: list[list] = []
+    rows = []
     try:
         trajectory = iterate(fit.kind, fit.params, start, max_steps=n_steps)
         for step, value in enumerate(trajectory.values):
@@ -448,7 +450,7 @@ def simulate_subject(
             rows.append([step, value, trajectory.status if last else ""])
     except DivergenceError as exc:
         rows.append([exc.step, None, f"diverged: {exc}"])
-    paths.append(_write_csv(out_dir / f"simulate_{subject}_trajectory.csv", header, rows))
+    paths = [_write_csv(trajectory_csv, header, rows)]
 
     hi = max(fit.dominance_max, start) * 2.0
     points = fixed_points(fit.kind, fit.params, (0.0, hi))
@@ -457,9 +459,7 @@ def simulate_subject(
     paths.append(_write_csv(out_dir / f"simulate_{subject}_fixed_points.csv", header, rows))
 
     if config.plot:
-        svg = _response_svg(analysis, out_dir)
-        if svg is not None:
-            paths.append(svg)
+        paths.append(_response_svg(analysis, out_dir))
     return paths
 
 
@@ -481,12 +481,13 @@ def cmd_simulate(
 
 
 def report_all(config: RunConfig) -> list[Path]:
-    """Run every report: metrics, index comparisons, fits and selection,
-    and a simulation per subject."""
-    paths = cmd_metrics(config)
-    paths.append(cmd_compare_indices(config))
-    analyses = analyze(config)
-    paths.extend(cmd_fit_select(config, analyses))
+    """Run every report from one read of the table: metrics, index
+    comparisons, fits and selection, and a simulation per subject."""
+    analyses = [analyze_subject(series, config) for series in load_subjects(config)]
+    out_dir = Path(config.out_dir)
+    paths = [_metrics_table(a.series, a.records, out_dir) for a in analyses]
+    paths.append(_index_table([a.series for a in analyses], out_dir))
+    paths.extend(_fit_select_tables(analyses, config))
     for analysis in analyses:
         paths.extend(simulate_subject(analysis, config))
     return paths

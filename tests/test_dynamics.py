@@ -66,6 +66,13 @@ def test_divergence_raises():
         iterate(ModelKind.LINEAR, {"a": 0.1, "b": 0.01}, 10.0)
 
 
+def test_logistic_pole_is_divergence():
+    # 1 + a exp(-r D) = 0 at D = 0: the rate is non-finite on the first step
+    with pytest.raises(DivergenceError) as info:
+        iterate(ModelKind.LOGISTIC, {"K": 1.0, "a": -1.0, "r": 1.0}, 0.0)
+    assert info.value.step == 1
+
+
 def test_sine_roots_sit_on_sine_nodes():
     points = fixed_points(ModelKind.LOGISTIC_SINE, SINE_420, (1.0, 65.0))
     assert points, "expected roots on the sine nodes"

@@ -179,6 +179,12 @@ def test_evaluate_rejects_non_finite_result():
         evaluate(ModelKind.LOGISTIC, params, 5.0)
 
 
+def test_derivative_overflow_is_eval_error():
+    # exp(-r D) = exp(10000) overflows a float
+    with pytest.raises(EvalError):
+        derivative(ModelKind.LOGISTIC, (1.0, 1.0, -1000.0), 10.0)
+
+
 def test_evaluate_array_passes_non_finite_through():
     params = param_vector(ModelKind.LOGISTIC, {"K": 1.0, "a": -1.0, "r": 0.0})
     out = evaluate_array(ModelKind.LOGISTIC, params, np.array([5.0]))

@@ -1,20 +1,27 @@
 import csv
+import dataclasses
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from domstab import report
 from domstab.cli import main
 from domstab.ingest import filter_low_reads, parse_table, split_subjects
 from domstab.metrics import community_dominance
+from domstab.models import ModelKind
 from domstab.report import (
     RunConfig,
+    analyze_subject,
     cmd_compare_indices,
     cmd_fit_select,
     cmd_metrics,
     cmd_simulate,
+    load_subjects,
     report_all,
+    simulate_subject,
 )
 from domstab.svgplot import Curve, curve_chart
 
@@ -184,6 +191,45 @@ def test_simulate_trajectory_and_fixed_points(tmp_path, cohort_path):
     fp_rows = read_rows(paths["simulate_103_fixed_points.csv"])
     for row in fp_rows:
         assert row["verdict"] in ("stable", "unstable", "marginal")
+
+
+def test_simulate_contains_logistic_pole(small_input, tmp_path):
+    config = RunConfig(input_path=small_input, out_dir=tmp_path / "out")
+    analysis = analyze_subject(load_subjects(config)[0], config)
+    # a selected logistic whose denominator 1 + a exp(-r D) vanishes at D = 0
+    pole = dataclasses.replace(
+        analysis.selected.fit, kind=ModelKind.LOGISTIC,
+        params={"K": 1.0, "a": -1.0, "r": 1.0},
+    )
+    analysis.selected = dataclasses.replace(analysis.selected, fit=pole)
+    paths = {p.name: p for p in simulate_subject(analysis, config, start=0.0)}
+    rows = read_rows(paths["simulate_400_trajectory.csv"])
+    assert len(rows) == 1
+    assert rows[0]["step"] == "1"
+    assert rows[0]["status"].startswith("diverged: ")
+
+
+def test_report_all_reads_and_analyses_once(small_input, tmp_path, monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(report, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(report, name, wrapper)
+
+    for name in ("parse_table", "dominance_records", "fit_model"):
+        counted(name)
+    cmd_metrics(RunConfig(input_path=small_input, out_dir=tmp_path / "metrics"))
+    assert calls["fit_model"] == 0
+    calls.clear()
+    report_all(RunConfig(input_path=small_input, out_dir=tmp_path / "all"))
+    assert calls["parse_table"] == 1
+    assert calls["dominance_records"] == 2  # one per subject
+    assert calls["fit_model"] > 0
 
 
 def test_svg_chart_structure():
