@@ -36,7 +36,6 @@ from .metrics import (
     CommunityStats,
     DiversityIndices,
     IndexKind,
-    SpeciesDominance,
     community_dominance,
     community_stats,
     diversity_indices,
@@ -61,8 +60,8 @@ from .models import (
 from .report import RunConfig, cmd_compare_indices, cmd_fit_select, cmd_metrics, cmd_simulate, report_all
 from .selection import SelectionPolicy, SelectedModel, ValidityReport, select, summarize, validate
 from .stability import (
-    DominanceRecord,
     StabilitySeries,
+    SubjectDominance,
     apply_sentinel,
     community_stability,
     dominance_records,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 from itertools import compress
 from typing import Iterable, TextIO
@@ -112,7 +113,7 @@ def parse_table(stream: str | TextIO, fmt: TableFormat = TableFormat()) -> Abund
                     f"non-numeric count at row {rownum}, column {colnum}: {cell!r}",
                     row=rownum,
                 ) from None
-            if not np.isfinite(value) or value < 0:
+            if not math.isfinite(value) or value < 0:
                 raise ParseError(
                     f"negative or non-finite count at row {rownum}, column {colnum}",
                     row=rownum,

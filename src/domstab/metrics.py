@@ -16,6 +16,11 @@ Community dominance is linear in the Simpson index:
 which ties the crowding view of dominance to the classical indices computed
 by :func:`diversity_indices`.  The identity only holds with the population
 variance; that is why the divisor is n throughout.
+
+:func:`species_dominances` is the one place these formulas are applied: it
+takes a species x samples block and returns every sample's community
+dominance and every species' distance and dominance as arrays.
+:func:`community_stats` is the scalar reference for one sample.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .errors import DegenerateRegressionError, PreconditionError, ZeroCommunityE
 
 __all__ = [
     "CommunityStats",
-    "SpeciesDominance",
     "IndexKind",
     "DiversityIndices",
     "IndexRegression",
@@ -47,15 +51,16 @@ __all__ = [
 ]
 
 
-def _as_abundances(values: Sequence[float]) -> np.ndarray:
+def _as_abundances(values, ndim: int = 1) -> np.ndarray:
+    """Checked float array of one sample (ndim 1) or species x samples (ndim 2)."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("abundance vector must be one-dimensional and non-empty")
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError(f"abundances must be a non-empty {ndim}-d array")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("abundance vector must be finite")
+        raise ValueError("abundances must be finite")
     if np.any(arr < 0):
-        raise ValueError("abundance vector must be non-negative")
-    if not arr.any():
+        raise ValueError("abundances must be non-negative")
+    if not arr.any(axis=0).all():
         raise ZeroCommunityError("all abundances are zero")
     return arr
 
@@ -70,22 +75,6 @@ class CommunityStats:
     variance: float          # population variance, divisor n
     mean_crowding: float
     dominance: float         # mean_crowding / mean
-
-
-@dataclass(frozen=True)
-class SpeciesDominance:
-    """Dominance quantities for one species in one sample.
-
-    ``distance`` is +inf and ``dominance`` is -inf for a species absent from
-    the sample.  ``sentinel_replaced`` is set by the stability layer when the
-    -inf dominance has been substituted with the subject-wide floor.
-    """
-
-    species_id: str
-    abundance: float
-    distance: float
-    dominance: float
-    sentinel_replaced: bool = False
 
 
 def community_stats(values: Sequence[float]) -> CommunityStats:
@@ -118,45 +107,37 @@ def community_dominance(values: Sequence[float]) -> float:
 
 def species_dominance_distance(values: Sequence[float], index: int) -> float:
     """Distance of species ``index`` from community crowding (+inf if absent)."""
-    stats = community_stats(values)
-    abundance = float(np.asarray(values, dtype=float)[index])
-    if abundance == 0.0:
-        return math.inf
-    return stats.mean_crowding / abundance
+    _, distance, _ = species_dominances(_as_abundances(values)[:, np.newaxis])
+    return float(distance[index, 0])
 
 
 def species_dominance(values: Sequence[float], index: int) -> float:
     """Species dominance: community dominance minus the species distance."""
-    distance = species_dominance_distance(values, index)
-    if math.isinf(distance):
-        return -math.inf
-    return community_stats(values).dominance - distance
+    _, _, dominance = species_dominances(_as_abundances(values)[:, np.newaxis])
+    return float(dominance[index, 0])
 
 
-def species_dominances(
-    values: Sequence[float], species_ids: Sequence[str]
-) -> tuple[SpeciesDominance, ...]:
-    """Per-species dominance records for one sample, in roster order."""
-    arr = _as_abundances(values)
-    if len(species_ids) != arr.size:
-        raise ValueError("species_ids length must match abundance vector")
-    stats = community_stats(arr)
-    out = []
-    for sid, abundance in zip(species_ids, arr.tolist()):
-        if abundance == 0.0:
-            distance, dominance = math.inf, -math.inf
-        else:
-            distance = stats.mean_crowding / abundance
-            dominance = stats.dominance - distance
-        out.append(
-            SpeciesDominance(
-                species_id=str(sid),
-                abundance=abundance,
-                distance=distance,
-                dominance=dominance,
-            )
-        )
-    return tuple(out)
+def species_dominances(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dominance of every sample and species in a species x samples block.
+
+    Returns ``(community, distance, dominance)``: community dominance per
+    sample (shape T) and species distance and dominance (shape S x T).  An
+    absent species has distance +inf and dominance -inf.  The block must be
+    two-dimensional, non-empty, finite and non-negative, and every sample
+    must hold some abundance (ZeroCommunityError otherwise).
+    """
+    block = _as_abundances(counts, ndim=2)
+    # Reduce each sample as one contiguous row so the sums are the same
+    # pairwise sums community_stats takes, bit for bit.
+    samples = np.ascontiguousarray(block.T)
+    mean = samples.sum(axis=1) / samples.shape[1]
+    variance = np.mean((samples - mean[:, np.newaxis]) ** 2, axis=1)
+    crowding = mean + variance / mean - 1.0
+    community = crowding / mean
+    present = block > 0.0
+    distance = np.where(present, crowding / np.where(present, block, 1.0), np.inf)
+    dominance = np.where(present, community - distance, -np.inf)
+    return community, distance, dominance
 
 
 # ---------------------------------------------------------------- indices

@@ -170,6 +170,8 @@ def derivative(
         except OverflowError:
             raise EvalError(f"{kind.value} derivative overflows at D={dom!r}") from None
         denom = 1.0 + a * expo
+        if denom == 0.0:
+            raise EvalError(f"{kind.value} derivative has a pole at D={dom!r}")
         core = big_k * a * r * expo / (denom * denom)
         if kind is ModelKind.LOGISTIC:
             return core

@@ -15,6 +15,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from .selection import (
     validate,
 )
 from .stability import (
-    DominanceRecord,
+    SubjectDominance,
     apply_sentinel,
     community_stability,
     dominance_records,
@@ -137,22 +138,25 @@ def load_subjects(config: RunConfig) -> list[SubjectSeries]:
 
 
 def _metrics_table(
-    series: SubjectSeries, records: list[DominanceRecord], out_dir: Path
+    series: SubjectSeries, records: SubjectDominance, out_dir: Path
 ) -> Path:
     header = ["sample_id", "community_dominance"]
     for sid in series.species_ids:
         header.extend([f"distance_{sid}", f"dominance_{sid}"])
     header.append("sentinel_replaced")
-    rows = []
-    for record in records:
-        row: list = [record.sample_id, record.community]
-        replaced = []
-        for sp in record.per_species:
-            row.extend([sp.distance, sp.dominance])
-            if sp.sentinel_replaced:
-                replaced.append(sp.species_id)
-        row.append(";".join(replaced))
-        rows.append(row)
+    n_species, n_samples = records.dominance.shape
+    cells = np.empty((n_samples, 2 * n_species))
+    cells[:, 0::2] = records.distance.T
+    cells[:, 1::2] = records.dominance.T
+    rows = [
+        [sample_id, community, *values, ";".join(compress(records.species_ids, replaced))]
+        for sample_id, community, values, replaced in zip(
+            records.sample_ids,
+            records.community.tolist(),
+            cells.tolist(),
+            records.sentinel_replaced.T,
+        )
+    ]
     return _write_csv(out_dir / f"metrics_{series.subject_id}.csv", header, rows)
 
 
@@ -232,7 +236,7 @@ class SubjectAnalysis:
     """Everything the fit/select/simulate emitters need for one subject."""
 
     series: SubjectSeries
-    records: list[DominanceRecord]
+    records: SubjectDominance
     fit_input: FitInput | None
     fits: dict[ModelKind, ModelFit] = field(default_factory=dict)
     fit_errors: dict[ModelKind, str] = field(default_factory=dict)
@@ -439,7 +443,7 @@ def simulate_subject(
         return [_write_csv(trajectory_csv, header, rows)]
     fit = analysis.selected.fit
     if start is None:
-        start = analysis.records[-1].community
+        start = float(analysis.records.community[-1])
     n_steps = steps if steps is not None else config.simulate_steps
 
     rows = []

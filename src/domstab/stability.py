@@ -13,6 +13,9 @@ Species dominance can be -inf (absent species).  Before a species stability
 series is formed those values are replaced by the sentinel: the minimum
 finite species dominance over all species and all samples of the subject.
 Replaced entries keep a flag so reports can mark them.
+
+A subject's dominance is held column-wise in one :class:`SubjectDominance`:
+samples along the columns, roster species along the rows.
 """
 
 from __future__ import annotations
@@ -21,12 +24,15 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .errors import SentinelError
 from .ingest import SubjectSeries
-from .metrics import SpeciesDominance, community_stats, species_dominances
+# community_stats is not called here; bench/spans.py wraps this name.
+from .metrics import community_stats, species_dominances
 
 __all__ = [
-    "DominanceRecord",
+    "SubjectDominance",
     "StabilityPoint",
     "ExcludedPoint",
     "StabilitySeries",
@@ -43,61 +49,55 @@ EPS_DENOMINATOR = 1e-9
 COMMUNITY_SCOPE = "community"
 
 
-@dataclass(frozen=True)
-class DominanceRecord:
-    """Community dominance plus per-species dominance for one sample."""
+@dataclass(frozen=True, eq=False)
+class SubjectDominance:
+    """Community and species dominance for every sample of one subject.
 
-    sample_id: str
-    community: float
-    per_species: tuple[SpeciesDominance, ...]
+    ``community`` has one entry per sample (time order); ``distance``,
+    ``dominance`` and ``sentinel_replaced`` have one row per roster species
+    and one column per sample.  An absent species has distance +inf and
+    dominance -inf until :func:`apply_sentinel` floors the dominance and
+    sets ``sentinel_replaced``.
+    """
 
-
-def dominance_records(series: SubjectSeries) -> list[DominanceRecord]:
-    """Dominance record for every sample of a subject, in time order."""
-    out = []
-    for t, sample_id in enumerate(series.sample_ids):
-        vector = series.sample_vector(t)
-        stats = community_stats(vector)
-        out.append(
-            DominanceRecord(
-                sample_id=sample_id,
-                community=stats.dominance,
-                per_species=species_dominances(vector, series.species_ids),
-            )
-        )
-    return out
+    sample_ids: tuple[str, ...]
+    species_ids: tuple[str, ...]
+    community: np.ndarray
+    distance: np.ndarray
+    dominance: np.ndarray
+    sentinel_replaced: np.ndarray
 
 
-def sentinel_value(records: Sequence[DominanceRecord]) -> float:
+def dominance_records(series: SubjectSeries) -> SubjectDominance:
+    """Dominance of every species and sample of a subject, in time order."""
+    community, distance, dominance = species_dominances(series.counts)
+    return SubjectDominance(
+        series.sample_ids, series.species_ids, community, distance, dominance,
+        sentinel_replaced=np.zeros(dominance.shape, dtype=bool),
+    )
+
+
+def sentinel_value(records: SubjectDominance) -> float:
     """Minimum finite species dominance across all species and samples."""
-    finite = [
-        sp.dominance
-        for record in records
-        for sp in record.per_species
-        if math.isfinite(sp.dominance)
-    ]
-    if not finite:
+    finite = records.dominance[np.isfinite(records.dominance)]
+    if finite.size == 0:
         raise SentinelError("no finite species dominance value in any sample")
-    return min(finite)
+    return float(finite.min())
 
 
-def apply_sentinel(records: Sequence[DominanceRecord]) -> list[DominanceRecord]:
+def apply_sentinel(records: SubjectDominance) -> SubjectDominance:
     """Replace -inf species dominance with the subject-wide finite minimum.
 
     Distances stay +inf; only the dominance values are floored.  Idempotent:
     applying twice changes nothing further.
     """
     floor = sentinel_value(records)
-    out = []
-    for record in records:
-        entries = tuple(
-            replace(sp, dominance=floor, sentinel_replaced=True)
-            if sp.dominance == -math.inf
-            else sp
-            for sp in record.per_species
-        )
-        out.append(replace(record, per_species=entries))
-    return out
+    absent = records.dominance == -np.inf
+    return replace(
+        records,
+        dominance=np.where(absent, floor, records.dominance),
+        sentinel_replaced=records.sentinel_replaced | absent,
+    )
 
 
 @dataclass(frozen=True)
@@ -149,33 +149,30 @@ def _stability_points(
 
 
 def community_stability(
-    records: Sequence[DominanceRecord],
+    records: SubjectDominance,
     subject_id: str = "",
     eps: float = EPS_DENOMINATOR,
 ) -> StabilitySeries:
-    """Community stability series from consecutive dominance records."""
-    values = [record.community for record in records]
-    points, excluded = _stability_points(values, eps)
+    """Community stability series from consecutive samples' dominance."""
+    points, excluded = _stability_points(records.community.tolist(), eps)
     return StabilitySeries(subject_id, COMMUNITY_SCOPE, points, excluded)
 
 
 def species_stability(
-    records: Sequence[DominanceRecord],
+    records: SubjectDominance,
     species_id: str,
     subject_id: str = "",
     eps: float = EPS_DENOMINATOR,
 ) -> StabilitySeries:
     """Species stability series; records must be sentinel-replaced first."""
-    values = []
-    for record in records:
-        matches = [sp for sp in record.per_species if sp.species_id == species_id]
-        if not matches:
-            raise KeyError(f"species {species_id!r} not in records")
-        sp = matches[0]
-        if sp.dominance == -math.inf:
-            raise SentinelError(
-                f"species {species_id!r} has -inf dominance; apply_sentinel first"
-            )
-        values.append(sp.dominance)
-    points, excluded = _stability_points(values, eps)
+    try:
+        row = records.species_ids.index(species_id)
+    except ValueError:
+        raise KeyError(f"species {species_id!r} not in records") from None
+    values = records.dominance[row]
+    if np.any(values == -np.inf):
+        raise SentinelError(
+            f"species {species_id!r} has -inf dominance; apply_sentinel first"
+        )
+    points, excluded = _stability_points(values.tolist(), eps)
     return StabilitySeries(subject_id, species_id, points, excluded)

@@ -57,9 +57,11 @@ def test_parse_rejects_bad_cell():
         parse_table("species_id,400_010106\nOTU1,four\n")
 
 
-def test_parse_rejects_negative_count():
-    with pytest.raises(ParseError):
-        parse_table("species_id,400_010106\nOTU1,-2\n")
+@pytest.mark.parametrize("cell", ["-2", "nan", "inf", "-inf"])
+def test_parse_rejects_negative_count(cell):
+    with pytest.raises(ParseError, match="negative or non-finite") as err:
+        parse_table(f"species_id,400_010106\nOTU0,1\nOTU1,{cell}\n")
+    assert err.value.row == 3
 
 
 def test_parse_duplicate_species_id():

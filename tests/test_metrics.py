@@ -51,11 +51,21 @@ def test_absent_species_sentinels():
 
 
 def test_species_dominances_bundles_all():
-    rows = species_dominances([4.0, 1.0, 0.0], ["a", "b", "c"])
-    assert [r.species_id for r in rows] == ["a", "b", "c"]
-    assert rows[0].distance == pytest.approx(0.6)
-    assert rows[2].dominance == -math.inf
-    assert not rows[0].sentinel_replaced
+    # columns are samples.  [4, 1, 0]: m = 5/3, m* = 2.4, D_c = 1.44.
+    # [0, 0.5, 0]: m = 1/6, m* = -0.5, D_c = -3, so m*/0 would be -inf.
+    community, distance, dominance = species_dominances(
+        [[4.0, 0.0], [1.0, 0.5], [0.0, 0.0]]
+    )
+    assert community.shape == (2,)
+    assert distance.shape == dominance.shape == (3, 2)
+    assert community.tolist() == pytest.approx([1.44, -3.0])
+    assert distance[:2, 0].tolist() == pytest.approx([0.6, 2.4])
+    assert dominance[:2, 0].tolist() == pytest.approx([0.84, -0.96])
+    assert distance[1, 1] == pytest.approx(-1.0)
+    assert dominance[1, 1] == pytest.approx(-2.0)
+    # absent species: +inf distance and -inf dominance whatever the sign of m*
+    assert distance[[2, 0, 2], [0, 1, 1]].tolist() == [math.inf] * 3
+    assert dominance[[2, 0, 2], [0, 1, 1]].tolist() == [-math.inf] * 3
 
 
 def test_identity_on_hand_vector():

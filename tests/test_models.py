@@ -185,6 +185,14 @@ def test_derivative_overflow_is_eval_error():
         derivative(ModelKind.LOGISTIC, (1.0, 1.0, -1000.0), 10.0)
 
 
+def test_derivative_pole_is_eval_error():
+    # 1 + a exp(-r D) = 0 at D = 0 when a = -1
+    params = {"K": 1.0, "a": -1.0, "r": 1.0}
+    for kind in (ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE):
+        with pytest.raises(EvalError, match="pole"):
+            derivative(kind, params, 0.0)
+
+
 def test_evaluate_array_passes_non_finite_through():
     params = param_vector(ModelKind.LOGISTIC, {"K": 1.0, "a": -1.0, "r": 0.0})
     out = evaluate_array(ModelKind.LOGISTIC, params, np.array([5.0]))

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from domstab.errors import SentinelError
@@ -28,24 +30,19 @@ OTU3,0,3,1
 
 def test_records_carry_community_and_species_values():
     series, records = subject_records(THREE_SAMPLES)
-    assert [r.sample_id for r in records] == list(series.sample_ids)
-    first = records[0]
-    assert len(first.per_species) == 3
-    ids = [s.species_id for s in first.per_species]
-    assert ids == ["OTU1", "OTU2", "OTU3"]
+    assert records.sample_ids == series.sample_ids
+    assert records.species_ids == ("OTU1", "OTU2", "OTU3")
+    assert records.community.shape == (3,)
+    assert records.distance.shape == records.dominance.shape == (3, 3)
+    assert not records.sentinel_replaced.any()
     # absent species in the first sample
-    assert first.per_species[2].distance == math.inf
-    assert first.per_species[2].dominance == -math.inf
+    assert records.distance[2, 0] == math.inf
+    assert records.dominance[2, 0] == -math.inf
 
 
 def test_sentinel_is_least_finite_species_dominance():
     _, records = subject_records(THREE_SAMPLES)
-    finite = [
-        s.dominance
-        for r in records
-        for s in r.per_species
-        if math.isfinite(s.dominance)
-    ]
+    finite = [d for d in records.dominance.ravel().tolist() if math.isfinite(d)]
     assert sentinel_value(records) == min(finite)
 
 
@@ -53,44 +50,48 @@ def test_apply_sentinel_replaces_only_negative_infinities():
     _, records = subject_records(THREE_SAMPLES)
     floor = sentinel_value(records)
     patched = apply_sentinel(records)
-    for before, after in zip(records, patched):
-        for s_before, s_after in zip(before.per_species, after.per_species):
-            if s_before.dominance == -math.inf:
-                assert s_after.dominance == floor
-                assert s_after.sentinel_replaced
-                # the distance stays infinite: only the dominance is floored
-                assert s_after.distance == math.inf
-            else:
-                assert s_after.dominance == s_before.dominance
-                assert not s_after.sentinel_replaced
+    absent = records.dominance == -math.inf
+    assert absent.any()
+    assert (patched.dominance[absent] == floor).all()
+    assert patched.sentinel_replaced[absent].all()
+    # the distance stays infinite: only the dominance is floored
+    assert (patched.distance[absent] == math.inf).all()
+    assert np.array_equal(patched.dominance[~absent], records.dominance[~absent])
+    assert not patched.sentinel_replaced[~absent].any()
+    # the unpatched record is left as it was
+    assert (records.dominance[absent] == -math.inf).all()
 
 
 def test_apply_sentinel_is_idempotent():
     _, records = subject_records(THREE_SAMPLES)
     once = apply_sentinel(records)
     twice = apply_sentinel(once)
-    assert [
-        [(s.dominance, s.sentinel_replaced) for s in r.per_species] for r in once
-    ] == [[(s.dominance, s.sentinel_replaced) for s in r.per_species] for r in twice]
+    assert np.array_equal(once.dominance, twice.dominance)
+    assert np.array_equal(once.sentinel_replaced, twice.sentinel_replaced)
 
 
 def test_sentinel_without_finite_values_raises():
-    # single present species gives D_s = D_c - m*/m_s finite, so force the
+    # any present species gives D_s = D_c - m*/m_s finite, so force the
     # degenerate case through an empty roster stand-in instead
     series, records = subject_records(THREE_SAMPLES)
-    stripped = [
-        type(r)(sample_id=r.sample_id, community=r.community, per_species=())
-        for r in records
-    ]
+    stripped = dataclasses.replace(
+        records,
+        species_ids=(),
+        distance=records.distance[:0],
+        dominance=records.dominance[:0],
+        sentinel_replaced=records.sentinel_replaced[:0],
+    )
     with pytest.raises(SentinelError):
         sentinel_value(stripped)
+    with pytest.raises(SentinelError):
+        apply_sentinel(stripped)
 
 
 def test_community_stability_change_rates():
     _, records = subject_records(THREE_SAMPLES)
     series = community_stability(records, subject_id="400")
     assert series.subject_id == "400"
-    dom = [r.community for r in records]
+    dom = records.community.tolist()
     assert len(series.points) == 2
     for point in series.points:
         expected = (dom[point.t + 1] - dom[point.t]) / dom[point.t]
@@ -101,7 +102,7 @@ def test_community_stability_change_rates():
 def test_stability_reconstruction_identity():
     _, records = subject_records(THREE_SAMPLES)
     series = community_stability(records)
-    dom = [r.community for r in records]
+    dom = records.community.tolist()
     for point in series.points:
         reconstructed = point.dominance * (1.0 + point.change_rate)
         assert reconstructed == pytest.approx(dom[point.t + 1], rel=1e-14)
@@ -112,7 +113,7 @@ def test_stability_excludes_near_zero_denominators():
     # with m=1 gives exactly zero dominance
     text = "species_id,400_a,400_b,400_c\nOTU1,4,1,2\nOTU2,1,1,2\n"
     _, records = subject_records(text)
-    assert records[1].community == pytest.approx(0.0, abs=1e-15)
+    assert records.community[1] == pytest.approx(0.0, abs=1e-15)
     series = community_stability(records)
     assert [p.t for p in series.points] == [0]
     assert [e.t for e in series.excluded] == [1]
