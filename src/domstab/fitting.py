@@ -6,6 +6,11 @@ Three fitting routes, one per model family:
 * logistic / logistic-sine: damped Gauss-Newton (Levenberg-style lambda
   adaptation) with analytic Jacobians, run from a deterministic multi-start
   grid; the accepted-step sum of squares is non-increasing by construction.
+  The starts of each search pass run in lockstep: parameters, residuals and
+  Jacobians are stacked over starts, each start keeps its own damping lambda,
+  and each damping round is one stacked 3x3 solve.  Every reduction is a
+  stacked matmul, so each start's result is bit for bit the one it would get
+  if run alone.
 * linear-quadratic / quadratic-quadratic: the breakpoint d is profiled over
   a deterministic candidate grid (quartile points of every gap between
   consecutive distinct dominance values); conditional on d the model is
@@ -158,25 +163,13 @@ def goodness(fit: ModelFit, inp: FitInput) -> tuple[float, float]:
 # ---------------------------------------------------------------- std errors
 
 
-def _param_jacobian(kind: ModelKind, vec: np.ndarray, dom: np.ndarray) -> np.ndarray:
+def _param_jacobian(kind: ModelKind, vec: np.ndarray, inp: FitInput) -> np.ndarray:
     """Jacobian of model output w.r.t. parameters, one column per parameter."""
     if kind is ModelKind.LINEAR:
-        return np.column_stack([np.ones_like(dom), dom])
+        return np.column_stack([np.ones_like(inp.dominance), inp.dominance])
     if kind.logistic_family:
-        big_k, a, r = vec
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            expo = np.exp(-r * dom)
-            phi = 1.0 / (1.0 + a * expo)
-            cols = np.column_stack(
-                [
-                    phi,
-                    -big_k * expo * phi * phi,
-                    big_k * a * dom * expo * phi * phi,
-                ]
-            )
-            if kind is ModelKind.LOGISTIC_SINE:
-                cols = cols * np.sin(dom / math.pi)[:, None]
-        return cols
+            return _Problem.of(kind, inp).jacobian(vec[np.newaxis])[0]
     raise PreconditionError(f"no parameter Jacobian for {kind.value}")
 
 
@@ -233,7 +226,7 @@ def std_errors(fit: ModelFit, inp: FitInput) -> dict[str, float]:
         out = dict(zip(names, (float(s) for s in se)))
         out["d"] = _grid_resolution(breakpoint_candidates(dom), d)
         return {name: out[name] for name in kind.param_names}
-    jac = _param_jacobian(kind, vec, dom)
+    jac = _param_jacobian(kind, vec, inp)
     if not np.all(np.isfinite(jac)):
         raise SingularInformationError("Jacobian is non-finite at the optimum")
     se = _linear_se_from_design(jac, ss_res, dof)
@@ -328,86 +321,252 @@ def default_starts(inp: FitInput) -> list[tuple[float, float, float]]:
     return starts
 
 
-def _project_k(kind: ModelKind, a: float, r: float, inp: FitInput) -> float | None:
-    """Optimal K for fixed (a, r): the model is linear in K."""
-    shape = evaluate_array(kind, (1.0, a, r), inp.dominance)
-    if not np.all(np.isfinite(shape)):
-        return None
-    denom = float(shape @ shape)
-    if denom <= 0.0:
-        return None
-    return float((shape @ inp.change_rate) / denom)
+@dataclass(frozen=True)
+class _Problem:
+    """One logistic-family least-squares problem, evaluated for stacks of starts.
 
-
-def _gauss_newton(
-    kind: ModelKind,
-    start: np.ndarray,
-    inp: FitInput,
-    abort_ss: float | None = None,
-    max_iter: int = GN_MAX_ITER,
-) -> tuple[np.ndarray, float, int, bool, list[float]]:
-    """Damped Gauss-Newton from one start.
-
-    Returns (params, ss, iterations, converged, accepted-SS trace).  Steps
-    are accepted only when they reduce the sum of squares, so the trace is
-    non-increasing.  When ``abort_ss`` is given, a start still far above it
-    after a grace period is cut short (deterministically) rather than run to
-    the full iteration cap.
+    Parameter stacks are ``(m, 3)`` arrays of (K, a, r) rows.  Every result
+    row is computed by the same elementwise operations, and every reduction
+    by the same BLAS/LAPACK call, as a lone start would get, so a row's
+    result does not depend on what else is in the stack.  Only stacked
+    matmul reductions keep that property (see :func:`_dots`).
     """
-    dom, chg = inp.dominance, inp.change_rate
-    vec = start.astype(float).copy()
-    resid = chg - evaluate_array(kind, vec, dom)
-    if not np.all(np.isfinite(resid)):
-        return vec, math.inf, 0, False, []
-    ss = float(resid @ resid)
-    trace = [ss]
-    lam = _LAMBDA_INIT
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if (
-            abort_ss is not None
-            and iterations > _ABORT_GRACE
-            and ss > 1.5 * abort_ss + 1e-12
-        ):
-            return vec, ss, iterations, False, trace
-        jac = _param_jacobian(kind, vec, dom)
-        if not np.all(np.isfinite(jac)):
-            break
-        jtj = jac.T @ jac
-        jtr = jac.T @ resid
-        stepped = False
-        while lam <= _LAMBDA_MAX:
-            damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12))
+
+    dom: np.ndarray
+    chg: np.ndarray
+    sine: np.ndarray | None  # sin(D / pi) for logistic-sine, None for logistic
+
+    @classmethod
+    def of(cls, kind: ModelKind, inp: FitInput) -> "_Problem":
+        sine = np.sin(inp.dominance / math.pi) if kind is ModelKind.LOGISTIC_SINE else None
+        return cls(inp.dominance, inp.change_rate, sine)
+
+    def predict(self, params: np.ndarray) -> np.ndarray:
+        big_k, a, r = params[:, 0:1], params[:, 1:2], params[:, 2:3]
+        out = big_k / (1.0 + a * np.exp(-r * self.dom))
+        return out if self.sine is None else out * self.sine
+
+    def residuals(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residual rows and their sums of squares (+inf where non-finite)."""
+        resid = self.chg - self.predict(params)
+        ss = _dots(resid, resid)
+        ss[~np.isfinite(resid).all(axis=1)] = math.inf
+        return resid, ss
+
+    def jacobian(self, params: np.ndarray) -> np.ndarray:
+        """``(m, n, 3)`` stack of model Jacobians, one column per parameter."""
+        big_k, a, r = params[:, 0:1], params[:, 1:2], params[:, 2:3]
+        expo = np.exp(-r * self.dom)
+        phi = 1.0 / (1.0 + a * expo)
+        jac = np.stack(
+            [
+                phi,
+                -big_k * expo * phi * phi,
+                big_k * a * self.dom * expo * phi * phi,
+            ],
+            axis=-1,
+        )
+        return jac if self.sine is None else jac * self.sine[:, None]
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products through stacked matmul, which reduces each row
+    with the same ddot a 1-d ``x @ y`` uses.  ``einsum``, ``np.sum(axis=...)``
+    and a 2-d ``x @ y.T`` sum in other orders and differ in the last bits."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _solve(damped: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked solve of ``(k, 3, 3)`` systems; a singular system's row is NaN."""
+    try:
+        return np.linalg.solve(damped, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape[:2], math.nan)
+        for i in range(len(damped)):
             try:
-                step = np.linalg.solve(damped, jtr)
+                out[i] = np.linalg.solve(damped[i], rhs[i])[:, 0]
             except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = vec + step
-            trial_resid = chg - evaluate_array(kind, trial, dom)
-            with np.errstate(over="ignore", invalid="ignore"):
-                trial_ss = float(trial_resid @ trial_resid) if np.all(
-                    np.isfinite(trial_resid)
-                ) else math.inf
-            if trial_ss < ss:
-                step_norm = float(np.linalg.norm(step))
-                rel_drop = (ss - trial_ss) / max(ss, 1e-300)
-                vec, resid, ss = trial, trial_resid, trial_ss
-                trace.append(ss)
-                lam = max(lam / 10.0, 1e-12)
-                stepped = True
-                if rel_drop < GN_RELATIVE_SS_TOL or step_norm < GN_STEP_TOL:
-                    converged = True
-                break
-            lam *= 10.0
-        if not stepped:
-            # no downhill step found at any damping: stationary point
-            converged = bool(np.all(np.isfinite(vec))) and ss < math.inf
+                pass
+        return out
+
+
+# One start's outcome: (params, ss, iterations, converged, accepted-SS trace).
+_Attempt = tuple[np.ndarray, float, int, bool, list[float]]
+# A start's (params, accepted-trace length) at the top of iteration
+# _ABORT_GRACE + 1, where the exploration abort rule is checked.
+_Grace = tuple[np.ndarray, int]
+
+_DIAG = np.arange(3)
+
+
+def _lockstep(
+    problem: _Problem, starts: np.ndarray, max_iter: int
+) -> tuple[list[_Attempt], list[_Grace | None]]:
+    """Damped Gauss-Newton from every row of ``starts`` at once.
+
+    Each start keeps its own damping lambda and runs exactly the search it
+    would run alone: steps are accepted only when they reduce the sum of
+    squares (so each trace is non-increasing), lambda falls tenfold after an
+    accepted step and rises tenfold after a rejected one, and a start stops
+    when the relative SS drop or the step norm falls below tolerance
+    (converged), when no damping up to ``_LAMBDA_MAX`` finds a downhill step
+    (a stationary point: converged if finite), when its Jacobian turns
+    non-finite (failed) or after ``max_iter`` iterations.  All starts still
+    running share one iteration: one stacked Jacobian and normal equations,
+    then damping rounds that each make one stacked solve over the starts
+    still looking for a downhill step.  Returns each start's outcome and its
+    state where the abort rule is checked (None if it stopped before).
+    """
+    m = len(starts)
+    params = starts.astype(float)
+    resid, ss = problem.residuals(params)
+    iterations = np.zeros(m, dtype=int)
+    converged = np.zeros(m, dtype=bool)
+    started = np.isfinite(ss)
+    traces = [[float(v)] if ok else [] for v, ok in zip(ss, started)]
+    lam = np.full(m, _LAMBDA_INIT)
+    grace: list[_Grace | None] = [None] * m
+    active = np.flatnonzero(started)
+    for it in range(1, max_iter + 1):
+        if not active.size:
             break
-        if converged:
+        iterations[active] = it
+        if it == _ABORT_GRACE + 1:
+            for i in active:
+                grace[i] = (params[i].copy(), len(traces[i]))
+        jac = problem.jacobian(params[active])
+        finite = np.isfinite(jac).all(axis=(1, 2))
+        active, jac = active[finite], jac[finite]
+        jac_t = jac.transpose(0, 2, 1)
+        jtj = jac_t @ jac
+        jtr = jac_t @ resid[active][:, :, None]
+        stepped = np.zeros(active.size, dtype=bool)
+        done = np.zeros(active.size, dtype=bool)
+        searching = np.arange(active.size)  # a running start's lambda is <= _LAMBDA_MAX
+        while searching.size:
+            rows = active[searching]
+            scaled = np.zeros((rows.size, 3, 3))
+            scaled[:, _DIAG, _DIAG] = lam[rows, None] * np.maximum(
+                jtj[searching][:, _DIAG, _DIAG], 1e-12
+            )
+            # a singular system's NaN step has an infinite trial SS, so only
+            # that start is rejected and raises its lambda
+            step = _solve(jtj[searching] + scaled, jtr[searching])
+            trial = params[rows] + step
+            trial_resid, trial_ss = problem.residuals(trial)
+            downhill = trial_ss < ss[rows]
+            won = rows[downhill]
+            step_norm = np.sqrt(_dots(step[downhill], step[downhill]))
+            rel_drop = (ss[won] - trial_ss[downhill]) / np.maximum(ss[won], 1e-300)
+            params[won] = trial[downhill]
+            resid[won] = trial_resid[downhill]
+            ss[won] = trial_ss[downhill]
+            for i in won:
+                traces[i].append(float(ss[i]))
+            lam[won] = np.maximum(lam[won] / 10.0, 1e-12)
+            lost = rows[~downhill]
+            lam[lost] *= 10.0
+            stepped[searching[downhill]] = True
+            done[searching[downhill]] = (rel_drop < GN_RELATIVE_SS_TOL) | (
+                step_norm < GN_STEP_TOL
+            )
+            searching = searching[~downhill][lam[lost] <= _LAMBDA_MAX]
+        # no downhill step at any damping: a stationary point
+        stuck = active[~stepped]
+        converged[stuck] = np.isfinite(params[stuck]).all(axis=1) & (ss[stuck] < math.inf)
+        converged[active[done]] = True
+        active = active[stepped & ~done]
+    attempts = [
+        (params[i], float(ss[i]), int(iterations[i]), bool(converged[i]), traces[i])
+        for i in range(m)
+    ]
+    return attempts, grace
+
+
+def _rank_starts(
+    problem: _Problem, candidates: Sequence[tuple[float, float, float]]
+) -> np.ndarray:
+    """``(m, 3)`` stack of the starts with a finite initial SS, lowest first
+    (the start's own order breaking ties).
+
+    A NaN K is replaced by the optimal K for the start's (a, r), since the
+    model is linear in K; a start whose shape is non-finite or zero drops out.
+    """
+    cand = np.array(candidates, dtype=float).reshape(len(candidates), 3)
+    free = np.flatnonzero(np.isnan(cand[:, 0]))
+    shape = problem.predict(np.column_stack([np.ones(free.size), cand[free, 1:]]))
+    denom = _dots(shape, shape)
+    chg = np.broadcast_to(problem.chg, shape.shape)
+    cand[free, 0] = _dots(shape, chg) / denom
+    unusable = ~np.isfinite(shape).all(axis=1) | (denom <= 0.0)
+    cand = np.delete(cand, free[unusable], axis=0)
+    _, ss0 = problem.residuals(cand)
+    keep = np.isfinite(ss0)
+    ranked = sorted(zip(ss0[keep].tolist(), map(tuple, cand[keep].tolist())))
+    return np.array([start for _, start in ranked]).reshape(-1, 3)
+
+
+def _key(attempt: _Attempt) -> tuple[float, tuple[float, ...]]:
+    """Lowest SS wins, the parameter vector breaks ties."""
+    return attempt[1], tuple(attempt[0].tolist())
+
+
+def _explore(problem: _Problem, starts: np.ndarray) -> list[_Attempt]:
+    """Ranked starts under the exploration budget and abort rule, best first.
+
+    A start still above ``1.5 * best + 1e-12`` at the end of its grace period,
+    with ``best`` the lowest SS of the starts ranked before it, is cut there.
+    """
+    attempts, graces = _lockstep(problem, starts, _EXPLORE_MAX_ITER)
+    explored = []
+    abort_at: float | None = None
+    for (vec, ss, iters, ok, trace), grace in zip(attempts, graces):
+        if grace is not None and abort_at is not None:
+            grace_vec, cut = grace
+            if trace[cut - 1] > 1.5 * abort_at + 1e-12:
+                vec, ss, iters, ok, trace = (
+                    grace_vec, trace[cut - 1], _ABORT_GRACE + 1, False, trace[:cut]
+                )
+        if not math.isfinite(ss):
+            continue
+        explored.append((vec, ss, iters, ok, trace))
+        if abort_at is None or ss < abort_at:
+            abort_at = ss
+    explored.sort(key=_key)
+    return explored
+
+
+def _polish(
+    problem: _Problem, explored: list[_Attempt]
+) -> tuple[_Attempt | None, _Attempt | None]:
+    """Re-run the best distinct exploration endpoints with the full budget.
+
+    Returns the best converged attempt and the best attempt regardless of
+    convergence (for the error path); either is None when there is none.
+    Iterations and traces count the exploration run too.
+    """
+    endpoints: list[_Attempt] = []
+    seen: set[tuple[float, ...]] = set()
+    for attempt in explored:
+        _, vec = _key(attempt)
+        if vec not in seen:
+            seen.add(vec)
+            endpoints.append(attempt)
+        if len(endpoints) == _POLISH_ATTEMPTS:
             break
-    return vec, ss, iterations, converged, trace
+    if not endpoints:
+        return None, None
+    attempts, _ = _lockstep(problem, np.array([vec for vec, *_ in endpoints]), GN_MAX_ITER)
+    best = best_attempt = None
+    for (_, _, iters0, _, trace0), (vec, ss, iters, ok, trace) in zip(endpoints, attempts):
+        if not math.isfinite(ss):
+            continue
+        attempt = (vec, ss, iters0 + iters, ok, trace0 + trace[1:])
+        if best_attempt is None or _key(attempt) < _key(best_attempt):
+            best_attempt = attempt
+        if ok and (best is None or _key(attempt) < _key(best)):
+            best = attempt
+    return best, best_attempt
 
 
 def fit_logistic_family(
@@ -423,6 +582,15 @@ def fit_logistic_family(
     result (lowest SS, parameter-vector order breaking ties) wins.  If nothing
     converges a NonConvergenceError is raised with the best attempt attached
     as ``best``.
+
+    Each pass runs its starts in lockstep (:func:`_lockstep`): the ranking is
+    one stacked evaluation, the explored starts are one batch and the polished
+    endpoints another.  During exploration a start still above 1.5 times the
+    best SS of the starts ranked before it, once its grace period is over, is
+    cut short.  The threshold of a start depends only on the starts before it,
+    and an accepted-SS trace never rises, so the batch runs every explored
+    start in full and the cut is applied afterwards, in rank order, from each
+    start's state at the end of its grace period.
     """
     if not kind.logistic_family:
         raise PreconditionError(f"{kind.value} is not a logistic-family kind")
@@ -447,69 +615,20 @@ def fit_logistic_family(
         return _with_std_errors(fit, inp)
 
     candidates = list(starts) if starts is not None else default_starts(inp)
-    dom, chg = inp.dominance, inp.change_rate
-    ranked: list[tuple[float, tuple[float, float, float]]] = []
-    for k0, a0, r0 in candidates:
-        if math.isnan(k0):
-            projected = _project_k(kind, a0, r0, inp)
-            if projected is None:
-                continue
-            k0 = projected
-        with np.errstate(over="ignore", invalid="ignore"):
-            resid = chg - evaluate_array(kind, np.array([k0, a0, r0]), dom)
-            ss0 = float(resid @ resid) if np.all(np.isfinite(resid)) else math.inf
-        if math.isfinite(ss0):
-            ranked.append((ss0, (k0, a0, r0)))
-    ranked.sort(key=lambda item: (item[0], item[1]))
-
-    explored: list[tuple[tuple[float, tuple[float, ...]], np.ndarray, int, bool, list[float]]] = []
-    abort_at: float | None = None
-    for _, start_vec in ranked[:_N_EXPLORE]:
-        vec, ss, iters, ok, trace = _gauss_newton(
-            kind,
-            np.array(start_vec),
-            inp,
-            abort_ss=abort_at,
-            max_iter=_EXPLORE_MAX_ITER,
-        )
-        if not math.isfinite(ss):
-            continue
-        explored.append(((ss, tuple(vec)), vec, iters, ok, trace))
-        if abort_at is None or ss < abort_at:
-            abort_at = ss
-    explored.sort(key=lambda item: item[0])
-
-    best: tuple[float, tuple[float, ...]] | None = None
-    best_result = None
-    best_attempt = None  # best regardless of convergence, for the error path
-    seen: set[tuple[float, ...]] = set()
-    for key0, vec0, iters0, _, trace0 in explored:
-        if key0[1] in seen:
-            continue
-        seen.add(key0[1])
-        if len(seen) > _POLISH_ATTEMPTS:
-            break
-        vec, ss, iters, ok, trace = _gauss_newton(kind, vec0, inp)
-        if not math.isfinite(ss):
-            continue
-        iters += iters0
-        trace = trace0 + trace[1:]
-        key = (ss, tuple(vec))
-        if best_attempt is None or key < best_attempt[0]:
-            best_attempt = (key, vec, ss, iters, ok, trace)
-        if ok and (best is None or key < best):
-            best = key
-            best_result = (vec, ss, iters, trace)
+    problem = _Problem.of(kind, inp)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        explored = _explore(problem, _rank_starts(problem, candidates)[:_N_EXPLORE])
+        best_result, best_attempt = _polish(problem, explored)
 
     if best_result is None:
         if best_attempt is None:
             raise NonConvergenceError(f"{kind.value}: every start failed")
-        _, vec, ss, iters, ok, trace = best_attempt
+        vec, ss, iters, _, trace = best_attempt
         failed = _assemble_logistic_fit(
             kind, inp, vec, ss, iters, converged=False, trace=trace
         )
         raise NonConvergenceError(f"{kind.value}: no start converged", best=failed)
-    vec, ss, iters, trace = best_result
+    vec, ss, iters, _, trace = best_result
     return _assemble_logistic_fit(kind, inp, vec, ss, iters, converged=True, trace=trace)
 
 
@@ -555,8 +674,9 @@ def breakpoint_candidates(dom: np.ndarray) -> list[float]:
     for u, v in zip(distinct[:-1], distinct[1:]):
         for q in (0.25, 0.5, 0.75):
             cand = u + q * (v - u)
-            left = int(np.sum(distinct < cand))
-            right = int(np.sum(distinct > cand))
+            # distinct is sorted: counts of values below and above cand
+            left = int(np.searchsorted(distinct, cand, "left"))
+            right = distinct.size - int(np.searchsorted(distinct, cand, "right"))
             if left >= 3 and right >= 3:
                 out.append(float(cand))
     return out

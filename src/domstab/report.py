@@ -32,6 +32,7 @@ from .ingest import (
     parse_table,
     split_subjects,
 )
+# community_stats is not called here; bench/spans.py wraps this name.
 from .metrics import IndexKind, community_stats, diversity_indices, regress_dominance_vs_index
 from .models import ModelKind, evaluate_array
 from .selection import (
@@ -173,18 +174,18 @@ def cmd_metrics(config: RunConfig) -> list[Path]:
 # ---------------------------------------------------------------- indices
 
 
-def _index_table(subjects: list[SubjectSeries], out_dir: Path) -> Path:
+def _index_table(
+    subjects: list[tuple[SubjectSeries, SubjectDominance]], out_dir: Path
+) -> Path:
     rows: list[list] = []
     collected: dict[IndexKind, list[tuple[float, float, float]]] = {
         which: [] for which in _INDEX_ORDER
     }
-    for series in subjects:
-        dominance = []
+    for series, records in subjects:
+        dominance = records.community
         index_values: dict[IndexKind, list[float]] = {w: [] for w in _INDEX_ORDER}
         for t in range(series.n_samples):
-            vector = series.sample_vector(t)
-            dominance.append(community_stats(vector).dominance)
-            indices = diversity_indices(vector)
+            indices = diversity_indices(series.sample_vector(t))
             for which in _INDEX_ORDER:
                 index_values[which].append(indices.value(which))
         for which in _INDEX_ORDER:
@@ -225,7 +226,8 @@ def _index_table(subjects: list[SubjectSeries], out_dir: Path) -> Path:
 def cmd_compare_indices(config: RunConfig) -> Path:
     """Regress community dominance on each classical index, per subject,
     with cross-subject means appended."""
-    return _index_table(load_subjects(config), Path(config.out_dir))
+    subjects = [(series, dominance_records(series)) for series in load_subjects(config)]
+    return _index_table(subjects, Path(config.out_dir))
 
 
 # ---------------------------------------------------------------- fitting
@@ -490,7 +492,7 @@ def report_all(config: RunConfig) -> list[Path]:
     analyses = [analyze_subject(series, config) for series in load_subjects(config)]
     out_dir = Path(config.out_dir)
     paths = [_metrics_table(a.series, a.records, out_dir) for a in analyses]
-    paths.append(_index_table([a.series for a in analyses], out_dir))
+    paths.append(_index_table([(a.series, a.records) for a in analyses], out_dir))
     paths.extend(_fit_select_tables(analyses, config))
     for analysis in analyses:
         paths.extend(simulate_subject(analysis, config))

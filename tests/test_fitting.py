@@ -12,6 +12,7 @@ from domstab.errors import (
 from domstab.fitting import (
     FitInput,
     ModelFit,
+    _solve,
     breakpoint_candidates,
     default_starts,
     fit_linear,
@@ -157,6 +158,15 @@ def test_every_start_failing_raises():
     inp = synth_input(ModelKind.LOGISTIC, {"K": 2.0, "a": 0.5, "r": -0.3}, dom)
     with pytest.raises(NonConvergenceError):
         fit_logistic_family(ModelKind.LOGISTIC, inp, starts=[(1e308, 1e308, 10.0)])
+
+
+def test_singular_system_fails_only_its_own_row():
+    damped = np.stack([2.0 * np.eye(3), np.zeros((3, 3)), np.diag([4.0, 3.0, 1.0]) + 0.5])
+    rhs = np.arange(9.0).reshape(3, 3, 1)
+    steps = _solve(damped, rhs)
+    assert np.all(np.isnan(steps[1]))
+    for i in (0, 2):
+        assert steps[i].tobytes() == np.linalg.solve(damped[i], rhs[i, :, 0]).tobytes()
 
 
 def test_default_starts_cover_both_r_signs():
