@@ -123,17 +123,13 @@ def fixed_points(
     xs = np.linspace(lo, hi, grid + 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ys = evaluate_array(kind, params, xs)
-    roots: list[float] = []
-    for i in range(grid):
-        y0, y1 = float(ys[i]), float(ys[i + 1])
-        if not (math.isfinite(y0) and math.isfinite(y1)):
-            continue
-        if y0 == 0.0:
-            roots.append(float(xs[i]))
-            continue
-        if y0 * y1 < 0.0:
-            roots.append(_bisect(kind, params, float(xs[i]), float(xs[i + 1]), y0))
-    if math.isfinite(float(ys[-1])) and float(ys[-1]) == 0.0:
+        y0, y1 = ys[:-1], ys[1:]
+        # brackets with finite ends that start on a root or change sign
+        hits = np.isfinite(y0) & np.isfinite(y1) & ((y0 == 0.0) | (y0 * y1 < 0.0))
+    roots = [float(xs[i]) if ys[i] == 0.0
+             else _bisect(kind, params, float(xs[i]), float(xs[i + 1]), float(ys[i]))
+             for i in np.flatnonzero(hits)]
+    if ys[-1] == 0.0:
         roots.append(float(xs[-1]))
 
     out: list[FixedPoint] = []

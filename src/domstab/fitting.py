@@ -14,7 +14,9 @@ Three fitting routes, one per model family:
 * linear-quadratic / quadratic-quadratic: the breakpoint d is profiled over
   a deterministic candidate grid (quartile points of every gap between
   consecutive distinct dominance values); conditional on d the model is
-  linear in its remaining parameters and solved exactly.
+  linear in its remaining parameters and solved exactly.  All candidates'
+  designs, residuals and sums of squares are stacked; only the solve is per
+  candidate, so each candidate's coefficients are those of a lone solve.
 
 Standard errors come from sqrt(diag(s^2 (J^T J)^-1)) with s^2 the residual
 variance on n - p degrees of freedom; for the piecewise kinds they are
@@ -43,6 +45,7 @@ from .models import (
     ModelKind,
     derived_params,
     evaluate_array,
+    param_dict,
     param_vector,
 )
 from .stability import StabilitySeries
@@ -173,20 +176,21 @@ def _param_jacobian(kind: ModelKind, vec: np.ndarray, inp: FitInput) -> np.ndarr
     raise PreconditionError(f"no parameter Jacobian for {kind.value}")
 
 
-def _piecewise_design(kind: ModelKind, d: float, dom: np.ndarray) -> np.ndarray:
-    """Design matrix of the model conditional on breakpoint d (linear in the rest)."""
+def _piecewise_design(kind: ModelKind, d: np.ndarray, dom: np.ndarray) -> np.ndarray:
+    """``(m, n, p)`` design matrices of the model conditional on each
+    breakpoint in ``d`` (linear in the rest); columns a, b, c, e(, f)."""
+    design = np.empty((d.size, dom.size, kind.arity - 1))
+    d = d[:, np.newaxis]
     gap = np.abs(dom - d)
+    design[:, :, 0] = 1.0
+    design[:, :, 1] = dom
     if kind is ModelKind.LINEAR_QUADRATIC:
-        # columns: a, b, c, e
-        return np.column_stack(
-            [np.ones_like(dom), dom, dom**2 + gap * (dom + d), gap]
-        )
-    if kind is ModelKind.QUADRATIC_QUADRATIC:
-        # columns: a, b, c, e, f
-        return np.column_stack(
-            [np.ones_like(dom), dom, dom**2, gap * (dom + d), gap]
-        )
-    raise PreconditionError(f"{kind.value} is not piecewise")
+        design[:, :, 2] = dom**2 + gap * (dom + d)
+    else:
+        design[:, :, 2] = dom**2
+        design[:, :, 3] = gap * (dom + d)
+    design[:, :, -1] = gap
+    return design
 
 
 def _linear_se_from_design(design: np.ndarray, ss_res: float, dof: int) -> np.ndarray:
@@ -220,17 +224,15 @@ def std_errors(fit: ModelFit, inp: FitInput) -> dict[str, float]:
     dof = inp.n - kind.arity
     if kind.piecewise:
         d = fit.params["d"]
-        design = _piecewise_design(kind, d, dom)
+        design = _piecewise_design(kind, np.array([d]), dom)[0]
         se = _linear_se_from_design(design, ss_res, dof)
-        names = [name for name in kind.param_names if name != "d"]
-        out = dict(zip(names, (float(s) for s in se)))
-        out["d"] = _grid_resolution(breakpoint_candidates(dom), d)
-        return {name: out[name] for name in kind.param_names}
-    jac = _param_jacobian(kind, vec, inp)
-    if not np.all(np.isfinite(jac)):
-        raise SingularInformationError("Jacobian is non-finite at the optimum")
-    se = _linear_se_from_design(jac, ss_res, dof)
-    return dict(zip(kind.param_names, (float(s) for s in se)))
+        se = np.insert(se, 3, _grid_resolution(breakpoint_candidates(dom), d))
+    else:
+        jac = _param_jacobian(kind, vec, inp)
+        if not np.all(np.isfinite(jac)):
+            raise SingularInformationError("Jacobian is non-finite at the optimum")
+        se = _linear_se_from_design(jac, ss_res, dof)
+    return dict(zip(kind.param_names, map(float, se)))
 
 
 def _infinite_ses(kind: ModelKind) -> dict[str, float]:
@@ -670,16 +672,12 @@ def breakpoint_candidates(dom: np.ndarray) -> list[float]:
     distinct dominance values, kept only where both sides retain at least
     three distinct values."""
     distinct = np.unique(np.asarray(dom, dtype=float))
-    out = []
-    for u, v in zip(distinct[:-1], distinct[1:]):
-        for q in (0.25, 0.5, 0.75):
-            cand = u + q * (v - u)
-            # distinct is sorted: counts of values below and above cand
-            left = int(np.searchsorted(distinct, cand, "left"))
-            right = distinct.size - int(np.searchsorted(distinct, cand, "right"))
-            if left >= 3 and right >= 3:
-                out.append(float(cand))
-    return out
+    u, v = distinct[:-1, np.newaxis], distinct[1:, np.newaxis]
+    cand = (u + np.array([0.25, 0.5, 0.75]) * (v - u)).ravel()
+    # distinct is sorted: counts of values below and above each candidate
+    left = np.searchsorted(distinct, cand, "left")
+    right = distinct.size - np.searchsorted(distinct, cand, "right")
+    return cand[(left >= 3) & (right >= 3)].tolist()
 
 
 def _grid_resolution(candidates: Sequence[float], d: float) -> float:
@@ -688,31 +686,18 @@ def _grid_resolution(candidates: Sequence[float], d: float) -> float:
         return math.inf
     arr = np.asarray(sorted(candidates))
     idx = int(np.argmin(np.abs(arr - d)))
-    gaps = []
-    if idx > 0:
-        gaps.append(arr[idx] - arr[idx - 1])
-    if idx < len(arr) - 1:
-        gaps.append(arr[idx + 1] - arr[idx])
-    return float(max(gaps))
-
-
-def _insert_d(kind: ModelKind, beta: np.ndarray, d: float) -> dict[str, float]:
-    if kind is ModelKind.LINEAR_QUADRATIC:
-        a, b, c, e = beta
-        return {"a": float(a), "b": float(b), "c": float(c), "d": float(d), "e": float(e)}
-    a, b, c, e, f = beta
-    return {
-        "a": float(a),
-        "b": float(b),
-        "c": float(c),
-        "d": float(d),
-        "e": float(e),
-        "f": float(f),
-    }
+    # the wider of the gaps on either side of the nearest candidate
+    return float(np.diff(arr)[max(idx - 1, 0):idx + 1].max())
 
 
 def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
-    """Breakpoint-profiled exact least squares for the piecewise kinds."""
+    """Breakpoint-profiled exact least squares for the piecewise kinds.
+
+    Each candidate's design is one C-contiguous slice of a stack, solved by
+    its own ``np.linalg.lstsq`` (a stacked SVD or QR solve moves the last
+    bits); residuals and sums of squares are stacked.  The lowest SS wins,
+    the lower breakpoint breaking ties; ``iterations`` counts the candidates.
+    """
     if not kind.piecewise:
         raise PreconditionError(f"{kind.value} is not piecewise")
     _require_points(inp, kind)
@@ -724,19 +709,13 @@ def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
         raise InsufficientSupportError(
             "no breakpoint candidate has three distinct dominance values on each side"
         )
-    best_key = None
-    best = None
-    for d in candidates:
-        design = _piecewise_design(kind, d, dom)
-        beta, *_ = np.linalg.lstsq(design, chg, rcond=None)
-        resid = chg - design @ beta
-        ss = float(resid @ resid)
-        key = (ss, d, tuple(beta))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (d, beta, ss)
-    d, beta, ss = best
-    params = _insert_d(kind, beta, d)
+    design = _piecewise_design(kind, np.array(candidates), dom)
+    betas = np.array([np.linalg.lstsq(x, chg, rcond=None)[0] for x in design])
+    resid = chg - (design @ betas[:, :, np.newaxis])[:, :, 0]
+    sums = _dots(resid, resid)
+    best = np.lexsort((candidates, sums))[0]
+    d, ss = candidates[best], float(sums[best])
+    params = param_dict(kind, np.insert(betas[best], 3, d))
     r2, r2_adj, flags = _goodness_from_ss(ss, chg, kind.arity)
     fit = ModelFit(
         kind=kind,

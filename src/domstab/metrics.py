@@ -46,6 +46,7 @@ __all__ = [
     "species_dominance",
     "species_dominances",
     "diversity_indices",
+    "diversity_block",
     "simpson_identity_residual",
     "regress_dominance_vs_index",
 ]
@@ -193,6 +194,32 @@ def diversity_indices(values: Sequence[float]) -> DiversityIndices:
         berger_parker=float(p.max()),
         simpson_evenness=simpson / n,
     )
+
+
+def diversity_block(counts: np.ndarray) -> dict[IndexKind, np.ndarray]:
+    """Diversity indices of every sample in a species x samples block, one
+    array (shape T) per index, each entry bit for bit what
+    :func:`diversity_indices` gives for that sample."""
+    block = _as_abundances(counts, ndim=2)
+    # one contiguous row per sample, reduced as diversity_indices reduces it
+    samples = np.ascontiguousarray(block.T)
+    n = samples.shape[1]
+    p = samples / samples.sum(axis=1)[:, np.newaxis]
+    simpson = np.sum(p * p, axis=1)
+    positive = p > 0
+    terms = p[positive] * np.log(p[positive])
+    # each sample's positive terms are summed on their own: zeros left in a
+    # row would change the blocks of the pairwise sum
+    rows = np.split(terms, np.cumsum(positive.sum(axis=1))[:-1])
+    shannon = -np.array([np.sum(row) for row in rows])
+    evenness = shannon / math.log(n) if n > 1 else np.full(len(p), math.nan)
+    return {
+        IndexKind.SIMPSON: simpson,
+        IndexKind.SHANNON: shannon,
+        IndexKind.SHANNON_EVENNESS: evenness,
+        IndexKind.BERGER_PARKER: p.max(axis=1),
+        IndexKind.SIMPSON_EVENNESS: simpson / n,
+    }
 
 
 def simpson_identity_residual(values: Sequence[float]) -> float:

@@ -32,8 +32,9 @@ from .ingest import (
     parse_table,
     split_subjects,
 )
-# community_stats is not called here; bench/spans.py wraps this name.
-from .metrics import IndexKind, community_stats, diversity_indices, regress_dominance_vs_index
+# community_stats and diversity_indices are not called here; bench/spans.py wraps them.
+from .metrics import IndexKind, community_stats, diversity_block, diversity_indices
+from .metrics import regress_dominance_vs_index
 from .models import ModelKind, evaluate_array
 from .selection import (
     SelectedModel,
@@ -183,11 +184,7 @@ def _index_table(
     }
     for series, records in subjects:
         dominance = records.community
-        index_values: dict[IndexKind, list[float]] = {w: [] for w in _INDEX_ORDER}
-        for t in range(series.n_samples):
-            indices = diversity_indices(series.sample_vector(t))
-            for which in _INDEX_ORDER:
-                index_values[which].append(indices.value(which))
+        index_values = diversity_block(series.counts)
         for which in _INDEX_ORDER:
             if series.n_samples < 3:
                 rows.append(
