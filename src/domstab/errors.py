@@ -49,7 +49,7 @@ class PreconditionError(DomstabError):
 
 
 class DegenerateRegressionError(DomstabError):
-    """Regression input has zero variance on the predictor axis."""
+    """Regression input is non-finite or has zero variance on the predictor axis."""
 
 
 # ---------------------------------------------------------------- stability

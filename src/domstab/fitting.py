@@ -14,9 +14,10 @@ Three fitting routes, one per model family:
 * linear-quadratic / quadratic-quadratic: the breakpoint d is profiled over
   a deterministic candidate grid (quartile points of every gap between
   consecutive distinct dominance values); conditional on d the model is
-  linear in its remaining parameters and solved exactly.  All candidates'
-  designs, residuals and sums of squares are stacked; only the solve is per
-  candidate, so each candidate's coefficients are those of a lone solve.
+  linear in its remaining parameters and solved exactly.  One stacked QR
+  screens every candidate's sum of squares; only the candidates the screen
+  cannot rule out are solved exactly, each alone, so the winner and its
+  coefficients are those of solving every candidate.
 
 Standard errors come from sqrt(diag(s^2 (J^T J)^-1)) with s^2 the residual
 variance on n - p degrees of freedom; for the piecewise kinds they are
@@ -75,6 +76,14 @@ _ABORT_GRACE = 12  # iterations granted before a lagging start may be cut
 _N_EXPLORE = 24  # starts kept after ranking the grid by initial SS
 _EXPLORE_MAX_ITER = 120  # iteration budget per start during exploration
 _POLISH_ATTEMPTS = 3  # best exploration endpoints re-run with the full budget
+# Breakpoint profile (see fit_piecewise): a candidate is solved exactly while
+# its screened SS is within best_exact_ss * (1 + RTOL) + ATOL * |y|^2.
+_CERTIFY_RTOL = 1e-8
+_CERTIFY_ATOL = 1e-12
+# Design bytes per screening chunk.  With its Q stack and the QR's working
+# copies a chunk stays in a 2 MiB L2 cache: 48 piecewise fits of 150 samples
+# took 0.20 s in 256 KiB chunks and 0.37 s as whole stacks (2-core Xeon VM).
+_SCREEN_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -690,13 +699,49 @@ def _grid_resolution(candidates: Sequence[float], d: float) -> float:
     return float(np.diff(arr)[max(idx - 1, 0):idx + 1].max())
 
 
+def _screen(
+    kind: ModelKind, cand: np.ndarray, dom: np.ndarray, chg: np.ndarray
+) -> np.ndarray:
+    """Approximate residual SS of every candidate, from stacked reduced QR.
+
+    The residual is formed as ``y - Q(Q^T y)`` rather than the cheaper
+    ``|y|^2 - |Q^T y|^2``, which cancels catastrophically when the fit is
+    good.  Candidates go through in chunks of at most ``_SCREEN_BYTES`` of
+    design, so the design and Q stacks stay bounded however many samples
+    the series has (both grow with its square)."""
+    step = max(1, _SCREEN_BYTES // (dom.size * (kind.arity - 1) * 8))
+    screened = np.empty(cand.size)
+    for lo in range(0, cand.size, step):
+        q = np.linalg.qr(_piecewise_design(kind, cand[lo:lo + step], dom))[0]
+        resid = chg - (q @ (chg @ q)[:, :, np.newaxis])[:, :, 0]
+        screened[lo:lo + step] = _dots(resid, resid)
+    return screened
+
+
 def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
     """Breakpoint-profiled exact least squares for the piecewise kinds.
 
-    Each candidate's design is one C-contiguous slice of a stack, solved by
-    its own ``np.linalg.lstsq`` (a stacked SVD or QR solve moves the last
-    bits); residuals and sums of squares are stacked.  The lowest SS wins,
-    the lower breakpoint breaking ties; ``iterations`` counts the candidates.
+    Screen, then certify.  One stacked QR gives every candidate an
+    approximate SS (``_screen``).  Candidates are then visited from the
+    lowest screened SS up and solved exactly, each by its own
+    ``np.linalg.lstsq`` on its own design (a stacked SVD or QR solve moves
+    the last bits), its SS taken through the stacked ``design @ beta`` and
+    ``_dots``.  The visit stops once the next screened SS exceeds the best
+    exact SS by the certification margin; the lowest exact SS among the
+    visited wins, the lower breakpoint breaking ties, so the winner and its
+    coefficients are those of solving every candidate exactly.
+
+    The margin has two terms.  The relative one (``_CERTIFY_RTOL``) covers
+    the screen's disagreement with the exact solve on a well-posed fit.  The
+    absolute one (``_CERTIFY_ATOL`` times ``|y|^2``) covers roundoff, whose
+    scale is ``|y|^2`` and not the SS: when the response is exactly
+    constant, affine or quadratic in dominance every candidate's SS is
+    roundoff noise, the screen cannot rank them, and all are solved.  On a
+    rank-deficient design Q spans the design's columns and more, so the
+    screened SS can only err low; a candidate screened too low is visited
+    early and costs an exact solve, never the win.
+
+    ``iterations`` counts the candidates, screened or solved.
     """
     if not kind.piecewise:
         raise PreconditionError(f"{kind.value} is not piecewise")
@@ -709,12 +754,24 @@ def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
         raise InsufficientSupportError(
             "no breakpoint candidate has three distinct dominance values on each side"
         )
-    design = _piecewise_design(kind, np.array(candidates), dom)
-    betas = np.array([np.linalg.lstsq(x, chg, rcond=None)[0] for x in design])
-    resid = chg - (design @ betas[:, :, np.newaxis])[:, :, 0]
-    sums = _dots(resid, resid)
-    best = np.lexsort((candidates, sums))[0]
-    d, ss = candidates[best], float(sums[best])
+    cand = np.array(candidates)
+    screened = _screen(kind, cand, dom, chg)
+    slack = _CERTIFY_ATOL * float(chg @ chg)
+    best_ss = math.inf
+    solved, betas, sums = [], [], []
+    for i in np.argsort(screened, kind="stable").tolist():
+        if screened[i] > best_ss * (1.0 + _CERTIFY_RTOL) + slack:
+            break
+        design = _piecewise_design(kind, cand[i:i + 1], dom)
+        beta = np.linalg.lstsq(design[0], chg, rcond=None)[0]
+        resid = chg - (design @ beta[np.newaxis, :, np.newaxis])[:, :, 0]
+        ss = float(_dots(resid, resid)[0])
+        best_ss = min(best_ss, ss)
+        solved.append(i)
+        betas.append(beta)
+        sums.append(ss)
+    best = np.lexsort((cand[solved], sums))[0]
+    d, ss = candidates[solved[best]], sums[best]
     params = param_dict(kind, np.insert(betas[best], 3, d))
     r2, r2_adj, flags = _goodness_from_ss(ss, chg, kind.arity)
     fit = ModelFit(

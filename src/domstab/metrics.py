@@ -250,7 +250,8 @@ def regress_dominance_vs_index(
 ) -> IndexRegression:
     """Least-squares line dominance = intercept + slope * index.
 
-    Requires at least three samples and non-zero variance in the index.
+    Requires at least three samples, finite values and non-zero variance in
+    the index.
     Pearson correlation is reported alongside the coefficients because the
     linearity identity makes simpson regressions come out exactly R = 1.
     """
@@ -261,7 +262,7 @@ def regress_dominance_vs_index(
     if x.size < 3:
         raise PreconditionError("index regression needs at least 3 samples")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("index regression input must be finite")
+        raise DegenerateRegressionError("index regression input must be finite")
     sxx = float(np.sum((x - x.mean()) ** 2))
     # relative guard: a constant column is rarely an exact float zero
     if sxx <= np.finfo(float).eps * float(np.sum(x * x)):

@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -120,12 +121,18 @@ def _write_atomic(path: Path, text: str) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+def _write_rows(path: Path, header: list[str], rows: Iterable[list]) -> Path:
+    """CSV of cells ``csv.writer`` renders itself: str, and float through
+    ``repr``, which spells inf, -inf, nan and -0.0 as ``_fmt`` does."""
     with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+        writer.writerows(rows)
     return path
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+    return _write_rows(path, header, ([_fmt(cell) for cell in row] for row in rows))
 
 
 def load_subjects(config: RunConfig) -> list[SubjectSeries]:
@@ -159,7 +166,7 @@ def _metrics_table(
             records.sentinel_replaced.T,
         )
     ]
-    return _write_csv(out_dir / f"metrics_{series.subject_id}.csv", header, rows)
+    return _write_rows(out_dir / f"metrics_{series.subject_id}.csv", header, rows)
 
 
 def cmd_metrics(config: RunConfig) -> list[Path]:

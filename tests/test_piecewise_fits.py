@@ -6,9 +6,11 @@ SS and standard errors by repr, and the iteration count (the number of
 breakpoint candidates).
 """
 
+import numpy as np
 import pytest
 
-from domstab.fitting import FitInput, fit_piecewise
+from domstab import fitting
+from domstab.fitting import FitInput, _screen, breakpoint_candidates, fit_piecewise
 from domstab.models import ModelKind
 from domstab.report import RunConfig, load_subjects
 from domstab.stability import apply_sentinel, community_stability, dominance_records
@@ -94,3 +96,32 @@ def test_cohort_piecewise_fit_pinned(key, cohort_inputs):
     fit = fit_piecewise(ModelKind(kind), cohort_inputs[subject])
     outcome = (repr(fit.params), repr(fit.residual_ss), fit.iterations, repr(fit.std_errors))
     assert outcome == PINNED[key]
+
+
+def test_profile_solves_few_candidates(cohort_inputs, monkeypatch):
+    """The screen leaves only a few candidates to the exact solve."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    candidates = sum(
+        fit_piecewise(ModelKind(kind), cohort_inputs[subject]).iterations
+        for subject, kind in PINNED
+    )
+    assert 0 < len(calls) * 10 < candidates
+
+
+def test_screen_chunking_moves_no_bits(cohort_inputs, monkeypatch):
+    inp = cohort_inputs["101"]
+    kind = ModelKind.QUADRATIC_QUADRATIC
+    cand = np.array(breakpoint_candidates(inp.dominance))
+    whole = _screen(kind, cand, inp.dominance, inp.change_rate)
+    # seven candidates a chunk: 72 candidates make ten full chunks and a short one
+    monkeypatch.setattr(fitting, "_SCREEN_BYTES", 7 * inp.n * (kind.arity - 1) * 8)
+    chunked = _screen(kind, cand, inp.dominance, inp.change_rate)
+    assert cand.size == 72
+    assert chunked.tobytes() == whole.tobytes()

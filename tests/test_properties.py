@@ -190,7 +190,11 @@ def _reference_piecewise(kind, inp):
 
 @st.composite
 def piecewise_inputs(draw):
-    """Piecewise problems whose dominance values repeat and sit one ulp apart."""
+    """Piecewise problems whose dominance values repeat and sit one ulp apart.
+
+    Half the responses are exactly constant, affine or quadratic in
+    dominance: every candidate then fits to roundoff, so their sums of
+    squares are noise that a screen cannot rank."""
     base = draw(st.lists(st.floats(0.5, 60.0), min_size=7, max_size=30))
     extra = draw(
         st.lists(st.tuples(st.integers(0, len(base) - 1), st.booleans()), max_size=8)
@@ -200,7 +204,12 @@ def piecewise_inputs(draw):
         for i, duplicate in extra
     ]
     dom = np.array(draw(st.permutations(values)))
-    chg = draw(arrays(np.float64, dom.size, elements=st.floats(-2.0, 2.0)))
+    degree = draw(st.sampled_from([None, None, None, 0, 1, 2]))
+    if degree is None:
+        chg = draw(arrays(np.float64, dom.size, elements=st.floats(-2.0, 2.0)))
+    else:
+        coef = draw(st.lists(st.floats(-2.0, 2.0), min_size=degree + 1, max_size=degree + 1))
+        chg = np.polynomial.polynomial.polyval(dom, coef)
     kind = draw(st.sampled_from([ModelKind.LINEAR_QUADRATIC, ModelKind.QUADRATIC_QUADRATIC]))
     return kind, FitInput(dom, chg)
 
@@ -218,6 +227,19 @@ def _as_bits(values: dict) -> dict:
         np.array([1.0, 2.0, 3.0, 5.0, float(np.nextafter(5.0, 6.0)),
                   float(np.nextafter(np.nextafter(5.0, 6.0), 6.0)), 8.0, 9.0, 10.0]),
         np.array([0.1, -0.2, 0.3, 0.0, 0.5, -0.1, 0.2, 0.4, -0.3]),
+    ),
+))
+# A constant response: every candidate's SS is roundoff, and a certification
+# margin relative to the best SS alone picks another breakpoint.
+@example((
+    ModelKind.LINEAR_QUADRATIC,
+    FitInput(
+        np.array([16.58592465444526, 17.989066733728826, 30.814895213016317,
+                  20.55819765716103, 13.021805258976086, 16.58592465444526,
+                  13.021805258976086, 30.814895213016317, 39.79563714545949,
+                  53.807601962853504, 27.165862115140825, 53.80760196285351,
+                  13.021805258976086]),
+        np.full(13, -1.2509825068317202),
     ),
 ))
 def test_piecewise_profile_matches_per_candidate_loop(problem):

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -310,6 +313,35 @@ def test_cli_zero_sample_is_analysis_error(tmp_path, capsys):
     code = main(["metrics", "--input", str(src), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "analysis error" in capsys.readouterr().err
+
+
+def test_cli_single_species_subject_gets_index_error_row(tmp_path):
+    """Subject 1 keeps one species, whose Shannon evenness is NaN: its index
+    regressions become error rows instead of a traceback."""
+    src = tmp_path / "one_species.csv"
+    src.write_text(
+        "species_id,1_a,1_b,1_c,2_a,2_b,2_c,2_d\nx,1,2,3,4,5,6,7\ny,5,5,5,1,2,3,9\n"
+    )
+    out = tmp_path / "out"
+    path = [str(Path(report.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "domstab", "report-all", "--input", str(src), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode in {0, 1, 2}
+    assert "Traceback" not in proc.stderr
+    notes = {
+        (row["subject"], row["index"]): row["note"]
+        for row in read_rows(out / "index_regressions.csv")
+    }
+    assert notes[("1", "shannon-evenness")] == "index regression input must be finite"
+
+
+def test_write_rows_renders_floats_as_fmt(tmp_path):
+    values = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e300, 0.1]
+    path = report._write_rows(tmp_path / "floats.csv", ["x"] * len(values), [values])
+    assert path.read_text().splitlines()[1].split(",") == [report._fmt(v) for v in values]
 
 
 def test_cli_custom_id_rule(tmp_path, capsys):
