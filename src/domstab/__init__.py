@@ -16,6 +16,7 @@ from .fitting import (
     FitInput,
     ModelFit,
     fit_linear,
+    fit_logistic_batch,
     fit_logistic_family,
     fit_model,
     fit_piecewise,

@@ -100,6 +100,14 @@ class SelectionError(DomstabError):
     """Model selection cannot proceed (no fits supplied)."""
 
 
+# ---------------------------------------------------------------- report
+
+
+class SubjectAnalysisError(DomstabError):
+    """Some subjects stopped with an analysis error; the outputs of every
+    other subject were written."""
+
+
 # ---------------------------------------------------------------- dynamics
 
 

@@ -8,9 +8,14 @@ Three fitting routes, one per model family:
   grid; the accepted-step sum of squares is non-increasing by construction.
   The starts of each search pass run in lockstep: parameters, residuals and
   Jacobians are stacked over starts, each start keeps its own damping lambda,
-  and each damping round is one stacked 3x3 solve.  Every reduction is a
-  stacked matmul, so each start's result is bit for bit the one it would get
-  if run alone.
+  and each damping round is one stacked 3x3 solve.  A batch
+  (:func:`fit_logistic_batch`) stacks the starts of many problems, such as
+  every subject and both kinds of a cohort: problems of equal series length
+  share one exploration pass and one polish pass, each stack row tagged with
+  the problem it belongs to.  Every operation is elementwise or a stacked
+  matmul reduction over one row, so a start's result is bit for bit the one
+  it would get alone, whatever else is in the stack; lengths are not mixed
+  because padding a row would change its reductions.
 * linear-quadratic / quadratic-quadratic: the breakpoint d is profiled over
   a deterministic candidate grid (quartile points of every gap between
   consecutive distinct dominance values); conditional on d the model is
@@ -36,6 +41,7 @@ import numpy as np
 
 from .errors import (
     DegenerateFitError,
+    DomstabError,
     InsufficientSupportError,
     NonConvergenceError,
     PreconditionError,
@@ -58,6 +64,7 @@ __all__ = [
     "GN_RELATIVE_SS_TOL",
     "GN_STEP_TOL",
     "fit_linear",
+    "fit_logistic_batch",
     "fit_logistic_family",
     "fit_piecewise",
     "fit_model",
@@ -181,7 +188,8 @@ def _param_jacobian(kind: ModelKind, vec: np.ndarray, inp: FitInput) -> np.ndarr
         return np.column_stack([np.ones_like(inp.dominance), inp.dominance])
     if kind.logistic_family:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _Problem.of(kind, inp).jacobian(vec[np.newaxis])[0]
+            problem = _Problem.stack([(kind, inp)])
+            return problem.jacobian(vec[np.newaxis], np.zeros(1, int))[0]
     raise PreconditionError(f"no parameter Jacobian for {kind.value}")
 
 
@@ -334,50 +342,65 @@ def default_starts(inp: FitInput) -> list[tuple[float, float, float]]:
 
 @dataclass(frozen=True)
 class _Problem:
-    """One logistic-family least-squares problem, evaluated for stacks of starts.
+    """Logistic-family least-squares problems of one series length, evaluated
+    for stacks of starts.
 
-    Parameter stacks are ``(m, 3)`` arrays of (K, a, r) rows.  Every result
-    row is computed by the same elementwise operations, and every reduction
-    by the same BLAS/LAPACK call, as a lone start would get, so a row's
-    result does not depend on what else is in the stack.  Only stacked
+    Row ``j`` of ``dom``, ``chg`` and ``sine`` holds problem ``j``; a logistic
+    problem's sine row is all ones, and ``x * 1.0`` is exact, so both kinds
+    share one stack.  Parameter stacks are ``(m, 3)`` arrays of (K, a, r)
+    rows, each with an owner: the index of its problem.  Every result row is
+    computed by the same elementwise operations, and every reduction by the
+    same BLAS/LAPACK call, as a lone start of a lone problem would get, so a
+    row's result does not depend on what else is in the stack.  Only stacked
     matmul reductions keep that property (see :func:`_dots`).
     """
 
-    dom: np.ndarray
-    chg: np.ndarray
-    sine: np.ndarray | None  # sin(D / pi) for logistic-sine, None for logistic
+    dom: np.ndarray   # (problems, n)
+    chg: np.ndarray   # (problems, n)
+    sine: np.ndarray  # (problems, n): sin(D / pi) for logistic-sine, ones for logistic
 
     @classmethod
-    def of(cls, kind: ModelKind, inp: FitInput) -> "_Problem":
-        sine = np.sin(inp.dominance / math.pi) if kind is ModelKind.LOGISTIC_SINE else None
-        return cls(inp.dominance, inp.change_rate, sine)
+    def stack(cls, problems: Sequence[tuple[ModelKind, FitInput]]) -> "_Problem":
+        """The problems, all of one series length, as the rows of one stack."""
+        sine = [
+            np.sin(inp.dominance / math.pi)
+            if kind is ModelKind.LOGISTIC_SINE else np.ones(inp.n)
+            for kind, inp in problems
+        ]
+        return cls(
+            np.array([inp.dominance for _, inp in problems]),
+            np.array([inp.change_rate for _, inp in problems]),
+            np.array(sine),
+        )
 
-    def predict(self, params: np.ndarray) -> np.ndarray:
+    def predict(self, params: np.ndarray, owner: np.ndarray) -> np.ndarray:
         big_k, a, r = params[:, 0:1], params[:, 1:2], params[:, 2:3]
-        out = big_k / (1.0 + a * np.exp(-r * self.dom))
-        return out if self.sine is None else out * self.sine
+        return big_k / (1.0 + a * np.exp(-r * self.dom[owner])) * self.sine[owner]
 
-    def residuals(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def residuals(
+        self, params: np.ndarray, owner: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Residual rows and their sums of squares (+inf where non-finite)."""
-        resid = self.chg - self.predict(params)
+        resid = self.chg[owner] - self.predict(params, owner)
         ss = _dots(resid, resid)
         ss[~np.isfinite(resid).all(axis=1)] = math.inf
         return resid, ss
 
-    def jacobian(self, params: np.ndarray) -> np.ndarray:
+    def jacobian(self, params: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """``(m, n, 3)`` stack of model Jacobians, one column per parameter."""
         big_k, a, r = params[:, 0:1], params[:, 1:2], params[:, 2:3]
-        expo = np.exp(-r * self.dom)
+        dom = self.dom[owner]
+        expo = np.exp(-r * dom)
         phi = 1.0 / (1.0 + a * expo)
         jac = np.stack(
             [
                 phi,
                 -big_k * expo * phi * phi,
-                big_k * a * self.dom * expo * phi * phi,
+                big_k * a * dom * expo * phi * phi,
             ],
             axis=-1,
         )
-        return jac if self.sine is None else jac * self.sine[:, None]
+        return jac * self.sine[owner][:, :, None]
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -411,9 +434,10 @@ _DIAG = np.arange(3)
 
 
 def _lockstep(
-    problem: _Problem, starts: np.ndarray, max_iter: int
+    problem: _Problem, owner: np.ndarray, starts: np.ndarray, max_iter: int
 ) -> tuple[list[_Attempt], list[_Grace | None]]:
-    """Damped Gauss-Newton from every row of ``starts`` at once.
+    """Damped Gauss-Newton from every row of ``starts`` at once, each on the
+    problem its ``owner`` entry names.
 
     Each start keeps its own damping lambda and runs exactly the search it
     would run alone: steps are accepted only when they reduce the sum of
@@ -430,7 +454,7 @@ def _lockstep(
     """
     m = len(starts)
     params = starts.astype(float)
-    resid, ss = problem.residuals(params)
+    resid, ss = problem.residuals(params, owner)
     iterations = np.zeros(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
     started = np.isfinite(ss)
@@ -445,7 +469,7 @@ def _lockstep(
         if it == _ABORT_GRACE + 1:
             for i in active:
                 grace[i] = (params[i].copy(), len(traces[i]))
-        jac = problem.jacobian(params[active])
+        jac = problem.jacobian(params[active], owner[active])
         finite = np.isfinite(jac).all(axis=(1, 2))
         active, jac = active[finite], jac[finite]
         jac_t = jac.transpose(0, 2, 1)
@@ -464,7 +488,7 @@ def _lockstep(
             # that start is rejected and raises its lambda
             step = _solve(jtj[searching] + scaled, jtr[searching])
             trial = params[rows] + step
-            trial_resid, trial_ss = problem.residuals(trial)
+            trial_resid, trial_ss = problem.residuals(trial, owner[rows])
             downhill = trial_ss < ss[rows]
             won = rows[downhill]
             step_norm = np.sqrt(_dots(step[downhill], step[downhill]))
@@ -495,23 +519,23 @@ def _lockstep(
 
 
 def _rank_starts(
-    problem: _Problem, candidates: Sequence[tuple[float, float, float]]
+    problem: _Problem, row: int, candidates: Sequence[tuple[float, float, float]]
 ) -> np.ndarray:
-    """``(m, 3)`` stack of the starts with a finite initial SS, lowest first
-    (the start's own order breaking ties).
+    """``(m, 3)`` stack of the starts for problem ``row`` with a finite
+    initial SS, lowest first (the start's own order breaking ties).
 
     A NaN K is replaced by the optimal K for the start's (a, r), since the
     model is linear in K; a start whose shape is non-finite or zero drops out.
     """
     cand = np.array(candidates, dtype=float).reshape(len(candidates), 3)
     free = np.flatnonzero(np.isnan(cand[:, 0]))
-    shape = problem.predict(np.column_stack([np.ones(free.size), cand[free, 1:]]))
+    owner = np.full(free.size, row)
+    shape = problem.predict(np.column_stack([np.ones(free.size), cand[free, 1:]]), owner)
     denom = _dots(shape, shape)
-    chg = np.broadcast_to(problem.chg, shape.shape)
-    cand[free, 0] = _dots(shape, chg) / denom
+    cand[free, 0] = _dots(shape, problem.chg[owner]) / denom
     unusable = ~np.isfinite(shape).all(axis=1) | (denom <= 0.0)
     cand = np.delete(cand, free[unusable], axis=0)
-    _, ss0 = problem.residuals(cand)
+    _, ss0 = problem.residuals(cand, np.full(len(cand), row))
     keep = np.isfinite(ss0)
     ranked = sorted(zip(ss0[keep].tolist(), map(tuple, cand[keep].tolist())))
     return np.array([start for _, start in ranked]).reshape(-1, 3)
@@ -522,13 +546,13 @@ def _key(attempt: _Attempt) -> tuple[float, tuple[float, ...]]:
     return attempt[1], tuple(attempt[0].tolist())
 
 
-def _explore(problem: _Problem, starts: np.ndarray) -> list[_Attempt]:
-    """Ranked starts under the exploration budget and abort rule, best first.
+def _explore(attempts: list[_Attempt], graces: list[_Grace | None]) -> list[_Attempt]:
+    """One problem's explored starts, in rank order, under the abort rule;
+    best first.
 
     A start still above ``1.5 * best + 1e-12`` at the end of its grace period,
     with ``best`` the lowest SS of the starts ranked before it, is cut there.
     """
-    attempts, graces = _lockstep(problem, starts, _EXPLORE_MAX_ITER)
     explored = []
     abort_at: float | None = None
     for (vec, ss, iters, ok, trace), grace in zip(attempts, graces):
@@ -547,15 +571,8 @@ def _explore(problem: _Problem, starts: np.ndarray) -> list[_Attempt]:
     return explored
 
 
-def _polish(
-    problem: _Problem, explored: list[_Attempt]
-) -> tuple[_Attempt | None, _Attempt | None]:
-    """Re-run the best distinct exploration endpoints with the full budget.
-
-    Returns the best converged attempt and the best attempt regardless of
-    convergence (for the error path); either is None when there is none.
-    Iterations and traces count the exploration run too.
-    """
+def _endpoints(explored: list[_Attempt]) -> list[_Attempt]:
+    """The best ``_POLISH_ATTEMPTS`` distinct exploration endpoints."""
     endpoints: list[_Attempt] = []
     seen: set[tuple[float, ...]] = set()
     for attempt in explored:
@@ -565,9 +582,15 @@ def _polish(
             endpoints.append(attempt)
         if len(endpoints) == _POLISH_ATTEMPTS:
             break
-    if not endpoints:
-        return None, None
-    attempts, _ = _lockstep(problem, np.array([vec for vec, *_ in endpoints]), GN_MAX_ITER)
+    return endpoints
+
+
+def _polished(
+    endpoints: list[_Attempt], attempts: list[_Attempt]
+) -> tuple[_Attempt | None, _Attempt | None]:
+    """The best converged polish of a problem's endpoints and the best one
+    regardless of convergence (for the error path); either is None when
+    there is none.  Iterations and traces count the exploration run too."""
     best = best_attempt = None
     for (_, _, iters0, _, trace0), (vec, ss, iters, ok, trace) in zip(endpoints, attempts):
         if not math.isfinite(ss):
@@ -580,10 +603,88 @@ def _polish(
     return best, best_attempt
 
 
+def _owned(groups: list[Sequence]) -> tuple[np.ndarray, list[int]]:
+    """Owner index of every row of the concatenated groups, and the bounds
+    that split the concatenation back into groups."""
+    sizes = [len(group) for group in groups]
+    return np.repeat(np.arange(len(groups)), sizes), np.cumsum([0, *sizes]).tolist()
+
+
+def _search(
+    problem: _Problem, candidates: list[list[tuple[float, float, float]]]
+) -> list[tuple[_Attempt | None, _Attempt | None]]:
+    """Rank, explore and polish every problem of the stack, one lockstep run
+    for all explorations and one for all polishes; each problem's best
+    converged and best overall attempt."""
+    ranked = [
+        _rank_starts(problem, row, starts)[:_N_EXPLORE]
+        for row, starts in enumerate(candidates)
+    ]
+    owner, bounds = _owned(ranked)
+    attempts, graces = _lockstep(problem, owner, np.concatenate(ranked), _EXPLORE_MAX_ITER)
+    endpoints = [
+        _endpoints(_explore(attempts[lo:hi], graces[lo:hi]))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    owner, bounds = _owned(endpoints)
+    starts = np.array([vec for ends in endpoints for vec, *_ in ends]).reshape(-1, 3)
+    attempts, _ = _lockstep(problem, owner, starts, GN_MAX_ITER)
+    return [
+        _polished(ends, attempts[lo:hi])
+        for ends, lo, hi in zip(endpoints, bounds, bounds[1:])
+    ]
+
+
+_Starts = Iterable[tuple[float, float, float]]
+
+
+def fit_logistic_batch(
+    items: Sequence[tuple[ModelKind, FitInput, _Starts | None]],
+) -> list[ModelFit | DomstabError]:
+    """Fit many logistic-family problems at once: one result per
+    ``(kind, inp, starts)`` item, a ModelFit or the DomstabError that
+    :func:`fit_logistic_family` would raise for that item alone.
+
+    Problems are grouped by series length ``n``, since a stacked matmul
+    needs one ``n`` (zero padding would change the ddot blocking and so the
+    bits).  Each group runs one exploration and one polish lockstep pass
+    over the starts of all its problems, each row tagged with its problem;
+    the abort rule and the choice of endpoints are applied per problem, in
+    rank order, between the two.  A row's arithmetic is the one it gets in
+    a lone run, so every item's result equals its lone fit to the bit.
+    """
+    results: list[ModelFit | DomstabError | None] = [None] * len(items)
+    groups: dict[int, list[tuple[int, list]]] = {}  # n -> (item, candidate starts)
+    for i, (kind, inp, starts) in enumerate(items):
+        try:
+            if not kind.logistic_family:
+                raise PreconditionError(f"{kind.value} is not a logistic-family kind")
+            _require_points(inp, kind)
+            if float(np.max(np.abs(inp.change_rate))) == 0.0:
+                results[i] = _zero_change_fit(kind, inp)
+                continue
+            candidates = list(starts) if starts is not None else default_starts(inp)
+        except DomstabError as exc:
+            results[i] = exc
+            continue
+        groups.setdefault(inp.n, []).append((i, candidates))
+    for group in groups.values():
+        problem = _Problem.stack([items[i][:2] for i, _ in group])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            found = _search(problem, [candidates for _, candidates in group])
+        for (i, _), (best, best_attempt) in zip(group, found):
+            kind, inp, _ = items[i]
+            try:
+                results[i] = _logistic_fit(kind, inp, best, best_attempt)
+            except DomstabError as exc:
+                results[i] = exc
+    return results
+
+
 def fit_logistic_family(
     kind: ModelKind,
     inp: FitInput,
-    starts: Iterable[tuple[float, float, float]] | None = None,
+    starts: _Starts | None = None,
 ) -> ModelFit:
     """Multi-start damped Gauss-Newton fit of a logistic-family model.
 
@@ -594,44 +695,50 @@ def fit_logistic_family(
     converges a NonConvergenceError is raised with the best attempt attached
     as ``best``.
 
-    Each pass runs its starts in lockstep (:func:`_lockstep`): the ranking is
-    one stacked evaluation, the explored starts are one batch and the polished
-    endpoints another.  During exploration a start still above 1.5 times the
-    best SS of the starts ranked before it, once its grace period is over, is
-    cut short.  The threshold of a start depends only on the starts before it,
-    and an accepted-SS trace never rises, so the batch runs every explored
-    start in full and the cut is applied afterwards, in rank order, from each
-    start's state at the end of its grace period.
+    This is :func:`fit_logistic_batch` with one item; a batch of many
+    problems gives each the same fit.  Each pass runs its starts in lockstep
+    (:func:`_lockstep`): the ranking is one stacked evaluation, the explored
+    starts are one batch and the polished endpoints another.  During
+    exploration a start still above 1.5 times the best SS of the starts
+    ranked before it, once its grace period is over, is cut short.  The
+    threshold of a start depends only on the starts before it, and an
+    accepted-SS trace never rises, so the batch runs every explored start in
+    full and the cut is applied afterwards, in rank order, from each start's
+    state at the end of its grace period.
     """
-    if not kind.logistic_family:
-        raise PreconditionError(f"{kind.value} is not a logistic-family kind")
-    _require_points(inp, kind)
-    chg_max = float(np.max(np.abs(inp.change_rate)))
-    if chg_max == 0.0:
-        # all change rates are zero: K = 0 reproduces the data exactly
-        fit = ModelFit(
-            kind=kind,
-            params={"K": 0.0, "a": 1.0, "r": 0.0},
-            std_errors=_infinite_ses(kind),
-            r2=math.nan,
-            r2_adj=math.nan,
-            residual_ss=0.0,
-            n=inp.n,
-            converged=True,
-            iterations=0,
-            dominance_min=inp.dominance_range[0],
-            dominance_max=inp.dominance_range[1],
-            flags=("degenerate-zero-change", "degenerate-r2"),
-        )
-        return _with_std_errors(fit, inp)
+    (result,) = fit_logistic_batch([(kind, inp, starts)])
+    if isinstance(result, DomstabError):
+        raise result
+    return result
 
-    candidates = list(starts) if starts is not None else default_starts(inp)
-    problem = _Problem.of(kind, inp)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        explored = _explore(problem, _rank_starts(problem, candidates)[:_N_EXPLORE])
-        best_result, best_attempt = _polish(problem, explored)
 
-    if best_result is None:
+def _zero_change_fit(kind: ModelKind, inp: FitInput) -> ModelFit:
+    """All change rates are zero: K = 0 reproduces the data exactly."""
+    fit = ModelFit(
+        kind=kind,
+        params={"K": 0.0, "a": 1.0, "r": 0.0},
+        std_errors=_infinite_ses(kind),
+        r2=math.nan,
+        r2_adj=math.nan,
+        residual_ss=0.0,
+        n=inp.n,
+        converged=True,
+        iterations=0,
+        dominance_min=inp.dominance_range[0],
+        dominance_max=inp.dominance_range[1],
+        flags=("degenerate-zero-change", "degenerate-r2"),
+    )
+    return _with_std_errors(fit, inp)
+
+
+def _logistic_fit(
+    kind: ModelKind,
+    inp: FitInput,
+    best: _Attempt | None,
+    best_attempt: _Attempt | None,
+) -> ModelFit:
+    """The fit of the best converged attempt; else NonConvergenceError."""
+    if best is None:
         if best_attempt is None:
             raise NonConvergenceError(f"{kind.value}: every start failed")
         vec, ss, iters, _, trace = best_attempt
@@ -639,7 +746,7 @@ def fit_logistic_family(
             kind, inp, vec, ss, iters, converged=False, trace=trace
         )
         raise NonConvergenceError(f"{kind.value}: no start converged", best=failed)
-    vec, ss, iters, _, trace = best_result
+    vec, ss, iters, _, trace = best
     return _assemble_logistic_fit(kind, inp, vec, ss, iters, converged=True, trace=trace)
 
 

@@ -1,11 +1,16 @@
 """Cohort pipeline and CSV/SVG emitters behind the command-line interface.
 
 Each command reads the table once and builds each subject's sentinel-applied
-dominance records once; the emitters only format that analysed data.  Output
+dominance records once; the emitters only format that analysed data.  The
+fitting commands share one analysis path (:func:`analyze_cohort`), which
+fits the logistic-family kinds of every subject in one batch.  Output
 is deterministic for a given config: subjects in sorted order, floats in the
 shortest round-trip form (inf and -inf spelled literally), and rows streamed
 into a temp file that is renamed over the target when complete.  Per-subject
 failures are recorded in the output rows; one bad subject never aborts the run.
+A subject whose records or stability series raise an analysis error still
+gets its rows, and the command raises SubjectAnalysisError once every file
+is written.
 """
 
 from __future__ import annotations
@@ -22,8 +27,14 @@ from typing import Iterable
 import numpy as np
 
 from .dynamics import fixed_points, iterate, resilience
-from .errors import DivergenceError, DomstabError
-from .fitting import FitInput, ModelFit, NonConvergenceError, fit_model
+from .errors import DivergenceError, DomstabError, SubjectAnalysisError
+from .fitting import (
+    FitInput,
+    ModelFit,
+    NonConvergenceError,
+    fit_logistic_batch,
+    fit_model,
+)
 from .ingest import (
     DEFAULT_MIN_TOTAL_READS,
     SampleIdRule,
@@ -56,6 +67,7 @@ __all__ = [
     "RunConfig",
     "SubjectAnalysis",
     "ALL_KINDS",
+    "analyze_cohort",
     "cmd_metrics",
     "cmd_compare_indices",
     "cmd_fit_select",
@@ -182,14 +194,20 @@ def cmd_metrics(config: RunConfig) -> list[Path]:
 # ---------------------------------------------------------------- indices
 
 
-def _index_table(
-    subjects: list[tuple[SubjectSeries, SubjectDominance]], out_dir: Path
-) -> Path:
+def _index_table(analyses: list[SubjectAnalysis], out_dir: Path) -> Path:
     rows: list[list] = []
     collected: dict[IndexKind, list[tuple[float, float, float]]] = {
         which: [] for which in _INDEX_ORDER
     }
-    for series, records in subjects:
+    for analysis in analyses:
+        series, records = analysis.series, analysis.records
+        if records is None:
+            rows.extend(
+                [series.subject_id, which.value, None, None, None,
+                 series.n_samples, str(analysis.error)]
+                for which in _INDEX_ORDER
+            )
+            continue
         dominance = records.community
         index_values = diversity_block(series.counts)
         for which in _INDEX_ORDER:
@@ -230,8 +248,11 @@ def _index_table(
 def cmd_compare_indices(config: RunConfig) -> Path:
     """Regress community dominance on each classical index, per subject,
     with cross-subject means appended."""
-    subjects = [(series, dominance_records(series)) for series in load_subjects(config)]
-    return _index_table(subjects, Path(config.out_dir))
+    analyses = [
+        SubjectAnalysis(series, dominance_records(series), None)
+        for series in load_subjects(config)
+    ]
+    return _index_table(analyses, Path(config.out_dir))
 
 
 # ---------------------------------------------------------------- fitting
@@ -239,50 +260,99 @@ def cmd_compare_indices(config: RunConfig) -> Path:
 
 @dataclass
 class SubjectAnalysis:
-    """Everything the fit/select/simulate emitters need for one subject."""
+    """Everything the emitters need for one subject.
+
+    ``error`` is the DomstabError that stopped the subject before fitting
+    (``records`` is None when it came from the dominance records); its text
+    is also the subject's ``selection_error``.
+    """
 
     series: SubjectSeries
-    records: SubjectDominance
+    records: SubjectDominance | None
     fit_input: FitInput | None
     fits: dict[ModelKind, ModelFit] = field(default_factory=dict)
     fit_errors: dict[ModelKind, str] = field(default_factory=dict)
     selected: SelectedModel | None = None
     selection_error: str | None = None
+    error: DomstabError | None = None
 
 
-def analyze_subject(series: SubjectSeries, config: RunConfig) -> SubjectAnalysis:
-    records = apply_sentinel(dominance_records(series))
-    analysis = SubjectAnalysis(series=series, records=records, fit_input=None)
-    if series.too_short:
-        analysis.selection_error = "fewer than two samples"
+def analyze_subject(series: SubjectSeries) -> SubjectAnalysis:
+    """One subject's sentinel-applied records, stability series and fit
+    input.  A DomstabError on the way becomes the subject's ``error``."""
+    analysis = SubjectAnalysis(series=series, records=None, fit_input=None)
+    try:
+        analysis.records = apply_sentinel(dominance_records(series))
+        if series.too_short:
+            analysis.selection_error = "fewer than two samples"
+            return analysis
+        stability = community_stability(analysis.records, subject_id=series.subject_id)
+    except DomstabError as exc:
+        analysis.error, analysis.selection_error = exc, str(exc)
         return analysis
-    stability = community_stability(records, subject_id=series.subject_id)
     if not stability.points:
         analysis.selection_error = "no usable stability points"
         return analysis
     analysis.fit_input = FitInput.from_series(stability)
-    for kind in config.models:
-        try:
-            analysis.fits[kind] = fit_model(kind, analysis.fit_input)
-        except NonConvergenceError as exc:
-            analysis.fit_errors[kind] = str(exc)
-            if exc.best is not None:
-                analysis.fits[kind] = exc.best
-        except DomstabError as exc:
-            analysis.fit_errors[kind] = str(exc)
-    candidates = {
-        kind: fit for kind, fit in analysis.fits.items() if fit.converged
-    }
-    if candidates:
+    return analysis
+
+
+def _record_fit(analysis: SubjectAnalysis, kind: ModelKind, outcome) -> None:
+    """File a fit, or an error with its best non-converged attempt."""
+    if isinstance(outcome, ModelFit):
+        analysis.fits[kind] = outcome
+        return
+    analysis.fit_errors[kind] = str(outcome)
+    if isinstance(outcome, NonConvergenceError) and outcome.best is not None:
+        analysis.fits[kind] = outcome.best
+
+
+def analyze_cohort(
+    subjects: list[SubjectSeries], config: RunConfig
+) -> list[SubjectAnalysis]:
+    """Analyse every subject, fit every configured kind and select a model.
+
+    The logistic-family fits of all subjects go through one
+    :func:`fit_logistic_batch` call; the other kinds are fitted per subject.
+    """
+    analyses = [analyze_subject(series) for series in subjects]
+    fitted = [a for a in analyses if a.fit_input is not None]
+    logistic = [kind for kind in config.models if kind.logistic_family]
+    batch = iter(fit_logistic_batch(
+        [(kind, a.fit_input, None) for a in fitted for kind in logistic]
+    ))
+    for analysis in fitted:
+        for kind in config.models:
+            if kind.logistic_family:
+                outcome = next(batch)
+            else:
+                try:
+                    outcome = fit_model(kind, analysis.fit_input)
+                except DomstabError as exc:
+                    outcome = exc
+            _record_fit(analysis, kind, outcome)
+        candidates = {
+            kind: fit for kind, fit in analysis.fits.items() if fit.converged
+        }
+        if not candidates:
+            analysis.selection_error = "no converged fits"
+            continue
         try:
             analysis.selected = select(
-                candidates, config.policy, subject_id=series.subject_id
+                candidates, config.policy, subject_id=analysis.series.subject_id
             )
         except DomstabError as exc:
             analysis.selection_error = str(exc)
-    else:
-        analysis.selection_error = "no converged fits"
-    return analysis
+    return analyses
+
+
+def _raise_failures(analyses: list[SubjectAnalysis]) -> None:
+    """After every file is written: exit code 2 if any subject failed."""
+    failed = [
+        f"subject {a.series.subject_id}: {a.error}" for a in analyses if a.error is not None
+    ]
+    if failed:
+        raise SubjectAnalysisError("; ".join(failed))
 
 
 _KIND_SLUG = {
@@ -369,8 +439,8 @@ def _resilience_table(analyses: list[SubjectAnalysis], out_dir: Path) -> Path:
         subject = analysis.series.subject_id
         fit = analysis.fits.get(ModelKind.LINEAR)
         if fit is None:
-            rows.append([subject, None, None,
-                         analysis.fit_errors.get(ModelKind.LINEAR, "no linear fit")])
+            error = analysis.error or "no linear fit"
+            rows.append([subject, None, None, analysis.fit_errors.get(ModelKind.LINEAR, error)])
             continue
         res = resilience(fit)
         rows.append([subject, res.slope, res.magnitude, ""])
@@ -409,8 +479,10 @@ def _fit_select_tables(analyses: list[SubjectAnalysis], config: RunConfig) -> li
 def cmd_fit_select(config: RunConfig) -> list[Path]:
     """Fit every configured kind per subject, then select; one CSV per kind
     plus the selection summary, resilience table, and run manifest."""
-    analyses = [analyze_subject(series, config) for series in load_subjects(config)]
-    return _fit_select_tables(analyses, config)
+    analyses = analyze_cohort(load_subjects(config), config)
+    paths = _fit_select_tables(analyses, config)
+    _raise_failures(analyses)
+    return paths
 
 
 # ---------------------------------------------------------------- simulate
@@ -482,8 +554,10 @@ def cmd_simulate(
     """Analyze one subject and write its simulation files."""
     for series in load_subjects(config):
         if series.subject_id == subject_id:
-            analysis = analyze_subject(series, config)
-            return simulate_subject(analysis, config, start=start, steps=steps)
+            analyses = analyze_cohort([series], config)
+            paths = simulate_subject(analyses[0], config, start=start, steps=steps)
+            _raise_failures(analyses)
+            return paths
     raise KeyError(f"subject {subject_id!r} not found in input")
 
 
@@ -492,12 +566,18 @@ def cmd_simulate(
 
 def report_all(config: RunConfig) -> list[Path]:
     """Run every report from one read of the table: metrics, index
-    comparisons, fits and selection, and a simulation per subject."""
-    analyses = [analyze_subject(series, config) for series in load_subjects(config)]
+    comparisons, fits and selection, and a simulation per subject.  A
+    subject stopped by an analysis error gets error rows, every other
+    subject its files, and then SubjectAnalysisError is raised."""
+    analyses = analyze_cohort(load_subjects(config), config)
     out_dir = Path(config.out_dir)
-    paths = [_metrics_table(a.series, a.records, out_dir) for a in analyses]
-    paths.append(_index_table([(a.series, a.records) for a in analyses], out_dir))
+    paths = [
+        _metrics_table(a.series, a.records, out_dir)
+        for a in analyses if a.records is not None
+    ]
+    paths.append(_index_table(analyses, out_dir))
     paths.extend(_fit_select_tables(analyses, config))
     for analysis in analyses:
         paths.extend(simulate_subject(analysis, config))
+    _raise_failures(analyses)
     return paths

@@ -5,6 +5,7 @@ import pytest
 
 from domstab.errors import (
     DegenerateFitError,
+    DomstabError,
     InsufficientSupportError,
     NonConvergenceError,
     PreconditionError,
@@ -16,6 +17,7 @@ from domstab.fitting import (
     breakpoint_candidates,
     default_starts,
     fit_linear,
+    fit_logistic_batch,
     fit_logistic_family,
     fit_model,
     fit_piecewise,
@@ -167,6 +169,53 @@ def test_singular_system_fails_only_its_own_row():
     assert np.all(np.isnan(steps[1]))
     for i in (0, 2):
         assert steps[i].tobytes() == np.linalg.solve(damped[i], rhs[i, :, 0]).tobytes()
+
+
+def _comparable(outcome):
+    """A fit by its repr, an error by its type, text and best attempt."""
+    if isinstance(outcome, DomstabError):
+        return type(outcome).__name__, str(outcome), repr(getattr(outcome, "best", None))
+    return repr(outcome)
+
+
+def _lone(item):
+    try:
+        return _comparable(fit_logistic_family(*item))
+    except DomstabError as exc:
+        return _comparable(exc)
+
+
+def test_batch_items_equal_lone_fits():
+    rng = np.random.default_rng(16)
+    noise = [
+        FitInput(np.sort(rng.uniform(1.0, 40.0, n)), rng.normal(0.0, 0.5, n))
+        for n in (11, 11, 13, 13)
+    ]
+    dom = np.linspace(1.0, 30.0, 12)
+    clean = synth_input(ModelKind.LOGISTIC, {"K": 2.0, "a": 0.5, "r": -0.3}, dom)
+    logistic, sine = ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE
+    items = [
+        (logistic, noise[0], None),
+        (sine, noise[0], None),
+        (sine, noise[1], None),
+        (logistic, clean, None),
+        (logistic, FitInput(np.full(8, 3.0), np.arange(8.0)), None),  # zero span
+        (sine, FitInput(dom, np.zeros(12)), None),  # all-zero change
+        (logistic, FitInput(dom[:3], dom[:3]), None),  # too few points
+        (sine, clean, [(2.0, 0.5, -0.3), (math.nan, 1.0, 0.1)]),  # custom starts
+        (logistic, clean, [(1e308, 1e308, 10.0)]),  # every start fails
+        (ModelKind.LINEAR, clean, None),
+        (logistic, noise[2], None),
+        (sine, noise[3], None),
+    ]
+    batch = [_comparable(outcome) for outcome in fit_logistic_batch(items)]
+    assert batch == [_lone(item) for item in items]
+    errors = [outcome for outcome in batch if isinstance(outcome, tuple)]
+    assert len(errors) < len(batch)  # some items are fits
+    assert {name for name, _, _ in errors} == {
+        "DegenerateFitError", "PreconditionError", "NonConvergenceError"
+    }
+    assert any(best != "None" for name, _, best in errors if name == "NonConvergenceError")
 
 
 def test_default_starts_cover_both_r_signs():

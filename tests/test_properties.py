@@ -319,17 +319,28 @@ def _reference_gauss_newton(kind, start, inp, max_iter):
 
 @st.composite
 def logistic_searches(draw):
-    """A logistic-family problem, a stack of starts and an iteration budget."""
+    """Two to four logistic-family problems of one series length, both kinds
+    among them, a stack of starts mixing rows of every problem, each row's
+    owner and an iteration budget."""
     n = draw(st.integers(4, 40))
-    dom = np.sort(draw(arrays(np.float64, n, elements=st.floats(0.5, 60.0), unique=True)))
-    chg = draw(arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
-    kind = draw(st.sampled_from([ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE]))
+    count = draw(st.integers(2, 4))
+    kinds = [ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE] + draw(
+        st.lists(st.sampled_from([ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE]),
+                 min_size=count - 2, max_size=count - 2)
+    )
+    problems = []
+    for kind in kinds:
+        dom = np.sort(draw(arrays(np.float64, n, elements=st.floats(0.5, 60.0), unique=True)))
+        chg = draw(arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
+        problems.append((kind, FitInput(dom, chg)))
+    extra = draw(st.lists(st.integers(0, count - 1), max_size=5))
+    owner = np.array(draw(st.permutations(list(range(count)) + extra)))
     k = st.floats(-5.0, 5.0)
     a = st.sampled_from([1e-4, 1.0, 1e4, -1e-4, -1.0, -1e4]) | st.floats(-10.0, 10.0)
     r = st.floats(-2.0, 2.0)
-    starts = draw(st.lists(st.tuples(k, a, r), min_size=1, max_size=6))
+    starts = draw(st.lists(st.tuples(k, a, r), min_size=owner.size, max_size=owner.size))
     max_iter = draw(st.sampled_from([3, _ABORT_GRACE + 2, 40]))
-    return kind, FitInput(dom, chg), np.array(starts), max_iter
+    return problems, owner, np.array(starts), max_iter
 
 
 def _bits(outcome):
@@ -343,14 +354,15 @@ def _bits(outcome):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(logistic_searches())
 def test_lockstep_rows_match_lone_runs_and_scalar_reference(search):
-    kind, inp, starts, max_iter = search
-    problem = _Problem.of(kind, inp)
+    problems, owner, starts, max_iter = search
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stacked = [_bits(row) for row in zip(*_lockstep(problem, starts, max_iter))]
-        alone = [_bits(next(zip(*_lockstep(problem, starts[i:i + 1], max_iter))))
-                 for i in range(len(starts))]
-        assert stacked == alone
-        for start, (params, ss, iterations, converged, trace, grace) in zip(starts, stacked):
+        stacked = _lockstep(_Problem.stack(problems), owner, starts, max_iter)
+        for start, row, j in zip(starts, zip(*stacked), owner):
+            kind, inp = problems[j]
+            (params, ss, iterations, converged, trace, grace) = _bits(row)
+            lone = _lockstep(_Problem.stack([(kind, inp)]), np.zeros(1, int),
+                             start[np.newaxis], max_iter)
+            assert _bits(row) == _bits(next(zip(*lone)))
             vec, ref_ss, ref_iterations, ref_converged, ref_trace = _reference_gauss_newton(
                 kind, start, inp, max_iter
             )

@@ -10,14 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from domstab import report
+from domstab import fitting, report
 from domstab.cli import main
 from domstab.ingest import filter_low_reads, parse_table, split_subjects
 from domstab.metrics import community_dominance
 from domstab.models import ModelKind
 from domstab.report import (
     RunConfig,
-    analyze_subject,
+    analyze_cohort,
     cmd_compare_indices,
     cmd_fit_select,
     cmd_metrics,
@@ -198,7 +198,7 @@ def test_simulate_trajectory_and_fixed_points(tmp_path, cohort_path):
 
 def test_simulate_contains_logistic_pole(small_input, tmp_path):
     config = RunConfig(input_path=small_input, out_dir=tmp_path / "out")
-    analysis = analyze_subject(load_subjects(config)[0], config)
+    analysis = analyze_cohort(load_subjects(config)[:1], config)[0]
     # a selected logistic whose denominator 1 + a exp(-r D) vanishes at D = 0
     pole = dataclasses.replace(
         analysis.selected.fit, kind=ModelKind.LOGISTIC,
@@ -315,6 +315,16 @@ def test_cli_zero_sample_is_analysis_error(tmp_path, capsys):
     assert "analysis error" in capsys.readouterr().err
 
 
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m domstab`` in a child process, on this checkout's sources."""
+    path = [str(Path(report.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-m", "domstab", *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
 def test_cli_single_species_subject_gets_index_error_row(tmp_path):
     """Subject 1 keeps one species, whose Shannon evenness is NaN: its index
     regressions become error rows instead of a traceback."""
@@ -323,12 +333,7 @@ def test_cli_single_species_subject_gets_index_error_row(tmp_path):
         "species_id,1_a,1_b,1_c,2_a,2_b,2_c,2_d\nx,1,2,3,4,5,6,7\ny,5,5,5,1,2,3,9\n"
     )
     out = tmp_path / "out"
-    path = [str(Path(report.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "domstab", "report-all", "--input", str(src), "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = _run_cli("report-all", "--input", str(src), "--out", str(out))
     assert proc.returncode in {0, 1, 2}
     assert "Traceback" not in proc.stderr
     notes = {
@@ -336,6 +341,66 @@ def test_cli_single_species_subject_gets_index_error_row(tmp_path):
         for row in read_rows(out / "index_regressions.csv")
     }
     assert notes[("1", "shannon-evenness")] == "index regression input must be finite"
+
+
+def _subject_rows(out: Path) -> dict[str, list[dict[str, str]]]:
+    """Rows of every per-subject CSV table, by file name."""
+    return {
+        path.name: [row for row in read_rows(path) if row["subject"] != "mean"]
+        for path in sorted(out.glob("*.csv")) if not path.name.startswith(("metrics_", "simulate_"))
+    }
+
+
+def test_cli_zero_sample_subject_gets_error_rows(tmp_path, cohort_path):
+    """Subject 101's first sample is all zeros, so its dominance records
+    fail: it gets error rows, every other subject the files of a run
+    without it, and the exit code is 2."""
+    rows = list(csv.reader(cohort_path.read_text().splitlines()))
+    first = next(i for i, name in enumerate(rows[0]) if name.startswith("101_"))
+    for row in rows[1:]:
+        row[first] = "0"
+    src = tmp_path / "zeroed.csv"
+    src.write_text("".join(",".join(row) + "\n" for row in rows))
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    proc = _run_cli("report-all", "--input", str(src), "--out", str(out), "--plot")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "analysis error: subject 101: all abundances are zero" in proc.stderr
+    report_all(RunConfig(input_path=cohort_path, out_dir=clean, plot=True))
+
+    healthy = {p.name for p in clean.iterdir()} - {"run_config.json"}
+    healthy = {name for name in healthy if "101" not in name}
+    written = {p.name for p in out.iterdir()}
+    assert written == healthy | {"run_config.json", "simulate_101_trajectory.csv"}
+    for name in healthy:
+        if name.startswith(("metrics_", "simulate_", "response_")):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+    zeroed, expected = _subject_rows(out), _subject_rows(clean)
+    assert zeroed.keys() == expected.keys()
+    for name, table in zeroed.items():
+        assert [r for r in table if r["subject"] != "101"] == [
+            r for r in expected[name] if r["subject"] != "101"
+        ], name
+        errors = [r.get("error") or r["note"] for r in table if r["subject"] == "101"]
+        assert errors and set(errors) == {"all abundances are zero"}, name
+    trajectory = read_rows(out / "simulate_101_trajectory.csv")
+    assert [r["status"] for r in trajectory] == ["all abundances are zero"]
+
+
+def test_report_all_batches_every_logistic_fit(cohort_path, tmp_path, monkeypatch):
+    """The ten logistic-family fits of the cohort (five subjects of one
+    series length, two kinds) share one exploration and one polish run."""
+    rows = []
+    original = fitting._lockstep
+
+    def counted(*args):
+        rows.append(len(args[-2]))  # the stack of starts
+        return original(*args)
+
+    monkeypatch.setattr(fitting, "_lockstep", counted)
+    report_all(RunConfig(input_path=cohort_path, out_dir=tmp_path / "out"))
+    assert len(rows) == 2
+    assert rows[0] == 10 * 24  # every problem explores its 24 best-ranked starts
 
 
 def test_write_rows_renders_floats_as_fmt(tmp_path):
