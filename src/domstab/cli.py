@@ -10,8 +10,8 @@ Usage:
     domstab report-all       --input counts.csv --out results/ --plot
 
 Exit codes: 0 success, 1 input problem (unreadable or malformed table,
-unknown subject or model name), 2 analysis problem (outputs written so far
-are kept).
+count out of range, unknown subject or model name), 2 analysis problem in
+some subject (every other subject's outputs are written).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, KindError
+from .errors import DivergenceError, EmptyDomainError, KindError
 from .fitting import ModelFit
 from .models import ModelKind, derivative, evaluate, evaluate_array
 
@@ -115,11 +115,12 @@ def fixed_points(
 
     Sign changes on a uniform grid are refined by bisection.  Brackets with
     non-finite endpoints are skipped, and candidates where |S| stays large
-    (pole crossings of the logistic denominators) are discarded.
+    (pole crossings of the logistic denominators) are discarded.  An empty
+    domain (``hi <= lo``) raises EmptyDomainError.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not (hi > lo):
-        raise ValueError("domain must satisfy hi > lo")
+        raise EmptyDomainError(f"fixed-point domain ({lo!r}, {hi!r}) is empty")
     xs = np.linspace(lo, hi, grid + 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ys = evaluate_array(kind, params, xs)

@@ -111,6 +111,10 @@ class SubjectAnalysisError(DomstabError):
 # ---------------------------------------------------------------- dynamics
 
 
+class EmptyDomainError(DomstabError):
+    """Fixed-point scan domain is empty (its upper end is not above its lower)."""
+
+
 class DivergenceError(DomstabError):
     """Iterated map produced a non-finite value at ``step``."""
 

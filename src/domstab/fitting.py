@@ -24,6 +24,8 @@ Three fitting routes, one per model family:
   cannot rule out are solved exactly, each alone, so the winner and its
   coefficients are those of solving every candidate.
 
+Every route ends in one assembly step (:func:`_assemble`), which adds the
+goodness of fit, the dominance range, the standard errors and the flags.
 Standard errors come from sqrt(diag(s^2 (J^T J)^-1)) with s^2 the residual
 variance on n - p degrees of freedom; for the piecewise kinds they are
 conditional on the chosen breakpoint, whose own uncertainty is reported as
@@ -229,7 +231,7 @@ def std_errors(fit: ModelFit, inp: FitInput) -> dict[str, float]:
     """Standard errors of the fitted parameters.
 
     Raises SingularInformationError when the information matrix cannot be
-    inverted; the fit constructors catch that and report +inf instead.
+    inverted; :func:`_assemble` catches that and reports +inf instead.
     For piecewise kinds the breakpoint's entry is the local resolution of the
     candidate grid rather than a curvature-based error.
     """
@@ -252,8 +254,47 @@ def std_errors(fit: ModelFit, inp: FitInput) -> dict[str, float]:
     return dict(zip(kind.param_names, map(float, se)))
 
 
-def _infinite_ses(kind: ModelKind) -> dict[str, float]:
-    return {name: math.inf for name in kind.param_names}
+def _assemble(
+    kind: ModelKind,
+    inp: FitInput,
+    params: dict[str, float],
+    ss: float,
+    flags: tuple[str, ...] = (),
+    converged: bool = True,
+    **fields,
+) -> ModelFit:
+    """The one place a ModelFit is built, for every family.
+
+    The family gives its parameters, residual SS ``ss``, its own ``flags``
+    and the extra ``fields`` (``iterations`` and, where they apply,
+    ``pearson_r``, ``derived`` or ``ss_trace``).  This adds the goodness of
+    ``ss`` on the input, the input's dominance range and the standard
+    errors.  Flags keep one order: the family's own, then the goodness
+    flags, then ``non-converged`` unless ``converged``, then
+    ``singular-information`` when the information matrix cannot be
+    inverted, in which case every standard error is +inf.
+    """
+    r2, r2_adj, more = _goodness_from_ss(ss, inp.change_rate, kind.arity)
+    flags = (*flags, *more) + (() if converged else ("non-converged",))
+    lo, hi = inp.dominance_range
+    fit = ModelFit(
+        kind=kind,
+        params=params,
+        std_errors=dict.fromkeys(kind.param_names, math.inf),
+        r2=r2,
+        r2_adj=r2_adj,
+        residual_ss=ss,
+        n=inp.n,
+        converged=converged,
+        dominance_min=lo,
+        dominance_max=hi,
+        flags=flags,
+        **fields,
+    )
+    try:
+        return dataclasses.replace(fit, std_errors=std_errors(fit, inp))
+    except SingularInformationError:
+        return dataclasses.replace(fit, flags=flags + ("singular-information",))
 
 
 # ---------------------------------------------------------------- linear
@@ -271,45 +312,12 @@ def fit_linear(inp: FitInput) -> ModelFit:
     syy = float(np.sum((chg - chg.mean()) ** 2))
     slope = sxy / sxx
     intercept = float(chg.mean() - slope * dom.mean())
-    pred = intercept + slope * dom
-    ss_res = float(np.sum((chg - pred) ** 2))
-    flags: list[str] = []
-    if syy > 0.0:
-        pearson = sxy / math.sqrt(sxx * syy)
-    else:
-        pearson = math.nan
-        flags.append("degenerate-r")
-    r2, r2_adj, more = _goodness_from_ss(ss_res, chg, kind.arity)
-    flags.extend(more)
-    params = {"a": intercept, "b": slope}
-    fit = ModelFit(
-        kind=kind,
-        params=params,
-        std_errors=_infinite_ses(kind),
-        r2=r2,
-        r2_adj=r2_adj,
-        residual_ss=ss_res,
-        n=inp.n,
-        converged=True,
-        iterations=0,
-        pearson_r=pearson,
-        dominance_min=inp.dominance_range[0],
-        dominance_max=inp.dominance_range[1],
-        flags=tuple(flags),
+    ss_res = float(np.sum((chg - (intercept + slope * dom)) ** 2))
+    pearson = sxy / math.sqrt(sxx * syy) if syy > 0.0 else math.nan
+    return _assemble(
+        kind, inp, {"a": intercept, "b": slope}, ss_res,
+        flags=() if syy > 0.0 else ("degenerate-r",), iterations=0, pearson_r=pearson,
     )
-    return _with_std_errors(fit, inp)
-
-
-def _with_std_errors(fit: ModelFit, inp: FitInput) -> ModelFit:
-    try:
-        ses = std_errors(fit, inp)
-    except SingularInformationError:
-        return dataclasses.replace(
-            fit,
-            std_errors=_infinite_ses(fit.kind),
-            flags=fit.flags + ("singular-information",),
-        )
-    return dataclasses.replace(fit, std_errors=ses)
 
 
 # ---------------------------------------------------------------- logistic
@@ -661,7 +669,11 @@ def fit_logistic_batch(
                 raise PreconditionError(f"{kind.value} is not a logistic-family kind")
             _require_points(inp, kind)
             if float(np.max(np.abs(inp.change_rate))) == 0.0:
-                results[i] = _zero_change_fit(kind, inp)
+                # K = 0 reproduces an all-zero change rate exactly
+                results[i] = _assemble(
+                    kind, inp, {"K": 0.0, "a": 1.0, "r": 0.0}, 0.0,
+                    flags=("degenerate-zero-change",), iterations=0,
+                )
                 continue
             candidates = list(starts) if starts is not None else default_starts(inp)
         except DomstabError as exc:
@@ -712,72 +724,25 @@ def fit_logistic_family(
     return result
 
 
-def _zero_change_fit(kind: ModelKind, inp: FitInput) -> ModelFit:
-    """All change rates are zero: K = 0 reproduces the data exactly."""
-    fit = ModelFit(
-        kind=kind,
-        params={"K": 0.0, "a": 1.0, "r": 0.0},
-        std_errors=_infinite_ses(kind),
-        r2=math.nan,
-        r2_adj=math.nan,
-        residual_ss=0.0,
-        n=inp.n,
-        converged=True,
-        iterations=0,
-        dominance_min=inp.dominance_range[0],
-        dominance_max=inp.dominance_range[1],
-        flags=("degenerate-zero-change", "degenerate-r2"),
-    )
-    return _with_std_errors(fit, inp)
-
-
 def _logistic_fit(
     kind: ModelKind,
     inp: FitInput,
     best: _Attempt | None,
     best_attempt: _Attempt | None,
 ) -> ModelFit:
-    """The fit of the best converged attempt; else NonConvergenceError."""
-    if best is None:
-        if best_attempt is None:
-            raise NonConvergenceError(f"{kind.value}: every start failed")
-        vec, ss, iters, _, trace = best_attempt
-        failed = _assemble_logistic_fit(
-            kind, inp, vec, ss, iters, converged=False, trace=trace
-        )
-        raise NonConvergenceError(f"{kind.value}: no start converged", best=failed)
-    vec, ss, iters, _, trace = best
-    return _assemble_logistic_fit(kind, inp, vec, ss, iters, converged=True, trace=trace)
-
-
-def _assemble_logistic_fit(
-    kind: ModelKind,
-    inp: FitInput,
-    vec: np.ndarray,
-    ss: float,
-    iterations: int,
-    converged: bool,
-    trace: list[float],
-) -> ModelFit:
-    r2, r2_adj, flags = _goodness_from_ss(ss, inp.change_rate, kind.arity)
-    if not converged:
-        flags = list(flags) + ["non-converged"]
-    fit = ModelFit(
-        kind=kind,
-        params={"K": float(vec[0]), "a": float(vec[1]), "r": float(vec[2])},
-        std_errors=_infinite_ses(kind),
-        r2=r2,
-        r2_adj=r2_adj,
-        residual_ss=ss,
-        n=inp.n,
-        converged=converged,
-        iterations=iterations,
-        dominance_min=inp.dominance_range[0],
-        dominance_max=inp.dominance_range[1],
-        flags=tuple(flags),
-        ss_trace=tuple(trace),
+    """The fit of the best converged attempt; else NonConvergenceError
+    carrying the fit of the best attempt."""
+    attempt = best_attempt if best is None else best
+    if attempt is None:
+        raise NonConvergenceError(f"{kind.value}: every start failed")
+    vec, ss, iters, _, trace = attempt
+    fit = _assemble(
+        kind, inp, param_dict(kind, vec), ss, converged=best is not None,
+        iterations=iters, ss_trace=tuple(trace),
     )
-    return _with_std_errors(fit, inp)
+    if best is None:
+        raise NonConvergenceError(f"{kind.value}: no start converged", best=fit)
+    return fit
 
 
 # ---------------------------------------------------------------- piecewise
@@ -880,23 +845,10 @@ def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
     best = np.lexsort((cand[solved], sums))[0]
     d, ss = candidates[solved[best]], sums[best]
     params = param_dict(kind, np.insert(betas[best], 3, d))
-    r2, r2_adj, flags = _goodness_from_ss(ss, chg, kind.arity)
-    fit = ModelFit(
-        kind=kind,
-        params=params,
-        std_errors=_infinite_ses(kind),
-        r2=r2,
-        r2_adj=r2_adj,
-        residual_ss=ss,
-        n=inp.n,
-        converged=True,
-        iterations=len(candidates),
+    return _assemble(
+        kind, inp, params, ss, iterations=len(candidates),
         derived=derived_params(kind, params),
-        dominance_min=inp.dominance_range[0],
-        dominance_max=inp.dominance_range[1],
-        flags=tuple(flags),
     )
-    return _with_std_errors(fit, inp)
 
 
 # ---------------------------------------------------------------- dispatch

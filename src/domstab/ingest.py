@@ -75,8 +75,11 @@ def _detect_delimiter(header_line: str) -> str:
 def parse_table(stream: str | TextIO, fmt: TableFormat = TableFormat()) -> AbundanceTable:
     """Parse a delimited species-by-sample table.
 
-    Raises ParseError for structural problems and bad cells (carrying the
-    offending 1-based row number), DuplicateIdError for repeated ids.
+    A count is zero or lies in [2**-53, 2**53]; inside that range no step
+    of the dominance, diversity and stability kernels overflows.  Raises
+    ParseError for structural problems and bad cells, among them counts
+    outside the range (carrying the offending 1-based row number), and
+    DuplicateIdError for repeated ids.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -113,9 +116,15 @@ def parse_table(stream: str | TextIO, fmt: TableFormat = TableFormat()) -> Abund
                     f"non-numeric count at row {rownum}, column {colnum}: {cell!r}",
                     row=rownum,
                 ) from None
-            if not math.isfinite(value) or value < 0:
+            if not 2.0**-53 <= value <= 2.0**53 and value != 0.0:
+                if not math.isfinite(value) or value < 0:
+                    raise ParseError(
+                        f"negative or non-finite count at row {rownum}, column {colnum}",
+                        row=rownum,
+                    )
                 raise ParseError(
-                    f"negative or non-finite count at row {rownum}, column {colnum}",
+                    f"count outside [2**-53, 2**53] at row {rownum}, column {colnum}: "
+                    f"{cell!r}",
                     row=rownum,
                 )
             values.append(value)

@@ -115,29 +115,30 @@ def param_dict(kind: ModelKind, vector: Sequence[float]) -> dict[str, float]:
 def evaluate_array(
     kind: ModelKind, params: Mapping[str, float] | Sequence[float], dom: np.ndarray
 ) -> np.ndarray:
-    """Vectorized model evaluation; non-finite results pass through.
+    """Vectorized model evaluation; non-finite results pass through silently.
 
     The scalar wrapper :func:`evaluate` raises EvalError on non-finite
-    output; this array form leaves the caller (the fitter) to deal with it.
+    output; this array form leaves the caller (the fitter, or the dominance
+    map's divergence check) to deal with it.
     """
     vec = param_vector(kind, params)
     dom = np.asarray(dom, dtype=float)
-    if kind is ModelKind.LINEAR:
-        a, b = vec
-        return a + b * dom
-    if kind is ModelKind.LOGISTIC or kind is ModelKind.LOGISTIC_SINE:
-        big_k, a, r = vec
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if kind is ModelKind.LINEAR:
+            a, b = vec
+            return a + b * dom
+        if kind is ModelKind.LOGISTIC or kind is ModelKind.LOGISTIC_SINE:
+            big_k, a, r = vec
             out = big_k / (1.0 + a * np.exp(-r * dom))
             if kind is ModelKind.LOGISTIC_SINE:
                 out = out * np.sin(dom / math.pi)
-        return out
-    if kind is ModelKind.LINEAR_QUADRATIC:
-        a, b, c, d, e = vec
-        return a + b * dom + c * dom**2 + np.abs(dom - d) * (c * (dom + d) + e)
-    if kind is ModelKind.QUADRATIC_QUADRATIC:
-        a, b, c, d, e, f = vec
-        return a + b * dom + c * dom**2 + np.abs(dom - d) * (e * (dom + d) + f)
+            return out
+        if kind is ModelKind.LINEAR_QUADRATIC:
+            a, b, c, d, e = vec
+            return a + b * dom + c * dom**2 + np.abs(dom - d) * (c * (dom + d) + e)
+        if kind is ModelKind.QUADRATIC_QUADRATIC:
+            a, b, c, d, e, f = vec
+            return a + b * dom + c * dom**2 + np.abs(dom - d) * (e * (dom + d) + f)
     raise KindError(f"unknown model kind {kind!r}")
 
 

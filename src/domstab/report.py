@@ -1,16 +1,20 @@
 """Cohort pipeline and CSV/SVG emitters behind the command-line interface.
 
-Each command reads the table once and builds each subject's sentinel-applied
-dominance records once; the emitters only format that analysed data.  The
-fitting commands share one analysis path (:func:`analyze_cohort`), which
-fits the logistic-family kinds of every subject in one batch.  Output
-is deterministic for a given config: subjects in sorted order, floats in the
-shortest round-trip form (inf and -inf spelled literally), and rows streamed
-into a temp file that is renamed over the target when complete.  Per-subject
-failures are recorded in the output rows; one bad subject never aborts the run.
-A subject whose records or stability series raise an analysis error still
-gets its rows, and the command raises SubjectAnalysisError once every file
-is written.
+Each command reads the table once and takes every subject's sentinel-applied
+dominance records, stability series and fit input from one
+:func:`analyze_subject` call; the emitters only format that analysed data.
+The fitting commands share one analysis path (:func:`analyze_cohort`), which
+fits the logistic-family kinds of every subject in one batch.  Every table
+goes through one CSV writer (:func:`_write_rows`).  Output is deterministic
+for a given config: subjects in sorted order, floats in the shortest
+round-trip form (inf, -inf and nan spelled literally), and rows streamed
+into a temp file that is renamed over the target when complete.
+
+Per-subject failures are recorded in the output rows; one bad subject never
+aborts the run.  A subject whose records or stability series raise an
+analysis error, or whose fixed-point scan does, still gets its rows, every
+other subject gets its files, and every command then raises
+SubjectAnalysisError naming the failed subjects.
 """
 
 from __future__ import annotations
@@ -106,17 +110,6 @@ class RunConfig:
     simulate_steps: int = 500
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip text for a cell; inf/-inf spelled literally."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 @contextlib.contextmanager
 def _atomic_open(path: Path):
     """Text handle on ``<path>.tmp``, renamed over ``path`` once the block completes."""
@@ -134,17 +127,16 @@ def _write_atomic(path: Path, text: str) -> Path:
 
 
 def _write_rows(path: Path, header: list[str], rows: Iterable[list]) -> Path:
-    """CSV of cells ``csv.writer`` renders itself: str, and float through
-    ``repr``, which spells inf, -inf, nan and -0.0 as ``_fmt`` does."""
+    """The one CSV writer: cells are str, int, None (an empty cell) or a
+    Python float, which ``csv.writer`` renders by ``repr`` (shortest round
+    trip; inf, -inf, nan and -0.0 spelled so).  A NumPy float would render
+    as ``np.float64(...)``, and a bool as ``True``: callers pass
+    ``float(x)`` and ``"true"``/``"false"``."""
     with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     return path
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
-    return _write_rows(path, header, ([_fmt(cell) for cell in row] for row in rows))
 
 
 def load_subjects(config: RunConfig) -> list[SubjectSeries]:
@@ -155,116 +147,14 @@ def load_subjects(config: RunConfig) -> list[SubjectSeries]:
     return [filter_low_reads(s, config.min_total_reads) for s in subjects]
 
 
-# ---------------------------------------------------------------- metrics
-
-
-def _metrics_table(
-    series: SubjectSeries, records: SubjectDominance, out_dir: Path
-) -> Path:
-    header = ["sample_id", "community_dominance"]
-    for sid in series.species_ids:
-        header.extend([f"distance_{sid}", f"dominance_{sid}"])
-    header.append("sentinel_replaced")
-    n_species, n_samples = records.dominance.shape
-    cells = np.empty((n_samples, 2 * n_species))
-    cells[:, 0::2] = records.distance.T
-    cells[:, 1::2] = records.dominance.T
-    rows = [
-        [sample_id, community, *values, ";".join(compress(records.species_ids, replaced))]
-        for sample_id, community, values, replaced in zip(
-            records.sample_ids,
-            records.community.tolist(),
-            cells.tolist(),
-            records.sentinel_replaced.T,
-        )
-    ]
-    return _write_rows(out_dir / f"metrics_{series.subject_id}.csv", header, rows)
-
-
-def cmd_metrics(config: RunConfig) -> list[Path]:
-    """Per-subject dominance tables: community dominance plus per-species
-    distance and dominance, with sentinel-replaced cells flagged."""
-    out_dir = Path(config.out_dir)
-    return [
-        _metrics_table(series, apply_sentinel(dominance_records(series)), out_dir)
-        for series in load_subjects(config)
-    ]
-
-
-# ---------------------------------------------------------------- indices
-
-
-def _index_table(analyses: list[SubjectAnalysis], out_dir: Path) -> Path:
-    rows: list[list] = []
-    collected: dict[IndexKind, list[tuple[float, float, float]]] = {
-        which: [] for which in _INDEX_ORDER
-    }
-    for analysis in analyses:
-        series, records = analysis.series, analysis.records
-        if records is None:
-            rows.extend(
-                [series.subject_id, which.value, None, None, None,
-                 series.n_samples, str(analysis.error)]
-                for which in _INDEX_ORDER
-            )
-            continue
-        dominance = records.community
-        index_values = diversity_block(series.counts)
-        for which in _INDEX_ORDER:
-            if series.n_samples < 3:
-                rows.append(
-                    [series.subject_id, which.value, None, None, None,
-                     series.n_samples, "too-few-samples"]
-                )
-                continue
-            try:
-                reg = regress_dominance_vs_index(
-                    dominance, index_values[which], which
-                )
-            except DomstabError as exc:
-                rows.append(
-                    [series.subject_id, which.value, None, None, None,
-                     series.n_samples, str(exc)]
-                )
-                continue
-            rows.append(
-                [series.subject_id, which.value, reg.slope, reg.intercept,
-                 reg.correlation, reg.n, ""]
-            )
-            collected[which].append((reg.slope, reg.intercept, reg.correlation))
-    for which in _INDEX_ORDER:
-        entries = collected[which]
-        if not entries:
-            continue
-        arr = np.array(entries)
-        rows.append(
-            ["mean", which.value, float(arr[:, 0].mean()), float(arr[:, 1].mean()),
-             float(arr[:, 2].mean()), len(entries), "cross-subject mean"]
-        )
-    header = ["subject", "index", "slope", "intercept", "correlation", "n", "note"]
-    return _write_csv(out_dir / "index_regressions.csv", header, rows)
-
-
-def cmd_compare_indices(config: RunConfig) -> Path:
-    """Regress community dominance on each classical index, per subject,
-    with cross-subject means appended."""
-    analyses = [
-        SubjectAnalysis(series, dominance_records(series), None)
-        for series in load_subjects(config)
-    ]
-    return _index_table(analyses, Path(config.out_dir))
-
-
-# ---------------------------------------------------------------- fitting
-
-
 @dataclass
 class SubjectAnalysis:
     """Everything the emitters need for one subject.
 
-    ``error`` is the DomstabError that stopped the subject before fitting
-    (``records`` is None when it came from the dominance records); its text
-    is also the subject's ``selection_error``.
+    ``error`` is the DomstabError that stopped the subject: before fitting
+    (``records`` is None when it came from the dominance records, and its
+    text is also the subject's ``selection_error``), or in the fixed-point
+    scan of its simulation.
     """
 
     series: SubjectSeries
@@ -295,6 +185,118 @@ def analyze_subject(series: SubjectSeries) -> SubjectAnalysis:
         return analysis
     analysis.fit_input = FitInput.from_series(stability)
     return analysis
+
+
+def _raise_failures(analyses: list[SubjectAnalysis]) -> None:
+    """After every file is written: exit code 2 if any subject failed."""
+    failed = [
+        f"subject {a.series.subject_id}: {a.error}" for a in analyses if a.error is not None
+    ]
+    if failed:
+        raise SubjectAnalysisError("; ".join(failed))
+
+
+# ---------------------------------------------------------------- metrics
+
+
+def _metrics_table(
+    series: SubjectSeries, records: SubjectDominance, out_dir: Path
+) -> Path:
+    header = ["sample_id", "community_dominance"]
+    for sid in series.species_ids:
+        header.extend([f"distance_{sid}", f"dominance_{sid}"])
+    header.append("sentinel_replaced")
+    n_species, n_samples = records.dominance.shape
+    cells = np.empty((n_samples, 2 * n_species))
+    cells[:, 0::2] = records.distance.T
+    cells[:, 1::2] = records.dominance.T
+    rows = [
+        [sample_id, community, *values, ";".join(compress(records.species_ids, replaced))]
+        for sample_id, community, values, replaced in zip(
+            records.sample_ids,
+            records.community.tolist(),
+            cells.tolist(),
+            records.sentinel_replaced.T,
+        )
+    ]
+    return _write_rows(out_dir / f"metrics_{series.subject_id}.csv", header, rows)
+
+
+def _metrics_tables(analyses: list[SubjectAnalysis], out_dir: Path) -> list[Path]:
+    """One dominance table per subject whose records were built; each
+    table's rows are freed before the next one is built."""
+    return [
+        _metrics_table(a.series, a.records, out_dir)
+        for a in analyses if a.records is not None
+    ]
+
+
+def cmd_metrics(config: RunConfig) -> list[Path]:
+    """Per-subject dominance tables: community dominance plus per-species
+    distance and dominance, with sentinel-replaced cells flagged."""
+    analyses = [analyze_subject(series) for series in load_subjects(config)]
+    paths = _metrics_tables(analyses, Path(config.out_dir))
+    _raise_failures(analyses)
+    return paths
+
+
+# ---------------------------------------------------------------- indices
+
+
+def _index_table(analyses: list[SubjectAnalysis], out_dir: Path) -> Path:
+    rows: list[list] = []
+    collected: dict[IndexKind, list[tuple[float, float, float]]] = {
+        which: [] for which in _INDEX_ORDER
+    }
+    for analysis in analyses:
+        series, records = analysis.series, analysis.records
+        if records is not None:
+            index_values = diversity_block(series.counts)
+        for which in _INDEX_ORDER:
+            if records is None:
+                note = str(analysis.error)
+            elif series.n_samples < 3:
+                note = "too-few-samples"
+            else:
+                try:
+                    reg = regress_dominance_vs_index(
+                        records.community, index_values[which], which
+                    )
+                except DomstabError as exc:
+                    note = str(exc)
+                else:
+                    rows.append(
+                        [series.subject_id, which.value, reg.slope, reg.intercept,
+                         reg.correlation, reg.n, ""]
+                    )
+                    collected[which].append((reg.slope, reg.intercept, reg.correlation))
+                    continue
+            rows.append(
+                [series.subject_id, which.value, None, None, None, series.n_samples, note]
+            )
+    for which in _INDEX_ORDER:
+        entries = collected[which]
+        if not entries:
+            continue
+        arr = np.array(entries)
+        rows.append(
+            ["mean", which.value, float(arr[:, 0].mean()), float(arr[:, 1].mean()),
+             float(arr[:, 2].mean()), len(entries), "cross-subject mean"]
+        )
+    header = ["subject", "index", "slope", "intercept", "correlation", "n", "note"]
+    return _write_rows(out_dir / "index_regressions.csv", header, rows)
+
+
+def cmd_compare_indices(config: RunConfig) -> Path:
+    """Regress community dominance on each classical index, per subject,
+    with cross-subject means appended."""
+    analyses = [analyze_subject(series) for series in load_subjects(config)]
+    path = _index_table(analyses, Path(config.out_dir))
+    _raise_failures(analyses)
+    return path
+
+
+# ---------------------------------------------------------------- fitting
 
 
 def _record_fit(analysis: SubjectAnalysis, kind: ModelKind, outcome) -> None:
@@ -346,15 +348,6 @@ def analyze_cohort(
     return analyses
 
 
-def _raise_failures(analyses: list[SubjectAnalysis]) -> None:
-    """After every file is written: exit code 2 if any subject failed."""
-    failed = [
-        f"subject {a.series.subject_id}: {a.error}" for a in analyses if a.error is not None
-    ]
-    if failed:
-        raise SubjectAnalysisError("; ".join(failed))
-
-
 _KIND_SLUG = {
     ModelKind.LINEAR: "linear",
     ModelKind.LOGISTIC: "logistic",
@@ -400,14 +393,14 @@ def _fit_table(
             [
                 fit.residual_ss,
                 fit.n,
-                fit.converged,
-                report.valid,
+                str(fit.converged).lower(),
+                str(report.valid).lower(),
                 "; ".join(report.reasons),
                 error,
             ]
         )
         rows.append(row)
-    return _write_csv(out_dir / f"fit_{_KIND_SLUG[kind]}.csv", header, rows)
+    return _write_rows(out_dir / f"fit_{_KIND_SLUG[kind]}.csv", header, rows)
 
 
 def _selection_table(
@@ -427,9 +420,9 @@ def _selection_table(
         row = summary[subject]
         rows.append(
             [subject, row.kind.value, row.quality, row.signs, row.narrative,
-             row.backup, analysis.selected.rationale, ""]
+             str(row.backup).lower(), analysis.selected.rationale, ""]
         )
-    return _write_csv(out_dir / "selection_summary.csv", header, rows)
+    return _write_rows(out_dir / "selection_summary.csv", header, rows)
 
 
 def _resilience_table(analyses: list[SubjectAnalysis], out_dir: Path) -> Path:
@@ -439,12 +432,12 @@ def _resilience_table(analyses: list[SubjectAnalysis], out_dir: Path) -> Path:
         subject = analysis.series.subject_id
         fit = analysis.fits.get(ModelKind.LINEAR)
         if fit is None:
-            error = analysis.error or "no linear fit"
+            error = str(analysis.error or "no linear fit")
             rows.append([subject, None, None, analysis.fit_errors.get(ModelKind.LINEAR, error)])
             continue
         res = resilience(fit)
         rows.append([subject, res.slope, res.magnitude, ""])
-    return _write_csv(out_dir / "resilience.csv", header, rows)
+    return _write_rows(out_dir / "resilience.csv", header, rows)
 
 
 def _run_manifest(config: RunConfig, out_dir: Path) -> Path:
@@ -511,14 +504,18 @@ def simulate_subject(
     start: float | None = None,
     steps: int | None = None,
 ) -> list[Path]:
-    """Trajectory and fixed-point tables for one analyzed subject."""
+    """Trajectory and fixed-point tables for one analyzed subject.
+
+    A divergent trajectory ends in a ``diverged: ...`` status row.  A fixed
+    point scan that raises a DomstabError leaves its text in the table's
+    ``verdict`` and becomes the subject's ``error``."""
     out_dir = Path(config.out_dir)
     subject = analysis.series.subject_id
     trajectory_csv = out_dir / f"simulate_{subject}_trajectory.csv"
     header = ["step", "dominance", "status"]
     if analysis.selected is None:
         rows = [[None, None, analysis.selection_error or "no selected model"]]
-        return [_write_csv(trajectory_csv, header, rows)]
+        return [_write_rows(trajectory_csv, header, rows)]
     fit = analysis.selected.fit
     if start is None:
         start = float(analysis.records.community[-1])
@@ -532,13 +529,17 @@ def simulate_subject(
             rows.append([step, value, trajectory.status if last else ""])
     except DivergenceError as exc:
         rows.append([exc.step, None, f"diverged: {exc}"])
-    paths = [_write_csv(trajectory_csv, header, rows)]
+    paths = [_write_rows(trajectory_csv, header, rows)]
 
     hi = max(fit.dominance_max, start) * 2.0
-    points = fixed_points(fit.kind, fit.params, (0.0, hi))
+    try:
+        points = fixed_points(fit.kind, fit.params, (0.0, hi))
+        rows = [[p.location, p.multiplier, p.verdict] for p in points]
+    except DomstabError as exc:
+        analysis.error = exc
+        rows = [[None, None, str(exc)]]
     header = ["location", "multiplier", "verdict"]
-    rows = [[p.location, p.multiplier, p.verdict] for p in points]
-    paths.append(_write_csv(out_dir / f"simulate_{subject}_fixed_points.csv", header, rows))
+    paths.append(_write_rows(out_dir / f"simulate_{subject}_fixed_points.csv", header, rows))
 
     if config.plot:
         paths.append(_response_svg(analysis, out_dir))
@@ -571,10 +572,7 @@ def report_all(config: RunConfig) -> list[Path]:
     subject its files, and then SubjectAnalysisError is raised."""
     analyses = analyze_cohort(load_subjects(config), config)
     out_dir = Path(config.out_dir)
-    paths = [
-        _metrics_table(a.series, a.records, out_dir)
-        for a in analyses if a.records is not None
-    ]
+    paths = _metrics_tables(analyses, out_dir)
     paths.append(_index_table(analyses, out_dir))
     paths.extend(_fit_select_tables(analyses, config))
     for analysis in analyses:

@@ -66,6 +66,13 @@ def test_divergence_raises():
         iterate(ModelKind.LINEAR, {"a": 0.1, "b": 0.01}, 10.0)
 
 
+def test_runaway_orbit_overflow_is_divergence():
+    # D**2 overflows (silently, with RuntimeWarnings as errors) before D does
+    params = {"a": 0.1, "b": 0.01, "c": 0.01, "d": 0.0, "e": 0.0}
+    with pytest.raises(DivergenceError):
+        iterate(ModelKind.LINEAR_QUADRATIC, params, 10.0)
+
+
 def test_logistic_pole_is_divergence():
     # 1 + a exp(-r D) = 0 at D = 0: the rate is non-finite on the first step
     with pytest.raises(DivergenceError) as info:

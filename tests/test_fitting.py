@@ -86,7 +86,18 @@ def test_linear_constant_change_flags_degenerate_r():
     dom = np.linspace(1.0, 9.0, 5)
     fit = fit_linear(FitInput(tuple(dom), (0.4,) * 5))
     assert math.isnan(fit.pearson_r)
-    assert "degenerate-r" in fit.flags
+    assert fit.flags == ("degenerate-r", "degenerate-r2")
+
+
+def test_non_converged_flag_precedes_singular_information():
+    """Flags keep one order: the family's own, the goodness flags,
+    non-converged, singular-information."""
+    # exp(1000 D) overflows: no step is ever taken and the Jacobian is non-finite
+    inp = FitInput(tuple(np.linspace(1.0, 2.0, 8)), (0.3, 0.1, -0.2, 0.4, 0.0, -0.1, 0.2, 0.05))
+    with pytest.raises(NonConvergenceError) as err:
+        fit_logistic_family(ModelKind.LOGISTIC, inp, starts=[(1.0, 1.0, -1000.0)])
+    assert not err.value.best.converged
+    assert err.value.best.flags == ("non-converged", "singular-information")
 
 
 def test_minimum_points_enforced():
@@ -151,7 +162,7 @@ def test_zero_change_rate_degenerates_to_flat_zero():
     fit = fit_logistic_family(ModelKind.LOGISTIC, FitInput(tuple(dom), (0.0,) * 10))
     assert fit.params["K"] == 0.0
     assert fit.converged
-    assert "degenerate-zero-change" in fit.flags
+    assert fit.flags == ("degenerate-zero-change", "degenerate-r2", "singular-information")
     assert all(math.isinf(se) for se in fit.std_errors.values())
 
 

@@ -64,6 +64,20 @@ def test_parse_rejects_negative_count(cell):
     assert err.value.row == 3
 
 
+@pytest.mark.parametrize(
+    "low, high", [(2.0**-53, 2.0**-54), (2.0**-53, 5e-324), (2.0**53, 2.0**54), (2.0**53, 1e300)]
+)
+def test_parse_count_range_ends(low, high):
+    """Non-zero counts lie in [2**-53, 2**53]: each end is accepted, and a
+    count beyond it is rejected with its row and column (1e300 would
+    overflow the variance, 5e-324 the crowding ratio)."""
+    table = parse_table(f"species_id,400_010106,400_010506\nOTU0,0,{low!r}\n")
+    assert table.counts.tolist() == [[0.0, low]]
+    with pytest.raises(ParseError, match=r"outside \[2\*\*-53, 2\*\*53\] at row 3, column 2") as err:
+        parse_table(f"species_id,400_010106,400_010506\nOTU0,1,1\nOTU1,1,{high!r}\n")
+    assert err.value.row == 3
+
+
 def test_parse_duplicate_species_id():
     with pytest.raises(DuplicateIdError):
         parse_table("species_id,400_010106\nOTU1,1\nOTU1,2\n")

@@ -1,6 +1,6 @@
 """Property tests for the dominance and diversity kernels, the sentinel
-policy, the breakpoint grid and profile, the lockstep logistic-family search
-and the fixed-point scan."""
+policy, the breakpoint grid and profile, the lockstep logistic-family search,
+the fixed-point scan and the table round trip."""
 
 import math
 
@@ -23,14 +23,14 @@ from domstab.fitting import (
     breakpoint_candidates,
     fit_piecewise,
 )
-from domstab.ingest import SubjectSeries
+from domstab.ingest import AbundanceTable, SubjectSeries, emit_table, parse_table
 from domstab.metrics import (
     community_stats,
     diversity_block,
     diversity_indices,
     species_dominances,
 )
-from domstab.models import ModelKind, evaluate, evaluate_array
+from domstab.models import ModelKind, derivative, evaluate, evaluate_array
 from domstab.stability import apply_sentinel, dominance_records, sentinel_value
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -446,3 +446,49 @@ def test_fixed_point_scan_matches_scalar_loop(problem):
     kind, params, domain, grid = problem
     expected = _outcome_of(lambda: _reference_fixed_points(kind, params, domain, grid))
     assert _outcome_of(lambda: fixed_points(kind, params, domain, grid)) == expected
+
+
+@PROPERTY
+@given(fixed_point_problems())
+def test_fixed_points_are_roots_with_map_multipliers(problem):
+    """At each fixed point D*, |f(D*)| <= 1e-9 and the multiplier is
+    1 + D* f'(D*) to within |f(D*)| (the term that vanishes at a root) and
+    the rounding of the sums: with f(D*) = -4.07e-11 and a multiplier of 2
+    the two forms differ by |f(D*)| plus 1.1e-16."""
+    kind, params, domain, grid = problem
+    for point in fixed_points(kind, params, domain, grid):
+        rate = evaluate(kind, params, point.location)
+        assert abs(rate) <= 1e-9
+        slope = derivative(kind, params, point.location)
+        if isinstance(slope, tuple):
+            slope = slope[1]  # exactly on a piecewise joint: the right side
+        roundoff = 4 * math.ulp(max(1.0, abs(point.multiplier)))
+        assert abs(point.multiplier - (1.0 + point.location * slope)) <= abs(rate) + roundoff
+
+
+# ---------------------------------------------------------------- ingest
+
+# csv-quoted characters included; no tab (it would switch the detected
+# delimiter) and no edge whitespace (the parser strips ids)
+IDS = st.text(alphabet='abXY09_-,". ', min_size=1, max_size=6).filter(
+    lambda text: text == text.strip()
+)
+TABLE_COUNTS = st.one_of(
+    st.just(0.0),
+    st.integers(1, 2**53).map(float),
+    st.floats(2.0**-53, 2.0**53),
+)
+
+
+@st.composite
+def abundance_tables(draw):
+    species = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
+    samples = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
+    counts = draw(arrays(np.float64, (len(species), len(samples)), elements=TABLE_COUNTS))
+    return AbundanceTable(tuple(species), tuple(samples), counts)
+
+
+@PROPERTY
+@given(abundance_tables())
+def test_emit_then_parse_round_trips(table):
+    assert parse_table(emit_table(table)) == table

@@ -12,6 +12,7 @@ import pytest
 
 from domstab import fitting, report
 from domstab.cli import main
+from domstab.errors import SubjectAnalysisError
 from domstab.ingest import filter_low_reads, parse_table, split_subjects
 from domstab.metrics import community_dominance
 from domstab.models import ModelKind
@@ -351,16 +352,22 @@ def _subject_rows(out: Path) -> dict[str, list[dict[str, str]]]:
     }
 
 
-def test_cli_zero_sample_subject_gets_error_rows(tmp_path, cohort_path):
-    """Subject 101's first sample is all zeros, so its dominance records
-    fail: it gets error rows, every other subject the files of a run
-    without it, and the exit code is 2."""
+def _zeroed_cohort(cohort_path: Path, tmp_path: Path) -> Path:
+    """A copy of the cohort with subject 101's first sample all zeros."""
     rows = list(csv.reader(cohort_path.read_text().splitlines()))
     first = next(i for i, name in enumerate(rows[0]) if name.startswith("101_"))
     for row in rows[1:]:
         row[first] = "0"
     src = tmp_path / "zeroed.csv"
     src.write_text("".join(",".join(row) + "\n" for row in rows))
+    return src
+
+
+def test_cli_zero_sample_subject_gets_error_rows(tmp_path, cohort_path):
+    """Subject 101's first sample is all zeros, so its dominance records
+    fail: it gets error rows, every other subject the files of a run
+    without it, and the exit code is 2."""
+    src = _zeroed_cohort(cohort_path, tmp_path)
     out, clean = tmp_path / "out", tmp_path / "clean"
     proc = _run_cli("report-all", "--input", str(src), "--out", str(out), "--plot")
     assert proc.returncode == 2
@@ -387,6 +394,71 @@ def test_cli_zero_sample_subject_gets_error_rows(tmp_path, cohort_path):
     assert [r["status"] for r in trajectory] == ["all abundances are zero"]
 
 
+def test_cli_metrics_contains_zero_sample_subject(tmp_path, cohort_path):
+    """metrics writes the tables of subjects 102-105, as a clean run does,
+    none for subject 101, whose records fail, and exits 2."""
+    src = _zeroed_cohort(cohort_path, tmp_path)
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    proc = _run_cli("metrics", "--input", str(src), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "analysis error: subject 101: all abundances are zero" in proc.stderr
+    cmd_metrics(RunConfig(input_path=cohort_path, out_dir=clean))
+    names = sorted(p.name for p in out.iterdir())
+    assert names == [f"metrics_{subject}.csv" for subject in range(102, 106)]
+    for name in names:
+        assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def test_cli_compare_indices_contains_zero_sample_subject(tmp_path, cohort_path):
+    """compare-indices gives subject 101 error rows and every other subject
+    its rows of a clean run, and exits 2."""
+    src = _zeroed_cohort(cohort_path, tmp_path)
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    proc = _run_cli("compare-indices", "--input", str(src), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "analysis error: subject 101: all abundances are zero" in proc.stderr
+    expected = read_rows(cmd_compare_indices(RunConfig(input_path=cohort_path, out_dir=clean)))
+    rows = read_rows(out / "index_regressions.csv")
+    healthy = ("102", "103", "104", "105")
+    assert [r for r in rows if r["subject"] in healthy] == [
+        r for r in expected if r["subject"] in healthy
+    ]
+    errors = [r for r in rows if r["subject"] == "101"]
+    assert [r["note"] for r in errors] == ["all abundances are zero"] * 5
+    assert all(r["slope"] == "" for r in errors)
+
+
+def test_cli_empty_fixed_point_domain_is_contained(tmp_path, cohort_path):
+    """As relative abundances every community dominance of the cohort is
+    negative, so the fixed-point domain (0, 2 max(D, start)) is empty: each
+    subject's fixed-point table carries the error in ``verdict``, every
+    other file is written, and the exit code is 2."""
+    rows = list(csv.reader(cohort_path.read_text().splitlines()))
+    totals = [sum(float(row[j]) for row in rows[1:]) for j in range(1, len(rows[0]))]
+    lines = [",".join(rows[0])] + [
+        ",".join([row[0], *(repr(float(c) / t) for c, t in zip(row[1:], totals))])
+        for row in rows[1:]
+    ]
+    src = tmp_path / "relative.csv"
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    proc = _run_cli("report-all", "--input", str(src), "--out", str(out),
+                    "--min-total-reads", "0")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    for subject in range(101, 106):
+        assert f"subject {subject}: fixed-point domain (0.0, -" in proc.stderr
+        assert (out / f"metrics_{subject}.csv").exists()
+        assert read_rows(out / f"simulate_{subject}_trajectory.csv")
+        (row,) = read_rows(out / f"simulate_{subject}_fixed_points.csv")
+        assert row["location"] == row["multiplier"] == ""
+        assert row["verdict"].startswith("fixed-point domain (0.0, -")
+        assert row["verdict"].endswith(") is empty")
+    assert len(list(out.iterdir())) == 24
+
+
 def test_report_all_batches_every_logistic_fit(cohort_path, tmp_path, monkeypatch):
     """The ten logistic-family fits of the cohort (five subjects of one
     series length, two kinds) share one exploration and one polish run."""
@@ -404,9 +476,34 @@ def test_report_all_batches_every_logistic_fit(cohort_path, tmp_path, monkeypatc
 
 
 def test_write_rows_renders_floats_as_fmt(tmp_path):
-    values = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e300, 0.1]
+    """Floats render in shortest round-trip form with inf, -inf and nan
+    literal, None as an empty cell, and bools as the "true"/"false" strings
+    callers pass."""
+    values = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e300, 0.1, None, "true", 3]
     path = report._write_rows(tmp_path / "floats.csv", ["x"] * len(values), [values])
-    assert path.read_text().splitlines()[1].split(",") == [report._fmt(v) for v in values]
+    assert path.read_text().splitlines()[1].split(",") == [
+        "inf", "-inf", "nan", "-0.0", "5e-324", "1e+300", "0.1", "", "true", "3"
+    ]
+
+
+def test_every_cell_is_a_plain_value(tmp_path, cohort_path, monkeypatch):
+    """Every table cell reaching the CSV writer is a str, an int, None or a
+    Python float (a NumPy float renders as ``np.float64(...)``), error rows
+    included."""
+    original = report._write_rows
+    kinds = set()
+
+    def checked(path, header, rows):
+        rows = list(rows)
+        kinds.update(type(cell) for row in rows for cell in row)
+        return original(path, header, rows)
+
+    monkeypatch.setattr(report, "_write_rows", checked)
+    report_all(RunConfig(input_path=cohort_path, out_dir=tmp_path / "cohort"))
+    with pytest.raises(SubjectAnalysisError):
+        report_all(RunConfig(input_path=_zeroed_cohort(cohort_path, tmp_path),
+                             out_dir=tmp_path / "zeroed"))
+    assert kinds == {str, int, float, type(None)}
 
 
 def test_cli_custom_id_rule(tmp_path, capsys):
