@@ -9,9 +9,10 @@ Usage:
     domstab simulate         --input counts.csv --out results/ --subject 405
     domstab report-all       --input counts.csv --out results/ --plot
 
-Exit codes: 0 success, 1 input problem (unreadable or malformed table,
-count out of range, unknown subject or model name), 2 analysis problem in
-some subject (every other subject's outputs are written).
+Exit codes: 0 success, 1 input problem (unreadable, non-UTF-8 or malformed
+table, count out of range, unknown subject or model name), 2 analysis
+problem in some subject, such as no species left by the read floor (every
+other subject's outputs are written).
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import (
-    DomstabError,
-    DuplicateIdError,
-    EmptyRosterError,
-    IdRuleError,
-    ParseError,
-)
+from .errors import DomstabError, DuplicateIdError, IdRuleError, ParseError
 from .ingest import SampleIdRule
 from .models import ModelKind
 from .report import (
@@ -40,8 +35,7 @@ from .report import (
 )
 from .selection import SelectionPolicy
 
-_INPUT_ERRORS = (ParseError, DuplicateIdError, IdRuleError, EmptyRosterError,
-                 OSError, KeyError)
+_INPUT_ERRORS = (ParseError, DuplicateIdError, IdRuleError, OSError, KeyError)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -2,9 +2,9 @@
 
 Every error raised by the library derives from DomstabError so callers can
 catch one base class at pipeline boundaries.  Input-shaped problems (parsing,
-sample-id rules, empty rosters) are distinct from analysis-shaped problems
-(degenerate fits, non-convergence) because the CLI maps them to different
-exit codes.
+sample-id rules) are distinct from analysis-shaped problems (a subject's
+empty roster, degenerate fits, non-convergence) because the CLI maps them to
+different exit codes.
 """
 
 from __future__ import annotations

@@ -96,17 +96,42 @@ def parse_table(stream: str | TextIO, fmt: TableFormat = TableFormat()) -> Abund
     if len(set(sample_ids)) != len(sample_ids):
         raise DuplicateIdError("duplicate sample id in header")
 
-    species_ids: list[str] = []
+    numbered = [
+        (rownum, row) for rownum, row in enumerate(rows[1:], start=2)
+        if row and not (len(row) == 1 and not row[0].strip())  # blank lines
+    ]
+    if not numbered:
+        raise ParseError("no species rows", row=1)
+    # One conversion of the whole body: np.array takes exactly the strings
+    # float() takes.  A ragged body, a bad cell or a count out of range
+    # sends the table to the per-cell scan, which names the first defect.
+    try:
+        counts = np.array([row[1:] for _, row in numbered], dtype=float)
+    except ValueError:
+        counts = None
+    if (
+        counts is None
+        or counts.shape != (len(numbered), len(header) - 1)
+        or not (((counts >= 2.0**-53) & (counts <= 2.0**53)) | (counts == 0.0)).all()
+    ):
+        counts = _scan_counts(numbered, len(header))
+    species_ids = [row[0].strip() for _, row in numbered]
+    if len(set(species_ids)) != len(species_ids):
+        raise DuplicateIdError("duplicate species id")
+    return AbundanceTable(tuple(species_ids), sample_ids, counts)
+
+
+def _scan_counts(numbered: list[tuple[int, list[str]]], width: int) -> np.ndarray:
+    """Counts of the numbered body rows, cell by cell; raises ParseError
+    for the first ragged row, non-numeric cell or out-of-range count in
+    reading order."""
     data: list[list[float]] = []
-    for rownum, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # blank line
-        if len(row) != len(header):
+    for rownum, row in numbered:
+        if len(row) != width:
             raise ParseError(
-                f"row {rownum} has {len(row)} fields, expected {len(header)}",
+                f"row {rownum} has {len(row)} fields, expected {width}",
                 row=rownum,
             )
-        species_ids.append(row[0].strip())
         values = []
         for colnum, cell in enumerate(row[1:], start=1):
             try:
@@ -129,12 +154,7 @@ def parse_table(stream: str | TextIO, fmt: TableFormat = TableFormat()) -> Abund
                 )
             values.append(value)
         data.append(values)
-    if not data:
-        raise ParseError("no species rows", row=1)
-    if len(set(species_ids)) != len(species_ids):
-        raise DuplicateIdError("duplicate species id")
-    counts = np.array(data, dtype=float)
-    return AbundanceTable(tuple(species_ids), sample_ids, counts)
+    return np.array(data, dtype=float)
 
 
 def emit_table(table: AbundanceTable, delimiter: str = ",") -> str:
@@ -241,9 +261,7 @@ def filter_low_reads(
     ``min_total``.  The dropped ids are recorded on the returned series."""
     keep = series.counts.sum(axis=1) >= min_total
     if not keep.any():
-        raise EmptyRosterError(
-            f"subject {series.subject_id}: no species with >= {min_total} reads"
-        )
+        raise EmptyRosterError(f"no species with >= {min_total} reads")
     return replace(
         series,
         species_ids=tuple(compress(series.species_ids, keep)),

@@ -5,24 +5,29 @@ dominance records, stability series and fit input from one
 :func:`analyze_subject` call; the emitters only format that analysed data.
 The fitting commands share one analysis path (:func:`analyze_cohort`), which
 fits the logistic-family kinds of every subject in one batch.  Every table
-goes through one CSV writer (:func:`_write_rows`).  Output is deterministic
-for a given config: subjects in sorted order, floats in the shortest
-round-trip form (inf, -inf and nan spelled literally), and rows streamed
-into a temp file that is renamed over the target when complete.
+goes through one CSV writer (:func:`_write_rows`), which writes the bytes
+``csv.writer(lineterminator="\\n")`` would: floats in the shortest
+round-trip form of ``repr`` (inf, -inf and nan spelled literally), strings
+quoted only where they hold a delimiter, a quote or a line break.  A metrics
+row carries its per-species floats as one array, whose distinct values are
+each spelled once.  Output is deterministic for a given config: subjects in
+sorted order, rows streamed into a temp file that is renamed over the target
+when complete.
 
 Per-subject failures are recorded in the output rows; one bad subject never
-aborts the run.  A subject whose records or stability series raise an
-analysis error, or whose fixed-point scan does, still gets its rows, every
-other subject gets its files, and every command then raises
-SubjectAnalysisError naming the failed subjects.
+aborts the run.  A subject left with no species by the read floor, or whose
+records or stability series raise an analysis error, or whose fixed-point
+scan does, still gets its rows, every other subject gets its files, and
+every command then raises SubjectAnalysisError naming the failed subjects.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import os
+import re
+import sys
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
@@ -31,7 +36,7 @@ from typing import Iterable
 import numpy as np
 
 from .dynamics import fixed_points, iterate, resilience
-from .errors import DivergenceError, DomstabError, SubjectAnalysisError
+from .errors import DivergenceError, DomstabError, ParseError, SubjectAnalysisError
 from .fitting import (
     FitInput,
     ModelFit,
@@ -126,25 +131,72 @@ def _write_atomic(path: Path, text: str) -> Path:
     return path
 
 
+# What makes csv.writer quote a cell: the delimiter, the quote character, the
+# line terminator, and since Python 3.13 also a carriage return.
+_NEEDS_QUOTES = re.compile('[,"\n\r]' if sys.version_info >= (3, 13) else '[,"\n]')
+
+
+def _spell(block: np.ndarray) -> str:
+    """A non-empty 1-d float64 array as comma-separated ``repr`` cells.
+
+    Each distinct bit pattern is spelled once; bits rather than values are
+    compared, so 0.0 and -0.0 keep their own spellings."""
+    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    words = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    return ",".join(map(words.__getitem__, inverse.tolist()))
+
+
+def _cell(cell) -> str:
+    """One cell as csv.writer spells it: a float by ``repr``, None empty,
+    anything else by ``str``, quoted where needed; an array by :func:`_spell`."""
+    if isinstance(cell, float):
+        return repr(cell)
+    if cell is None:
+        return ""
+    if isinstance(cell, np.ndarray):
+        return _spell(cell)
+    text = str(cell)
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _line(row: list) -> str:
+    text = ",".join([_cell(cell) for cell in row])
+    if not text and len(row) == 1:
+        text = '""'  # csv.writer's spelling of one empty cell
+    return text + "\n"
+
+
 def _write_rows(path: Path, header: list[str], rows: Iterable[list]) -> Path:
-    """The one CSV writer: cells are str, int, None (an empty cell) or a
-    Python float, which ``csv.writer`` renders by ``repr`` (shortest round
-    trip; inf, -inf, nan and -0.0 spelled so).  A NumPy float would render
-    as ``np.float64(...)``, and a bool as ``True``: callers pass
-    ``float(x)`` and ``"true"``/``"false"``."""
+    """The one CSV writer.  A cell is a str, an int, None (an empty cell), a
+    Python float (shortest round trip; inf, -inf, nan and -0.0 spelled so)
+    or a non-empty 1-d float64 array standing for that many float cells.
+    The bytes are those ``csv.writer(lineterminator="\\n")`` writes for the
+    same rows with each array expanded into Python floats; a NumPy float
+    would render as ``np.float64(...)`` and a bool as ``True``, so callers
+    pass ``float(x)`` and ``"true"``/``"false"``."""
     with _atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_line(header))
+        fh.writelines(map(_line, rows))
     return path
 
 
 def load_subjects(config: RunConfig) -> list[SubjectSeries]:
-    """Parse the input table, split by subject, drop low-read species."""
-    text = Path(config.input_path).read_text(encoding="utf-8")
+    """Parse the input table and split it by subject.  Low-read species are
+    dropped per subject by :func:`analyze_subject`.  Input that is not
+    UTF-8 is a ParseError naming the byte offset of the first bad byte."""
+    data = Path(config.input_path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"input is not UTF-8: {exc.reason} at byte offset {exc.start} (row {row})",
+            row=row,
+        ) from None
     table = parse_table(text, TableFormat(delimiter=config.delimiter))
-    subjects = split_subjects(table, config.id_rule)
-    return [filter_low_reads(s, config.min_total_reads) for s in subjects]
+    return split_subjects(table, config.id_rule)
 
 
 @dataclass
@@ -152,9 +204,9 @@ class SubjectAnalysis:
     """Everything the emitters need for one subject.
 
     ``error`` is the DomstabError that stopped the subject: before fitting
-    (``records`` is None when it came from the dominance records, and its
-    text is also the subject's ``selection_error``), or in the fixed-point
-    scan of its simulation.
+    (``records`` is None when it came from the read floor or the dominance
+    records, and its text is also the subject's ``selection_error``), or in
+    the fixed-point scan of its simulation.
     """
 
     series: SubjectSeries
@@ -167,11 +219,13 @@ class SubjectAnalysis:
     error: DomstabError | None = None
 
 
-def analyze_subject(series: SubjectSeries) -> SubjectAnalysis:
-    """One subject's sentinel-applied records, stability series and fit
-    input.  A DomstabError on the way becomes the subject's ``error``."""
+def analyze_subject(series: SubjectSeries, min_total_reads: float) -> SubjectAnalysis:
+    """One subject's read-floor roster, sentinel-applied records, stability
+    series and fit input.  A DomstabError on the way becomes the subject's
+    ``error``; ``series`` is the filtered series once the floor has passed."""
     analysis = SubjectAnalysis(series=series, records=None, fit_input=None)
     try:
+        analysis.series = series = filter_low_reads(series, min_total_reads)
         analysis.records = apply_sentinel(dominance_records(series))
         if series.too_short:
             analysis.selection_error = "fewer than two samples"
@@ -210,21 +264,24 @@ def _metrics_table(
     cells = np.empty((n_samples, 2 * n_species))
     cells[:, 0::2] = records.distance.T
     cells[:, 1::2] = records.dominance.T
-    rows = [
-        [sample_id, community, *values, ";".join(compress(records.species_ids, replaced))]
+    rows = (
+        [sample_id, community, values, ";".join(compress(records.species_ids, replaced))]
         for sample_id, community, values, replaced in zip(
             records.sample_ids,
             records.community.tolist(),
-            cells.tolist(),
+            cells,
             records.sentinel_replaced.T,
         )
-    ]
+    )
     return _write_rows(out_dir / f"metrics_{series.subject_id}.csv", header, rows)
 
 
 def _metrics_tables(analyses: list[SubjectAnalysis], out_dir: Path) -> list[Path]:
-    """One dominance table per subject whose records were built; each
-    table's rows are freed before the next one is built."""
+    """One dominance table per subject whose records were built.  A row
+    hands its sample's distances and dominances to :func:`_write_rows` as
+    one float64 array, whose repeated values (species with equal counts in
+    that sample) are spelled once; the bytes are those of one ``repr`` per
+    cell.  Rows are streamed, so only one row's text is alive at a time."""
     return [
         _metrics_table(a.series, a.records, out_dir)
         for a in analyses if a.records is not None
@@ -234,7 +291,8 @@ def _metrics_tables(analyses: list[SubjectAnalysis], out_dir: Path) -> list[Path
 def cmd_metrics(config: RunConfig) -> list[Path]:
     """Per-subject dominance tables: community dominance plus per-species
     distance and dominance, with sentinel-replaced cells flagged."""
-    analyses = [analyze_subject(series) for series in load_subjects(config)]
+    analyses = [analyze_subject(series, config.min_total_reads)
+                for series in load_subjects(config)]
     paths = _metrics_tables(analyses, Path(config.out_dir))
     _raise_failures(analyses)
     return paths
@@ -290,7 +348,8 @@ def _index_table(analyses: list[SubjectAnalysis], out_dir: Path) -> Path:
 def cmd_compare_indices(config: RunConfig) -> Path:
     """Regress community dominance on each classical index, per subject,
     with cross-subject means appended."""
-    analyses = [analyze_subject(series) for series in load_subjects(config)]
+    analyses = [analyze_subject(series, config.min_total_reads)
+                for series in load_subjects(config)]
     path = _index_table(analyses, Path(config.out_dir))
     _raise_failures(analyses)
     return path
@@ -317,7 +376,7 @@ def analyze_cohort(
     The logistic-family fits of all subjects go through one
     :func:`fit_logistic_batch` call; the other kinds are fitted per subject.
     """
-    analyses = [analyze_subject(series) for series in subjects]
+    analyses = [analyze_subject(series, config.min_total_reads) for series in subjects]
     fitted = [a for a in analyses if a.fit_input is not None]
     logistic = [kind for kind in config.models if kind.logistic_family]
     batch = iter(fit_logistic_batch(

@@ -11,6 +11,7 @@ import pytest
 
 from domstab import fitting
 from domstab.fitting import FitInput, _screen, breakpoint_candidates, fit_piecewise
+from domstab.ingest import filter_low_reads
 from domstab.models import ModelKind
 from domstab.report import RunConfig, load_subjects
 from domstab.stability import apply_sentinel, community_stability, dominance_records
@@ -84,6 +85,7 @@ def cohort_inputs(cohort_path, tmp_path_factory) -> dict[str, FitInput]:
     config = RunConfig(input_path=cohort_path, out_dir=tmp_path_factory.mktemp("unused"))
     out = {}
     for series in load_subjects(config):
+        series = filter_low_reads(series, config.min_total_reads)
         records = apply_sentinel(dominance_records(series))
         stability = community_stability(records, subject_id=series.subject_id)
         out[series.subject_id] = FitInput.from_series(stability)

@@ -1,8 +1,14 @@
 """Property tests for the dominance and diversity kernels, the sentinel
 policy, the breakpoint grid and profile, the lockstep logistic-family search,
-the fixed-point scan and the table round trip."""
+the fixed-point scan, the table round trip, the count parse and the CSV
+writer."""
 
+import csv
+import io
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +17,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from domstab.dynamics import FixedPoint, _bisect, _multiplier_at, fixed_points
-from domstab.errors import DomstabError, SingularInformationError, ZeroCommunityError
+from domstab.errors import (
+    DomstabError,
+    ParseError,
+    SingularInformationError,
+    ZeroCommunityError,
+)
 from domstab.fitting import (
     _ABORT_GRACE,
     GN_RELATIVE_SS_TOL,
@@ -31,6 +42,7 @@ from domstab.metrics import (
     species_dominances,
 )
 from domstab.models import ModelKind, derivative, evaluate, evaluate_array
+from domstab.report import _write_rows
 from domstab.stability import apply_sentinel, dominance_records, sentinel_value
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -492,3 +504,123 @@ def abundance_tables(draw):
 @given(abundance_tables())
 def test_emit_then_parse_round_trips(table):
     assert parse_table(emit_table(table)) == table
+
+
+# Strings float() accepts beyond plain decimals, and strings a count may not
+# be: non-numeric, non-finite, negative or outside [2**-53, 2**53].
+ODD_COUNTS = ["-0", "1_000", " 12 ", "\uff11\uff12", "+5", "1E3", "9007199254740992",
+              "1.1102230246251565e-16"]
+BAD_COUNTS = ["nan", "-inf", "1e400", "0x10", "", " ", "1__0", "abc", "-1", "5e-324",
+              "1e300", "9007199254740994"]
+
+
+@st.composite
+def count_texts(draw):
+    """A table of 1-5 rows and 1-4 samples, with a blank line, a bad cell
+    and a ragged row each in some tables, in any order."""
+    width = draw(st.integers(1, 4))
+    cell = st.one_of(
+        st.integers(0, 10**6).map(str),
+        st.floats(2.0**-53, 2.0**53).map(repr),
+        st.sampled_from(ODD_COUNTS),
+    )
+    rows = [[draw(cell) for _ in range(width)] for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+        rows[row][col] = draw(st.sampled_from(BAD_COUNTS))
+    if draw(st.booleans()):
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row] = rows[row][: draw(st.integers(0, width - 1))] + ["7"] * draw(st.integers(0, 1))
+        if len(rows[row]) == width:
+            rows[row].append("7")
+    lines = [",".join(["species_id", *(f"p_{j}" for j in range(width))])]
+    lines += [",".join([f"s{i}", *row]) for i, row in enumerate(rows)]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_counts(text: str) -> np.ndarray:
+    """The counts as a float() per cell in reading order gives them, or the
+    ParseError of the first ragged row, non-numeric cell or count out of
+    range."""
+    rows = list(csv.reader(text.splitlines()))
+    width, data = len(rows[0]), []
+    for rownum, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != width:
+            raise ParseError(f"row {rownum} has {len(row)} fields, expected {width}")
+        values = []
+        for colnum, cell in enumerate(row[1:], start=1):
+            where = f"at row {rownum}, column {colnum}"
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(f"non-numeric count {where}: {cell!r}") from None
+            if value != 0.0 and not 2.0**-53 <= value <= 2.0**53:
+                if not math.isfinite(value) or value < 0:
+                    raise ParseError(f"negative or non-finite count {where}")
+                raise ParseError(f"count outside [2**-53, 2**53] {where}: {cell!r}")
+            values.append(value)
+        data.append(values)
+    return np.array(data, dtype=float)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(count_texts())
+@example("species_id,p_1,p_2\na,1,x\nb,1\n")  # bad cell, then a ragged row
+@example("species_id,p_1,p_2\na,1\nb,1,x\n")  # ragged row, then a bad cell
+def test_parse_counts_match_per_cell_float(text):
+    try:
+        expected = per_cell_counts(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            parse_table(text)
+        assert type(raised.value) is ParseError
+        assert str(raised.value) == str(exc)
+    else:
+        counts = parse_table(text).counts
+        assert counts.shape == expected.shape
+        assert counts.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------- report
+
+PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0123))[0]
+FLOAT_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, PAYLOAD_NAN, math.inf, -math.inf, 5e-324, 0.1]),
+    st.floats(),
+)
+TEXT_CELLS = st.text(st.one_of(st.sampled_from(',"\r\n'), st.characters()), max_size=6)
+CELLS = st.one_of(
+    TEXT_CELLS,
+    st.integers(-(10**30), 10**30),
+    st.none(),
+    FLOAT_CELLS,
+    st.lists(FLOAT_CELLS, min_size=1, max_size=12).map(np.array),
+)
+
+
+def csv_writer_bytes(header: list, rows: list[list]) -> bytes:
+    """What csv.writer writes for the rows, each array expanded into floats."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([
+            value for cell in row
+            for value in (cell.tolist() if isinstance(cell, np.ndarray) else [cell])
+        ])
+    return out.getvalue().encode("utf-8")
+
+
+@PROPERTY
+@given(
+    st.lists(TEXT_CELLS, min_size=1, max_size=4),
+    st.lists(st.lists(CELLS, max_size=6), max_size=4),
+)
+def test_write_rows_matches_csv_writer(header, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_rows(Path(tmp) / "rows.csv", header, rows)
+        assert path.read_bytes() == csv_writer_bytes(header, rows)

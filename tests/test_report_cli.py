@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from domstab import fitting, report
@@ -487,15 +489,17 @@ def test_write_rows_renders_floats_as_fmt(tmp_path):
 
 
 def test_every_cell_is_a_plain_value(tmp_path, cohort_path, monkeypatch):
-    """Every table cell reaching the CSV writer is a str, an int, None or a
-    Python float (a NumPy float renders as ``np.float64(...)``), error rows
-    included."""
+    """Every table cell reaching the CSV writer is a str, an int, None, a
+    Python float (a NumPy float renders as ``np.float64(...)``) or a 1-d
+    float64 array (a metrics row's float block), error rows included."""
     original = report._write_rows
     kinds = set()
 
     def checked(path, header, rows):
         rows = list(rows)
         kinds.update(type(cell) for row in rows for cell in row)
+        blocks = [cell for row in rows for cell in row if type(cell) is np.ndarray]
+        assert all(b.ndim == 1 and b.dtype == np.float64 and b.size for b in blocks), path
         return original(path, header, rows)
 
     monkeypatch.setattr(report, "_write_rows", checked)
@@ -503,7 +507,66 @@ def test_every_cell_is_a_plain_value(tmp_path, cohort_path, monkeypatch):
     with pytest.raises(SubjectAnalysisError):
         report_all(RunConfig(input_path=_zeroed_cohort(cohort_path, tmp_path),
                              out_dir=tmp_path / "zeroed"))
-    assert kinds == {str, int, float, type(None)}
+    assert kinds == {str, int, float, type(None), np.ndarray}
+
+
+# SHA-256 of the cohort's metrics and index tables: the bench golden compares
+# floats only to rtol 1e-9, so a change of spelling (1e-05 -> 0.00001) would
+# pass it.
+COHORT_DIGESTS = {
+    "metrics_101.csv": "8aaf955fb8fb6f789940bc766286cb61b71fec07502fed9e7f207a86bd4ceeeb",
+    "metrics_102.csv": "eaabe3a36eeb697c8c7fe0c14f5536057a72a22bd51bd5d8fe9c086802f8c278",
+    "metrics_103.csv": "2f9a363536b60b8404467becff7558503196a9dd23fffd002242f2447616d979",
+    "metrics_104.csv": "9be06ab78f4f5a72e30053d44e9542279edf84a7a7e3d7ea28279fdcf8b930b9",
+    "metrics_105.csv": "33d3e21c3e541bd220862f6e07e6f7448298fcc47015af39246b82aa1dd7c495",
+    "index_regressions.csv": "2b173dc8babca2a1e5f28487a81eb7da83bb18f2dea4c8f9001431c4f91b7792",
+}
+
+
+def test_cohort_metrics_and_index_bytes_pinned(tmp_path, cohort_path):
+    config = RunConfig(input_path=cohort_path, out_dir=tmp_path / "out")
+    paths = [*cmd_metrics(config), cmd_compare_indices(config)]
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert digests == COHORT_DIGESTS
+
+
+def test_cli_non_utf8_input_is_input_error(tmp_path, capsys):
+    src = tmp_path / "latin1.csv"
+    src.write_bytes(b"species_id,1_a,1_b\nx,1,\xff2\n")
+    code = main(["metrics", "--input", str(src), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "domstab: input error: input is not UTF-8: invalid start byte "
+        "at byte offset 23 (row 2)\n"
+    )
+
+
+def test_cli_empty_roster_subject_gets_error_rows(tmp_path, capsys):
+    """No species of subject 2 reaches the read floor: subject 2 gets error
+    rows, subject 1 the files and rows of a run without subject 2, and the
+    exit code is 2."""
+    src, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+    src.write_text("species_id,1_a,1_b,1_c,2_a,2_b,2_c\nx,10,20,30,1,1,1\ny,5,6,7,1,2,1\n")
+    alone.write_text("species_id,1_a,1_b,1_c\nx,10,20,30\ny,5,6,7\n")
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    code = main(["report-all", "--input", str(src), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "domstab: analysis error: subject 2: no species with >= 10.0 reads\n"
+    )
+    assert main(["report-all", "--input", str(alone), "--out", str(clean)]) == 0
+    written = {p.name for p in clean.iterdir()}
+    assert {p.name for p in out.iterdir()} == written | {"simulate_2_trajectory.csv"}
+    for name in written:
+        if name.startswith(("metrics_", "simulate_")):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+    expected = _subject_rows(clean)
+    for name, table in _subject_rows(out).items():
+        assert [r for r in table if r["subject"] == "1"] == expected[name], name
+        errors = [r.get("error") or r["note"] for r in table if r["subject"] == "2"]
+        assert errors and set(errors) == {"no species with >= 10.0 reads"}, name
+    (row,) = read_rows(out / "simulate_2_trajectory.csv")
+    assert row["status"] == "no species with >= 10.0 reads"
 
 
 def test_cli_custom_id_rule(tmp_path, capsys):
