@@ -19,10 +19,13 @@ Three fitting routes, one per model family:
 * linear-quadratic / quadratic-quadratic: the breakpoint d is profiled over
   a deterministic candidate grid (quartile points of every gap between
   consecutive distinct dominance values); conditional on d the model is
-  linear in its remaining parameters and solved exactly.  One stacked QR
-  screens every candidate's sum of squares; only the candidates the screen
-  cannot rule out are solved exactly, each alone, so the winner and its
-  coefficients are those of solving every candidate.
+  linear in its remaining parameters and solved exactly.  A screen gives
+  every candidate an approximate sum of squares with one small QR per fit:
+  the design columns that do not depend on d are factored once, and each
+  candidate's two breakpoint columns are taken off them by Gram-Schmidt.
+  Only the candidates the screen cannot rule out are solved exactly, each
+  alone, so the winner and its coefficients are those of solving every
+  candidate.
 
 Every route ends in one assembly step (:func:`_assemble`), which adds the
 goodness of fit, the dominance range, the standard errors and the flags.
@@ -89,9 +92,10 @@ _POLISH_ATTEMPTS = 3  # best exploration endpoints re-run with the full budget
 # its screened SS is within best_exact_ss * (1 + RTOL) + ATOL * |y|^2.
 _CERTIFY_RTOL = 1e-8
 _CERTIFY_ATOL = 1e-12
-# Design bytes per screening chunk.  With its Q stack and the QR's working
-# copies a chunk stays in a 2 MiB L2 cache: 48 piecewise fits of 150 samples
-# took 0.20 s in 256 KiB chunks and 0.37 s as whole stacks (2-core Xeon VM).
+# Design bytes per screening chunk; it bounds the screen's working arrays,
+# which grow with the square of the series length.  48 piecewise fits of 150
+# samples screen in 0.09 s in 256 KiB chunks and as whole stacks alike, and
+# in 0.18 s in 64 KiB chunks (2-core Xeon VM).
 _SCREEN_BYTES = 1 << 18
 
 
@@ -771,21 +775,55 @@ def _grid_resolution(candidates: Sequence[float], d: float) -> float:
     return float(np.diff(arr)[max(idx - 1, 0):idx + 1].max())
 
 
+def _off(h: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Rows of ``h`` less their projections onto the orthonormal columns of
+    ``basis``, through stacked matmul (one row at a time, see ``_dots``)."""
+    return h - ((h[:, None, :] @ basis) @ basis.T)[:, 0, :]
+
+
+def _unit(h: np.ndarray) -> np.ndarray:
+    """Rows of ``h`` scaled to unit norm; a zero row stays zero."""
+    norm = np.sqrt(_dots(h, h))
+    scale = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
+    return h * scale[:, None]
+
+
 def _screen(
     kind: ModelKind, cand: np.ndarray, dom: np.ndarray, chg: np.ndarray
 ) -> np.ndarray:
-    """Approximate residual SS of every candidate, from stacked reduced QR.
+    """Approximate residual SS of every candidate, with one QR per call.
 
-    The residual is formed as ``y - Q(Q^T y)`` rather than the cheaper
+    Only two design columns depend on the breakpoint d: the bend
+    ``|D - d| (D + d)`` (plus ``D**2`` for linear-quadratic) and the gap
+    ``|D - d|``.  The shared columns, ``[1, D]`` or ``[1, D, D**2]``, are
+    factored once by Householder QR and the response is projected off them
+    once.  Each candidate projects its two columns off that basis and takes
+    the residual by Gram-Schmidt on them, in residual form: ``r - q (q . r)``
+    for the unit bend q1, then for the unit gap q2, rather than the cheaper
     ``|y|^2 - |Q^T y|^2``, which cancels catastrophically when the fit is
-    good.  Candidates go through in chunks of at most ``_SCREEN_BYTES`` of
-    design, so the design and Q stacks stay bounded however many samples
-    the series has (both grow with its square)."""
+    good.  A column with nothing left after its projection has no unit
+    vector and takes nothing off.  Every reduction is over one row
+    (``_off``, ``_dots``), so a candidate's SS does not depend on its chunk.
+    Candidates go through in chunks of as many as fill ``_SCREEN_BYTES`` of
+    design, so the working arrays stay bounded however long the series."""
+    shared = [np.ones_like(dom), dom]
+    if kind is ModelKind.QUADRATIC_QUADRATIC:
+        shared.append(dom**2)
+    basis = np.linalg.qr(np.column_stack(shared))[0]
+    rest = chg - basis @ (chg @ basis)
     step = max(1, _SCREEN_BYTES // (dom.size * (kind.arity - 1) * 8))
     screened = np.empty(cand.size)
     for lo in range(0, cand.size, step):
-        q = np.linalg.qr(_piecewise_design(kind, cand[lo:lo + step], dom))[0]
-        resid = chg - (q @ (chg @ q)[:, :, np.newaxis])[:, :, 0]
+        d = cand[lo:lo + step, np.newaxis]
+        gap = np.abs(dom - d)
+        bend = gap * (dom + d)
+        if kind is ModelKind.LINEAR_QUADRATIC:
+            bend += dom**2
+        q1 = _unit(_off(bend, basis))
+        gap = _off(gap, basis)
+        q2 = _unit(gap - q1 * _dots(q1, gap)[:, None])
+        resid = rest - q1 * (q1[:, None, :] @ rest)
+        resid -= q2 * _dots(q2, resid)[:, None]
         screened[lo:lo + step] = _dots(resid, resid)
     return screened
 
@@ -793,12 +831,11 @@ def _screen(
 def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
     """Breakpoint-profiled exact least squares for the piecewise kinds.
 
-    Screen, then certify.  One stacked QR gives every candidate an
-    approximate SS (``_screen``).  Candidates are then visited from the
-    lowest screened SS up and solved exactly, each by its own
-    ``np.linalg.lstsq`` on its own design (a stacked SVD or QR solve moves
-    the last bits), its SS taken through the stacked ``design @ beta`` and
-    ``_dots``.  The visit stops once the next screened SS exceeds the best
+    Screen, then certify.  ``_screen`` gives every candidate an approximate
+    SS.  Candidates are then visited from the lowest screened SS up and
+    solved exactly, each by its own ``np.linalg.lstsq`` on its own design
+    (a stacked SVD or QR solve moves the last bits), its SS taken through
+    the stacked ``design @ beta`` and ``_dots``.  The visit stops once the next screened SS exceeds the best
     exact SS by the certification margin; the lowest exact SS among the
     visited wins, the lower breakpoint breaking ties, so the winner and its
     coefficients are those of solving every candidate exactly.
@@ -808,10 +845,13 @@ def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
     absolute one (``_CERTIFY_ATOL`` times ``|y|^2``) covers roundoff, whose
     scale is ``|y|^2`` and not the SS: when the response is exactly
     constant, affine or quadratic in dominance every candidate's SS is
-    roundoff noise, the screen cannot rank them, and all are solved.  On a
-    rank-deficient design Q spans the design's columns and more, so the
-    screened SS can only err low; a candidate screened too low is visited
-    early and costs an exact solve, never the win.
+    roundoff noise, the screen cannot rank them, and all are solved.  The
+    screen takes the residual off an orthonormal basis and then off one
+    unit vector at a time, and no such step can lengthen it.  On a
+    rank-deficient design the columns' roundoff remnants still become unit
+    vectors, so the screen removes the design's span and more, and its SS
+    can only err low; a candidate screened too low is visited early and
+    costs an exact solve, never the win.
 
     ``iterations`` counts the candidates, screened or solved.
     """

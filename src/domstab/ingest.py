@@ -81,14 +81,21 @@ def parse_table(stream: str | TextIO, fmt: TableFormat = TableFormat()) -> Abund
     outside the range (carrying the offending 1-based row number), and
     DuplicateIdError for repeated ids.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    text = stream.read()
-    lines = text.splitlines()
-    if not lines:
+    text = stream if isinstance(stream, str) else stream.read()
+    if not text:
         raise ParseError("empty input", row=0)
-    delimiter = fmt.delimiter or _detect_delimiter(lines[0])
-    rows = list(csv.reader(lines, delimiter=delimiter))
+    # Records, not lines: the reader ends a record only at \r or \n outside
+    # quotes, where str.splitlines would also break at \x0c, \x85, \u2028
+    # and the rest.  A row number counts records, the header being row 1.
+    records = io.StringIO(text, newline="")
+    delimiter = fmt.delimiter or _detect_delimiter(records.readline())
+    records.seek(0)
+    rows: list[list[str]] = []
+    try:
+        rows.extend(csv.reader(records, delimiter=delimiter))
+    except csv.Error as exc:  # rows keeps the records read before the bad one
+        row = len(rows) + 1
+        raise ParseError(f"unreadable record at row {row}: {exc}", row=row) from None
     header = rows[0]
     if len(header) < 2:
         raise ParseError("header must name at least one sample", row=0)
@@ -158,13 +165,20 @@ def _scan_counts(numbered: list[tuple[int, list[str]]], width: int) -> np.ndarra
 
 
 def emit_table(table: AbundanceTable, delimiter: str = ",") -> str:
-    """Serialize a table back to text.  Round-trips through parse_table."""
-    out = io.StringIO()
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(["species_id", *table.sample_ids])
-    for i, sid in enumerate(table.species_ids):
-        writer.writerow([sid, *(_fmt_count(v) for v in table.counts[i])])
-    return out.getvalue()
+    """Serialize a table back to text, one record per line.  Round-trips
+    through parse_table: a field holding the delimiter, a quote or a line
+    break is quoted.  (Before Python 3.13 csv.writer leaves a bare ``\\r``
+    unquoted, and a reader ends the record there.)"""
+    special = (delimiter, '"', "\r", "\n")
+
+    def field(text: str) -> str:
+        if any(c in text for c in special):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    rows = [["species_id", *table.sample_ids]]
+    rows += [[sid, *map(_fmt_count, row)] for sid, row in zip(table.species_ids, table.counts)]
+    return "".join(delimiter.join(map(field, row)) + "\n" for row in rows)
 
 
 def _fmt_count(v: float) -> str:
@@ -181,6 +195,10 @@ class SampleIdRule:
     """
 
     separator: str = "_"
+
+    def __post_init__(self):
+        if not self.separator:
+            raise IdRuleError("sample id separator is empty")
 
     def parse(self, sample_id: str) -> tuple[str, str]:
         if self.separator not in sample_id:

@@ -52,6 +52,29 @@ def test_parse_ragged_row_reports_row_number():
     assert err.value.row == 2
 
 
+def test_parse_keeps_line_breaks_other_than_cr_lf_inside_a_field():
+    # str.splitlines also breaks at \x0c; a csv record does not
+    table = parse_table("species_id,1_a,1_b,1_c\nx\x0cy,10,20,30\nz,5,6,7\n")
+    assert table.species_ids == ("x\x0cy", "z")
+    assert table.counts.tolist() == [[10.0, 20.0, 30.0], [5.0, 6.0, 7.0]]
+
+
+def test_parse_reads_a_quoted_line_break_and_counts_records():
+    text = 'species_id,1_a,1_b,1_c\n"x\ny",10,20,30\nz,5,6,7\nw,1,2\n'
+    with pytest.raises(ParseError) as err:
+        parse_table(text)
+    assert err.value.row == 4  # the fourth record, on the fifth line
+    table = parse_table(text.replace("w,1,2\n", ""))
+    assert table.species_ids == ("x\ny", "z")
+
+
+def test_parse_unreadable_record_is_parse_error():
+    # an unclosed quote swallows the rest of the table into one field
+    text = 'species_id,1_a\n"x,1\n' + "".join(f"s{i},1\n" for i in range(20_000))
+    with pytest.raises(ParseError) as err:
+        parse_table(text)
+    assert err.value.row == 2
+
 def test_parse_rejects_bad_cell():
     with pytest.raises(ParseError):
         parse_table("species_id,400_010106\nOTU1,four\n")
@@ -109,6 +132,10 @@ def test_id_rule_rejects_missing_separator():
     with pytest.raises(IdRuleError):
         rule.parse("_010106")
 
+
+def test_id_rule_rejects_empty_separator():
+    with pytest.raises(IdRuleError):
+        SampleIdRule(separator="")
 
 def test_date_tokens_sort_by_year_first():
     rule = SampleIdRule()

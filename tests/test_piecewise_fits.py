@@ -3,7 +3,9 @@
 The profile picks the breakpoint and coefficients the reports print, so the
 cohort's piecewise fits must be reproduced exactly: the parameters, residual
 SS and standard errors by repr, and the iteration count (the number of
-breakpoint candidates).
+breakpoint candidates).  The cohort's series have 29 points and screen in one
+chunk; a seeded 149-point series, the length of the benchmark's long
+workload, screens in several.
 """
 
 import numpy as np
@@ -80,6 +82,22 @@ PINNED = {
 }
 
 
+LONG_PINNED = {
+    'linear-quadratic': (
+        "{'a': -0.3130645190274006, 'b': 0.39550329395241207, 'c': -0.019586721971947038, 'd': 6.204454200965909, 'e': 0.7913743205745303}",
+        '17.784129648704337',
+        432,
+        "{'a': 0.5067008065551339, 'b': 0.1206252152008821, 'c': 0.007195745298698267, 'd': 0.08412783768268817, 'e': 0.12984013459315952}",
+    ),
+    'quadratic-quadratic': (
+        "{'a': -0.09101754218824065, 'b': 0.4035493963414124, 'c': -0.02756490525060629, 'd': 6.033375185860086, 'e': -0.0043266499778143175, 'f': 0.6442427098220158}",
+        '17.574343631053566',
+        432,
+        "{'a': 0.5371504047614166, 'b': 0.14752780485970404, 'c': 0.011852773554914965, 'd': 0.024794049520024508, 'e': 0.008369324965571556, 'f': 0.11977031615600653}",
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def cohort_inputs(cohort_path, tmp_path_factory) -> dict[str, FitInput]:
     config = RunConfig(input_path=cohort_path, out_dir=tmp_path_factory.mktemp("unused"))
@@ -127,3 +145,13 @@ def test_screen_chunking_moves_no_bits(cohort_inputs, monkeypatch):
     chunked = _screen(kind, cand, inp.dominance, inp.change_rate)
     assert cand.size == 72
     assert chunked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(LONG_PINNED))
+def test_long_series_fit_pinned(kind):
+    rng = np.random.default_rng(149)
+    dom = rng.uniform(0.5, 12.0, 149)
+    chg = 0.4 * dom - 0.03 * dom**2 + 0.6 * np.abs(dom - 6.0) + rng.normal(0.0, 0.3, 149)
+    fit = fit_piecewise(ModelKind(kind), FitInput(dom, chg))
+    outcome = (repr(fit.params), repr(fit.residual_ss), fit.iterations, repr(fit.std_errors))
+    assert outcome == LONG_PINNED[kind]

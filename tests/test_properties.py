@@ -25,12 +25,15 @@ from domstab.errors import (
 )
 from domstab.fitting import (
     _ABORT_GRACE,
+    _CERTIFY_ATOL,
+    _CERTIFY_RTOL,
     GN_RELATIVE_SS_TOL,
     GN_STEP_TOL,
     FitInput,
     _linear_se_from_design,
     _lockstep,
     _Problem,
+    _screen,
     breakpoint_candidates,
     fit_piecewise,
 )
@@ -268,6 +271,53 @@ def test_piecewise_profile_matches_per_candidate_loop(problem):
     assert _as_bits(fit.std_errors) == _as_bits(ses)
 
 
+@PROPERTY
+@given(piecewise_inputs())
+# Dominance offset far from zero with a span of 1e-6: [1, D, D^2] is
+# numerically rank-deficient.
+@example((
+    ModelKind.QUADRATIC_QUADRATIC,
+    FitInput(
+        4721.0 + np.array([0.0, 1.3, 2.1, 3.7, 4.2, 5.9, 6.4, 7.7, 8.8, 9.5]) * 1e-7,
+        np.array([0.3, -0.1, 0.4, 0.2, -0.5, 0.1, 0.6, -0.2, 0.0, 0.35]),
+    ),
+))
+@example((
+    ModelKind.LINEAR_QUADRATIC,
+    FitInput(
+        1234.5 + np.array([0.0, 0.2, 0.3, 0.45, 0.5, 0.61, 0.8, 0.9, 1.0]) * 1e-6,
+        np.array([1.0, 0.5, -0.25, 0.75, 0.0, -1.0, 0.25, 0.5, -0.5]),
+    ),
+))
+# The three values right of every candidate sit one ulp apart, so the
+# breakpoint columns are rank-deficient on that side.
+@example((
+    ModelKind.QUADRATIC_QUADRATIC,
+    FitInput(
+        np.array([1.0, 2.0, 3.0, 5.0, float(np.nextafter(5.0, 6.0)),
+                  float(np.nextafter(np.nextafter(5.0, 6.0), 6.0))]),
+        np.array([0.1, -0.2, 0.3, 0.0, 0.5, -0.1]),
+    ),
+))
+def test_screen_never_exceeds_the_certification_bound(problem):
+    """Certification is sound only if no candidate screens above its exact
+    SS by more than the margin: otherwise the winner could be left unsolved."""
+    kind, inp = problem
+    dom, chg = inp.dominance, inp.change_rate
+    cand = np.array(breakpoint_candidates(dom))
+    if cand.size == 0:
+        return
+    screened = _screen(kind, cand, dom, chg)
+    exact = []
+    for d in cand:
+        design = _reference_design(kind, d, dom)
+        resid = chg - design @ np.linalg.lstsq(design, chg, rcond=None)[0]
+        exact.append(resid @ resid)
+    bound = np.array(exact) * (1.0 + _CERTIFY_RTOL) + _CERTIFY_ATOL * (chg @ chg)
+    assert np.all(np.isfinite(screened))
+    assert np.all(screened <= bound)
+
+
 def _reference_gauss_newton(kind, start, inp, max_iter):
     """One start of the damped Gauss-Newton search, as a plain scalar loop.
 
@@ -480,9 +530,12 @@ def test_fixed_points_are_roots_with_map_multipliers(problem):
 
 # ---------------------------------------------------------------- ingest
 
-# csv-quoted characters included; no tab (it would switch the detected
-# delimiter) and no edge whitespace (the parser strips ids)
-IDS = st.text(alphabet='abXY09_-,". ', min_size=1, max_size=6).filter(
+# csv-quoted characters and inner line breaks that str.splitlines knows
+# included; no tab (it would switch the detected delimiter) and no edge
+# whitespace (the parser strips ids)
+IDS = st.text(
+    alphabet='abXY09_-,". \n\r\x0b\x0c\x1c\x85\u2028', min_size=1, max_size=6
+).filter(
     lambda text: text == text.strip()
 )
 TABLE_COUNTS = st.one_of(

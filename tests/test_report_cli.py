@@ -292,6 +292,14 @@ def test_cli_ragged_table_is_input_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_cli_empty_id_rule_is_input_error(small_input, tmp_path, capsys):
+    code = main([
+        "metrics", "--input", str(small_input), "--out", str(tmp_path / "out"),
+        "--id-rule", "",
+    ])
+    assert code == 1
+    assert "input error" in capsys.readouterr().err
+
 def test_cli_unknown_model_is_input_error(small_input, tmp_path, capsys):
     code = main([
         "fit", "--input", str(small_input), "--out", str(tmp_path / "out"),
