@@ -6,15 +6,14 @@ Three fitting routes, one per model family:
 * logistic / logistic-sine: damped Gauss-Newton (Levenberg-style lambda
   adaptation) with analytic Jacobians, run from a deterministic multi-start
   grid; the accepted-step sum of squares is non-increasing by construction.
-  The starts of each search pass run in lockstep: parameters, residuals and
-  Jacobians are stacked over starts, each start keeps its own damping lambda,
-  and each damping round is one stacked 3x3 solve.  A batch
-  (:func:`fit_logistic_batch`) stacks the starts of many problems, such as
-  every subject and both kinds of a cohort: problems of equal series length
-  share one exploration pass and one polish pass, each stack row tagged with
-  the problem it belongs to.  Every operation is elementwise or a stacked
-  matmul reduction over one row, so a start's result is bit for bit the one
-  it would get alone, whatever else is in the stack; lengths are not mixed
+  The starts of each search pass run as one stack (:func:`_lockstep`): each
+  round is one stacked 3x3 solve in which every running start tries one
+  step at its own lambda.  A batch (:func:`fit_logistic_batch`) stacks the
+  starts of many problems, such as every subject and both kinds of a
+  cohort: problems of equal series length share one exploration pass and
+  one polish pass.  Every operation is elementwise or a stacked matmul
+  reduction over one row, so a start's result is bit for bit the one it
+  would get alone, whatever else is in the stack; lengths are not mixed
   because padding a row would change its reductions.
 * linear-quadratic / quadratic-quadratic: the breakpoint d is profiled over
   a deterministic candidate grid (quartile points of every gap between
@@ -194,8 +193,7 @@ def _param_jacobian(kind: ModelKind, vec: np.ndarray, inp: FitInput) -> np.ndarr
         return np.column_stack([np.ones_like(inp.dominance), inp.dominance])
     if kind.logistic_family:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            problem = _Problem.stack([(kind, inp)])
-            return problem.jacobian(vec[np.newaxis], np.zeros(1, int))[0]
+            return _Problem.stack([(kind, inp)]).jacobian(vec[np.newaxis])[0]
     raise PreconditionError(f"no parameter Jacobian for {kind.value}")
 
 
@@ -231,13 +229,16 @@ def _linear_se_from_design(design: np.ndarray, ss_res: float, dof: int) -> np.nd
     return np.sqrt(diag * (ss_res / dof))
 
 
-def std_errors(fit: ModelFit, inp: FitInput) -> dict[str, float]:
+def std_errors(
+    fit: ModelFit, inp: FitInput, candidates: Sequence[float] | None = None
+) -> dict[str, float]:
     """Standard errors of the fitted parameters.
 
     Raises SingularInformationError when the information matrix cannot be
     inverted; :func:`_assemble` catches that and reports +inf instead.
     For piecewise kinds the breakpoint's entry is the local resolution of the
-    candidate grid rather than a curvature-based error.
+    candidate grid (``breakpoint_candidates`` of the input unless given)
+    rather than a curvature-based error.
     """
     kind = fit.kind
     vec = param_vector(kind, fit.params)
@@ -249,7 +250,9 @@ def std_errors(fit: ModelFit, inp: FitInput) -> dict[str, float]:
         d = fit.params["d"]
         design = _piecewise_design(kind, np.array([d]), dom)[0]
         se = _linear_se_from_design(design, ss_res, dof)
-        se = np.insert(se, 3, _grid_resolution(breakpoint_candidates(dom), d))
+        if candidates is None:
+            candidates = breakpoint_candidates(dom)
+        se = np.insert(se, 3, _grid_resolution(candidates, d))
     else:
         jac = _param_jacobian(kind, vec, inp)
         if not np.all(np.isfinite(jac)):
@@ -265,6 +268,7 @@ def _assemble(
     ss: float,
     flags: tuple[str, ...] = (),
     converged: bool = True,
+    candidates: Sequence[float] | None = None,
     **fields,
 ) -> ModelFit:
     """The one place a ModelFit is built, for every family.
@@ -276,7 +280,8 @@ def _assemble(
     errors.  Flags keep one order: the family's own, then the goodness
     flags, then ``non-converged`` unless ``converged``, then
     ``singular-information`` when the information matrix cannot be
-    inverted, in which case every standard error is +inf.
+    inverted, in which case every standard error is +inf.  A piecewise fit
+    hands over its breakpoint ``candidates`` for the breakpoint's error.
     """
     r2, r2_adj, more = _goodness_from_ss(ss, inp.change_rate, kind.arity)
     flags = (*flags, *more) + (() if converged else ("non-converged",))
@@ -296,7 +301,7 @@ def _assemble(
         **fields,
     )
     try:
-        return dataclasses.replace(fit, std_errors=std_errors(fit, inp))
+        return dataclasses.replace(fit, std_errors=std_errors(fit, inp, candidates))
     except SingularInformationError:
         return dataclasses.replace(fit, flags=flags + ("singular-information",))
 
@@ -359,8 +364,9 @@ class _Problem:
 
     Row ``j`` of ``dom``, ``chg`` and ``sine`` holds problem ``j``; a logistic
     problem's sine row is all ones, and ``x * 1.0`` is exact, so both kinds
-    share one stack.  Parameter stacks are ``(m, 3)`` arrays of (K, a, r)
-    rows, each with an owner: the index of its problem.  Every result row is
+    share one stack.  The evaluations take an ``(m, 3)`` stack of (K, a, r)
+    rows and pair parameter row ``i`` with problem row ``i``; :meth:`take`
+    gathers the problem rows a stack of starts needs.  Every result row is
     computed by the same elementwise operations, and every reduction by the
     same BLAS/LAPACK call, as a lone start of a lone problem would get, so a
     row's result does not depend on what else is in the stack.  Only stacked
@@ -385,34 +391,35 @@ class _Problem:
             np.array(sine),
         )
 
-    def predict(self, params: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        big_k, a, r = params[:, 0:1], params[:, 1:2], params[:, 2:3]
-        return big_k / (1.0 + a * np.exp(-r * self.dom[owner])) * self.sine[owner]
+    def take(self, rows: np.ndarray) -> "_Problem":
+        """The stack of the given rows (indices or a boolean mask)."""
+        return _Problem(self.dom[rows], self.chg[rows], self.sine[rows])
 
-    def residuals(
-        self, params: np.ndarray, owner: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def predict(self, params: np.ndarray) -> np.ndarray:
+        big_k, a, r = params[:, 0:1], params[:, 1:2], params[:, 2:3]
+        return big_k / (1.0 + a * np.exp(-r * self.dom)) * self.sine
+
+    def residuals(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residual rows and their sums of squares (+inf where non-finite)."""
-        resid = self.chg[owner] - self.predict(params, owner)
+        resid = self.chg - self.predict(params)
         ss = _dots(resid, resid)
         ss[~np.isfinite(resid).all(axis=1)] = math.inf
         return resid, ss
 
-    def jacobian(self, params: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    def jacobian(self, params: np.ndarray) -> np.ndarray:
         """``(m, n, 3)`` stack of model Jacobians, one column per parameter."""
         big_k, a, r = params[:, 0:1], params[:, 1:2], params[:, 2:3]
-        dom = self.dom[owner]
-        expo = np.exp(-r * dom)
+        expo = np.exp(-r * self.dom)
         phi = 1.0 / (1.0 + a * expo)
         jac = np.stack(
             [
                 phi,
                 -big_k * expo * phi * phi,
-                big_k * a * dom * expo * phi * phi,
+                big_k * a * self.dom * expo * phi * phi,
             ],
             axis=-1,
         )
-        return jac * self.sine[owner][:, :, None]
+        return jac * self.sine[:, :, None]
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -451,80 +458,94 @@ def _lockstep(
     """Damped Gauss-Newton from every row of ``starts`` at once, each on the
     problem its ``owner`` entry names.
 
-    Each start keeps its own damping lambda and runs exactly the search it
-    would run alone: steps are accepted only when they reduce the sum of
-    squares (so each trace is non-increasing), lambda falls tenfold after an
-    accepted step and rises tenfold after a rejected one, and a start stops
-    when the relative SS drop or the step norm falls below tolerance
-    (converged), when no damping up to ``_LAMBDA_MAX`` finds a downhill step
-    (a stationary point: converged if finite), when its Jacobian turns
-    non-finite (failed) or after ``max_iter`` iterations.  All starts still
-    running share one iteration: one stacked Jacobian and normal equations,
-    then damping rounds that each make one stacked solve over the starts
-    still looking for a downhill step.  Returns each start's outcome and its
-    state where the abort rule is checked (None if it stopped before).
+    Each start runs exactly the search it would run alone.  An iteration
+    takes the Jacobian and normal equations at the start's parameters and
+    tries damped steps until one reduces the sum of squares, so each trace
+    is non-increasing: lambda rises tenfold after a rejected step and falls
+    tenfold after the accepted one.  A start stops when the relative SS drop
+    or the step norm falls below tolerance (converged), when no damping up
+    to ``_LAMBDA_MAX`` finds a downhill step (a stationary point: converged
+    if finite), when its Jacobian turns non-finite (failed) or after
+    ``max_iter`` iterations.
+
+    Each round makes one stacked solve, in which every running start tries
+    one step at its own lambda; a start whose step was accepted opens its
+    next iteration at once, with a Jacobian for its own row.  No start waits
+    for another's damping search, so a pass takes as many rounds as its
+    longest-searching start makes trials.  The running starts' state and
+    problem rows are compacted arrays that drop a row when its start stops.
+    Returns each start's outcome and its state where the abort rule is
+    checked (None if it stopped before).
     """
     m = len(starts)
+    rows = problem.take(owner)
     params = starts.astype(float)
-    resid, ss = problem.residuals(params, owner)
+    resid, ss = rows.residuals(params)
     iterations = np.zeros(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
-    started = np.isfinite(ss)
-    traces = [[float(v)] if ok else [] for v, ok in zip(ss, started)]
-    lam = np.full(m, _LAMBDA_INIT)
+    traces = np.empty((m, max_iter + 1))
+    traces[:, 0] = ss
+    lengths = np.isfinite(ss).astype(int)  # a start with a non-finite SS never runs
     grace: list[_Grace | None] = [None] * m
-    active = np.flatnonzero(started)
-    for it in range(1, max_iter + 1):
-        if not active.size:
-            break
-        iterations[active] = it
-        if it == _ABORT_GRACE + 1:
-            for i in active:
-                grace[i] = (params[i].copy(), len(traces[i]))
-        jac = problem.jacobian(params[active], owner[active])
+    # the running starts (indices ``idx``) and their state, one row each
+    idx = np.flatnonzero(lengths)
+    rows, vec, res, cur = rows.take(idx), params[idx], resid[idx], ss[idx]
+    lam = np.full(idx.size, _LAMBDA_INIT)
+    jtj, jtr = np.empty((idx.size, 3, 3)), np.empty((idx.size, 3, 1))
+    damping = np.zeros((idx.size, 3, 3))  # diagonal: max(diag(J^T J), 1e-12)
+    accepted = np.ones(idx.size, dtype=bool)  # these open their next iteration
+    stop = np.zeros(idx.size, dtype=bool)
+    ok = np.zeros(idx.size, dtype=bool)  # converged, where stop
+    while True:
+        # open the next iteration of each start whose last step was accepted
+        fresh = np.flatnonzero(accepted & ~stop)
+        at = idx[fresh]
+        capped = iterations[at] == max_iter
+        stop[fresh[capped]] = True
+        fresh, at = fresh[~capped], at[~capped]
+        iterations[at] += 1
+        for i in fresh[iterations[at] == _ABORT_GRACE + 1].tolist():
+            grace[idx[i]] = (vec[i].copy(), int(lengths[idx[i]]))
+        jac = rows.take(fresh).jacobian(vec[fresh])
         finite = np.isfinite(jac).all(axis=(1, 2))
-        active, jac = active[finite], jac[finite]
+        stop[fresh[~finite]] = True
+        fresh, jac = fresh[finite], jac[finite]
         jac_t = jac.transpose(0, 2, 1)
-        jtj = jac_t @ jac
-        jtr = jac_t @ resid[active][:, :, None]
-        stepped = np.zeros(active.size, dtype=bool)
-        done = np.zeros(active.size, dtype=bool)
-        searching = np.arange(active.size)  # a running start's lambda is <= _LAMBDA_MAX
-        while searching.size:
-            rows = active[searching]
-            scaled = np.zeros((rows.size, 3, 3))
-            scaled[:, _DIAG, _DIAG] = lam[rows, None] * np.maximum(
-                jtj[searching][:, _DIAG, _DIAG], 1e-12
-            )
-            # a singular system's NaN step has an infinite trial SS, so only
-            # that start is rejected and raises its lambda
-            step = _solve(jtj[searching] + scaled, jtr[searching])
-            trial = params[rows] + step
-            trial_resid, trial_ss = problem.residuals(trial, owner[rows])
-            downhill = trial_ss < ss[rows]
-            won = rows[downhill]
-            step_norm = np.sqrt(_dots(step[downhill], step[downhill]))
-            rel_drop = (ss[won] - trial_ss[downhill]) / np.maximum(ss[won], 1e-300)
-            params[won] = trial[downhill]
-            resid[won] = trial_resid[downhill]
-            ss[won] = trial_ss[downhill]
-            for i in won:
-                traces[i].append(float(ss[i]))
-            lam[won] = np.maximum(lam[won] / 10.0, 1e-12)
-            lost = rows[~downhill]
-            lam[lost] *= 10.0
-            stepped[searching[downhill]] = True
-            done[searching[downhill]] = (rel_drop < GN_RELATIVE_SS_TOL) | (
-                step_norm < GN_STEP_TOL
-            )
-            searching = searching[~downhill][lam[lost] <= _LAMBDA_MAX]
-        # no downhill step at any damping: a stationary point
-        stuck = active[~stepped]
-        converged[stuck] = np.isfinite(params[stuck]).all(axis=1) & (ss[stuck] < math.inf)
-        converged[active[done]] = True
-        active = active[stepped & ~done]
+        jtj[fresh] = normal = jac_t @ jac
+        jtr[fresh] = jac_t @ res[fresh][:, :, None]
+        damping[fresh[:, None], _DIAG, _DIAG] = np.maximum(normal[:, _DIAG, _DIAG], 1e-12)
+        if stop.any():
+            gone, keep = idx[stop], ~stop
+            params[gone], ss[gone], converged[gone] = vec[stop], cur[stop], ok[stop]
+            idx, rows, lam = idx[keep], rows.take(keep), lam[keep]
+            vec, res, cur = vec[keep], res[keep], cur[keep]
+            jtj, jtr, damping = jtj[keep], jtr[keep], damping[keep]
+        if not idx.size:
+            break
+        # a singular system's NaN step has an infinite trial SS, so only
+        # that start is rejected and raises its lambda
+        step = _solve(jtj + lam[:, None, None] * damping, jtr)
+        trial = vec + step
+        trial_res, trial_ss = rows.residuals(trial)
+        accepted = trial_ss < cur
+        won = np.flatnonzero(accepted)
+        moved, was, now = step[won], cur[won], trial_ss[won]
+        step_norm = np.sqrt(_dots(moved, moved))
+        rel_drop = (was - now) / np.maximum(was, 1e-300)
+        vec[won], res[won], cur[won] = trial[won], trial_res[won], now
+        at = idx[won]
+        traces[at, lengths[at]] = now
+        lengths[at] += 1
+        lam = np.where(accepted, np.maximum(lam / 10.0, 1e-12), lam * 10.0)
+        # no downhill step at any damping: a stationary point (a running
+        # start's SS is finite)
+        stop = ~accepted & (lam > _LAMBDA_MAX)
+        ok = stop & np.isfinite(vec).all(axis=1)
+        done = won[(rel_drop < GN_RELATIVE_SS_TOL) | (step_norm < GN_STEP_TOL)]
+        stop[done] = ok[done] = True
     attempts = [
-        (params[i], float(ss[i]), int(iterations[i]), bool(converged[i]), traces[i])
+        (params[i], float(ss[i]), int(iterations[i]), bool(converged[i]),
+         traces[i, :lengths[i]].tolist())
         for i in range(m)
     ]
     return attempts, grace
@@ -541,13 +562,13 @@ def _rank_starts(
     """
     cand = np.array(candidates, dtype=float).reshape(len(candidates), 3)
     free = np.flatnonzero(np.isnan(cand[:, 0]))
-    owner = np.full(free.size, row)
-    shape = problem.predict(np.column_stack([np.ones(free.size), cand[free, 1:]]), owner)
+    mine = problem.take(np.full(free.size, row))
+    shape = mine.predict(np.column_stack([np.ones(free.size), cand[free, 1:]]))
     denom = _dots(shape, shape)
-    cand[free, 0] = _dots(shape, problem.chg[owner]) / denom
+    cand[free, 0] = _dots(shape, mine.chg) / denom
     unusable = ~np.isfinite(shape).all(axis=1) | (denom <= 0.0)
     cand = np.delete(cand, free[unusable], axis=0)
-    _, ss0 = problem.residuals(cand, np.full(len(cand), row))
+    _, ss0 = problem.take(np.full(len(cand), row)).residuals(cand)
     keep = np.isfinite(ss0)
     ranked = sorted(zip(ss0[keep].tolist(), map(tuple, cand[keep].tolist())))
     return np.array([start for _, start in ranked]).reshape(-1, 3)
@@ -712,15 +733,14 @@ def fit_logistic_family(
     as ``best``.
 
     This is :func:`fit_logistic_batch` with one item; a batch of many
-    problems gives each the same fit.  Each pass runs its starts in lockstep
-    (:func:`_lockstep`): the ranking is one stacked evaluation, the explored
-    starts are one batch and the polished endpoints another.  During
-    exploration a start still above 1.5 times the best SS of the starts
-    ranked before it, once its grace period is over, is cut short.  The
-    threshold of a start depends only on the starts before it, and an
-    accepted-SS trace never rises, so the batch runs every explored start in
-    full and the cut is applied afterwards, in rank order, from each start's
-    state at the end of its grace period.
+    problems gives each the same fit.  The ranking is one stacked
+    evaluation, and the explored starts and the polished endpoints are each
+    one :func:`_lockstep` pass.  During exploration a start still above 1.5
+    times the best SS of the starts ranked before it, once its grace period
+    is over, is cut short.  That threshold depends only on the starts before
+    it, so the pass runs every explored start in full and the cut is applied
+    afterwards, in rank order, from each start's state at the end of its
+    grace period.
     """
     (result,) = fit_logistic_batch([(kind, inp, starts)])
     if isinstance(result, DomstabError):
@@ -756,7 +776,11 @@ def breakpoint_candidates(dom: np.ndarray) -> list[float]:
     """Candidate breakpoints: quartile points of each gap between consecutive
     distinct dominance values, kept only where both sides retain at least
     three distinct values."""
-    distinct = np.unique(np.asarray(dom, dtype=float))
+    # np.unique would do, but in NumPy 2.4 it imports numpy.ma on first use
+    ordered = np.sort(np.asarray(dom, dtype=float))
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
     u, v = distinct[:-1, np.newaxis], distinct[1:, np.newaxis]
     cand = (u + np.array([0.25, 0.5, 0.75]) * (v - u)).ravel()
     # distinct is sorted: counts of values below and above each candidate
@@ -859,7 +883,7 @@ def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
         raise PreconditionError(f"{kind.value} is not piecewise")
     _require_points(inp, kind)
     dom, chg = inp.dominance, inp.change_rate
-    if np.unique(dom).size < 2:
+    if dom.min() == dom.max():
         raise DegenerateFitError("dominance values have zero range")
     candidates = breakpoint_candidates(dom)
     if not candidates:
@@ -886,7 +910,7 @@ def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
     d, ss = candidates[solved[best]], sums[best]
     params = param_dict(kind, np.insert(betas[best], 3, d))
     return _assemble(
-        kind, inp, params, ss, iterations=len(candidates),
+        kind, inp, params, ss, candidates=candidates, iterations=len(candidates),
         derived=derived_params(kind, params),
     )
 

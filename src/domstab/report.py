@@ -8,7 +8,8 @@ fits the logistic-family kinds of every subject in one batch.  Every table
 goes through one CSV writer (:func:`_write_rows`), which writes the bytes
 ``csv.writer(lineterminator="\\n")`` would: floats in the shortest
 round-trip form of ``repr`` (inf, -inf and nan spelled literally), strings
-quoted only where they hold a delimiter, a quote or a line break.  A metrics
+quoted only where they hold a delimiter, a quote or a line break, a bare
+carriage return included on every Python version.  A metrics
 row carries its per-species floats as one array, whose distinct values are
 each spelled once.  Output is deterministic for a given config: subjects in
 sorted order, rows streamed into a temp file that is renamed over the target
@@ -27,7 +28,6 @@ import contextlib
 import json
 import os
 import re
-import sys
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
@@ -131,9 +131,10 @@ def _write_atomic(path: Path, text: str) -> Path:
     return path
 
 
-# What makes csv.writer quote a cell: the delimiter, the quote character, the
-# line terminator, and since Python 3.13 also a carriage return.
-_NEEDS_QUOTES = re.compile('[,"\n\r]' if sys.version_info >= (3, 13) else '[,"\n]')
+# What makes a cell need quotes: the delimiter, the quote character or a line
+# break.  csv.writer quotes a bare carriage return only since Python 3.13;
+# before that csv.reader would split the record there.
+_NEEDS_QUOTES = re.compile('[,"\n\r]')
 
 
 def _spell(block: np.ndarray) -> str:
@@ -173,7 +174,8 @@ def _write_rows(path: Path, header: list[str], rows: Iterable[list]) -> Path:
     Python float (shortest round trip; inf, -inf, nan and -0.0 spelled so)
     or a non-empty 1-d float64 array standing for that many float cells.
     The bytes are those ``csv.writer(lineterminator="\\n")`` writes for the
-    same rows with each array expanded into Python floats; a NumPy float
+    same rows with each array expanded into Python floats, as of Python 3.13
+    (older versions leave a bare ``\\r`` unquoted); a NumPy float
     would render as ``np.float64(...)`` and a bool as ``True``, so callers
     pass ``float(x)`` and ``"true"``/``"false"``."""
     with _atomic_open(path) as fh:

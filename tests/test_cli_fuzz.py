@@ -1,6 +1,8 @@
 """CLI fuzz: every command on small generated tables ends with exit code 0,
 1 or 2, lets no exception escape (NumPy RuntimeWarnings are errors under
-the test configuration), and writes every healthy subject's files.
+the test configuration), writes every healthy subject's files, and writes
+only CSV files that csv.reader reads back as records of the header's width.
+Some species ids hold a quote or a line break (``\r`` or ``\n``).
 
 A subject is healthy when the analysis error does not name it; on exit 0
 every subject is healthy.
@@ -35,6 +37,8 @@ counts = st.one_of(
 )
 # outside [2**-53, 2**53]: the parser must reject them
 out_of_range = st.sampled_from([1e300, 5e-324, 2.0**54, 2.0**-60])
+# species ids as the text of a quoted cell (a quote doubled)
+species_ids = st.sampled_from(["sp", "sp", "s\rp", "s\np", 's""p'])
 
 
 @st.composite
@@ -51,7 +55,10 @@ def tables(draw):
         row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(samples) - 1))
         rows[row][col] = draw(out_of_range)
     lines = [",".join(["species_id", *samples])]
-    lines += [",".join([f"sp{i}", *map(str, row)]) for i, row in enumerate(rows)]
+    lines += [
+        ",".join([f'"{draw(species_ids)}{i}"', *map(str, row)])
+        for i, row in enumerate(rows)
+    ]
     present = sorted({sample.split("_")[0] for sample in samples})
     return "\n".join(lines) + "\n", present
 
@@ -59,6 +66,11 @@ def tables(draw):
 def _subjects_in(path: Path) -> set[str]:
     with open(path, newline="") as fh:
         return {row["subject"] for row in csv.DictReader(fh)}
+
+
+def _widths(path: Path) -> set[int]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return {len(row) for row in csv.reader(fh)}
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -83,6 +95,8 @@ def test_cli_never_escapes_and_keeps_healthy_subjects(table, command, floor, sub
         assert code in (0, 1, 2), stderr.getvalue()
         if code == 1:
             return
+        for path in out.glob("*.csv"):
+            assert len(_widths(path)) == 1, (path.name, path.read_bytes())
         failed = set(re.findall(r"subject (s\d): ", stderr.getvalue()))
         assert code == 0 or failed, stderr.getvalue()
         for healthy in set(present) - failed:

@@ -405,6 +405,13 @@ def logistic_searches(draw):
     return problems, owner, np.array(starts), max_iter
 
 
+def _one_series(kinds, dom, chg, starts, max_iter):
+    """A search over one problem per kind on one series, start ``i`` on
+    problem ``i``."""
+    inp = FitInput(np.array(dom), np.array(chg))
+    return [(kind, inp) for kind in kinds], np.arange(len(kinds)), np.array(starts), max_iter
+
+
 def _bits(outcome):
     """A lockstep row as comparable values, arrays by their bytes."""
     (params, ss, iterations, converged, trace), grace = outcome
@@ -415,6 +422,27 @@ def _bits(outcome):
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(logistic_searches())
+# the first start converges in iteration 1, the second runs to max_iter
+@example(_one_series(
+    [ModelKind.LOGISTIC_SINE, ModelKind.LOGISTIC],
+    [12.6, 16.1, 17.2, 24.5, 29.4, 45.1, 57.7, 58.9],
+    [0.9, 0.16, -0.89, -1.36, 1.88, 0.06, -1.54, 0.49],
+    [(2.8, 8.3, -1.8), (3.1, 6.2, 0.1)], 40,
+))
+# the first start's Jacobian turns non-finite in iteration 8, the second
+# runs to max_iter
+@example(_one_series(
+    [ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE],
+    [1.2, 12.7, 36.1, 46.1], [0.31, 1.3, -1.68, -0.52],
+    [(-1.0, -3.0, 0.9), (-0.7, 9.5, 1.6)], 40,
+))
+# the first start's lambda passes _LAMBDA_MAX in iteration 4, the second
+# runs to max_iter
+@example(_one_series(
+    [ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE],
+    [15.0, 18.0, 46.7, 49.4, 57.4], [-0.55, -0.84, 0.88, -1.47, -0.07],
+    [(-1.4, 2.1, 0.6), (1.8, -8.8, 0.2)], 40,
+))
 def test_lockstep_rows_match_lone_runs_and_scalar_reference(search):
     problems, owner, starts, max_iter = search
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -656,16 +684,21 @@ CELLS = st.one_of(
 
 
 def csv_writer_bytes(header: list, rows: list[list]) -> bytes:
-    """What csv.writer writes for the rows, each array expanded into floats."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([
+    """What csv.writer writes for the rows, each array expanded into floats,
+    with a bare carriage return quoted as Python 3.13 and later quote it.
+
+    csv.writer quotes every character of its line terminator, so each row is
+    written with the terminator ``"\\r\\n"`` and then ended with ``"\\n"``
+    instead."""
+    lines = []
+    for row in [header, *rows]:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow([
             value for cell in row
             for value in (cell.tolist() if isinstance(cell, np.ndarray) else [cell])
         ])
-    return out.getvalue().encode("utf-8")
+        lines.append(out.getvalue()[:-2] + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 @PROPERTY

@@ -485,6 +485,24 @@ def test_report_all_batches_every_logistic_fit(cohort_path, tmp_path, monkeypatc
     assert rows[0] == 10 * 24  # every problem explores its 24 best-ranked starts
 
 
+def test_report_all_rounds_follow_the_longest_search(cohort_path, tmp_path, monkeypatch):
+    """Each lockstep round is one stacked solve in which every running start
+    tries one step, so a pass takes as many rounds as its longest-searching
+    start makes trials: 243 in the cohort's exploration and 1,003 in its
+    polish.  (A shared iteration that waits for its slowest damping search
+    takes 2,185.)"""
+    solves = []
+    original = fitting._solve
+
+    def counted(damped, rhs):
+        solves.append(len(damped))
+        return original(damped, rhs)
+
+    monkeypatch.setattr(fitting, "_solve", counted)
+    report_all(RunConfig(input_path=cohort_path, out_dir=tmp_path / "out"))
+    assert len(solves) == 243 + 1003
+
+
 def test_write_rows_renders_floats_as_fmt(tmp_path):
     """Floats render in shortest round-trip form with inf, -inf and nan
     literal, None as an empty cell, and bools as the "true"/"false" strings
@@ -547,6 +565,20 @@ def test_cli_non_utf8_input_is_input_error(tmp_path, capsys):
         "domstab: input error: input is not UTF-8: invalid start byte "
         "at byte offset 23 (row 2)\n"
     )
+
+
+def test_cli_bare_carriage_return_in_an_id_is_quoted(tmp_path, capsys):
+    """A species id holding a bare carriage return is quoted, so the metrics
+    table reads back as one header and one record per sample, each as wide
+    as the header, on every Python version."""
+    src = tmp_path / "cr.csv"
+    src.write_bytes(b'species_id,1_a,1_b,1_c\n"x\ry",10,20,30\nz,5,6,7\nw,1,2,3\n')
+    assert main(["metrics", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "metrics_1.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 4
+    assert {len(row) for row in rows} == {len(rows[0])}
+    assert any("x\ry" in cell for cell in rows[0])
 
 
 def test_cli_empty_roster_subject_gets_error_rows(tmp_path, capsys):
