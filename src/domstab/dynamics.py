@@ -47,8 +47,8 @@ class Trajectory:
     """Iterated dominance values and how the iteration ended.
 
     status is one of "converged" (successive change below tolerance),
-    "oscillating" (period-2 cycle detected), "collapsed" (dominance hit zero
-    or below at step ``detail``), or "max-steps".
+    "oscillating" (period-2 cycle detected), "collapsed" (dominance reached zero
+    or changed sign from ``start`` at step ``detail``), or "max-steps".
     """
 
     start: float
@@ -73,7 +73,7 @@ def iterate(
         if not math.isfinite(nxt):
             raise DivergenceError(f"non-finite dominance at step {step}", step=step)
         values.append(nxt)
-        if nxt <= 0.0:
+        if nxt == 0.0 or (nxt < 0.0) != (values[0] < 0.0):
             return Trajectory(start, tuple(values), "collapsed", detail=float(step))
         if abs(nxt - current) < CONVERGENCE_TOL:
             return Trajectory(start, tuple(values), "converged", detail=nxt)

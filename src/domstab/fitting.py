@@ -7,14 +7,15 @@ Three fitting routes, one per model family:
   adaptation) with analytic Jacobians, run from a deterministic multi-start
   grid; the accepted-step sum of squares is non-increasing by construction.
   The starts of each search pass run as one stack (:func:`_lockstep`): each
-  round is one stacked 3x3 solve in which every running start tries one
-  step at its own lambda.  A batch (:func:`fit_logistic_batch`) stacks the
-  starts of many problems, such as every subject and both kinds of a
-  cohort: problems of equal series length share one exploration pass and
-  one polish pass.  Every operation is elementwise or a stacked matmul
-  reduction over one row, so a start's result is bit for bit the one it
-  would get alone, whatever else is in the stack; lengths are not mixed
-  because padding a row would change its reductions.
+  round is one stacked 3x3 solve in which every running start tries its
+  next two steps, at its lambda and ten times it.  A batch
+  (:func:`fit_logistic_batch`) stacks the starts of many problems, such as
+  every subject and both kinds of a cohort: problems of equal series
+  length share one exploration pass and one polish pass.  Every operation
+  is elementwise or a stacked matmul reduction over one row, so a start's
+  result is bit for bit the one it would get alone, whatever else is in the
+  stack; lengths are not mixed because padding a row would change its
+  reductions.
 * linear-quadratic / quadratic-quadratic: the breakpoint d is profiled over
   a deterministic candidate grid (quartile points of every gap between
   consecutive distinct dominance values); conditional on d the model is
@@ -193,7 +194,8 @@ def _param_jacobian(kind: ModelKind, vec: np.ndarray, inp: FitInput) -> np.ndarr
         return np.column_stack([np.ones_like(inp.dominance), inp.dominance])
     if kind.logistic_family:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _Problem.stack([(kind, inp)]).jacobian(vec[np.newaxis])[0]
+            rows = _stack_problems([(kind, inp)])
+            return _jacobian(rows, vec[np.newaxis], np.empty((1, inp.n, 3)))[0]
     raise PreconditionError(f"no parameter Jacobian for {kind.value}")
 
 
@@ -357,85 +359,76 @@ def default_starts(inp: FitInput) -> list[tuple[float, float, float]]:
     return starts
 
 
-@dataclass(frozen=True)
-class _Problem:
-    """Logistic-family least-squares problems of one series length, evaluated
-    for stacks of starts.
+def _stack_problems(problems: Sequence[tuple[ModelKind, FitInput]]) -> np.ndarray:
+    """Logistic-family problems of one series length as one ``(problems, 3,
+    n)`` stack: each problem's dominance, sine factor and change-rate rows.
 
-    Row ``j`` of ``dom``, ``chg`` and ``sine`` holds problem ``j``; a logistic
-    problem's sine row is all ones, and ``x * 1.0`` is exact, so both kinds
-    share one stack.  The evaluations take an ``(m, 3)`` stack of (K, a, r)
-    rows and pair parameter row ``i`` with problem row ``i``; :meth:`take`
-    gathers the problem rows a stack of starts needs.  Every result row is
-    computed by the same elementwise operations, and every reduction by the
-    same BLAS/LAPACK call, as a lone start of a lone problem would get, so a
-    row's result does not depend on what else is in the stack.  Only stacked
-    matmul reductions keep that property (see :func:`_dots`).
+    The sine factor is sin(D / pi) for logistic-sine and ones for logistic;
+    ``x * 1.0`` is exact, so both kinds share one stack.  The evaluations
+    below take a stack of problem rows (``rows[..., 0, :]`` is dominance) and
+    a stack of (K, a, r) rows that broadcasts against it.  Every result row
+    is computed by the same elementwise operations, and every reduction by
+    the same BLAS/LAPACK call, as a lone start of a lone problem would get,
+    so a row's result does not depend on what else is in the stack.  Only
+    stacked matmul reductions keep that property (see :func:`_dots`).
     """
+    return np.array([
+        (inp.dominance,
+         np.sin(inp.dominance / math.pi) if kind is ModelKind.LOGISTIC_SINE
+         else np.ones(inp.n),
+         inp.change_rate)
+        for kind, inp in problems
+    ])
 
-    dom: np.ndarray   # (problems, n)
-    chg: np.ndarray   # (problems, n)
-    sine: np.ndarray  # (problems, n): sin(D / pi) for logistic-sine, ones for logistic
 
-    @classmethod
-    def stack(cls, problems: Sequence[tuple[ModelKind, FitInput]]) -> "_Problem":
-        """The problems, all of one series length, as the rows of one stack."""
-        sine = [
-            np.sin(inp.dominance / math.pi)
-            if kind is ModelKind.LOGISTIC_SINE else np.ones(inp.n)
-            for kind, inp in problems
-        ]
-        return cls(
-            np.array([inp.dominance for _, inp in problems]),
-            np.array([inp.change_rate for _, inp in problems]),
-            np.array(sine),
-        )
+def _predict(rows: np.ndarray, params: np.ndarray) -> np.ndarray:
+    big_k, a, r = params[..., 0:1], params[..., 1:2], params[..., 2:3]
+    return big_k / (1.0 + a * np.exp(-r * rows[..., 0, :])) * rows[..., 1, :]
 
-    def take(self, rows: np.ndarray) -> "_Problem":
-        """The stack of the given rows (indices or a boolean mask)."""
-        return _Problem(self.dom[rows], self.chg[rows], self.sine[rows])
 
-    def predict(self, params: np.ndarray) -> np.ndarray:
-        big_k, a, r = params[:, 0:1], params[:, 1:2], params[:, 2:3]
-        return big_k / (1.0 + a * np.exp(-r * self.dom)) * self.sine
+def _residuals(rows: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual rows and their sums of squares (+inf where non-finite)."""
+    resid = rows[..., 2, :] - _predict(rows, params)
+    ss = _dots(resid, resid)  # a sum of squares is NaN or inf where resid is not finite
+    ss[np.isnan(ss)] = math.inf
+    return resid, ss
 
-    def residuals(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Residual rows and their sums of squares (+inf where non-finite)."""
-        resid = self.chg - self.predict(params)
-        ss = _dots(resid, resid)
-        ss[~np.isfinite(resid).all(axis=1)] = math.inf
-        return resid, ss
 
-    def jacobian(self, params: np.ndarray) -> np.ndarray:
-        """``(m, n, 3)`` stack of model Jacobians, one column per parameter."""
-        big_k, a, r = params[:, 0:1], params[:, 1:2], params[:, 2:3]
-        expo = np.exp(-r * self.dom)
-        phi = 1.0 / (1.0 + a * expo)
-        jac = np.stack(
-            [
-                phi,
-                -big_k * expo * phi * phi,
-                big_k * a * self.dom * expo * phi * phi,
-            ],
-            axis=-1,
-        )
-        return jac * self.sine[:, :, None]
+def _jacobian(rows: np.ndarray, params: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Model Jacobians of ``(m, 3)`` parameter rows written into ``out``, an
+    ``(m, n, 3)`` stack with one column per parameter, and returned."""
+    dom, sine = rows[:, 0], rows[:, 1]
+    big_k, a, r = params[:, 0:1], params[:, 1:2], params[:, 2:3]
+    expo = np.exp(-r * dom)
+    phi = 1.0 / (1.0 + a * expo)
+    d_k, d_a, d_r = out[..., 0], out[..., 1], out[..., 2]
+    np.multiply(phi, sine, out=d_k)
+    np.multiply(-big_k, expo, out=d_a)
+    np.multiply(big_k * a, dom, out=d_r)
+    d_r *= expo
+    for column in (d_a, d_r):
+        column *= phi
+        column *= phi
+        column *= sine
+    return out
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise dot products through stacked matmul, which reduces each row
     with the same ddot a 1-d ``x @ y`` uses.  ``einsum``, ``np.sum(axis=...)``
     and a 2-d ``x @ y.T`` sum in other orders and differ in the last bits."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def _solve(damped: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Stacked solve of ``(k, 3, 3)`` systems; a singular system's row is NaN."""
+    """Stacked solve of ``(..., 3, 3)`` systems against ``(..., 3, 1)``
+    right-hand sides (broadcast); a singular system's row is NaN."""
     try:
-        return np.linalg.solve(damped, rhs)[:, :, 0]
+        return np.linalg.solve(damped, rhs)[..., 0]
     except np.linalg.LinAlgError:
-        out = np.full(rhs.shape[:2], math.nan)
-        for i in range(len(damped)):
+        rhs = np.broadcast_to(rhs, damped.shape[:-1] + (1,))
+        out = np.full(rhs.shape[:-1], math.nan)
+        for i in np.ndindex(damped.shape[:-2]):
             try:
                 out[i] = np.linalg.solve(damped[i], rhs[i])[:, 0]
             except np.linalg.LinAlgError:
@@ -453,10 +446,10 @@ _DIAG = np.arange(3)
 
 
 def _lockstep(
-    problem: _Problem, owner: np.ndarray, starts: np.ndarray, max_iter: int
+    problem: np.ndarray, owner: np.ndarray, starts: np.ndarray, max_iter: int
 ) -> tuple[list[_Attempt], list[_Grace | None]]:
     """Damped Gauss-Newton from every row of ``starts`` at once, each on the
-    problem its ``owner`` entry names.
+    row of the problem stack that its ``owner`` entry names.
 
     Each start runs exactly the search it would run alone.  An iteration
     takes the Jacobian and normal equations at the start's parameters and
@@ -468,19 +461,19 @@ def _lockstep(
     if finite), when its Jacobian turns non-finite (failed) or after
     ``max_iter`` iterations.
 
-    Each round makes one stacked solve, in which every running start tries
-    one step at its own lambda; a start whose step was accepted opens its
-    next iteration at once, with a Jacobian for its own row.  No start waits
-    for another's damping search, so a pass takes as many rounds as its
-    longest-searching start makes trials.  The running starts' state and
-    problem rows are compacted arrays that drop a row when its start stops.
+    Each round makes one stacked solve over every running start's next two
+    trials, at lambda and at ten times lambda, and takes the first that
+    lowers its SS; the second counts only while its lambda is at most
+    ``_LAMBDA_MAX``.  A start whose step was accepted opens its next
+    iteration in the next round.  The running starts' state and problem
+    rows are compacted arrays that drop a row when its start stops.
     Returns each start's outcome and its state where the abort rule is
     checked (None if it stopped before).
     """
     m = len(starts)
-    rows = problem.take(owner)
+    rows = problem[owner]
     params = starts.astype(float)
-    resid, ss = rows.residuals(params)
+    resid, ss = _residuals(rows, params)
     iterations = np.zeros(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
     traces = np.empty((m, max_iter + 1))
@@ -489,60 +482,67 @@ def _lockstep(
     grace: list[_Grace | None] = [None] * m
     # the running starts (indices ``idx``) and their state, one row each
     idx = np.flatnonzero(lengths)
-    rows, vec, res, cur = rows.take(idx), params[idx], resid[idx], ss[idx]
+    rows, vec, res, cur = rows[idx], params[idx], resid[idx], ss[idx]
     lam = np.full(idx.size, _LAMBDA_INIT)
     jtj, jtr = np.empty((idx.size, 3, 3)), np.empty((idx.size, 3, 1))
     damping = np.zeros((idx.size, 3, 3))  # diagonal: max(diag(J^T J), 1e-12)
-    accepted = np.ones(idx.size, dtype=bool)  # these open their next iteration
+    jac_out = np.empty((idx.size, problem.shape[-1], 3))
+    fresh = np.arange(idx.size)  # these open their next iteration
     stop = np.zeros(idx.size, dtype=bool)
     ok = np.zeros(idx.size, dtype=bool)  # converged, where stop
     while True:
-        # open the next iteration of each start whose last step was accepted
-        fresh = np.flatnonzero(accepted & ~stop)
-        at = idx[fresh]
-        capped = iterations[at] == max_iter
-        stop[fresh[capped]] = True
-        fresh, at = fresh[~capped], at[~capped]
-        iterations[at] += 1
-        for i in fresh[iterations[at] == _ABORT_GRACE + 1].tolist():
-            grace[idx[i]] = (vec[i].copy(), int(lengths[idx[i]]))
-        jac = rows.take(fresh).jacobian(vec[fresh])
-        finite = np.isfinite(jac).all(axis=(1, 2))
-        stop[fresh[~finite]] = True
-        fresh, jac = fresh[finite], jac[finite]
-        jac_t = jac.transpose(0, 2, 1)
-        jtj[fresh] = normal = jac_t @ jac
-        jtr[fresh] = jac_t @ res[fresh][:, :, None]
-        damping[fresh[:, None], _DIAG, _DIAG] = np.maximum(normal[:, _DIAG, _DIAG], 1e-12)
+        if fresh.size:
+            at = idx[fresh]
+            capped = iterations[at] == max_iter
+            stop[fresh[capped]] = True
+            fresh, at = fresh[~capped], at[~capped]
+            iterations[at] += 1
+            for i in fresh[iterations[at] == _ABORT_GRACE + 1].tolist():
+                grace[idx[i]] = (vec[i].copy(), int(lengths[idx[i]]))
+            jac = _jacobian(rows[fresh], vec[fresh], jac_out[:fresh.size])
+            finite = np.isfinite(jac).all(axis=(1, 2))
+            stop[fresh[~finite]] = True
+            fresh, jac = fresh[finite], jac[finite]
+            jac_t = jac.transpose(0, 2, 1)
+            jtj[fresh] = normal = jac_t @ jac
+            jtr[fresh] = jac_t @ res[fresh][:, :, None]
+            damping[fresh[:, None], _DIAG, _DIAG] = np.maximum(normal[:, _DIAG, _DIAG], 1e-12)
         if stop.any():
             gone, keep = idx[stop], ~stop
             params[gone], ss[gone], converged[gone] = vec[stop], cur[stop], ok[stop]
-            idx, rows, lam = idx[keep], rows.take(keep), lam[keep]
+            idx, rows, lam = idx[keep], rows[keep], lam[keep]
             vec, res, cur = vec[keep], res[keep], cur[keep]
             jtj, jtr, damping = jtj[keep], jtr[keep], damping[keep]
         if not idx.size:
             break
         # a singular system's NaN step has an infinite trial SS, so only
-        # that start is rejected and raises its lambda
-        step = _solve(jtj + lam[:, None, None] * damping, jtr)
-        trial = vec + step
-        trial_res, trial_ss = rows.residuals(trial)
-        accepted = trial_ss < cur
-        won = np.flatnonzero(accepted)
-        moved, was, now = step[won], cur[won], trial_ss[won]
-        step_norm = np.sqrt(_dots(moved, moved))
-        rel_drop = (was - now) / np.maximum(was, 1e-300)
-        vec[won], res[won], cur[won] = trial[won], trial_res[won], now
-        at = idx[won]
-        traces[at, lengths[at]] = now
-        lengths[at] += 1
-        lam = np.where(accepted, np.maximum(lam / 10.0, 1e-12), lam * 10.0)
+        # that trial is rejected
+        rungs = lam[:, None] * np.array([1.0, 10.0])
+        step = _solve(jtj[:, None] + rungs[:, :, None, None] * damping[:, None], jtr[:, None])
+        trial = vec[:, None] + step
+        trial_res, trial_ss = _residuals(rows[:, None], trial)
+        down = trial_ss < cur[:, None]
+        second = ~down[:, 0] & down[:, 1] & (rungs[:, 1] <= _LAMBDA_MAX)
+        accepted = down[:, 0] | second
+        tried = np.where(second, rungs[:, 1], lam)  # the accepted trial's lambda
+        lam = np.where(accepted, np.maximum(tried / 10.0, 1e-12), rungs[:, 1] * 10.0)
         # no downhill step at any damping: a stationary point (a running
         # start's SS is finite)
         stop = ~accepted & (lam > _LAMBDA_MAX)
         ok = stop & np.isfinite(vec).all(axis=1)
-        done = won[(rel_drop < GN_RELATIVE_SS_TOL) | (step_norm < GN_STEP_TOL)]
-        stop[done] = ok[done] = True
+        fresh = np.flatnonzero(accepted)
+        if fresh.size:
+            rung = second[fresh].astype(int)
+            moved, was, now = step[fresh, rung], cur[fresh], trial_ss[fresh, rung]
+            step_norm = np.sqrt(_dots(moved, moved))
+            rel_drop = (was - now) / np.maximum(was, 1e-300)
+            vec[fresh], res[fresh], cur[fresh] = trial[fresh, rung], trial_res[fresh, rung], now
+            at = idx[fresh]
+            traces[at, lengths[at]] = now
+            lengths[at] += 1
+            done = (rel_drop < GN_RELATIVE_SS_TOL) | (step_norm < GN_STEP_TOL)
+            stop[fresh[done]] = ok[fresh[done]] = True
+            fresh = fresh[~done]
     attempts = [
         (params[i], float(ss[i]), int(iterations[i]), bool(converged[i]),
          traces[i, :lengths[i]].tolist())
@@ -552,7 +552,7 @@ def _lockstep(
 
 
 def _rank_starts(
-    problem: _Problem, row: int, candidates: Sequence[tuple[float, float, float]]
+    problem: np.ndarray, row: int, candidates: Sequence[tuple[float, float, float]]
 ) -> np.ndarray:
     """``(m, 3)`` stack of the starts for problem ``row`` with a finite
     initial SS, lowest first (the start's own order breaking ties).
@@ -562,13 +562,13 @@ def _rank_starts(
     """
     cand = np.array(candidates, dtype=float).reshape(len(candidates), 3)
     free = np.flatnonzero(np.isnan(cand[:, 0]))
-    mine = problem.take(np.full(free.size, row))
-    shape = mine.predict(np.column_stack([np.ones(free.size), cand[free, 1:]]))
+    mine = problem[row]
+    shape = _predict(mine, np.column_stack([np.ones(free.size), cand[free, 1:]]))
     denom = _dots(shape, shape)
-    cand[free, 0] = _dots(shape, mine.chg) / denom
+    cand[free, 0] = _dots(shape, mine[2]) / denom
     unusable = ~np.isfinite(shape).all(axis=1) | (denom <= 0.0)
     cand = np.delete(cand, free[unusable], axis=0)
-    _, ss0 = problem.take(np.full(len(cand), row)).residuals(cand)
+    _, ss0 = _residuals(mine, cand)
     keep = np.isfinite(ss0)
     ranked = sorted(zip(ss0[keep].tolist(), map(tuple, cand[keep].tolist())))
     return np.array([start for _, start in ranked]).reshape(-1, 3)
@@ -644,7 +644,7 @@ def _owned(groups: list[Sequence]) -> tuple[np.ndarray, list[int]]:
 
 
 def _search(
-    problem: _Problem, candidates: list[list[tuple[float, float, float]]]
+    problem: np.ndarray, candidates: list[list[tuple[float, float, float]]]
 ) -> list[tuple[_Attempt | None, _Attempt | None]]:
     """Rank, explore and polish every problem of the stack, one lockstep run
     for all explorations and one for all polishes; each problem's best
@@ -706,7 +706,7 @@ def fit_logistic_batch(
             continue
         groups.setdefault(inp.n, []).append((i, candidates))
     for group in groups.values():
-        problem = _Problem.stack([items[i][:2] for i, _ in group])
+        problem = _stack_problems([items[i][:2] for i, _ in group])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             found = _search(problem, [candidates for _, candidates in group])
         for (i, _), (best, best_attempt) in zip(group, found):
@@ -725,22 +725,16 @@ def fit_logistic_family(
 ) -> ModelFit:
     """Multi-start damped Gauss-Newton fit of a logistic-family model.
 
-    The start grid is first ranked by initial SS and only the most promising
-    starts are explored under a reduced iteration budget; the best exploration
-    endpoints are then polished with the full budget.  The best converged
-    result (lowest SS, parameter-vector order breaking ties) wins.  If nothing
-    converges a NonConvergenceError is raised with the best attempt attached
-    as ``best``.
-
-    This is :func:`fit_logistic_batch` with one item; a batch of many
-    problems gives each the same fit.  The ranking is one stacked
-    evaluation, and the explored starts and the polished endpoints are each
-    one :func:`_lockstep` pass.  During exploration a start still above 1.5
-    times the best SS of the starts ranked before it, once its grace period
-    is over, is cut short.  That threshold depends only on the starts before
-    it, so the pass runs every explored start in full and the cut is applied
-    afterwards, in rank order, from each start's state at the end of its
-    grace period.
+    The start grid is ranked by initial SS; the best starts are explored
+    under a reduced iteration budget, and the best exploration endpoints are
+    polished with the full budget.  Each pass is one :func:`_lockstep` run,
+    whose rounds try every start's next two damping levels at once.  The
+    best converged result (lowest SS, parameter-vector order breaking ties)
+    wins; if nothing converges a NonConvergenceError carries the best
+    attempt as ``best``.  An explored start still above 1.5 times the best
+    SS of the starts ranked before it at the end of its grace period is cut
+    there, from the state its pass records.  This is
+    :func:`fit_logistic_batch` with one item.
     """
     (result,) = fit_logistic_batch([(kind, inp, starts)])
     if isinstance(result, DomstabError):

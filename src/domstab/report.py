@@ -592,9 +592,13 @@ def simulate_subject(
         rows.append([exc.step, None, f"diverged: {exc}"])
     paths = [_write_rows(trajectory_csv, header, rows)]
 
-    hi = max(fit.dominance_max, start) * 2.0
+    # scan on the data's side of 0: relative abundances give negative D
+    if start < 0.0:
+        domain = (min(fit.dominance_min, start) * 2.0, 0.0)
+    else:
+        domain = (0.0, max(fit.dominance_max, start) * 2.0)
     try:
-        points = fixed_points(fit.kind, fit.params, (0.0, hi))
+        points = fixed_points(fit.kind, fit.params, domain)
         rows = [[p.location, p.multiplier, p.verdict] for p in points]
     except DomstabError as exc:
         analysis.error = exc

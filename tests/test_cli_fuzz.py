@@ -1,8 +1,9 @@
 """CLI fuzz: every command on small generated tables ends with exit code 0,
 1 or 2, lets no exception escape (NumPy RuntimeWarnings are errors under
 the test configuration), writes every healthy subject's files, and writes
-only CSV files that csv.reader reads back as records of the header's width.
-Some species ids hold a quote or a line break (``\r`` or ``\n``).
+only CSV files that csv.reader reads back as records of the header's width,
+with every float spelled as ``repr`` spells it.  Some species ids hold a
+quote or a line break (``\r`` or ``\n``).
 
 A subject is healthy when the analysis error does not name it; on exit 0
 every subject is healthy.
@@ -68,9 +69,28 @@ def _subjects_in(path: Path) -> set[str]:
         return {row["subject"] for row in csv.DictReader(fh)}
 
 
-def _widths(path: Path) -> set[int]:
+def _records(path: Path) -> list[list[str]]:
     with open(path, newline="", encoding="utf-8") as fh:
-        return {len(row) for row in csv.reader(fh)}
+        return list(csv.reader(fh))
+
+
+def _parses(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _misspelt_floats(rows: list[list[str]]) -> list[str]:
+    """Cells of the float columns (every filled cell parses as a float, not
+    all as integers) that are not the shortest round-trip spelling."""
+    bad = []
+    for column in zip(*rows[1:]):
+        cells = [cell for cell in column if cell]
+        if all(map(_parses, cells)) and not all(c.lstrip("-").isdigit() for c in cells):
+            bad += [cell for cell in cells if repr(float(cell)) != cell]
+    return bad
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -96,7 +116,9 @@ def test_cli_never_escapes_and_keeps_healthy_subjects(table, command, floor, sub
         if code == 1:
             return
         for path in out.glob("*.csv"):
-            assert len(_widths(path)) == 1, (path.name, path.read_bytes())
+            rows = _records(path)
+            assert len({len(row) for row in rows}) == 1, (path.name, path.read_bytes())
+            assert not _misspelt_floats(rows), (path.name, _misspelt_floats(rows))
         failed = set(re.findall(r"subject (s\d): ", stderr.getvalue()))
         assert code == 0 or failed, stderr.getvalue()
         for healthy in set(present) - failed:

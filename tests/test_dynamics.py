@@ -55,6 +55,17 @@ def test_collapse_detected():
     assert traj.values[-1] <= 0.0
 
 
+def test_negative_dominance_iterates_until_it_changes_sign():
+    """Relative abundances give negative D: the map keeps iterating there
+    and calls a step collapsed only where D reaches 0 or turns positive."""
+    params = {"a": 0.5, "b": 0.1}  # S(D) = 0.5 + 0.1 D: a stable fixed point at D = -5
+    traj = iterate(ModelKind.LINEAR, params, -3.0)
+    assert traj.status == "converged"
+    assert traj.values[-1] == pytest.approx(-5.0, abs=1e-4)
+    collapsing = iterate(ModelKind.LINEAR, {"a": -3.0, "b": 0.0}, -1.0)
+    assert collapsing.status == "collapsed" and collapsing.values == (-1.0, 2.0)
+
+
 def test_max_steps_when_convergence_is_slow():
     traj = iterate(ModelKind.LINEAR, {"a": 0.001, "b": -0.00001}, 50.0, max_steps=500)
     assert traj.status == "max-steps"

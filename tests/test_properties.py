@@ -32,8 +32,8 @@ from domstab.fitting import (
     FitInput,
     _linear_se_from_design,
     _lockstep,
-    _Problem,
     _screen,
+    _stack_problems,
     breakpoint_candidates,
     fit_piecewise,
 )
@@ -443,14 +443,27 @@ def _bits(outcome):
     [15.0, 18.0, 46.7, 49.4, 57.4], [-0.55, -0.84, 0.88, -1.47, -0.07],
     [(-1.4, 2.1, 0.6), (1.8, -8.8, 0.2)], 40,
 ))
+# every start's initial SS is non-finite (a pole at r = 0, a = -1): no start runs
+@example(_one_series(
+    [ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE],
+    [1.0, 2.0, 3.0, 4.0], [0.5, -0.5, 0.25, 1.0],
+    [(1.0, -1.0, 0.0), (1.0, -1.0, 0.0)], 3,
+))
+# the second start rejects a first rung whose second rung passes _LAMBDA_MAX,
+# so its round tries one step and it stops at a stationary point
+@example(_one_series(
+    [ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE],
+    [8.7, 25.7, 26.5, 32.3, 36.1, 52.4], [0.0, -0.35, 0.75, -0.68, 0.43, 0.91],
+    [(-3.7, -1.0, 1.9), (4.9, -9.1, 1.3)], 40,
+))
 def test_lockstep_rows_match_lone_runs_and_scalar_reference(search):
     problems, owner, starts, max_iter = search
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stacked = _lockstep(_Problem.stack(problems), owner, starts, max_iter)
+        stacked = _lockstep(_stack_problems(problems), owner, starts, max_iter)
         for start, row, j in zip(starts, zip(*stacked), owner):
             kind, inp = problems[j]
             (params, ss, iterations, converged, trace, grace) = _bits(row)
-            lone = _lockstep(_Problem.stack([(kind, inp)]), np.zeros(1, int),
+            lone = _lockstep(_stack_problems([(kind, inp)]), np.zeros(1, int),
                              start[np.newaxis], max_iter)
             assert _bits(row) == _bits(next(zip(*lone)))
             vec, ref_ss, ref_iterations, ref_converged, ref_trace = _reference_gauss_newton(

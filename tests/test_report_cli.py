@@ -336,6 +336,26 @@ def _run_cli(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def test_report_all_imports_neither_numpy_ma_nor_scipy(tmp_path, cohort_path):
+    """A cohort ``report-all --plot`` leaves ``numpy.ma`` unimported (it costs
+    about 13 ms at startup) and never imports scipy, which is not a
+    dependency."""
+    path = [str(Path(report.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    script = (
+        "import sys\n"
+        "from domstab.cli import main\n"
+        f"code = main(['report-all', '--input', {str(cohort_path)!r},"
+        f" '--out', {str(tmp_path / 'out')!r}, '--plot'])\n"
+        "names = [m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')"
+        " or m.split('.')[0].startswith('scipy')]\n"
+        "print(code, sorted(names))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stdout[-500:] + proc.stderr
+
+
 def test_cli_single_species_subject_gets_index_error_row(tmp_path):
     """Subject 1 keeps one species, whose Shannon evenness is NaN: its index
     regressions become error rows instead of a traceback."""
@@ -440,11 +460,11 @@ def test_cli_compare_indices_contains_zero_sample_subject(tmp_path, cohort_path)
     assert all(r["slope"] == "" for r in errors)
 
 
-def test_cli_empty_fixed_point_domain_is_contained(tmp_path, cohort_path):
+def test_cli_relative_abundances_get_fixed_points(tmp_path, cohort_path):
     """As relative abundances every community dominance of the cohort is
-    negative, so the fixed-point domain (0, 2 max(D, start)) is empty: each
-    subject's fixed-point table carries the error in ``verdict``, every
-    other file is written, and the exit code is 2."""
+    negative.  The fixed-point scan then runs on (2 min(D, start), 0), each
+    subject gets a table of negative fixed points, no trajectory collapses at
+    its first step, and the run exits 0."""
     rows = list(csv.reader(cohort_path.read_text().splitlines()))
     totals = [sum(float(row[j]) for row in rows[1:]) for j in range(1, len(rows[0]))]
     lines = [",".join(rows[0])] + [
@@ -456,16 +476,13 @@ def test_cli_empty_fixed_point_domain_is_contained(tmp_path, cohort_path):
     out = tmp_path / "out"
     proc = _run_cli("report-all", "--input", str(src), "--out", str(out),
                     "--min-total-reads", "0")
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
     for subject in range(101, 106):
-        assert f"subject {subject}: fixed-point domain (0.0, -" in proc.stderr
-        assert (out / f"metrics_{subject}.csv").exists()
-        assert read_rows(out / f"simulate_{subject}_trajectory.csv")
-        (row,) = read_rows(out / f"simulate_{subject}_fixed_points.csv")
-        assert row["location"] == row["multiplier"] == ""
-        assert row["verdict"].startswith("fixed-point domain (0.0, -")
-        assert row["verdict"].endswith(") is empty")
+        trajectory = read_rows(out / f"simulate_{subject}_trajectory.csv")
+        assert float(trajectory[0]["dominance"]) < 0.0
+        assert len(trajectory) > 2 and trajectory[-1]["status"] != "collapsed"
+        points = read_rows(out / f"simulate_{subject}_fixed_points.csv")
+        assert points and all(float(row["location"]) < 0.0 for row in points)
     assert len(list(out.iterdir())) == 24
 
 
@@ -487,10 +504,10 @@ def test_report_all_batches_every_logistic_fit(cohort_path, tmp_path, monkeypatc
 
 def test_report_all_rounds_follow_the_longest_search(cohort_path, tmp_path, monkeypatch):
     """Each lockstep round is one stacked solve in which every running start
-    tries one step, so a pass takes as many rounds as its longest-searching
-    start makes trials: 243 in the cohort's exploration and 1,003 in its
-    polish.  (A shared iteration that waits for its slowest damping search
-    takes 2,185.)"""
+    makes its next two trials, at lambda and ten times lambda.  A pass takes
+    as many rounds as its longest-searching start needs: 168 in the cohort's
+    exploration and 655 in its polish, where most iterations reject one
+    trial and accept the next."""
     solves = []
     original = fitting._solve
 
@@ -500,7 +517,7 @@ def test_report_all_rounds_follow_the_longest_search(cohort_path, tmp_path, monk
 
     monkeypatch.setattr(fitting, "_solve", counted)
     report_all(RunConfig(input_path=cohort_path, out_dir=tmp_path / "out"))
-    assert len(solves) == 243 + 1003
+    assert len(solves) == 168 + 655
 
 
 def test_write_rows_renders_floats_as_fmt(tmp_path):
