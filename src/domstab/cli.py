@@ -131,8 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command in ("fit", "select"):
             paths = cmd_fit_select(config)
         elif args.command == "simulate":
-            paths = cmd_simulate(config, args.subject, start=args.start,
-                                 steps=args.steps)
+            paths = cmd_simulate(config, args.subject, start=args.start)
         else:
             paths = report_all(config)
     except _INPUT_ERRORS as exc:

@@ -115,10 +115,13 @@ def fixed_points(
 
     Sign changes on a uniform grid are refined by bisection.  Brackets with
     non-finite endpoints are skipped, and candidates where |S| stays large
-    (pole crossings of the logistic denominators) are discarded.  An empty
-    domain (``hi <= lo``) raises EmptyDomainError.
+    (pole crossings of the logistic denominators) are discarded.  A domain
+    with a non-finite end, or an empty one (``hi <= lo``), raises
+    EmptyDomainError.
     """
     lo, hi = float(domain[0]), float(domain[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise EmptyDomainError(f"fixed-point domain ({lo!r}, {hi!r}) is not finite")
     if not (hi > lo):
         raise EmptyDomainError(f"fixed-point domain ({lo!r}, {hi!r}) is empty")
     xs = np.linspace(lo, hi, grid + 1)

@@ -4,18 +4,13 @@ Three fitting routes, one per model family:
 
 * linear: closed-form ordinary least squares, Pearson R reported alongside.
 * logistic / logistic-sine: damped Gauss-Newton (Levenberg-style lambda
-  adaptation) with analytic Jacobians, run from a deterministic multi-start
-  grid; the accepted-step sum of squares is non-increasing by construction.
-  The starts of each search pass run as one stack (:func:`_lockstep`): each
-  round is one stacked 3x3 solve in which every running start tries its
-  next two steps, at its lambda and ten times it.  A batch
-  (:func:`fit_logistic_batch`) stacks the starts of many problems, such as
-  every subject and both kinds of a cohort: problems of equal series
-  length share one exploration pass and one polish pass.  Every operation
-  is elementwise or a stacked matmul reduction over one row, so a start's
-  result is bit for bit the one it would get alone, whatever else is in the
-  stack; lengths are not mixed because padding a row would change its
-  reductions.
+  adaptation) with analytic Jacobians from a deterministic multi-start
+  grid, in two passes: the best-ranked starts are explored, each to its own
+  stop under a reduced budget, and the best endpoints are polished.  Each
+  pass runs all its starts as one stack (:func:`_lockstep`), and a batch
+  (:func:`fit_logistic_batch`) stacks every problem of one series length.
+  A start's arithmetic is elementwise or a matmul reduction over its own
+  row, so its result is bit for bit the one it would get alone.
 * linear-quadratic / quadratic-quadratic: the breakpoint d is profiled over
   a deterministic candidate grid (quartile points of every gap between
   consecutive distinct dominance values); conditional on d the model is
@@ -84,7 +79,6 @@ GN_RELATIVE_SS_TOL = 1e-10
 GN_STEP_TOL = 1e-10
 _LAMBDA_INIT = 1e-3
 _LAMBDA_MAX = 1e12
-_ABORT_GRACE = 12  # iterations granted before a lagging start may be cut
 _N_EXPLORE = 24  # starts kept after ranking the grid by initial SS
 _EXPLORE_MAX_ITER = 120  # iteration budget per start during exploration
 _POLISH_ATTEMPTS = 3  # best exploration endpoints re-run with the full budget
@@ -438,16 +432,13 @@ def _solve(damped: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 # One start's outcome: (params, ss, iterations, converged, accepted-SS trace).
 _Attempt = tuple[np.ndarray, float, int, bool, list[float]]
-# A start's (params, accepted-trace length) at the top of iteration
-# _ABORT_GRACE + 1, where the exploration abort rule is checked.
-_Grace = tuple[np.ndarray, int]
 
 _DIAG = np.arange(3)
 
 
 def _lockstep(
     problem: np.ndarray, owner: np.ndarray, starts: np.ndarray, max_iter: int
-) -> tuple[list[_Attempt], list[_Grace | None]]:
+) -> list[_Attempt]:
     """Damped Gauss-Newton from every row of ``starts`` at once, each on the
     row of the problem stack that its ``owner`` entry names.
 
@@ -465,10 +456,7 @@ def _lockstep(
     trials, at lambda and at ten times lambda, and takes the first that
     lowers its SS; the second counts only while its lambda is at most
     ``_LAMBDA_MAX``.  A start whose step was accepted opens its next
-    iteration in the next round.  The running starts' state and problem
-    rows are compacted arrays that drop a row when its start stops.
-    Returns each start's outcome and its state where the abort rule is
-    checked (None if it stopped before).
+    iteration in the next round.  A stopped start's row leaves the stack.
     """
     m = len(starts)
     rows = problem[owner]
@@ -479,7 +467,6 @@ def _lockstep(
     traces = np.empty((m, max_iter + 1))
     traces[:, 0] = ss
     lengths = np.isfinite(ss).astype(int)  # a start with a non-finite SS never runs
-    grace: list[_Grace | None] = [None] * m
     # the running starts (indices ``idx``) and their state, one row each
     idx = np.flatnonzero(lengths)
     rows, vec, res, cur = rows[idx], params[idx], resid[idx], ss[idx]
@@ -497,8 +484,6 @@ def _lockstep(
             stop[fresh[capped]] = True
             fresh, at = fresh[~capped], at[~capped]
             iterations[at] += 1
-            for i in fresh[iterations[at] == _ABORT_GRACE + 1].tolist():
-                grace[idx[i]] = (vec[i].copy(), int(lengths[idx[i]]))
             jac = _jacobian(rows[fresh], vec[fresh], jac_out[:fresh.size])
             finite = np.isfinite(jac).all(axis=(1, 2))
             stop[fresh[~finite]] = True
@@ -543,12 +528,11 @@ def _lockstep(
             done = (rel_drop < GN_RELATIVE_SS_TOL) | (step_norm < GN_STEP_TOL)
             stop[fresh[done]] = ok[fresh[done]] = True
             fresh = fresh[~done]
-    attempts = [
+    return [
         (params[i], float(ss[i]), int(iterations[i]), bool(converged[i]),
          traces[i, :lengths[i]].tolist())
         for i in range(m)
     ]
-    return attempts, grace
 
 
 def _rank_starts(
@@ -579,36 +563,12 @@ def _key(attempt: _Attempt) -> tuple[float, tuple[float, ...]]:
     return attempt[1], tuple(attempt[0].tolist())
 
 
-def _explore(attempts: list[_Attempt], graces: list[_Grace | None]) -> list[_Attempt]:
-    """One problem's explored starts, in rank order, under the abort rule;
-    best first.
-
-    A start still above ``1.5 * best + 1e-12`` at the end of its grace period,
-    with ``best`` the lowest SS of the starts ranked before it, is cut there.
-    """
-    explored = []
-    abort_at: float | None = None
-    for (vec, ss, iters, ok, trace), grace in zip(attempts, graces):
-        if grace is not None and abort_at is not None:
-            grace_vec, cut = grace
-            if trace[cut - 1] > 1.5 * abort_at + 1e-12:
-                vec, ss, iters, ok, trace = (
-                    grace_vec, trace[cut - 1], _ABORT_GRACE + 1, False, trace[:cut]
-                )
-        if not math.isfinite(ss):
-            continue
-        explored.append((vec, ss, iters, ok, trace))
-        if abort_at is None or ss < abort_at:
-            abort_at = ss
-    explored.sort(key=_key)
-    return explored
-
-
 def _endpoints(explored: list[_Attempt]) -> list[_Attempt]:
-    """The best ``_POLISH_ATTEMPTS`` distinct exploration endpoints."""
+    """The best ``_POLISH_ATTEMPTS`` distinct finite exploration endpoints
+    of one problem."""
     endpoints: list[_Attempt] = []
     seen: set[tuple[float, ...]] = set()
-    for attempt in explored:
+    for attempt in sorted((a for a in explored if math.isfinite(a[1])), key=_key):
         _, vec = _key(attempt)
         if vec not in seen:
             seen.add(vec)
@@ -654,14 +614,11 @@ def _search(
         for row, starts in enumerate(candidates)
     ]
     owner, bounds = _owned(ranked)
-    attempts, graces = _lockstep(problem, owner, np.concatenate(ranked), _EXPLORE_MAX_ITER)
-    endpoints = [
-        _endpoints(_explore(attempts[lo:hi], graces[lo:hi]))
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    attempts = _lockstep(problem, owner, np.concatenate(ranked), _EXPLORE_MAX_ITER)
+    endpoints = [_endpoints(attempts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     owner, bounds = _owned(endpoints)
     starts = np.array([vec for ends in endpoints for vec, *_ in ends]).reshape(-1, 3)
-    attempts, _ = _lockstep(problem, owner, starts, GN_MAX_ITER)
+    attempts = _lockstep(problem, owner, starts, GN_MAX_ITER)
     return [
         _polished(ends, attempts[lo:hi])
         for ends, lo, hi in zip(endpoints, bounds, bounds[1:])
@@ -681,10 +638,9 @@ def fit_logistic_batch(
     Problems are grouped by series length ``n``, since a stacked matmul
     needs one ``n`` (zero padding would change the ddot blocking and so the
     bits).  Each group runs one exploration and one polish lockstep pass
-    over the starts of all its problems, each row tagged with its problem;
-    the abort rule and the choice of endpoints are applied per problem, in
-    rank order, between the two.  A row's arithmetic is the one it gets in
-    a lone run, so every item's result equals its lone fit to the bit.
+    over the starts of all its problems, each row tagged with its problem,
+    and picks each problem's endpoints between the two, so every item's
+    result equals its lone fit to the bit.
     """
     results: list[ModelFit | DomstabError | None] = [None] * len(items)
     groups: dict[int, list[tuple[int, list]]] = {}  # n -> (item, candidate starts)
@@ -725,16 +681,13 @@ def fit_logistic_family(
 ) -> ModelFit:
     """Multi-start damped Gauss-Newton fit of a logistic-family model.
 
-    The start grid is ranked by initial SS; the best starts are explored
-    under a reduced iteration budget, and the best exploration endpoints are
-    polished with the full budget.  Each pass is one :func:`_lockstep` run,
-    whose rounds try every start's next two damping levels at once.  The
-    best converged result (lowest SS, parameter-vector order breaking ties)
-    wins; if nothing converges a NonConvergenceError carries the best
-    attempt as ``best``.  An explored start still above 1.5 times the best
-    SS of the starts ranked before it at the end of its grace period is cut
-    there, from the state its pass records.  This is
-    :func:`fit_logistic_batch` with one item.
+    The start grid is ranked by initial SS.  The best ``_N_EXPLORE``
+    starts are explored, each until it stops by itself or after
+    ``_EXPLORE_MAX_ITER`` iterations, and the best ``_POLISH_ATTEMPTS``
+    distinct endpoints are polished with the full budget.  The best
+    converged polish (lowest SS, parameter-vector order breaking ties) wins;
+    if nothing converges a NonConvergenceError carries the best attempt as
+    ``best``.  This is :func:`fit_logistic_batch` with one item.
     """
     (result,) = fit_logistic_batch([(kind, inp, starts)])
     if isinstance(result, DomstabError):

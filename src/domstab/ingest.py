@@ -41,9 +41,14 @@ DEFAULT_MIN_TOTAL_READS = 10
 
 @dataclass(frozen=True)
 class TableFormat:
-    """Delimiter policy for :func:`parse_table`.  None means auto-detect."""
+    """Delimiter policy for :func:`parse_table`: one character, or None to
+    auto-detect."""
 
     delimiter: str | None = None
+
+    def __post_init__(self):
+        if self.delimiter is not None and len(self.delimiter) != 1:
+            raise ParseError(f"delimiter {self.delimiter!r} is not one character")
 
 
 @dataclass(frozen=True, eq=False)

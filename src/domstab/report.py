@@ -563,7 +563,6 @@ def simulate_subject(
     analysis: SubjectAnalysis,
     config: RunConfig,
     start: float | None = None,
-    steps: int | None = None,
 ) -> list[Path]:
     """Trajectory and fixed-point tables for one analyzed subject.
 
@@ -580,11 +579,9 @@ def simulate_subject(
     fit = analysis.selected.fit
     if start is None:
         start = float(analysis.records.community[-1])
-    n_steps = steps if steps is not None else config.simulate_steps
-
     rows = []
     try:
-        trajectory = iterate(fit.kind, fit.params, start, max_steps=n_steps)
+        trajectory = iterate(fit.kind, fit.params, start, max_steps=config.simulate_steps)
         for step, value in enumerate(trajectory.values):
             last = step == len(trajectory.values) - 1
             rows.append([step, value, trajectory.status if last else ""])
@@ -615,13 +612,12 @@ def cmd_simulate(
     config: RunConfig,
     subject_id: str,
     start: float | None = None,
-    steps: int | None = None,
 ) -> list[Path]:
     """Analyze one subject and write its simulation files."""
     for series in load_subjects(config):
         if series.subject_id == subject_id:
             analyses = analyze_cohort([series], config)
-            paths = simulate_subject(analyses[0], config, start=start, steps=steps)
+            paths = simulate_subject(analyses[0], config, start=start)
             _raise_failures(analyses)
             return paths
     raise KeyError(f"subject {subject_id!r} not found in input")

@@ -1,18 +1,27 @@
 """Pinned search path of the logistic-family fitter.
 
-The multi-start search (ranking, exploration with its abort rule, polish)
-decides which endpoint a fit reports, converged or not, and the reports pin
-those endpoints.  These values must be reproduced exactly: the parameters and
-residual SS by repr, the iteration count, the accepted-step trace length and
-the error text.  The cohort never fires the exploration abort; each short
-input below fires it for both kinds.
+The multi-start search (ranking, exploration, polish) decides which endpoint
+a fit reports, converged or not, and the reports pin those endpoints.  These
+values must be reproduced exactly: the parameters and residual SS by repr, the
+iteration count, the accepted-step trace length and the error text.  The short
+inputs are series of 6 to 13 points.
 """
 
 import numpy as np
 import pytest
 
 from domstab.errors import DomstabError
-from domstab.fitting import FitInput, fit_logistic_family
+from domstab.fitting import (
+    _EXPLORE_MAX_ITER,
+    _N_EXPLORE,
+    FitInput,
+    _lockstep,
+    _rank_starts,
+    _search,
+    _stack_problems,
+    default_starts,
+    fit_logistic_family,
+)
 from domstab.ingest import filter_low_reads
 from domstab.models import ModelKind
 from domstab.report import RunConfig, load_subjects
@@ -200,11 +209,11 @@ PINNED = {
         'logistic-sine: no start converged',
     ),
     ('short', 6, 'logistic'): (
-        "{'K': 5.750184763756934e-06, 'a': -0.9997813791323533, 'r': -7.711552586312152e-06}",
-        '0.9104532747555967',
-        620,
-        621,
-        'logistic: no start converged',
+        "{'K': -0.12515370657368824, 'a': -36.30526091049468, 'r': 0.12574485718077422}",
+        '0.8761009122318774',
+        324,
+        325,
+        '',
     ),
     ('short', 6, 'logistic-sine'): (
         "{'K': 0.22949521311619478, 'a': -0.011679237962379336, 'r': -0.15480436237839124}",
@@ -221,10 +230,10 @@ PINNED = {
         'logistic: no start converged',
     ),
     ('short', 11, 'logistic-sine'): (
-        "{'K': 0.16088547467270184, 'a': -2.8946414887962453, 'r': 0.2413207835923901}",
-        '0.6479400540926425',
-        79,
-        80,
+        "{'K': 0.16088503828314116, 'a': -2.8946297286106817, 'r': 0.24131979159954073}",
+        '0.6479400540905871',
+        52,
+        53,
         '',
     ),
     ('short', 16, 'logistic'): (
@@ -291,3 +300,21 @@ def test_aborting_search_path_pinned(key):
     _, seed, kind = key
     dom, chg = SHORT_INPUTS[seed]
     assert _outcome(ModelKind(kind), FitInput(np.array(dom), np.array(chg))) == PINNED[key]
+
+
+@pytest.mark.parametrize(
+    "kind", [ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE], ids=lambda k: k.value
+)
+@pytest.mark.parametrize("seed", SHORT_INPUTS)
+def test_best_attempt_is_no_worse_than_any_explored_start(seed, kind):
+    """The search's best attempt, converged or not, has an SS no higher than
+    the exploration endpoint of each start it ranks.  The starts run as one
+    stack, whose rows are their lone runs to the bit (see test_properties)."""
+    dom, chg = SHORT_INPUTS[seed]
+    inp = FitInput(np.array(dom), np.array(chg))
+    problem = _stack_problems([(kind, inp)])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ((_, best_attempt),) = _search(problem, [default_starts(inp)])
+        ranked = _rank_starts(problem, 0, default_starts(inp))[:_N_EXPLORE]
+        explored = _lockstep(problem, np.zeros(len(ranked), int), ranked, _EXPLORE_MAX_ITER)
+    assert best_attempt[1] <= min(ss for _, ss, *_ in explored)

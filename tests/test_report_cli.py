@@ -188,7 +188,8 @@ def test_simulate_unknown_subject_raises_key_error(small_input, tmp_path):
 
 def test_simulate_trajectory_and_fixed_points(tmp_path, cohort_path):
     config = RunConfig(input_path=cohort_path, out_dir=tmp_path / "out")
-    paths = {p.name: p for p in cmd_simulate(config, "103", start=30.0, steps=80)}
+    config = dataclasses.replace(config, simulate_steps=80)
+    paths = {p.name: p for p in cmd_simulate(config, "103", start=30.0)}
     rows = read_rows(paths["simulate_103_trajectory.csv"])
     assert rows[0]["step"] == "0"
     assert float(rows[0]["dominance"]) == 30.0
@@ -213,6 +214,19 @@ def test_simulate_contains_logistic_pole(small_input, tmp_path):
     assert len(rows) == 1
     assert rows[0]["step"] == "1"
     assert rows[0]["status"].startswith("diverged: ")
+
+
+@pytest.mark.parametrize("start", ["1e308", "inf"])
+def test_cli_non_finite_fixed_point_domain_is_analysis_error(start, tmp_path, cohort_path, capsys):
+    """A start of 1e308 or inf doubles to an infinite end of the fixed-point
+    scan: the subject gets an error row and the run exits 2."""
+    out = tmp_path / "out"
+    code = main(["simulate", "--input", str(cohort_path), "--out", str(out),
+                 "--subject", "103", "--start", start])
+    assert code == 2
+    assert "is not finite" in capsys.readouterr().err
+    (row,) = read_rows(out / "simulate_103_fixed_points.csv")
+    assert row["verdict"] == "fixed-point domain (0.0, inf) is not finite"
 
 
 def test_report_all_reads_and_analyses_once(small_input, tmp_path, monkeypatch):
@@ -299,6 +313,19 @@ def test_cli_empty_id_rule_is_input_error(small_input, tmp_path, capsys):
     ])
     assert code == 1
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delimiter", ["", ",,"])
+def test_cli_delimiter_of_other_than_one_character_is_input_error(
+    delimiter, small_input, tmp_path, capsys
+):
+    code = main([
+        "metrics", "--input", str(small_input), "--out", str(tmp_path / "out"),
+        "--delimiter", delimiter,
+    ])
+    assert code == 1
+    assert "is not one character" in capsys.readouterr().err
+
 
 def test_cli_unknown_model_is_input_error(small_input, tmp_path, capsys):
     code = main([
