@@ -10,7 +10,8 @@ Usage:
     domstab report-all       --input counts.csv --out results/ --plot
 
 Exit codes: 0 success, 1 input problem (unreadable, non-UTF-8 or malformed
-table, count out of range, unknown subject or model name), 2 analysis
+table, count out of range, unknown subject or model name, negative
+``--steps`` or non-finite ``--start``), 2 analysis
 problem in some subject, such as no species left by the read floor (every
 other subject's outputs are written).
 """
@@ -21,7 +22,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import DomstabError, DuplicateIdError, IdRuleError, ParseError
+from .errors import ArgumentError, DomstabError, DuplicateIdError, IdRuleError, ParseError
 from .ingest import SampleIdRule
 from .models import ModelKind
 from .report import (
@@ -35,7 +36,7 @@ from .report import (
 )
 from .selection import SelectionPolicy
 
-_INPUT_ERRORS = (ParseError, DuplicateIdError, IdRuleError, OSError, KeyError)
+_INPUT_ERRORS = (ParseError, DuplicateIdError, IdRuleError, ArgumentError, OSError, KeyError)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -33,6 +33,10 @@ class IdRuleError(DomstabError):
     """Sample identifier does not match the configured id rule."""
 
 
+class ArgumentError(DomstabError):
+    """A run argument is outside its domain, such as a negative step count."""
+
+
 class EmptyRosterError(DomstabError):
     """No species left for a subject after filtering."""
 

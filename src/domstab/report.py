@@ -36,7 +36,7 @@ from typing import Iterable
 import numpy as np
 
 from .dynamics import fixed_points, iterate, resilience
-from .errors import DivergenceError, DomstabError, ParseError, SubjectAnalysisError
+from .errors import ArgumentError, DivergenceError, DomstabError, ParseError, SubjectAnalysisError
 from .fitting import (
     FitInput,
     ModelFit,
@@ -114,6 +114,10 @@ class RunConfig:
     plot: bool = False
     simulate_steps: int = 500
 
+    def __post_init__(self):
+        if self.simulate_steps < 0:
+            raise ArgumentError(f"simulate steps {self.simulate_steps} is negative")
+
 
 @contextlib.contextmanager
 def _atomic_open(path: Path):
@@ -188,16 +192,19 @@ def load_subjects(config: RunConfig) -> list[SubjectSeries]:
     """Parse the input table and split it by subject.  Low-read species are
     dropped per subject by :func:`analyze_subject`.  Input that is not
     UTF-8 is a ParseError naming the byte offset of the first bad byte."""
-    data = Path(config.input_path).read_bytes()
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        row = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(
-            f"input is not UTF-8: {exc.reason} at byte offset {exc.start} (row {row})",
-            row=row,
-        ) from None
-    table = parse_table(text, TableFormat(delimiter=config.delimiter))
+        with open(config.input_path, encoding="utf-8", newline="") as stream:
+            table = parse_table(stream, TableFormat(delimiter=config.delimiter))
+    except UnicodeDecodeError:
+        # the stream's error counts from its decode block: find the file offset
+        data = Path(config.input_path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            row = data.count(b"\n", 0, exc.start) + 1
+            where = f"at byte offset {exc.start} (row {row})"
+            raise ParseError(f"input is not UTF-8: {exc.reason} {where}", row=row) from None
+        raise
     return split_subjects(table, config.id_rule)
 
 
@@ -409,15 +416,6 @@ def analyze_cohort(
     return analyses
 
 
-_KIND_SLUG = {
-    ModelKind.LINEAR: "linear",
-    ModelKind.LOGISTIC: "logistic",
-    ModelKind.LOGISTIC_SINE: "logistic_sine",
-    ModelKind.LINEAR_QUADRATIC: "linear_quadratic",
-    ModelKind.QUADRATIC_QUADRATIC: "quadratic_quadratic",
-}
-
-
 def _fit_table(
     kind: ModelKind, analyses: list[SubjectAnalysis], config: RunConfig, out_dir: Path
 ) -> Path:
@@ -461,7 +459,7 @@ def _fit_table(
             ]
         )
         rows.append(row)
-    return _write_rows(out_dir / f"fit_{_KIND_SLUG[kind]}.csv", header, rows)
+    return _write_rows(out_dir / f"fit_{kind.value.replace('-', '_')}.csv", header, rows)
 
 
 def _selection_table(
@@ -614,6 +612,8 @@ def cmd_simulate(
     start: float | None = None,
 ) -> list[Path]:
     """Analyze one subject and write its simulation files."""
+    if start is not None and not np.isfinite(start):
+        raise ArgumentError(f"start dominance {start!r} is not finite")
     for series in load_subjects(config):
         if series.subject_id == subject_id:
             analyses = analyze_cohort([series], config)

@@ -1,5 +1,7 @@
 import io
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from domstab.errors import DuplicateIdError, EmptyRosterError, IdRuleError, ParseError
@@ -74,6 +76,43 @@ def test_parse_unreadable_record_is_parse_error():
     with pytest.raises(ParseError) as err:
         parse_table(text)
     assert err.value.row == 2
+
+@pytest.fixture(scope="module")
+def wide_path(tmp_path_factory):
+    """A generated 2000-species x 120-sample table, two subjects of 60."""
+    counts = np.random.default_rng(7).integers(0, 5000, size=(2000, 120))
+    path = tmp_path_factory.mktemp("wide") / "wide.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(["species_id", *(f"{j % 2}_{j:03d}" for j in range(120))]) + "\n")
+        fh.writelines(f"OTU{i}," + ",".join(map(str, row)) + "\n" for i, row in enumerate(counts))
+    return path
+
+
+@pytest.mark.parametrize("which", ["cohort", "wide"])
+def test_parse_string_file_and_line_iterator_agree(which, cohort_path, wide_path):
+    path = cohort_path if which == "cohort" else wide_path
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    with open(path, encoding="utf-8", newline="") as fh:
+        from_file = parse_table(fh)
+    with open(path, encoding="utf-8", newline="") as fh:
+        from_lines = parse_table(line for line in fh)  # not seekable
+    assert parse_table(text) == from_file == from_lines
+    assert from_file.counts.shape == ((2000, 120) if which == "wide" else (60, 150))
+
+
+def test_parse_memory_is_bounded_by_the_counts(wide_path):
+    """Parsing an open file holds the counts at most three times over, plus
+    a MiB for the chunk of text and the ids."""
+    with open(wide_path, encoding="utf-8", newline="") as fh:
+        tracemalloc.start()
+        try:
+            table = parse_table(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 3 * table.counts.nbytes + 2**20
+
 
 def test_parse_rejects_bad_cell():
     with pytest.raises(ParseError):

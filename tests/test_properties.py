@@ -36,7 +36,7 @@ from domstab.fitting import (
     breakpoint_candidates,
     fit_piecewise,
 )
-from domstab.ingest import AbundanceTable, SubjectSeries, emit_table, parse_table
+from domstab.ingest import _CHUNK_CELLS, AbundanceTable, SubjectSeries, emit_table, parse_table
 from domstab.metrics import (
     community_stats,
     diversity_block,
@@ -628,29 +628,48 @@ def count_texts(draw):
 
 def per_cell_counts(text: str) -> np.ndarray:
     """The counts as a float() per cell in reading order gives them, or the
-    ParseError of the first ragged row, non-numeric cell or count out of
-    range."""
-    rows = list(csv.reader(text.splitlines()))
-    width, data = len(rows[0]), []
-    for rownum, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != width:
-            raise ParseError(f"row {rownum} has {len(row)} fields, expected {width}")
-        values = []
-        for colnum, cell in enumerate(row[1:], start=1):
-            where = f"at row {rownum}, column {colnum}"
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(f"non-numeric count {where}: {cell!r}") from None
-            if value != 0.0 and not 2.0**-53 <= value <= 2.0**53:
-                if not math.isfinite(value) or value < 0:
-                    raise ParseError(f"negative or non-finite count {where}")
-                raise ParseError(f"count outside [2**-53, 2**53] {where}: {cell!r}")
-            values.append(value)
-        data.append(values)
+    ParseError, with its row, of the first ragged row, non-numeric cell,
+    count out of range or unreadable record in record order."""
+    records = enumerate(csv.reader(text.splitlines()), start=1)
+    width, data, rownum = len(next(records)[1]), [], 1
+    try:
+        for rownum, row in records:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != width:
+                raise ParseError(f"row {rownum} has {len(row)} fields, expected {width}", rownum)
+            values = []
+            for colnum, cell in enumerate(row[1:], start=1):
+                where = f"at row {rownum}, column {colnum}"
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(f"non-numeric count {where}: {cell!r}", rownum) from None
+                if value != 0.0 and not 2.0**-53 <= value <= 2.0**53:
+                    if not math.isfinite(value) or value < 0:
+                        raise ParseError(f"negative or non-finite count {where}", rownum)
+                    raise ParseError(f"count outside [2**-53, 2**53] {where}: {cell!r}", rownum)
+                values.append(value)
+            data.append(values)
+    except csv.Error as exc:
+        raise ParseError(f"unreadable record at row {rownum + 1}: {exc}", rownum + 1) from None
     return np.array(data, dtype=float)
+
+
+def assert_parses_like_per_cell(text: str, stream=None) -> None:
+    """parse_table of ``stream`` (default: the text itself) gives the count
+    bytes of :func:`per_cell_counts`, or its ParseError text and row."""
+    try:
+        expected = per_cell_counts(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            parse_table(text if stream is None else stream)
+        assert type(raised.value) is ParseError
+        assert (str(raised.value), raised.value.row) == (str(exc), exc.row)
+    else:
+        counts = parse_table(text if stream is None else stream).counts
+        assert counts.shape == expected.shape
+        assert counts.tobytes() == expected.tobytes()
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -658,17 +677,53 @@ def per_cell_counts(text: str) -> np.ndarray:
 @example("species_id,p_1,p_2\na,1,x\nb,1\n")  # bad cell, then a ragged row
 @example("species_id,p_1,p_2\na,1\nb,1,x\n")  # ragged row, then a bad cell
 def test_parse_counts_match_per_cell_float(text):
-    try:
-        expected = per_cell_counts(text)
-    except ParseError as exc:
-        with pytest.raises(ParseError) as raised:
-            parse_table(text)
-        assert type(raised.value) is ParseError
-        assert str(raised.value) == str(exc)
-    else:
-        counts = parse_table(text).counts
-        assert counts.shape == expected.shape
-        assert counts.tobytes() == expected.tobytes()
+    assert_parses_like_per_cell(text)
+
+
+# A quoted field left open runs past csv's field size limit: an unreadable record.
+UNREADABLE = '"' + "1" * (csv.field_size_limit() + 1)
+
+
+@st.composite
+def chunked_texts(draw):
+    """A table of 1-6 samples spanning 3-4 conversion chunks, with 1-3
+    defects (a bad cell, a ragged row, a blank line or an unreadable
+    record): the last in the third chunk or later, the others up to two
+    chunks before it.  Cells include every spelling float() accepts."""
+    width = draw(st.integers(1, 6))
+    per_chunk = -(-_CHUNK_CELLS // (width + 1))
+    n_rows = draw(st.integers(3 * per_chunk, 4 * per_chunk))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.integers(0, 10**6, size=(n_rows, width)).astype(str).tolist()
+    for _ in range(draw(st.integers(0, 4))):
+        row, col = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, width - 1))
+        cells[row][col] = draw(st.sampled_from(ODD_COUNTS))
+    lines = [",".join(["species_id", *(f"p_{j}" for j in range(width))])]
+    lines += [",".join([f"s{i}", *row]) for i, row in enumerate(cells)]
+    last = draw(st.integers(n_rows - per_chunk + 2, n_rows))
+    before = draw(st.lists(st.integers(1, 2 * per_chunk), max_size=2))
+    for line in sorted({last, *(last - gap for gap in before)}, reverse=True):
+        kind = draw(st.sampled_from(["bad", "ragged", "blank", "unreadable"]))
+        if kind == "bad":
+            lines[line] = lines[line].rsplit(",", 1)[0] + "," + draw(st.sampled_from(BAD_COUNTS))
+        elif kind == "ragged":  # one field over or one short
+            over = draw(st.booleans())
+            lines[line] = lines[line] + ",7" if over else lines[line].rsplit(",", 1)[0]
+        elif kind == "blank":
+            lines.insert(line, "")
+        else:
+            lines[line] = lines[line].split(",", 1)[0] + "," + UNREADABLE
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(chunked_texts())
+def test_chunked_parse_matches_per_cell_float(text):
+    """Across chunk boundaries the counts and the first defect in record
+    order are those of the per-cell reference, from a string and from a
+    line iterator alike."""
+    assert_parses_like_per_cell(text)
+    assert_parses_like_per_cell(text, (line for line in io.StringIO(text, newline="")))
 
 
 # ---------------------------------------------------------------- report

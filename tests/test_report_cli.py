@@ -216,9 +216,9 @@ def test_simulate_contains_logistic_pole(small_input, tmp_path):
     assert rows[0]["status"].startswith("diverged: ")
 
 
-@pytest.mark.parametrize("start", ["1e308", "inf"])
+@pytest.mark.parametrize("start", ["1e308"])
 def test_cli_non_finite_fixed_point_domain_is_analysis_error(start, tmp_path, cohort_path, capsys):
-    """A start of 1e308 or inf doubles to an infinite end of the fixed-point
+    """A finite start of 1e308 doubles to an infinite end of the fixed-point
     scan: the subject gets an error row and the run exits 2."""
     out = tmp_path / "out"
     code = main(["simulate", "--input", str(cohort_path), "--out", str(out),
@@ -227,6 +227,21 @@ def test_cli_non_finite_fixed_point_domain_is_analysis_error(start, tmp_path, co
     assert "is not finite" in capsys.readouterr().err
     (row,) = read_rows(out / "simulate_103_fixed_points.csv")
     assert row["verdict"] == "fixed-point domain (0.0, inf) is not finite"
+
+
+@pytest.mark.parametrize("flag", ["--steps=-1", "--start=nan", "--start=inf", "--start=-inf"])
+def test_cli_simulate_argument_is_input_error(flag, tmp_path, cohort_path, capsys):
+    """A negative step count or a start that is not finite is rejected
+    before the table is read: exit 1 and no output directory."""
+    name, _, value = flag.partition("=")
+    message = (f"simulate steps {value} is negative" if name == "--steps"
+               else f"start dominance {value} is not finite")
+    out = tmp_path / "out"
+    code = main(["simulate", "--input", str(cohort_path), "--out", str(out),
+                 "--subject", "103", flag])
+    assert code == 1
+    assert capsys.readouterr().err == f"domstab: input error: {message}\n"
+    assert not out.exists()
 
 
 def test_report_all_reads_and_analyses_once(small_input, tmp_path, monkeypatch):
@@ -608,6 +623,26 @@ def test_cli_non_utf8_input_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "domstab: input error: input is not UTF-8: invalid start byte "
         "at byte offset 23 (row 2)\n"
+    )
+
+
+def test_cli_non_utf8_late_byte_offset_and_precedence(tmp_path, capsys):
+    """A bad byte past the stream's first decode block is named by its
+    offset in the file; a bad cell in a record read before the bad byte's
+    block is named instead of it."""
+    body = "".join(f"s{i},1,2\n" for i in range(3000)).encode()
+    src = tmp_path / "late.csv"
+    src.write_bytes(b"species_id,1_a,1_b\n" + body + b"x,1,\xff2\n")
+    assert main(["metrics", "--input", str(src), "--out", str(tmp_path / "out")]) == 1
+    offset = 19 + len(body) + 4
+    assert capsys.readouterr().err == (
+        "domstab: input error: input is not UTF-8: invalid start byte "
+        f"at byte offset {offset} (row 3002)\n"
+    )
+    src.write_bytes(b"species_id,1_a,1_b\ns,1,x\n" + body + b"x,1,\xff2\n")
+    assert main(["metrics", "--input", str(src), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "domstab: input error: non-numeric count at row 2, column 2: 'x'\n"
     )
 
 
