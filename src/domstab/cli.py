@@ -9,11 +9,14 @@ Usage:
     domstab simulate         --input counts.csv --out results/ --subject 405
     domstab report-all       --input counts.csv --out results/ --plot
 
-Exit codes: 0 success, 1 input problem (unreadable, non-UTF-8 or malformed
-table, count out of range, unknown subject or model name, negative
-``--steps`` or non-finite ``--start``), 2 analysis
-problem in some subject, such as no species left by the read floor (every
-other subject's outputs are written).
+Exit codes: 0 success, 1 input problem (a usage error such as a missing
+``--input``, an unknown flag or a bad number; an unreadable, non-UTF-8 or
+malformed table; a count out of range; an unknown subject or model name; a
+negative ``--steps``; a non-finite ``--start``; a ``--min-total-reads`` that
+is not finite and at least 0; a NaN ``--r2-min``; a ``--se-ratio-max`` or
+``--mag-max`` that is NaN or negative), 2 analysis problem in some subject,
+such as no species left by the read floor (every other subject's outputs
+are written).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .errors import ArgumentError, DomstabError, DuplicateIdError, IdRuleError, ParseError
-from .ingest import SampleIdRule
+from .ingest import DEFAULT_MIN_TOTAL_READS, SampleIdRule
 from .models import ModelKind
 from .report import (
     ALL_KINDS,
@@ -39,28 +42,39 @@ from .selection import SelectionPolicy
 _INPUT_ERRORS = (ParseError, DuplicateIdError, IdRuleError, ArgumentError, OSError, KeyError)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 1 rather than argparse's 2,
+    which means an analysis error here.  Subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    policy = SelectionPolicy()
     parser.add_argument("--input", required=True, help="species-by-sample count table")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--delimiter", default=None,
                         help="field delimiter (default: auto-detect comma/tab)")
-    parser.add_argument("--min-total-reads", type=float, default=10.0,
-                        help="drop species below this many reads per subject (default 10)")
+    parser.add_argument("--min-total-reads", type=float, default=DEFAULT_MIN_TOTAL_READS,
+                        help="drop species below this many reads per subject "
+                             "(default %(default)s)")
     parser.add_argument("--id-rule", default="_",
                         help="separator between subject and time token in sample ids")
     parser.add_argument("--models", default=None,
                         help="comma-separated model kinds to fit (default: all)")
-    parser.add_argument("--r2-min", type=float, default=0.30)
-    parser.add_argument("--se-ratio-max", type=float, default=20.0)
-    parser.add_argument("--mag-max", type=float, default=1e6)
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--r2-min", type=float, default=policy.r2_min)
+    parser.add_argument("--se-ratio-max", type=float, default=policy.se_ratio_max)
+    parser.add_argument("--mag-max", type=float, default=policy.magnitude_max)
+    parser.add_argument("--seed", type=int, default=RunConfig.seed,
                         help="recorded in run_config.json only; nothing in domstab is random")
     parser.add_argument("--plot", action="store_true",
                         help="also write SVG charts")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="domstab",
         description="Dominance metrics and dominance-stability modeling "
                     "for species-abundance time series.",
@@ -80,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--subject", required=True)
             cmd.add_argument("--start", type=float, default=None,
                              help="initial dominance (default: last observed)")
-            cmd.add_argument("--steps", type=int, default=500)
+            cmd.add_argument("--steps", type=int, default=RunConfig.simulate_steps)
     return parser
 
 
@@ -117,7 +131,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
         ),
         seed=args.seed,
         plot=args.plot,
-        simulate_steps=getattr(args, "steps", 500),
+        simulate_steps=getattr(args, "steps", RunConfig.simulate_steps),
     )
 
 

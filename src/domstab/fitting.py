@@ -6,8 +6,12 @@ Three fitting routes, one per model family:
 * logistic / logistic-sine: damped Gauss-Newton (Levenberg-style lambda
   adaptation) with analytic Jacobians from a deterministic multi-start
   grid, in two passes: the best-ranked starts are explored, each to its own
-  stop under a reduced budget, and the best endpoints are polished.  Each
-  pass runs all its starts as one stack (:func:`_lockstep`), and a batch
+  stop under a reduced budget, and the best endpoints are polished.  Every
+  ranking (the starts by initial SS, the endpoints, the winner: best
+  converged, else best) puts the lowest SS first, breaks ties by the
+  (K, a, r) vector in lexicographic numeric order and then by stack order
+  (:func:`_best`).  Each pass runs all its starts as one stack
+  (:func:`_lockstep`), and a batch
   (:func:`fit_logistic_batch`) stacks every problem of one series length.
   A start's arithmetic is elementwise or a matmul reduction over its own
   row, so its result is bit for bit the one it would get alone.
@@ -35,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -430,15 +434,24 @@ def _solve(damped: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-# One start's outcome: (params, ss, iterations, converged, accepted-SS trace).
-_Attempt = tuple[np.ndarray, float, int, bool, list[float]]
-
 _DIAG = np.arange(3)
+
+
+class _Run(NamedTuple):
+    """The outcome of a lockstep run, one row per start: its parameters, its
+    sum of squares, its iteration count, whether it converged and its trace
+    (the initial SS, then the SS after each accepted step)."""
+
+    params: np.ndarray
+    ss: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    traces: list[list[float]]
 
 
 def _lockstep(
     problem: np.ndarray, owner: np.ndarray, starts: np.ndarray, max_iter: int
-) -> list[_Attempt]:
+) -> _Run:
     """Damped Gauss-Newton from every row of ``starts`` at once, each on the
     row of the problem stack that its ``owner`` entry names.
 
@@ -528,123 +541,75 @@ def _lockstep(
             done = (rel_drop < GN_RELATIVE_SS_TOL) | (step_norm < GN_STEP_TOL)
             stop[fresh[done]] = ok[fresh[done]] = True
             fresh = fresh[~done]
-    return [
-        (params[i], float(ss[i]), int(iterations[i]), bool(converged[i]),
-         traces[i, :lengths[i]].tolist())
-        for i in range(m)
-    ]
+    return _Run(
+        params, ss, iterations, converged,
+        [traces[i, :lengths[i]].tolist() for i in range(m)],
+    )
 
 
-def _rank_starts(
-    problem: np.ndarray, row: int, candidates: Sequence[tuple[float, float, float]]
+def _best(
+    owner: np.ndarray,
+    ss: np.ndarray,
+    params: np.ndarray,
+    take: int,
+    distinct: bool = False,
+    prefer: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``(m, 3)`` stack of the starts for problem ``row`` with a finite
-    initial SS, lowest first (the start's own order breaking ties).
+    """Indices of each problem's ``take`` best rows with a finite SS, best
+    first, problem by problem in ascending ``owner`` order.
 
-    A NaN K is replaced by the optimal K for the start's (a, r), since the
-    model is linear in K; a start whose shape is non-finite or zero drops out.
+    The search's one ranking rule: the lowest SS first, then the (K, a, r)
+    vector in lexicographic numeric order (-0.0 ties 0.0), then stack order.
+    Rows that ``prefer`` marks rank ahead of all others.  With ``distinct``,
+    a row whose vector equals a better row's of its problem is skipped.
     """
-    cand = np.array(candidates, dtype=float).reshape(len(candidates), 3)
-    free = np.flatnonzero(np.isnan(cand[:, 0]))
-    mine = problem[row]
-    shape = _predict(mine, np.column_stack([np.ones(free.size), cand[free, 1:]]))
+    keys = (params[:, 2], params[:, 1], params[:, 0], ss)
+    if prefer is not None:
+        keys += (~prefer,)
+    order = np.lexsort((*keys, owner))
+    order = order[np.isfinite(ss[order])]
+    if distinct:
+        # a stable sort by problem and vector puts equal vectors side by
+        # side, the better-ranked first
+        vec, own = params[order], owner[order]
+        group = np.lexsort((vec[:, 2], vec[:, 1], vec[:, 0], own))
+        later, earlier = group[1:], group[:-1]
+        again = (own[later] == own[earlier]) & (vec[later] == vec[earlier]).all(axis=1)
+        order = np.delete(order, later[again])
+    own = owner[order]
+    return order[np.arange(own.size) - np.searchsorted(own, own) < take]
+
+
+def _project_k(mine: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """One problem's ``starts`` with each NaN K replaced by the optimal K for
+    the start's (a, r) on the problem's rows ``mine``, the model being linear
+    in K; K stays NaN where that shape is non-finite or zero."""
+    starts = starts.copy()
+    free = np.flatnonzero(np.isnan(starts[:, 0]))
+    shape = _predict(mine, np.column_stack([np.ones(free.size), starts[free, 1:]]))
     denom = _dots(shape, shape)
-    cand[free, 0] = _dots(shape, mine[2]) / denom
-    unusable = ~np.isfinite(shape).all(axis=1) | (denom <= 0.0)
-    cand = np.delete(cand, free[unusable], axis=0)
-    _, ss0 = _residuals(mine, cand)
-    keep = np.isfinite(ss0)
-    ranked = sorted(zip(ss0[keep].tolist(), map(tuple, cand[keep].tolist())))
-    return np.array([start for _, start in ranked]).reshape(-1, 3)
-
-
-def _key(attempt: _Attempt) -> tuple[float, tuple[float, ...]]:
-    """Lowest SS wins, the parameter vector breaks ties."""
-    return attempt[1], tuple(attempt[0].tolist())
-
-
-def _endpoints(explored: list[_Attempt]) -> list[_Attempt]:
-    """The best ``_POLISH_ATTEMPTS`` distinct finite exploration endpoints
-    of one problem."""
-    endpoints: list[_Attempt] = []
-    seen: set[tuple[float, ...]] = set()
-    for attempt in sorted((a for a in explored if math.isfinite(a[1])), key=_key):
-        _, vec = _key(attempt)
-        if vec not in seen:
-            seen.add(vec)
-            endpoints.append(attempt)
-        if len(endpoints) == _POLISH_ATTEMPTS:
-            break
-    return endpoints
-
-
-def _polished(
-    endpoints: list[_Attempt], attempts: list[_Attempt]
-) -> tuple[_Attempt | None, _Attempt | None]:
-    """The best converged polish of a problem's endpoints and the best one
-    regardless of convergence (for the error path); either is None when
-    there is none.  Iterations and traces count the exploration run too."""
-    best = best_attempt = None
-    for (_, _, iters0, _, trace0), (vec, ss, iters, ok, trace) in zip(endpoints, attempts):
-        if not math.isfinite(ss):
-            continue
-        attempt = (vec, ss, iters0 + iters, ok, trace0 + trace[1:])
-        if best_attempt is None or _key(attempt) < _key(best_attempt):
-            best_attempt = attempt
-        if ok and (best is None or _key(attempt) < _key(best)):
-            best = attempt
-    return best, best_attempt
-
-
-def _owned(groups: list[Sequence]) -> tuple[np.ndarray, list[int]]:
-    """Owner index of every row of the concatenated groups, and the bounds
-    that split the concatenation back into groups."""
-    sizes = [len(group) for group in groups]
-    return np.repeat(np.arange(len(groups)), sizes), np.cumsum([0, *sizes]).tolist()
-
-
-def _search(
-    problem: np.ndarray, candidates: list[list[tuple[float, float, float]]]
-) -> list[tuple[_Attempt | None, _Attempt | None]]:
-    """Rank, explore and polish every problem of the stack, one lockstep run
-    for all explorations and one for all polishes; each problem's best
-    converged and best overall attempt."""
-    ranked = [
-        _rank_starts(problem, row, starts)[:_N_EXPLORE]
-        for row, starts in enumerate(candidates)
-    ]
-    owner, bounds = _owned(ranked)
-    attempts = _lockstep(problem, owner, np.concatenate(ranked), _EXPLORE_MAX_ITER)
-    endpoints = [_endpoints(attempts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    owner, bounds = _owned(endpoints)
-    starts = np.array([vec for ends in endpoints for vec, *_ in ends]).reshape(-1, 3)
-    attempts = _lockstep(problem, owner, starts, GN_MAX_ITER)
-    return [
-        _polished(ends, attempts[lo:hi])
-        for ends, lo, hi in zip(endpoints, bounds, bounds[1:])
-    ]
-
-
-_Starts = Iterable[tuple[float, float, float]]
+    usable = np.isfinite(shape).all(axis=1) & (denom > 0.0)
+    starts[free, 0] = np.where(usable, _dots(shape, mine[2]) / denom, math.nan)
+    return starts
 
 
 def fit_logistic_batch(
-    items: Sequence[tuple[ModelKind, FitInput, _Starts | None]],
+    items: Sequence[tuple[ModelKind, FitInput]],
 ) -> list[ModelFit | DomstabError]:
     """Fit many logistic-family problems at once: one result per
-    ``(kind, inp, starts)`` item, a ModelFit or the DomstabError that
+    ``(kind, inp)`` item, a ModelFit or the DomstabError that
     :func:`fit_logistic_family` would raise for that item alone.
 
     Problems are grouped by series length ``n``, since a stacked matmul
     needs one ``n`` (zero padding would change the ddot blocking and so the
     bits).  Each group runs one exploration and one polish lockstep pass
     over the starts of all its problems, each row tagged with its problem,
-    and picks each problem's endpoints between the two, so every item's
-    result equals its lone fit to the bit.
+    so every item's result equals its lone fit to the bit.  A fit's
+    iterations and trace count its exploration run too.
     """
     results: list[ModelFit | DomstabError | None] = [None] * len(items)
-    groups: dict[int, list[tuple[int, list]]] = {}  # n -> (item, candidate starts)
-    for i, (kind, inp, starts) in enumerate(items):
+    groups: dict[int, list[tuple[int, np.ndarray]]] = {}  # n -> (item, its starts)
+    for i, (kind, inp) in enumerate(items):
         try:
             if not kind.logistic_family:
                 raise PreconditionError(f"{kind.value} is not a logistic-family kind")
@@ -656,64 +621,62 @@ def fit_logistic_batch(
                     flags=("degenerate-zero-change",), iterations=0,
                 )
                 continue
-            candidates = list(starts) if starts is not None else default_starts(inp)
+            starts = np.array(default_starts(inp), dtype=float).reshape(-1, 3)
         except DomstabError as exc:
             results[i] = exc
             continue
-        groups.setdefault(inp.n, []).append((i, candidates))
+        groups.setdefault(inp.n, []).append((i, starts))
     for group in groups.values():
-        problem = _stack_problems([items[i][:2] for i, _ in group])
+        problem = _stack_problems([items[i] for i, _ in group])
+        owner = np.repeat(np.arange(len(group)), [len(s) for _, s in group])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            found = _search(problem, [candidates for _, candidates in group])
-        for (i, _), (best, best_attempt) in zip(group, found):
-            kind, inp, _ = items[i]
-            try:
-                results[i] = _logistic_fit(kind, inp, best, best_attempt)
-            except DomstabError as exc:
-                results[i] = exc
+            # problem by problem: a stack of every start's rows would hold
+            # starts x 3 x n floats (21 MB for 48 problems of 149 points)
+            starts = [_project_k(mine, s) for mine, (_, s) in zip(problem, group)]
+            ss = [_residuals(mine, s)[1] for mine, s in zip(problem, starts)]
+            starts = np.concatenate(starts)
+            ranked = _best(owner, np.concatenate(ss), starts, _N_EXPLORE)
+            owner = owner[ranked]
+            explored = _lockstep(problem, owner, starts[ranked], _EXPLORE_MAX_ITER)
+            ends = _best(owner, explored.ss, explored.params, _POLISH_ATTEMPTS, distinct=True)
+            owner = owner[ends]
+            polished = _lockstep(problem, owner, explored.params[ends], GN_MAX_ITER)
+        win = _best(owner, polished.ss, polished.params, 1, prefer=polished.converged)
+        winner = dict(zip(owner[win].tolist(), win.tolist()))
+        for p, (i, _) in enumerate(group):
+            kind, inp = items[i]
+            if p not in winner:
+                results[i] = NonConvergenceError(f"{kind.value}: every start failed")
+                continue
+            j = winner[p]
+            fit = _assemble(
+                kind, inp, param_dict(kind, polished.params[j]), float(polished.ss[j]),
+                converged=bool(polished.converged[j]),
+                iterations=int(explored.iterations[ends[j]] + polished.iterations[j]),
+                ss_trace=tuple(explored.traces[ends[j]] + polished.traces[j][1:]),
+            )
+            results[i] = fit if fit.converged else NonConvergenceError(
+                f"{kind.value}: no start converged", best=fit
+            )
     return results
 
 
-def fit_logistic_family(
-    kind: ModelKind,
-    inp: FitInput,
-    starts: _Starts | None = None,
-) -> ModelFit:
-    """Multi-start damped Gauss-Newton fit of a logistic-family model.
+def fit_logistic_family(kind: ModelKind, inp: FitInput) -> ModelFit:
+    """Multi-start damped Gauss-Newton fit of a logistic-family model from
+    the :func:`default_starts` grid.
 
-    The start grid is ranked by initial SS.  The best ``_N_EXPLORE``
-    starts are explored, each until it stops by itself or after
-    ``_EXPLORE_MAX_ITER`` iterations, and the best ``_POLISH_ATTEMPTS``
-    distinct endpoints are polished with the full budget.  The best
-    converged polish (lowest SS, parameter-vector order breaking ties) wins;
-    if nothing converges a NonConvergenceError carries the best attempt as
-    ``best``.  This is :func:`fit_logistic_batch` with one item.
+    The grid is ranked by initial SS.  The best ``_N_EXPLORE`` starts are
+    explored, each until it stops by itself or after ``_EXPLORE_MAX_ITER``
+    iterations, and the best ``_POLISH_ATTEMPTS`` distinct endpoints are
+    polished with the full budget.  The best converged polish wins; if
+    nothing converges a NonConvergenceError carries the best polish as
+    ``best``.  Every "best" follows one rule (:func:`_best`).  This is
+    :func:`fit_logistic_batch` with one item.
     """
-    (result,) = fit_logistic_batch([(kind, inp, starts)])
+    (result,) = fit_logistic_batch([(kind, inp)])
     if isinstance(result, DomstabError):
         raise result
     return result
-
-
-def _logistic_fit(
-    kind: ModelKind,
-    inp: FitInput,
-    best: _Attempt | None,
-    best_attempt: _Attempt | None,
-) -> ModelFit:
-    """The fit of the best converged attempt; else NonConvergenceError
-    carrying the fit of the best attempt."""
-    attempt = best_attempt if best is None else best
-    if attempt is None:
-        raise NonConvergenceError(f"{kind.value}: every start failed")
-    vec, ss, iters, _, trace = attempt
-    fit = _assemble(
-        kind, inp, param_dict(kind, vec), ss, converged=best is not None,
-        iterations=iters, ss_trace=tuple(trace),
-    )
-    if best is None:
-        raise NonConvergenceError(f"{kind.value}: no start converged", best=fit)
-    return fit
 
 
 # ---------------------------------------------------------------- piecewise

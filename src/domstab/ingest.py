@@ -44,7 +44,7 @@ __all__ = [
     "filter_low_reads",
 ]
 
-DEFAULT_MIN_TOTAL_READS = 10
+DEFAULT_MIN_TOTAL_READS = 10.0
 _CHUNK_CELLS = 1 << 12  # cells of text converted to floats at a time
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -115,6 +116,10 @@ class RunConfig:
     simulate_steps: int = 500
 
     def __post_init__(self):
+        if not 0.0 <= self.min_total_reads < math.inf:
+            raise ArgumentError(
+                f"min total reads {self.min_total_reads} is not a finite number at or above 0"
+            )
         if self.simulate_steps < 0:
             raise ArgumentError(f"simulate steps {self.simulate_steps} is negative")
 
@@ -389,7 +394,7 @@ def analyze_cohort(
     fitted = [a for a in analyses if a.fit_input is not None]
     logistic = [kind for kind in config.models if kind.logistic_family]
     batch = iter(fit_logistic_batch(
-        [(kind, a.fit_input, None) for a in fitted for kind in logistic]
+        [(kind, a.fit_input) for a in fitted for kind in logistic]
     ))
     for analysis in fitted:
         for kind in config.models:

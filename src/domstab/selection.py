@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import SelectionError
+from .errors import ArgumentError, SelectionError
 from .fitting import ModelFit
 from .models import (
     EquilibriumPoint,
@@ -60,10 +60,20 @@ _SE_EXEMPT = {
 
 @dataclass(frozen=True)
 class SelectionPolicy:
+    """Validity thresholds and the selection order; a maximum of inf sets no
+    limit."""
+
     r2_min: float = 0.30
     se_ratio_max: float = 20.0
     magnitude_max: float = 1e6
     priority: tuple[ModelKind, ...] = DEFAULT_PRIORITY
+
+    def __post_init__(self):
+        if math.isnan(self.r2_min):
+            raise ArgumentError(f"r2 minimum {self.r2_min} is not a number")
+        for name, value in (("se ratio", self.se_ratio_max), ("magnitude", self.magnitude_max)):
+            if not value >= 0.0:
+                raise ArgumentError(f"{name} maximum {value} is not a number at or above 0")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from domstab import fitting
 from domstab.errors import (
     DegenerateFitError,
     DomstabError,
@@ -89,13 +90,24 @@ def test_linear_constant_change_flags_degenerate_r():
     assert fit.flags == ("degenerate-r", "degenerate-r2")
 
 
-def test_non_converged_flag_precedes_singular_information():
+def _grids(monkeypatch, grids):
+    """Make the fitter start from ``grids[id(inp)]`` where an input has one,
+    and from its default grid otherwise."""
+    default = fitting.default_starts
+    monkeypatch.setattr(
+        fitting, "default_starts",
+        lambda inp: grids[id(inp)] if id(inp) in grids else default(inp),
+    )
+
+
+def test_non_converged_flag_precedes_singular_information(monkeypatch):
     """Flags keep one order: the family's own, the goodness flags,
     non-converged, singular-information."""
     # exp(1000 D) overflows: no step is ever taken and the Jacobian is non-finite
     inp = FitInput(tuple(np.linspace(1.0, 2.0, 8)), (0.3, 0.1, -0.2, 0.4, 0.0, -0.1, 0.2, 0.05))
+    _grids(monkeypatch, {id(inp): [(1.0, 1.0, -1000.0)]})
     with pytest.raises(NonConvergenceError) as err:
-        fit_logistic_family(ModelKind.LOGISTIC, inp, starts=[(1.0, 1.0, -1000.0)])
+        fit_logistic_family(ModelKind.LOGISTIC, inp)
     assert not err.value.best.converged
     assert err.value.best.flags == ("non-converged", "singular-information")
 
@@ -166,11 +178,23 @@ def test_zero_change_rate_degenerates_to_flat_zero():
     assert all(math.isinf(se) for se in fit.std_errors.values())
 
 
-def test_every_start_failing_raises():
+def test_every_start_failing_raises(monkeypatch):
     dom = np.linspace(1.0, 30.0, 10)
     inp = synth_input(ModelKind.LOGISTIC, {"K": 2.0, "a": 0.5, "r": -0.3}, dom)
+    _grids(monkeypatch, {id(inp): [(1e308, 1e308, 10.0)]})
     with pytest.raises(NonConvergenceError):
-        fit_logistic_family(ModelKind.LOGISTIC, inp, starts=[(1e308, 1e308, 10.0)])
+        fit_logistic_family(ModelKind.LOGISTIC, inp)
+
+
+def test_no_finite_start_raises_without_a_best(monkeypatch):
+    """A grid none of whose starts has a finite SS (a = -1 at r = 0 is a
+    pole) leaves nothing to explore: the error carries no best attempt."""
+    inp = FitInput(np.linspace(1.0, 30.0, 10), np.linspace(-1.0, 1.0, 10))
+    _grids(monkeypatch, {id(inp): [(1.0, -1.0, 0.0), (math.nan, -1.0, 0.0)]})
+    with pytest.raises(NonConvergenceError) as err:
+        fit_logistic_family(ModelKind.LOGISTIC, inp)
+    assert str(err.value) == "logistic: every start failed"
+    assert err.value.best is None
 
 
 def test_singular_system_fails_only_its_own_row():
@@ -196,7 +220,7 @@ def _lone(item):
         return _comparable(exc)
 
 
-def test_batch_items_equal_lone_fits():
+def test_batch_items_equal_lone_fits(monkeypatch):
     rng = np.random.default_rng(16)
     noise = [
         FitInput(np.sort(rng.uniform(1.0, 40.0, n)), rng.normal(0.0, 0.5, n))
@@ -204,20 +228,26 @@ def test_batch_items_equal_lone_fits():
     ]
     dom = np.linspace(1.0, 30.0, 12)
     clean = synth_input(ModelKind.LOGISTIC, {"K": 2.0, "a": 0.5, "r": -0.3}, dom)
+    custom = FitInput(clean.dominance, clean.change_rate)
+    doomed = FitInput(clean.dominance, clean.change_rate)
+    _grids(monkeypatch, {
+        id(custom): [(2.0, 0.5, -0.3), (math.nan, 1.0, 0.1)],
+        id(doomed): [(1e308, 1e308, 10.0)],  # every start fails
+    })
     logistic, sine = ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE
     items = [
-        (logistic, noise[0], None),
-        (sine, noise[0], None),
-        (sine, noise[1], None),
-        (logistic, clean, None),
-        (logistic, FitInput(np.full(8, 3.0), np.arange(8.0)), None),  # zero span
-        (sine, FitInput(dom, np.zeros(12)), None),  # all-zero change
-        (logistic, FitInput(dom[:3], dom[:3]), None),  # too few points
-        (sine, clean, [(2.0, 0.5, -0.3), (math.nan, 1.0, 0.1)]),  # custom starts
-        (logistic, clean, [(1e308, 1e308, 10.0)]),  # every start fails
-        (ModelKind.LINEAR, clean, None),
-        (logistic, noise[2], None),
-        (sine, noise[3], None),
+        (logistic, noise[0]),
+        (sine, noise[0]),
+        (sine, noise[1]),
+        (logistic, clean),
+        (logistic, FitInput(np.full(8, 3.0), np.arange(8.0))),  # zero span
+        (sine, FitInput(dom, np.zeros(12))),  # all-zero change
+        (logistic, FitInput(dom[:3], dom[:3])),  # too few points
+        (sine, custom),
+        (logistic, doomed),
+        (ModelKind.LINEAR, clean),
+        (logistic, noise[2]),
+        (sine, noise[3]),
     ]
     batch = [_comparable(outcome) for outcome in fit_logistic_batch(items)]
     assert batch == [_lone(item) for item in items]

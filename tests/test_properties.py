@@ -29,6 +29,7 @@ from domstab.fitting import (
     GN_RELATIVE_SS_TOL,
     GN_STEP_TOL,
     FitInput,
+    _best,
     _linear_se_from_design,
     _lockstep,
     _screen,
@@ -411,10 +412,10 @@ def _one_series(kinds, dom, chg, starts, max_iter):
     return [(kind, inp) for kind in kinds], np.arange(len(kinds)), np.array(starts), max_iter
 
 
-def _bits(outcome):
-    """A lockstep row as comparable values, arrays by their bytes."""
-    params, ss, iterations, converged, trace = outcome
-    return params.tobytes(), np.float64(ss).tobytes(), iterations, converged, trace
+def _bits(run, i):
+    """Row ``i`` of a lockstep run as comparable values, floats by their bytes."""
+    return (run.params[i].tobytes(), run.ss[i].tobytes(), int(run.iterations[i]),
+            bool(run.converged[i]), run.traces[i])
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -457,18 +458,75 @@ def test_lockstep_rows_match_lone_runs_and_scalar_reference(search):
     problems, owner, starts, max_iter = search
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         stacked = _lockstep(_stack_problems(problems), owner, starts, max_iter)
-        for start, row, j in zip(starts, stacked, owner):
+        for i, (start, j) in enumerate(zip(starts, owner)):
             kind, inp = problems[j]
-            params, ss, iterations, converged, trace = _bits(row)
-            (lone,) = _lockstep(_stack_problems([(kind, inp)]), np.zeros(1, int),
-                                start[np.newaxis], max_iter)
-            assert _bits(row) == _bits(lone)
+            params, ss, iterations, converged, trace = _bits(stacked, i)
+            lone = _lockstep(_stack_problems([(kind, inp)]), np.zeros(1, int),
+                             start[np.newaxis], max_iter)
+            assert _bits(stacked, i) == _bits(lone, 0)
             vec, ref_ss, ref_iterations, ref_converged, ref_trace = _reference_gauss_newton(
                 kind, start, inp, max_iter
             )
             assert params == vec.tobytes()
             assert ss == np.float64(ref_ss).tobytes()
             assert (iterations, converged, trace) == (ref_iterations, ref_converged, ref_trace)
+
+
+def _reference_best(owner, ss, params, take, distinct, prefer):
+    """Each problem's picks by ``sorted()`` on the key (SS, vector tuple):
+    the finite rows, best first; with ``distinct`` a vector already picked
+    is skipped; with ``prefer`` only the preferred rows count while there is
+    one (best converged, else best)."""
+    picks = []
+    for problem in sorted(set(owner.tolist())):
+        rows = [i for i in range(ss.size) if owner[i] == problem and math.isfinite(ss[i])]
+        if prefer is not None and any(prefer[i] for i in rows):
+            rows = [i for i in rows if prefer[i]]
+        mine, seen = [], set()
+        for i in sorted(rows, key=lambda i: (float(ss[i]), tuple(params[i].tolist()))):
+            vec = tuple(params[i].tolist())
+            if len(mine) == take or (distinct and vec in seen):
+                continue
+            seen.add(vec)
+            mine.append(i)
+        picks += mine
+    return picks
+
+
+@st.composite
+def ranked_rows(draw):
+    """A stack for :func:`_best`: interleaved owners, tied and infinite SS,
+    vectors from a small pool (duplicates, -0.0 beside 0.0, inf), a take of
+    1-4 and distinct on or off; converged marks go with a take of 1."""
+    m = draw(st.integers(0, 24))
+    rows = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    owner = np.array(draw(rows), dtype=int)
+    sums = st.sampled_from([0.25, 1.0, math.inf]) | st.floats(0.0, 2.0)
+    ss = np.array(draw(st.lists(sums, min_size=m, max_size=m)), dtype=float)
+    part = st.sampled_from([0.0, -0.0, 1.0, -2.5, math.inf])
+    vectors = st.lists(st.tuples(part, part, part), min_size=m, max_size=m)
+    params = np.array(draw(vectors), dtype=float).reshape(-1, 3)
+    prefer = draw(st.none() | st.lists(st.booleans(), min_size=m, max_size=m))
+    prefer = None if prefer is None else np.array(prefer, dtype=bool)
+    take = 1 if prefer is not None else draw(st.integers(1, 4))
+    return owner, ss, params, take, draw(st.booleans()), prefer
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(ranked_rows())
+# problem 1's three rows tie on SS; -0.0 ties 0.0, so the stack order keeps
+# row 0 ahead of row 2, and distinct skips row 2 as a repeat of row 0
+@example((
+    np.array([1, 0, 1, 0, 1]),
+    np.array([1.0, math.inf, 1.0, 0.5, 1.0]),
+    np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [-0.0, 1.0, 1.0],
+              [1.0, 1.0, 1.0], [0.0, 1.0, -2.5]]),
+    3, True, None,
+))
+def test_ranking_matches_sorted_reference(rows):
+    owner, ss, params, take, distinct, prefer = rows
+    picked = _best(owner, ss, params, take, distinct=distinct, prefer=prefer)
+    assert picked.tolist() == _reference_best(owner, ss, params, take, distinct, prefer)
 
 
 # ---------------------------------------------------------------- dynamics

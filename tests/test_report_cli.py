@@ -244,6 +244,43 @@ def test_cli_simulate_argument_is_input_error(flag, tmp_path, cohort_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--min-total-reads=nan", "min total reads nan is not a finite number at or above 0"),
+    ("--min-total-reads=inf", "min total reads inf is not a finite number at or above 0"),
+    ("--min-total-reads=-1", "min total reads -1.0 is not a finite number at or above 0"),
+    ("--r2-min=nan", "r2 minimum nan is not a number"),
+    ("--se-ratio-max=nan", "se ratio maximum nan is not a number at or above 0"),
+    ("--se-ratio-max=-1", "se ratio maximum -1.0 is not a number at or above 0"),
+    ("--mag-max=nan", "magnitude maximum nan is not a number at or above 0"),
+    ("--mag-max=-1e6", "magnitude maximum -1000000.0 is not a number at or above 0"),
+])
+def test_cli_policy_and_read_floor_arguments_are_input_errors(
+    flag, message, tmp_path, cohort_path, capsys
+):
+    """A read floor that is not finite and at least 0, a NaN r2 minimum and
+    a NaN or negative gate maximum are rejected before the table is read."""
+    out = tmp_path / "out"
+    code = main(["select", "--input", str(cohort_path), "--out", str(out), flag])
+    assert code == 1
+    assert capsys.readouterr().err == f"domstab: input error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["metrics", "--out", "out"],
+    ["metrics", "--input", "in.csv", "--out", "out", "--bogus"],
+    ["select", "--input", "in.csv", "--out", "out", "--r2-min", "high"],
+    ["simulate", "--input", "in.csv", "--out", "out", "--subject", "1", "--steps", "1.5"],
+])
+def test_cli_usage_error_is_input_error(argv, capsys):
+    """argparse's own exit code 2 would read as an analysis error."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 1
+    assert "error: " in capsys.readouterr().err
+
+
 def test_report_all_reads_and_analyses_once(small_input, tmp_path, monkeypatch):
     calls = Counter()
 

@@ -51,6 +51,12 @@ FIT_412 = manual_fit(
 )
 
 
+def test_policy_maximum_of_inf_sets_no_limit():
+    fit = manual_fit(ModelKind.LINEAR, {"a": 1e300, "b": 1.0}, {"a": 1.0, "b": 1e300}, 0.5)
+    assert not validate(fit).valid
+    assert validate(fit, SelectionPolicy(se_ratio_max=math.inf, magnitude_max=math.inf)).valid
+
+
 def test_accepts_reference_logistic():
     report = validate(FIT_400)
     assert report.valid
