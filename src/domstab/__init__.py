@@ -27,7 +27,6 @@ from .ingest import (
     AbundanceTable,
     SampleIdRule,
     SubjectSeries,
-    TableFormat,
     emit_table,
     filter_low_reads,
     parse_table,

@@ -11,10 +11,11 @@ Usage:
 
 Exit codes: 0 success, 1 input problem (a usage error such as a missing
 ``--input``, an unknown flag or a bad number; an unreadable, non-UTF-8 or
-malformed table; a count out of range; an unknown subject or model name; a
-negative ``--steps``; a non-finite ``--start``; a ``--min-total-reads`` that
-is not finite and at least 0; a NaN ``--r2-min``; a ``--se-ratio-max`` or
-``--mag-max`` that is NaN or negative), 2 analysis problem in some subject,
+malformed table; a count out of range; a subject id holding a path separator
+or NUL; an unknown subject or model name; a negative ``--steps``; a
+non-finite ``--start``; a ``--min-total-reads`` that is not finite and at
+least 0; a NaN ``--r2-min``; a ``--se-ratio-max`` or ``--mag-max`` that is
+NaN or negative), 2 analysis problem in some subject,
 such as no species left by the read floor (every other subject's outputs
 are written).
 """
@@ -25,7 +26,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ArgumentError, DomstabError, DuplicateIdError, IdRuleError, ParseError
+from .errors import ArgumentError, DomstabError, InputError, UnknownNameError
 from .ingest import DEFAULT_MIN_TOTAL_READS, SampleIdRule
 from .models import ModelKind
 from .report import (
@@ -38,8 +39,6 @@ from .report import (
     report_all,
 )
 from .selection import SelectionPolicy
-
-_INPUT_ERRORS = (ParseError, DuplicateIdError, IdRuleError, ArgumentError, OSError, KeyError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +59,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-total-reads", type=float, default=DEFAULT_MIN_TOTAL_READS,
                         help="drop species below this many reads per subject "
                              "(default %(default)s)")
-    parser.add_argument("--id-rule", default="_",
+    parser.add_argument("--id-rule", default=SampleIdRule.separator,
                         help="separator between subject and time token in sample ids")
     parser.add_argument("--models", default=None,
                         help="comma-separated model kinds to fit (default: all)")
@@ -110,9 +109,9 @@ def _parse_models(text: str | None) -> tuple[ModelKind, ...]:
             out.append(ModelKind(name))
         except ValueError:
             valid = ", ".join(k.value for k in ALL_KINDS)
-            raise KeyError(f"unknown model kind {name!r} (choose from: {valid})")
+            raise UnknownNameError(f"unknown model kind {name!r} (choose from: {valid})")
     if not out:
-        raise KeyError("no model kinds given")
+        raise ArgumentError("no model kinds given")
     return tuple(out)
 
 
@@ -149,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
             paths = cmd_simulate(config, args.subject, start=args.start)
         else:
             paths = report_all(config)
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"domstab: input error: {exc}", file=sys.stderr)
         return 1
     except DomstabError as exc:

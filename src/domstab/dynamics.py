@@ -31,6 +31,7 @@ __all__ = [
     "Resilience",
     "CONVERGENCE_TOL",
     "ROOT_TOL",
+    "MAX_STEPS",
     "iterate",
     "fixed_points",
     "resilience",
@@ -38,6 +39,7 @@ __all__ = [
 
 CONVERGENCE_TOL = 1e-10
 ROOT_TOL = 1e-10
+MAX_STEPS = 500  # default length of an iteration, and of a report's simulation
 DEFAULT_GRID = 10_000
 _CYCLE_AMPLITUDE = 1e-4  # relative swing required to call an orbit a 2-cycle
 
@@ -48,20 +50,19 @@ class Trajectory:
 
     status is one of "converged" (successive change below tolerance),
     "oscillating" (period-2 cycle detected), "collapsed" (dominance reached zero
-    or changed sign from ``start`` at step ``detail``), or "max-steps".
+    or changed sign from ``start``), or "max-steps".
     """
 
     start: float
     values: tuple[float, ...]
     status: str
-    detail: float | None = None
 
 
 def iterate(
     kind: ModelKind,
     params: Mapping[str, float] | Sequence[float],
     start: float,
-    max_steps: int = 500,
+    max_steps: int = MAX_STEPS,
 ) -> Trajectory:
     """Iterate the dominance map from ``start`` for up to ``max_steps``."""
     values = [float(start)]
@@ -74,9 +75,9 @@ def iterate(
             raise DivergenceError(f"non-finite dominance at step {step}", step=step)
         values.append(nxt)
         if nxt == 0.0 or (nxt < 0.0) != (values[0] < 0.0):
-            return Trajectory(start, tuple(values), "collapsed", detail=float(step))
+            return Trajectory(start, tuple(values), "collapsed")
         if abs(nxt - current) < CONVERGENCE_TOL:
-            return Trajectory(start, tuple(values), "converged", detail=nxt)
+            return Trajectory(start, tuple(values), "converged")
         if (
             len(values) >= 3
             and abs(nxt - values[-3]) < CONVERGENCE_TOL

@@ -2,9 +2,9 @@
 
 Every error raised by the library derives from DomstabError so callers can
 catch one base class at pipeline boundaries.  Input-shaped problems (parsing,
-sample-id rules) are distinct from analysis-shaped problems (a subject's
-empty roster, degenerate fits, non-convergence) because the CLI maps them to
-different exit codes.
+sample-id rules, arguments, unknown names) derive from InputError and are
+distinct from analysis-shaped problems (a subject's empty roster, degenerate
+fits, non-convergence) because the CLI maps them to different exit codes.
 """
 
 from __future__ import annotations
@@ -14,10 +14,14 @@ class DomstabError(Exception):
     """Base class for all domstab errors."""
 
 
+class InputError(DomstabError):
+    """Base class for problems with the input or the run's arguments."""
+
+
 # ---------------------------------------------------------------- ingest
 
 
-class ParseError(DomstabError):
+class ParseError(InputError):
     """Malformed input table (ragged row, missing header, ...)."""
 
     def __init__(self, message: str, row: int | None = None):
@@ -25,16 +29,23 @@ class ParseError(DomstabError):
         self.row = row
 
 
-class DuplicateIdError(DomstabError):
+class DuplicateIdError(InputError):
     """Duplicate species or sample identifier in the input table."""
 
 
-class IdRuleError(DomstabError):
+class IdRuleError(InputError):
     """Sample identifier does not match the configured id rule."""
 
 
-class ArgumentError(DomstabError):
+class ArgumentError(InputError):
     """A run argument is outside its domain, such as a negative step count."""
+
+
+class UnknownNameError(InputError, KeyError):
+    """A subject, species or model kind that is not there.  Its text is the
+    plain message, not the quoted key that KeyError prints."""
+
+    __str__ = BaseException.__str__
 
 
 class EmptyRosterError(DomstabError):

@@ -186,17 +186,6 @@ def goodness(fit: ModelFit, inp: FitInput) -> tuple[float, float]:
 # ---------------------------------------------------------------- std errors
 
 
-def _param_jacobian(kind: ModelKind, vec: np.ndarray, inp: FitInput) -> np.ndarray:
-    """Jacobian of model output w.r.t. parameters, one column per parameter."""
-    if kind is ModelKind.LINEAR:
-        return np.column_stack([np.ones_like(inp.dominance), inp.dominance])
-    if kind.logistic_family:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rows = _stack_problems([(kind, inp)])
-            return _jacobian(rows, vec[np.newaxis], np.empty((1, inp.n, 3)))[0]
-    raise PreconditionError(f"no parameter Jacobian for {kind.value}")
-
-
 def _piecewise_design(kind: ModelKind, d: np.ndarray, dom: np.ndarray) -> np.ndarray:
     """``(m, n, p)`` design matrices of the model conditional on each
     breakpoint in ``d`` (linear in the rest); columns a, b, c, e(, f)."""
@@ -253,8 +242,12 @@ def std_errors(
         if candidates is None:
             candidates = breakpoint_candidates(dom)
         se = np.insert(se, 3, _grid_resolution(candidates, d))
+    elif kind is ModelKind.LINEAR:  # its Jacobian is the design [1, D]
+        se = _linear_se_from_design(np.column_stack([np.ones_like(dom), dom]), ss_res, dof)
     else:
-        jac = _param_jacobian(kind, vec, inp)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rows = _stack_problems([(kind, inp)])
+            jac = _jacobian(rows, vec[np.newaxis], np.empty((1, inp.n, 3)))[0]
         if not np.all(np.isfinite(jac)):
             raise SingularInformationError("Jacobian is non-finite at the optimum")
         se = _linear_se_from_design(jac, ss_res, dof)
@@ -727,34 +720,30 @@ def _screen(
 ) -> np.ndarray:
     """Approximate residual SS of every candidate, with one QR per call.
 
-    Only two design columns depend on the breakpoint d: the bend
-    ``|D - d| (D + d)`` (plus ``D**2`` for linear-quadratic) and the gap
-    ``|D - d|``.  The shared columns, ``[1, D]`` or ``[1, D, D**2]``, are
-    factored once by Householder QR and the response is projected off them
-    once.  Each candidate projects its two columns off that basis and takes
-    the residual by Gram-Schmidt on them, in residual form: ``r - q (q . r)``
-    for the unit bend q1, then for the unit gap q2, rather than the cheaper
-    ``|y|^2 - |Q^T y|^2``, which cancels catastrophically when the fit is
-    good.  A column with nothing left after its projection has no unit
-    vector and takes nothing off.  Every reduction is over one row
-    (``_off``, ``_dots``), so a candidate's SS does not depend on its chunk.
+    Of the columns of :func:`_piecewise_design`, only the last two depend on
+    the breakpoint d: the bend ``|D - d| (D + d)`` (plus ``D**2`` for
+    linear-quadratic) and the gap ``|D - d|``.  The shared columns,
+    ``[1, D]`` or ``[1, D, D**2]``, are factored once by Householder QR and
+    the response is projected off them once.  Each candidate projects its
+    two columns off that basis and takes the residual by Gram-Schmidt on
+    them, in residual form: ``r - q (q . r)`` for the unit bend q1, then for
+    the unit gap q2, rather than the cheaper ``|y|^2 - |Q^T y|^2``, which
+    cancels catastrophically when the fit is good.  A column with nothing
+    left after its projection has no unit vector and takes nothing off.
+    Every reduction is over one row (``_off``, ``_dots``), so a candidate's
+    SS does not depend on its chunk.
     Candidates go through in chunks of as many as fill ``_SCREEN_BYTES`` of
     design, so the working arrays stay bounded however long the series."""
-    shared = [np.ones_like(dom), dom]
-    if kind is ModelKind.QUADRATIC_QUADRATIC:
-        shared.append(dom**2)
-    basis = np.linalg.qr(np.column_stack(shared))[0]
+    # the shared columns do not depend on d, so any breakpoint gives them
+    basis = np.linalg.qr(_piecewise_design(kind, np.zeros(1), dom)[0, :, :-2])[0]
     rest = chg - basis @ (chg @ basis)
     step = max(1, _SCREEN_BYTES // (dom.size * (kind.arity - 1) * 8))
     screened = np.empty(cand.size)
     for lo in range(0, cand.size, step):
-        d = cand[lo:lo + step, np.newaxis]
-        gap = np.abs(dom - d)
-        bend = gap * (dom + d)
-        if kind is ModelKind.LINEAR_QUADRATIC:
-            bend += dom**2
-        q1 = _unit(_off(bend, basis))
-        gap = _off(gap, basis)
+        design = _piecewise_design(kind, cand[lo:lo + step], dom)
+        # contiguous rows, so that _off and _dots reduce them as one-row products
+        q1 = _unit(_off(np.ascontiguousarray(design[:, :, -2]), basis))
+        gap = _off(np.ascontiguousarray(design[:, :, -1]), basis)
         q2 = _unit(gap - q1 * _dots(q1, gap)[:, None])
         resid = rest - q1 * (q1[:, None, :] @ rest)
         resid -= q2 * _dots(q2, resid)[:, None]

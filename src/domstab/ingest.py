@@ -34,7 +34,6 @@ from .errors import (
 )
 
 __all__ = [
-    "TableFormat",
     "AbundanceTable",
     "SampleIdRule",
     "SubjectSeries",
@@ -46,18 +45,6 @@ __all__ = [
 
 DEFAULT_MIN_TOTAL_READS = 10.0
 _CHUNK_CELLS = 1 << 12  # cells of text converted to floats at a time
-
-
-@dataclass(frozen=True)
-class TableFormat:
-    """Delimiter policy for :func:`parse_table`: one character, or None to
-    auto-detect."""
-
-    delimiter: str | None = None
-
-    def __post_init__(self):
-        if self.delimiter is not None and len(self.delimiter) != 1:
-            raise ParseError(f"delimiter {self.delimiter!r} is not one character")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +69,11 @@ class AbundanceTable:
         )
 
 
-def parse_table(stream: str | Iterable[str], fmt: TableFormat = TableFormat()) -> AbundanceTable:
+def parse_table(stream: str | Iterable[str], delimiter: str | None = None) -> AbundanceTable:
     """Parse a delimited species-by-sample table from a string or an
     iterator of lines, such as a file opened with ``newline=""``.
+    ``delimiter`` is one character, or None to take a tab if the header
+    holds one and a comma otherwise; any other delimiter is a ParseError.
 
     A count is zero or lies in [2**-53, 2**53]; inside that range no step
     of the dominance, diversity and stability kernels overflows.  Raises
@@ -93,6 +82,8 @@ def parse_table(stream: str | Iterable[str], fmt: TableFormat = TableFormat()) -
     DuplicateIdError for repeated ids.  The module docstring gives the
     memory it holds and which of several defects it names.
     """
+    if delimiter is not None and len(delimiter) != 1:
+        raise ParseError(f"delimiter {delimiter!r} is not one character")
     lines = iter(io.StringIO(stream, newline="") if isinstance(stream, str) else stream)
     first = next(lines, "")
     if not first:
@@ -100,7 +91,7 @@ def parse_table(stream: str | Iterable[str], fmt: TableFormat = TableFormat()) -
     # Records, not lines: the reader ends a record only at \r or \n outside
     # quotes, where str.splitlines would also break at \x0c, \x85, \u2028
     # and the rest.  A row number counts records, the header being row 1.
-    delimiter = fmt.delimiter or ("\t" if "\t" in first else ",")
+    delimiter = delimiter or ("\t" if "\t" in first else ",")
     records = csv.reader(chain([first], lines), delimiter=delimiter)
     rownum = 0
     species_ids: list[str] = []
@@ -198,8 +189,9 @@ class SampleIdRule:
     """How sample ids decompose into subject and time token.
 
     The token after the last ``separator`` is the time token; everything
-    before it is the subject id.  A 6-digit token is treated as MMDDYY and
-    sorted as YYMMDD, any other token sorts lexicographically.
+    before it is the subject id, which names output files and so may hold
+    neither a path separator nor NUL.  A 6-digit token is treated as MMDDYY
+    and sorted as YYMMDD, any other token sorts lexicographically.
     """
 
     separator: str = "_"
@@ -216,6 +208,8 @@ class SampleIdRule:
         subject, _, token = sample_id.rpartition(self.separator)
         if not subject or not token:
             raise IdRuleError(f"sample id {sample_id!r} splits into an empty part")
+        if any(c in subject for c in "/\\\0"):
+            raise IdRuleError(f"subject of sample id {sample_id!r} holds a path separator or NUL")
         return subject, token
 
     def sort_key(self, token: str) -> str:
@@ -247,9 +241,6 @@ class SubjectSeries:
     def too_short(self) -> bool:
         """True when fewer than two samples exist; no stability series then."""
         return self.n_samples < 2
-
-    def sample_vector(self, t: int) -> np.ndarray:
-        return self.counts[:, t]
 
 
 def split_subjects(

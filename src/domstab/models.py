@@ -247,8 +247,8 @@ class JointAmbiguous:
     right: Regime
 
 
-def _classify(slope: float, tol: float) -> Regime:
-    if abs(slope) <= tol:
+def _classify(slope: float) -> Regime:
+    if abs(slope) <= REGIME_TOLERANCE:
         return Regime.DIS
     return Regime.DDS if slope < 0 else Regime.DID
 
@@ -257,16 +257,15 @@ def regime_at(
     kind: ModelKind,
     params: Mapping[str, float] | Sequence[float],
     dom: float,
-    tol: float = REGIME_TOLERANCE,
 ) -> Regime | JointAmbiguous:
     """Regime at one dominance level from the analytic derivative sign."""
     slope = derivative(kind, params, dom)
     if isinstance(slope, tuple):
-        left, right = (_classify(s, tol) for s in slope)
+        left, right = (_classify(s) for s in slope)
         if left is right:
             return left
         return JointAmbiguous(location=dom, left=left, right=right)
-    return _classify(slope, tol)
+    return _classify(slope)
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .dynamics import fixed_points, iterate, resilience
-from .errors import ArgumentError, DivergenceError, DomstabError, ParseError, SubjectAnalysisError
+from .dynamics import MAX_STEPS, fixed_points, iterate, resilience
+from .errors import ArgumentError, DivergenceError, DomstabError, ParseError
+from .errors import SubjectAnalysisError, UnknownNameError
 from .fitting import (
     FitInput,
     ModelFit,
@@ -49,7 +50,6 @@ from .ingest import (
     DEFAULT_MIN_TOTAL_READS,
     SampleIdRule,
     SubjectSeries,
-    TableFormat,
     filter_low_reads,
     parse_table,
     split_subjects,
@@ -71,7 +71,7 @@ from .stability import (
     community_stability,
     dominance_records,
 )
-from .svgplot import Curve, curve_chart
+from .svgplot import curve_chart
 
 __all__ = [
     "RunConfig",
@@ -113,7 +113,7 @@ class RunConfig:
     policy: SelectionPolicy = SelectionPolicy()
     seed: int = 0
     plot: bool = False
-    simulate_steps: int = 500
+    simulate_steps: int = MAX_STEPS
 
     def __post_init__(self):
         if not 0.0 <= self.min_total_reads < math.inf:
@@ -199,7 +199,7 @@ def load_subjects(config: RunConfig) -> list[SubjectSeries]:
     UTF-8 is a ParseError naming the byte offset of the first bad byte."""
     try:
         with open(config.input_path, encoding="utf-8", newline="") as stream:
-            table = parse_table(stream, TableFormat(delimiter=config.delimiter))
+            table = parse_table(stream, config.delimiter)
     except UnicodeDecodeError:
         # the stream's error counts from its decode block: find the file offset
         data = Path(config.input_path).read_bytes()
@@ -547,17 +547,13 @@ def cmd_fit_select(config: RunConfig) -> list[Path]:
 
 def _response_svg(analysis: SubjectAnalysis, out_dir: Path) -> Path:
     fit = analysis.selected.fit
-    lo, hi = fit.dominance_min, fit.dominance_max
-    xs = np.linspace(lo, hi, 256)
+    xs = np.linspace(fit.dominance_min, fit.dominance_max, 256)
     ys = evaluate_array(fit.kind, fit.params, xs)
-    curves = [Curve(label=fit.kind.value, x=xs.tolist(), y=ys.tolist())]
-    scatter = list(
-        zip(analysis.fit_input.dominance.tolist(), analysis.fit_input.change_rate.tolist())
-    )
+    scatter = zip(analysis.fit_input.dominance.tolist(), analysis.fit_input.change_rate.tolist())
     subject = analysis.series.subject_id
     text = curve_chart(
-        title=f"subject {subject}: fitted stability response", curves=curves,
-        points=scatter,
+        f"subject {subject}: fitted stability response", fit.kind.value,
+        xs.tolist(), ys.tolist(), scatter,
     )
     return _write_atomic(out_dir / f"response_{subject}.svg", text)
 
@@ -625,7 +621,7 @@ def cmd_simulate(
             paths = simulate_subject(analyses[0], config, start=start)
             _raise_failures(analyses)
             return paths
-    raise KeyError(f"subject {subject_id!r} not found in input")
+    raise UnknownNameError(f"subject {subject_id!r} not found in input")
 
 
 # ---------------------------------------------------------------- report-all

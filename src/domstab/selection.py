@@ -56,6 +56,7 @@ _SE_EXEMPT = {
     ModelKind.LOGISTIC: ("a",),
     ModelKind.LOGISTIC_SINE: ("a",),
 }
+_NARRATIVE_POINTS = 101  # evenly spaced dominance levels the narrative reads
 
 
 @dataclass(frozen=True)
@@ -180,15 +181,7 @@ def select(
 # ---------------------------------------------------------------- narrative
 
 
-def _collapse_regimes(regimes: Sequence[Regime]) -> list[Regime]:
-    runs: list[Regime] = []
-    for regime in regimes:
-        if not runs or runs[-1] is not regime:
-            runs.append(regime)
-    return runs
-
-
-def regime_narrative(fit: ModelFit, sample_points: int = 101) -> str:
+def regime_narrative(fit: ModelFit) -> str:
     """One-line description of how the regime changes over the observed
     dominance range, read off the analytic derivative plus, for piecewise
     kinds, the qualitative equilibrium verdicts."""
@@ -196,15 +189,15 @@ def regime_narrative(fit: ModelFit, sample_points: int = 101) -> str:
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return "no observed dominance range"
     kind = fit.kind
-    step = (hi - lo) / (sample_points - 1)
+    step = (hi - lo) / (_NARRATIVE_POINTS - 1)
     regimes: list[Regime] = []
-    for i in range(sample_points):
+    for i in range(_NARRATIVE_POINTS):
         dom = lo + i * step
         regime = regime_at(kind, fit.params, dom)
         if isinstance(regime, JointAmbiguous):
             continue
         regimes.append(regime)
-    runs = _collapse_regimes(regimes)
+    runs = [r for i, r in enumerate(regimes) if i == 0 or r is not regimes[i - 1]]
 
     if len(runs) == 1:
         text = f"{runs[0].value} throughout"

@@ -6,7 +6,7 @@ Stability at step t is the relative change
 
 computed on consecutive samples in time order (sampling gaps are ignored;
 the index is the sample order, not calendar time).  Steps whose denominator
-is within ``eps`` of zero are excluded and surfaced with a reason rather
+is within ``EPS_DENOMINATOR`` of zero are excluded and surfaced with a reason rather
 than silently dropped.
 
 Species dominance can be -inf (absent species).  Before a species stability
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SentinelError
+from .errors import SentinelError, UnknownNameError
 from .ingest import SubjectSeries
 # community_stats is not called here; bench/spans.py wraps this name.
 from .metrics import community_stats, species_dominances
@@ -133,7 +133,7 @@ class StabilitySeries:
 
 
 def _stability_points(
-    values: Sequence[float], eps: float
+    values: Sequence[float],
 ) -> tuple[tuple[StabilityPoint, ...], tuple[ExcludedPoint, ...]]:
     points, excluded = [], []
     for t in range(len(values) - 1):
@@ -141,20 +141,16 @@ def _stability_points(
         if not (math.isfinite(d_now) and math.isfinite(d_next)):
             excluded.append(ExcludedPoint(t, d_now, "non-finite dominance"))
             continue
-        if abs(d_now) < eps:
+        if abs(d_now) < EPS_DENOMINATOR:
             excluded.append(ExcludedPoint(t, d_now, "dominance below eps"))
             continue
         points.append(StabilityPoint(t, d_now, (d_next - d_now) / d_now))
     return tuple(points), tuple(excluded)
 
 
-def community_stability(
-    records: SubjectDominance,
-    subject_id: str = "",
-    eps: float = EPS_DENOMINATOR,
-) -> StabilitySeries:
+def community_stability(records: SubjectDominance, subject_id: str = "") -> StabilitySeries:
     """Community stability series from consecutive samples' dominance."""
-    points, excluded = _stability_points(records.community.tolist(), eps)
+    points, excluded = _stability_points(records.community.tolist())
     return StabilitySeries(subject_id, COMMUNITY_SCOPE, points, excluded)
 
 
@@ -162,17 +158,16 @@ def species_stability(
     records: SubjectDominance,
     species_id: str,
     subject_id: str = "",
-    eps: float = EPS_DENOMINATOR,
 ) -> StabilitySeries:
     """Species stability series; records must be sentinel-replaced first."""
     try:
         row = records.species_ids.index(species_id)
     except ValueError:
-        raise KeyError(f"species {species_id!r} not in records") from None
+        raise UnknownNameError(f"species {species_id!r} not in records") from None
     values = records.dominance[row]
     if np.any(values == -np.inf):
         raise SentinelError(
             f"species {species_id!r} has -inf dominance; apply_sentinel first"
         )
-    points, excluded = _stability_points(values.tolist(), eps)
+    points, excluded = _stability_points(values.tolist())
     return StabilitySeries(subject_id, species_id, points, excluded)

@@ -8,7 +8,6 @@ from domstab.errors import DuplicateIdError, EmptyRosterError, IdRuleError, Pars
 from domstab.ingest import (
     AbundanceTable,
     SampleIdRule,
-    TableFormat,
     emit_table,
     filter_low_reads,
     parse_table,
@@ -39,7 +38,7 @@ def test_parse_tab_autodetect():
 
 def test_parse_explicit_delimiter_overrides_detection():
     text = "species_id;400_010106\nOTU1;4\n"
-    table = parse_table(text, TableFormat(delimiter=";"))
+    table = parse_table(text, delimiter=";")
     assert table.counts.tolist() == [[4.0]]
 
 
@@ -206,7 +205,7 @@ def test_split_subjects_orders_samples_by_token():
     )
     (series,) = split_subjects(table)
     assert series.sample_ids == ("400_010106", "400_020106")
-    assert tuple(series.sample_vector(0)) == (6.0, 2.0)
+    assert tuple(series.counts[:, 0]) == (6.0, 2.0)
 
 
 def test_split_subjects_keeps_column_order_on_tied_tokens():
@@ -230,8 +229,8 @@ def test_roster_drops_species_absent_for_subject():
 def test_roster_keeps_zero_cells_for_present_species():
     table = parse_table(CSV_TEXT)
     by_id = {s.subject_id: s for s in split_subjects(table)}
-    assert tuple(by_id["401"].sample_vector(0)) == (3.0, 5.0)
-    assert tuple(by_id["401"].sample_vector(1)) == (0.0, 7.0)
+    assert tuple(by_id["401"].counts[:, 0]) == (3.0, 5.0)
+    assert tuple(by_id["401"].counts[:, 1]) == (0.0, 7.0)
 
 
 def test_filter_low_reads_drops_below_threshold():

@@ -1,0 +1,109 @@
+"""Metamorphic properties of ``report-all --plot`` on the cohort fixture.
+
+A subject's reports do not depend on the other subjects in the table, and
+no report depends on the order of the sample columns.  Both are checked
+byte for byte; ``run_config.json`` may differ only by its input path.
+"""
+
+import csv
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from domstab.cli import main
+
+# Tables with one row per subject (plus, for the index regressions, the
+# cross-subject means); every other file belongs to one subject.
+SHARED = {
+    "index_regressions.csv",
+    "fit_linear.csv",
+    "fit_logistic.csv",
+    "fit_logistic_sine.csv",
+    "fit_linear_quadratic.csv",
+    "fit_quadratic_quadratic.csv",
+    "selection_summary.csv",
+    "resilience.csv",
+}
+
+
+def _read_table(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def _write_table(path: Path, rows: list[list[str]]) -> Path:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
+def _report_all(table: Path, out: Path) -> dict[str, bytes]:
+    assert main(["report-all", "--input", str(table), "--out", str(out), "--plot"]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _config_without_input(data: bytes) -> dict:
+    config = json.loads(data)
+    del config["input"]
+    return config
+
+
+def _rows_of(data: bytes, subject: str) -> tuple[list[str], list[list[str]]]:
+    header, *rows = csv.reader(data.decode("utf-8").splitlines())
+    return header, [row for row in rows if row[0] == subject]
+
+
+@pytest.fixture(scope="module")
+def cohort_reports(tmp_path_factory, cohort_path) -> dict[str, bytes]:
+    return _report_all(cohort_path, tmp_path_factory.mktemp("cohort") / "out")
+
+
+def test_each_subject_alone_gives_its_own_reports(cohort_path, cohort_reports, tmp_path):
+    header, *body = _read_table(cohort_path)
+    subjects = sorted({sample.rpartition("_")[0] for sample in header[1:]})
+    assert len(subjects) == 5
+    for subject in subjects:
+        keep = [0] + [i for i, sample in enumerate(header) if sample.startswith(f"{subject}_")]
+        table = _write_table(
+            tmp_path / f"{subject}.csv", [[row[i] for i in keep] for row in [header, *body]]
+        )
+        alone = _report_all(table, tmp_path / f"out_{subject}")
+        own = set(alone) - SHARED - {"run_config.json"}
+        assert own == {
+            f"metrics_{subject}.csv",
+            f"simulate_{subject}_trajectory.csv",
+            f"simulate_{subject}_fixed_points.csv",
+            f"response_{subject}.svg",
+        }
+        for name in own:
+            assert alone[name] == cohort_reports[name], (subject, name)
+        for name in SHARED:
+            together = _rows_of(cohort_reports[name], subject)
+            assert together[1], (subject, name)
+            assert _rows_of(alone[name], subject) == together, (subject, name)
+        assert _config_without_input(alone["run_config.json"]) == _config_without_input(
+            cohort_reports["run_config.json"]
+        )
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_sample_column_order_changes_no_report(order, cohort_path, cohort_reports, tmp_path):
+    header, *body = _read_table(cohort_path)
+    columns = np.arange(1, len(header))
+    if order == "reversed":
+        columns = columns[::-1]
+    else:
+        columns = np.random.default_rng(20211).permutation(columns)
+    keep = [0, *columns.tolist()]
+    table = _write_table(
+        tmp_path / "columns.csv", [[row[i] for i in keep] for row in [header, *body]]
+    )
+    moved = _report_all(table, tmp_path / "out")
+    assert set(moved) == set(cohort_reports)
+    for name, data in cohort_reports.items():
+        if name == "run_config.json":
+            assert _config_without_input(moved[name]) == _config_without_input(data)
+        else:
+            assert moved[name] == data, name

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from domstab import fitting, report
+from domstab import cli, fitting, report
 from domstab.cli import main
 from domstab.errors import SubjectAnalysisError
 from domstab.ingest import filter_low_reads, parse_table, split_subjects
@@ -29,7 +29,7 @@ from domstab.report import (
     report_all,
     simulate_subject,
 )
-from domstab.svgplot import Curve, curve_chart
+from domstab.svgplot import curve_chart
 
 SMALL = """species_id,400_010106,400_010506,400_010806,400_011206,401_010106,401_010506
 OTU1,40,40,35,28,12,15
@@ -64,7 +64,7 @@ def test_metrics_tables_match_direct_computation(small_input, tmp_path):
     rows = read_rows(paths["metrics_400.csv"])
     assert [r["sample_id"] for r in rows] == list(series.sample_ids)
     for t, row in enumerate(rows):
-        expected = community_dominance(series.sample_vector(t))
+        expected = community_dominance(series.counts[:, t])
         assert float(row["community_dominance"]) == expected  # repr round-trip
 
 
@@ -306,8 +306,7 @@ def test_report_all_reads_and_analyses_once(small_input, tmp_path, monkeypatch):
 
 def test_svg_chart_structure():
     svg = curve_chart(
-        "subject <400>",
-        [Curve("fit & data", [1.0, 2.0, 3.0], [0.1, math.nan, 0.3])],
+        "subject <400>", "fit & data", [1.0, 2.0, 3.0], [0.1, math.nan, 0.3],
         points=[(1.0, 0.15), (2.0, 0.2)],
     )
     assert svg.startswith("<svg")
@@ -377,6 +376,46 @@ def test_cli_delimiter_of_other_than_one_character_is_input_error(
     ])
     assert code == 1
     assert "is not one character" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subject", ["a/../../../escaped", "a\\..\\escaped", "a\0b"])
+def test_cli_subject_id_that_could_name_a_path_is_input_error(subject, tmp_path, capsys):
+    """A subject id names output files, so one holding a path separator (or
+    NUL) is refused before anything is written, inside ``--out`` or not."""
+    table = tmp_path / "counts.csv"
+    table.write_text(
+        f"species_id,{subject}_010106,{subject}_010206,{subject}_010306,b_010106\n"
+        "OTU1,10,20,30,40\nOTU2,5,7,9,11\n"
+    )
+    out = tmp_path / "out" / "deep"
+    code = main(["report-all", "--input", str(table), "--out", str(out)])
+    assert code == 1
+    assert "path separator or NUL" in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [table]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--subject", "999"], "subject '999' not found in input"),
+        (["fit", "--models", "linear,bogus"], "unknown model kind 'bogus'"),
+    ],
+)
+def test_cli_unknown_name_message_is_plain(argv, message, small_input, tmp_path, capsys):
+    code = main([*argv, "--input", str(small_input), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"domstab: input error: {message}")
+
+
+def test_cli_programming_key_error_is_not_an_input_error(small_input, tmp_path, monkeypatch):
+    """Only the input-error classes exit 1; a KeyError from a bug propagates."""
+
+    def broken(config):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "report_all", broken)
+    with pytest.raises(KeyError):
+        main(["report-all", "--input", str(small_input), "--out", str(tmp_path / "out")])
 
 
 def test_cli_unknown_model_is_input_error(small_input, tmp_path, capsys):
