@@ -12,10 +12,10 @@ Usage:
 Exit codes: 0 success, 1 input problem (a usage error such as a missing
 ``--input``, an unknown flag or a bad number; an unreadable, non-UTF-8 or
 malformed table; a count out of range; a subject id holding a path separator
-or NUL; an unknown subject or model name; a negative ``--steps``; a
-non-finite ``--start``; a ``--min-total-reads`` that is not finite and at
-least 0; a NaN ``--r2-min``; a ``--se-ratio-max`` or ``--mag-max`` that is
-NaN or negative), 2 analysis problem in some subject,
+or NUL, or too long to name a file; an unknown subject or model name; a
+negative ``--steps``; a non-finite ``--start``; a ``--min-total-reads`` that
+is not finite and at least 0; a NaN ``--r2-min``; a ``--se-ratio-max`` or
+``--mag-max`` that is NaN or negative), 2 analysis problem in some subject,
 such as no species left by the read floor (every other subject's outputs
 are written).
 """

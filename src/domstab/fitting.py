@@ -90,10 +90,10 @@ _POLISH_ATTEMPTS = 3  # best exploration endpoints re-run with the full budget
 # its screened SS is within best_exact_ss * (1 + RTOL) + ATOL * |y|^2.
 _CERTIFY_RTOL = 1e-8
 _CERTIFY_ATOL = 1e-12
-# Design bytes per screening chunk; it bounds the screen's working arrays,
-# which grow with the square of the series length.  48 piecewise fits of 150
-# samples screen in 0.09 s in 256 KiB chunks and as whole stacks alike, and
-# in 0.18 s in 64 KiB chunks (2-core Xeon VM).
+# Bytes of the two breakpoint columns per screening chunk; it bounds the
+# screen's working arrays, which grow with the square of the series length.
+# 48 piecewise fits of 150 samples screen in 0.07-0.09 s in 256 KiB chunks,
+# 0.10-0.13 s in 512 or 64 KiB chunks, 0.16 s whole (2-core Xeon VM).
 _SCREEN_BYTES = 1 << 18
 
 
@@ -186,20 +186,23 @@ def goodness(fit: ModelFit, inp: FitInput) -> tuple[float, float]:
 # ---------------------------------------------------------------- std errors
 
 
+def _bend_gap(kind: ModelKind, d: np.ndarray, dom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(m, n)`` design columns that depend on the breakpoints ``d``: the bend
+    ``|D - d| (D + d)`` (plus ``D**2`` for linear-quadratic) and the gap ``|D - d|``."""
+    d = d[:, np.newaxis]
+    gap = np.abs(dom - d)
+    bend = gap * (dom + d)
+    if kind is ModelKind.LINEAR_QUADRATIC:
+        bend = dom**2 + bend
+    return bend, gap
+
+
 def _piecewise_design(kind: ModelKind, d: np.ndarray, dom: np.ndarray) -> np.ndarray:
     """``(m, n, p)`` design matrices of the model conditional on each
     breakpoint in ``d`` (linear in the rest); columns a, b, c, e(, f)."""
     design = np.empty((d.size, dom.size, kind.arity - 1))
-    d = d[:, np.newaxis]
-    gap = np.abs(dom - d)
-    design[:, :, 0] = 1.0
-    design[:, :, 1] = dom
-    if kind is ModelKind.LINEAR_QUADRATIC:
-        design[:, :, 2] = dom**2 + gap * (dom + d)
-    else:
-        design[:, :, 2] = dom**2
-        design[:, :, 3] = gap * (dom + d)
-    design[:, :, -1] = gap
+    design[:, :, :-2] = np.vander(dom, kind.arity - 3, increasing=True)  # 1, D(, D**2)
+    design[:, :, -2], design[:, :, -1] = _bend_gap(kind, d, dom)
     return design
 
 
@@ -721,29 +724,27 @@ def _screen(
     """Approximate residual SS of every candidate, with one QR per call.
 
     Of the columns of :func:`_piecewise_design`, only the last two depend on
-    the breakpoint d: the bend ``|D - d| (D + d)`` (plus ``D**2`` for
-    linear-quadratic) and the gap ``|D - d|``.  The shared columns,
-    ``[1, D]`` or ``[1, D, D**2]``, are factored once by Householder QR and
-    the response is projected off them once.  Each candidate projects its
-    two columns off that basis and takes the residual by Gram-Schmidt on
-    them, in residual form: ``r - q (q . r)`` for the unit bend q1, then for
-    the unit gap q2, rather than the cheaper ``|y|^2 - |Q^T y|^2``, which
-    cancels catastrophically when the fit is good.  A column with nothing
-    left after its projection has no unit vector and takes nothing off.
-    Every reduction is over one row (``_off``, ``_dots``), so a candidate's
-    SS does not depend on its chunk.
-    Candidates go through in chunks of as many as fill ``_SCREEN_BYTES`` of
-    design, so the working arrays stay bounded however long the series."""
+    the breakpoint d, and the screen builds only those (:func:`_bend_gap`).
+    The shared columns, ``[1, D]`` or ``[1, D, D**2]``, are factored once by
+    Householder QR and the response is projected off them once.  Each
+    candidate projects its two columns off that basis and takes the residual
+    by Gram-Schmidt on them, in residual form: ``r - q (q . r)`` for the
+    unit bend q1, then for the unit gap q2, rather than the cheaper
+    ``|y|^2 - |Q^T y|^2``, which cancels catastrophically when the fit is
+    good.  A column with nothing left after its projection has no unit
+    vector and takes nothing off.  Every reduction is over one row (``_off``,
+    ``_dots``), so a candidate's SS does not depend on its chunk.
+    Candidates go through in chunks of as many as fill ``_SCREEN_BYTES``
+    with their two columns, so the working arrays stay bounded."""
     # the shared columns do not depend on d, so any breakpoint gives them
     basis = np.linalg.qr(_piecewise_design(kind, np.zeros(1), dom)[0, :, :-2])[0]
     rest = chg - basis @ (chg @ basis)
-    step = max(1, _SCREEN_BYTES // (dom.size * (kind.arity - 1) * 8))
+    step = max(1, _SCREEN_BYTES // (dom.size * 2 * 8))
     screened = np.empty(cand.size)
     for lo in range(0, cand.size, step):
-        design = _piecewise_design(kind, cand[lo:lo + step], dom)
-        # contiguous rows, so that _off and _dots reduce them as one-row products
-        q1 = _unit(_off(np.ascontiguousarray(design[:, :, -2]), basis))
-        gap = _off(np.ascontiguousarray(design[:, :, -1]), basis)
+        bend, gap = _bend_gap(kind, cand[lo:lo + step], dom)
+        q1 = _unit(_off(bend, basis))
+        gap = _off(gap, basis)
         q2 = _unit(gap - q1 * _dots(q1, gap)[:, None])
         resid = rest - q1 * (q1[:, None, :] @ rest)
         resid -= q2 * _dots(q2, resid)[:, None]

@@ -189,9 +189,10 @@ class SampleIdRule:
     """How sample ids decompose into subject and time token.
 
     The token after the last ``separator`` is the time token; everything
-    before it is the subject id, which names output files and so may hold
-    neither a path separator nor NUL.  A 6-digit token is treated as MMDDYY
-    and sorted as YYMMDD, any other token sorts lexicographically.
+    before it is the subject id, which names output files: it holds no path
+    separator or NUL, and ``simulate_<id>_fixed_points.csv.tmp`` fits in 255
+    bytes.  A 6-digit token is treated as MMDDYY and sorted as YYMMDD, any
+    other token sorts lexicographically.
     """
 
     separator: str = "_"
@@ -210,6 +211,8 @@ class SampleIdRule:
             raise IdRuleError(f"sample id {sample_id!r} splits into an empty part")
         if any(c in subject for c in "/\\\0"):
             raise IdRuleError(f"subject of sample id {sample_id!r} holds a path separator or NUL")
+        if len(f"simulate_{subject}_fixed_points.csv.tmp".encode()) > 255:
+            raise IdRuleError(f"subject of sample id {sample_id!r} is too long to name a file")
         return subject, token
 
     def sort_key(self, token: str) -> str:

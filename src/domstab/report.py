@@ -9,11 +9,11 @@ goes through one CSV writer (:func:`_write_rows`), which writes the bytes
 ``csv.writer(lineterminator="\\n")`` would: floats in the shortest
 round-trip form of ``repr`` (inf, -inf and nan spelled literally), strings
 quoted only where they hold a delimiter, a quote or a line break, a bare
-carriage return included on every Python version.  A metrics
-row carries its per-species floats as one array, whose distinct values are
-each spelled once.  Output is deterministic for a given config: subjects in
-sorted order, rows streamed into a temp file that is renamed over the target
-when complete.
+carriage return included on every Python version.  A metrics row carries
+its per-species floats as one text, spelled with a block of rows that spells
+each distinct value once.  Output is deterministic for a given config:
+subjects in sorted order, rows streamed into a temp file that is renamed
+over the target when complete.
 
 Per-subject failures are recorded in the output rows; one bad subject never
 aborts the run.  A subject left with no species by the read floor, or whose
@@ -146,25 +146,35 @@ def _write_atomic(path: Path, text: str) -> Path:
 _NEEDS_QUOTES = re.compile('[,"\n\r]')
 
 
-def _spell(block: np.ndarray) -> str:
-    """A non-empty 1-d float64 array as comma-separated ``repr`` cells.
+_SPELL_CELLS = 1 << 14  # float cells per block of rows in _spell_rows
 
-    Each distinct bit pattern is spelled once; bits rather than values are
-    compared, so 0.0 and -0.0 keep their own spellings."""
-    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-    words = list(map(float.__repr__, bits.view(np.float64).tolist()))
-    return ",".join(map(words.__getitem__, inverse.tolist()))
+
+class _Spelled(str):
+    """Cells already spelled as CSV text, written as they stand."""
+
+
+def _spell_rows(cells: np.ndarray) -> Iterable[_Spelled]:
+    """The rows of a 2-d float64 array as comma-separated ``repr`` cells.  A
+    block of rows (``_SPELL_CELLS`` cells, or one row) spells each distinct
+    bit pattern once; 0.0 and -0.0, compared as bits, keep their spellings."""
+    step = max(1, _SPELL_CELLS // cells.shape[1])
+    for lo in range(0, len(cells), step):
+        block = cells[lo:lo + step]
+        bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+        words = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+        yield from map(_Spelled, map(",".join, words[inverse].reshape(block.shape).tolist()))
+        del bits, inverse, words  # before the next block spells its own
 
 
 def _cell(cell) -> str:
     """One cell as csv.writer spells it: a float by ``repr``, None empty,
-    anything else by ``str``, quoted where needed; an array by :func:`_spell`."""
+    _Spelled text as it is, anything else by ``str``, quoted where needed."""
     if isinstance(cell, float):
         return repr(cell)
     if cell is None:
         return ""
-    if isinstance(cell, np.ndarray):
-        return _spell(cell)
+    if type(cell) is _Spelled:
+        return cell
     text = str(cell)
     if _NEEDS_QUOTES.search(text) is None:
         return text
@@ -181,10 +191,10 @@ def _line(row: list) -> str:
 def _write_rows(path: Path, header: list[str], rows: Iterable[list]) -> Path:
     """The one CSV writer.  A cell is a str, an int, None (an empty cell), a
     Python float (shortest round trip; inf, -inf, nan and -0.0 spelled so)
-    or a non-empty 1-d float64 array standing for that many float cells.
+    or :class:`_Spelled` text standing for the float cells it spells.
     The bytes are those ``csv.writer(lineterminator="\\n")`` writes for the
-    same rows with each array expanded into Python floats, as of Python 3.13
-    (older versions leave a bare ``\\r`` unquoted); a NumPy float
+    same rows with each spelled text expanded into its floats, as of Python
+    3.13 (older versions leave a bare ``\\r`` unquoted); a NumPy float
     would render as ``np.float64(...)`` and a bool as ``True``, so callers
     pass ``float(x)`` and ``"true"``/``"false"``."""
     with _atomic_open(path) as fh:
@@ -283,7 +293,7 @@ def _metrics_table(
         for sample_id, community, values, replaced in zip(
             records.sample_ids,
             records.community.tolist(),
-            cells,
+            _spell_rows(cells),
             records.sentinel_replaced.T,
         )
     )
@@ -293,9 +303,9 @@ def _metrics_table(
 def _metrics_tables(analyses: list[SubjectAnalysis], out_dir: Path) -> list[Path]:
     """One dominance table per subject whose records were built.  A row
     hands its sample's distances and dominances to :func:`_write_rows` as
-    one float64 array, whose repeated values (species with equal counts in
-    that sample) are spelled once; the bytes are those of one ``repr`` per
-    cell.  Rows are streamed, so only one row's text is alive at a time."""
+    one text from :func:`_spell_rows`; the bytes are those of one ``repr``
+    per cell.  Besides the subject's floats, one block's text is alive at a
+    time, so the peak is the floats twice over plus about a MiB."""
     return [
         _metrics_table(a.series, a.records, out_dir)
         for a in analyses if a.records is not None

@@ -171,6 +171,17 @@ def test_id_rule_rejects_missing_separator():
         rule.parse("_010106")
 
 
+def test_id_rule_refuses_a_subject_too_long_to_name_a_file():
+    """``simulate_<id>_fixed_points.csv.tmp`` may take 255 bytes of UTF-8,
+    30 of them fixed, so a subject id may take 225: bytes, not characters."""
+    rule = SampleIdRule()
+    longest = "\u00e9" * 112 + "x"  # 113 characters, 225 bytes
+    assert rule.parse(f"{longest}_010106") == (longest, "010106")
+    for subject in (longest + "x", "\u00e9" * 113):  # 226 bytes
+        with pytest.raises(IdRuleError, match="too long to name a file"):
+            rule.parse(f"{subject}_010106")
+
+
 def test_id_rule_rejects_empty_separator():
     with pytest.raises(IdRuleError):
         SampleIdRule(separator="")

@@ -2,7 +2,9 @@
 
 A subject's reports do not depend on the other subjects in the table, and
 no report depends on the order of the sample columns.  Both are checked
-byte for byte; ``run_config.json`` may differ only by its input path.
+byte for byte; ``run_config.json`` may differ only by its input path.  The
+order of the species rows only reorders float sums: the selection stays the
+same and the well-conditioned tables agree to a stated tolerance.
 """
 
 import csv
@@ -107,3 +109,39 @@ def test_sample_column_order_changes_no_report(order, cohort_path, cohort_report
             assert _config_without_input(moved[name]) == _config_without_input(data)
         else:
             assert moved[name] == data, name
+
+
+# Largest relative difference |a - b| / max(|a|, |b|) of any float cell over
+# ten seeded species-row shuffles of the cohort: fit_linear 1.3e-14,
+# index_regressions 2.6e-12, resilience 8.6e-16 (1.6e-14, 2.7e-12 and 8e-16
+# across cohort and long).  Each tolerance is 40-150 times that.
+ROW_ORDER_RTOL = {
+    "fit_linear.csv": 1e-12,
+    "index_regressions.csv": 1e-10,
+    "resilience.csv": 1e-13,
+}
+
+
+def _agree(name: str, expected: bytes, got: bytes) -> None:
+    """Same shape and text cells; float cells within the table's tolerance."""
+    rtol = ROW_ORDER_RTOL[name]
+    want = list(csv.reader(expected.decode("utf-8").splitlines()))
+    have = list(csv.reader(got.decode("utf-8").splitlines()))
+    assert [len(row) for row in have] == [len(row) for row in want], name
+    for want_row, have_row in zip(want, have):
+        for a, b in zip(want_row, have_row):
+            if a == b:
+                continue
+            x, y = float(a), float(b)  # only a float cell may differ
+            assert abs(x - y) <= rtol * max(abs(x), abs(y)), (name, a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_species_row_order_keeps_selection(seed, cohort_path, cohort_reports, tmp_path):
+    header, *body = _read_table(cohort_path)
+    rows = [body[i] for i in np.random.default_rng(seed).permutation(len(body))]
+    moved = _report_all(_write_table(tmp_path / "rows.csv", [header, *rows]), tmp_path / "out")
+    assert set(moved) == set(cohort_reports)
+    assert moved["selection_summary.csv"] == cohort_reports["selection_summary.csv"]
+    for name in ROW_ORDER_RTOL:
+        _agree(name, cohort_reports[name], moved[name])

@@ -12,7 +12,16 @@ import numpy as np
 import pytest
 
 from domstab import fitting
-from domstab.fitting import FitInput, _screen, breakpoint_candidates, fit_piecewise
+from domstab.fitting import (
+    _SCREEN_BYTES,
+    FitInput,
+    _dots,
+    _off,
+    _screen,
+    _unit,
+    breakpoint_candidates,
+    fit_piecewise,
+)
 from domstab.ingest import filter_low_reads
 from domstab.models import ModelKind
 from domstab.report import RunConfig, load_subjects
@@ -140,18 +149,75 @@ def test_screen_chunking_moves_no_bits(cohort_inputs, monkeypatch):
     kind = ModelKind.QUADRATIC_QUADRATIC
     cand = np.array(breakpoint_candidates(inp.dominance))
     whole = _screen(kind, cand, inp.dominance, inp.change_rate)
-    # seven candidates a chunk: 72 candidates make ten full chunks and a short one
-    monkeypatch.setattr(fitting, "_SCREEN_BYTES", 7 * inp.n * (kind.arity - 1) * 8)
+    # seven candidates a chunk of two columns: 72 candidates make ten full
+    # chunks and a short one
+    monkeypatch.setattr(fitting, "_SCREEN_BYTES", 7 * inp.n * 2 * 8)
+    chunks = []
+    bend_gap = fitting._bend_gap
+
+    def counted(kind, d, dom):
+        chunks.append(d.size)
+        return bend_gap(kind, d, dom)
+
+    monkeypatch.setattr(fitting, "_bend_gap", counted)
     chunked = _screen(kind, cand, inp.dominance, inp.change_rate)
     assert cand.size == 72
+    assert chunks == [1] + [7] * 10 + [2]  # the first builds the shared basis
     assert chunked.tobytes() == whole.tobytes()
+
+
+def _design_column_screen(kind, cand, dom, chg):
+    """The screen restated on full designs: each chunk builds its ``(m, n, p)``
+    design with the formulas written out here, in chunks of ``p`` columns,
+    and copies its last two columns out."""
+
+    def design(d):
+        d = d[:, np.newaxis]
+        gap = np.abs(dom - d)
+        columns = [np.ones_like(gap), np.broadcast_to(dom, gap.shape)]
+        if kind is ModelKind.LINEAR_QUADRATIC:
+            columns.append(dom**2 + gap * (dom + d))
+        else:
+            columns.extend([np.broadcast_to(dom**2, gap.shape), gap * (dom + d)])
+        return np.stack([*columns, gap], axis=-1)
+
+    basis = np.linalg.qr(design(np.zeros(1))[0, :, :-2])[0]
+    rest = chg - basis @ (chg @ basis)
+    step = max(1, _SCREEN_BYTES // (dom.size * (kind.arity - 1) * 8))
+    screened = np.empty(cand.size)
+    for lo in range(0, cand.size, step):
+        block = design(cand[lo:lo + step])
+        q1 = _unit(_off(np.ascontiguousarray(block[:, :, -2]), basis))
+        gap = _off(np.ascontiguousarray(block[:, :, -1]), basis)
+        q2 = _unit(gap - q1 * _dots(q1, gap)[:, None])
+        resid = rest - q1 * (q1[:, None, :] @ rest)
+        resid -= q2 * _dots(q2, resid)[:, None]
+        screened[lo:lo + step] = _dots(resid, resid)
+    return screened
+
+
+def _long_series() -> FitInput:
+    """A seeded 149-point series, the length of the long workload's."""
+    rng = np.random.default_rng(149)
+    dom = rng.uniform(0.5, 12.0, 149)
+    chg = 0.4 * dom - 0.03 * dom**2 + 0.6 * np.abs(dom - 6.0) + rng.normal(0.0, 0.3, 149)
+    return FitInput(dom, chg)
+
+
+@pytest.mark.parametrize("kind", list(LONG_PINNED))
+def test_screen_matches_design_column_screen(kind, cohort_inputs):
+    """Screening on the two breakpoint columns alone moves no bit of any
+    cohort fit's screen, nor of the long series'."""
+    inputs = [*cohort_inputs.values(), _long_series()]
+    assert len(inputs) == 6
+    for inp in inputs:
+        cand = np.array(breakpoint_candidates(inp.dominance))
+        args = (ModelKind(kind), cand, inp.dominance, inp.change_rate)
+        assert _screen(*args).tobytes() == _design_column_screen(*args).tobytes()
 
 
 @pytest.mark.parametrize("kind", list(LONG_PINNED))
 def test_long_series_fit_pinned(kind):
-    rng = np.random.default_rng(149)
-    dom = rng.uniform(0.5, 12.0, 149)
-    chg = 0.4 * dom - 0.03 * dom**2 + 0.6 * np.abs(dom - 6.0) + rng.normal(0.0, 0.3, 149)
-    fit = fit_piecewise(ModelKind(kind), FitInput(dom, chg))
+    fit = fit_piecewise(ModelKind(kind), _long_series())
     outcome = (repr(fit.params), repr(fit.residual_ss), fit.iterations, repr(fit.std_errors))
     assert outcome == LONG_PINNED[kind]

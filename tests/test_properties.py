@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from domstab import report
 from domstab.dynamics import FixedPoint, _bisect, _multiplier_at, fixed_points
 from domstab.errors import (
     DomstabError,
@@ -45,7 +46,7 @@ from domstab.metrics import (
     species_dominances,
 )
 from domstab.models import ModelKind, derivative, evaluate, evaluate_array
-from domstab.report import _write_rows
+from domstab.report import _spell_rows, _write_rows
 from domstab.stability import apply_sentinel, dominance_records, sentinel_value
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -792,17 +793,23 @@ FLOAT_CELLS = st.one_of(
     st.floats(),
 )
 TEXT_CELLS = st.text(st.one_of(st.sampled_from(',"\r\n'), st.characters()), max_size=6)
+
+
+class FloatRun(tuple):
+    """A run of float cells, which the writer gets spelled by _spell_rows."""
+
+
 CELLS = st.one_of(
     TEXT_CELLS,
     st.integers(-(10**30), 10**30),
     st.none(),
     FLOAT_CELLS,
-    st.lists(FLOAT_CELLS, min_size=1, max_size=12).map(np.array),
+    st.lists(FLOAT_CELLS, min_size=1, max_size=12).map(FloatRun),
 )
 
 
 def csv_writer_bytes(header: list, rows: list[list]) -> bytes:
-    """What csv.writer writes for the rows, each array expanded into floats,
+    """What csv.writer writes for the rows, each run expanded into floats,
     with a bare carriage return quoted as Python 3.13 and later quote it.
 
     csv.writer quotes every character of its line terminator, so each row is
@@ -813,7 +820,7 @@ def csv_writer_bytes(header: list, rows: list[list]) -> bytes:
         out = io.StringIO()
         csv.writer(out, lineterminator="\r\n").writerow([
             value for cell in row
-            for value in (cell.tolist() if isinstance(cell, np.ndarray) else [cell])
+            for value in (cell if isinstance(cell, FloatRun) else [cell])
         ])
         lines.append(out.getvalue()[:-2] + "\n")
     return "".join(lines).encode("utf-8")
@@ -825,6 +832,33 @@ def csv_writer_bytes(header: list, rows: list[list]) -> bytes:
     st.lists(st.lists(CELLS, max_size=6), max_size=4),
 )
 def test_write_rows_matches_csv_writer(header, rows):
+    spelled = [
+        [next(_spell_rows(np.array([cell]))) if isinstance(cell, FloatRun) else cell
+         for cell in row]
+        for row in rows
+    ]
     with tempfile.TemporaryDirectory() as tmp:
-        path = _write_rows(Path(tmp) / "rows.csv", header, rows)
+        path = _write_rows(Path(tmp) / "rows.csv", header, spelled)
         assert path.read_bytes() == csv_writer_bytes(header, rows)
+
+
+@st.composite
+def float_tables(draw):
+    """2-d float64 tables with repeated and special values, and a block size
+    of 1-16 cells, so that blocks split the table and a row may be wider
+    than a block."""
+    width = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(FLOAT_CELLS, min_size=width, max_size=width), max_size=10))
+    return np.array(rows, dtype=np.float64).reshape(-1, width), draw(st.integers(1, 16))
+
+
+@PROPERTY
+@given(float_tables())
+@example((np.array([[0.0, -0.0, PAYLOAD_NAN, math.nan], [5e-324, math.inf, -math.inf, 0.0]]), 3))
+def test_spell_rows_match_one_repr_per_cell(problem):
+    cells, block = problem
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "_SPELL_CELLS", block)
+        spelled = list(_spell_rows(cells))
+    assert spelled == [",".join(map(repr, row)) for row in cells.tolist()]
+    assert all(type(text) is report._Spelled for text in spelled)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from domstab import cli, fitting, report
 from domstab.cli import main
 from domstab.errors import SubjectAnalysisError
-from domstab.ingest import filter_low_reads, parse_table, split_subjects
+from domstab.ingest import SubjectSeries, filter_low_reads, parse_table, split_subjects
 from domstab.metrics import community_dominance
 from domstab.models import ModelKind
 from domstab.report import (
@@ -394,6 +395,40 @@ def test_cli_subject_id_that_could_name_a_path_is_input_error(subject, tmp_path,
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [table]
 
 
+def _id_table(tmp_path: Path, subject: str) -> Path:
+    """Four samples of ``subject`` and one of a sound subject ``b``."""
+    samples = ",".join(f"{subject}_01{day:02d}06" for day in (1, 5, 8, 12))
+    table = tmp_path / "counts.csv"
+    table.write_text(
+        f"species_id,{samples},b_010106\n"
+        "OTU1,40,40,35,28,12\nOTU2,12,8,11,20,30\nOTU3,0,4,2,1,0\nOTU4,25,22,20,18,11\n",
+        encoding="utf-8",
+    )
+    return table
+
+
+@pytest.mark.parametrize("subject", ["x" * 300, "\u00e9" * 112 + "xx"])
+def test_cli_subject_id_too_long_for_a_file_name_is_input_error(subject, tmp_path, capsys):
+    """A subject id whose longest output name would pass 255 bytes (here
+    300 and 226 bytes) is refused before anything is written, rather than
+    stopping the run part way with "File name too long"."""
+    table = _id_table(tmp_path, subject)
+    code = main(["report-all", "--input", str(table), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "too long to name a file" in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [table]
+
+
+def test_cli_subject_id_at_the_file_name_limit_writes_its_files(tmp_path):
+    subject = "\u00e9" * 112 + "x"  # 225 bytes: the longest name takes 255
+    table = _id_table(tmp_path, subject)
+    out = tmp_path / "out"
+    assert main(["report-all", "--input", str(table), "--out", str(out)]) == 0
+    longest = out / f"simulate_{subject}_fixed_points.csv"
+    assert len(longest.name.encode()) + len(".tmp") == 255
+    assert longest.is_file()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -651,16 +686,22 @@ def test_write_rows_renders_floats_as_fmt(tmp_path):
 
 def test_every_cell_is_a_plain_value(tmp_path, cohort_path, monkeypatch):
     """Every table cell reaching the CSV writer is a str, an int, None, a
-    Python float (a NumPy float renders as ``np.float64(...)``) or a 1-d
-    float64 array (a metrics row's float block), error rows included."""
+    Python float (a NumPy float renders as ``np.float64(...)``) or spelled
+    text (a metrics row's float cells), error rows included.  Spelled text
+    holds as many cells as the header leaves for it, each the ``repr`` of a
+    float."""
     original = report._write_rows
     kinds = set()
 
     def checked(path, header, rows):
         rows = list(rows)
         kinds.update(type(cell) for row in rows for cell in row)
-        blocks = [cell for row in rows for cell in row if type(cell) is np.ndarray]
-        assert all(b.ndim == 1 and b.dtype == np.float64 and b.size for b in blocks), path
+        for row in rows:
+            for cell in row:
+                if type(cell) is report._Spelled:
+                    words = cell.split(",")
+                    assert len(words) == len(header) - len(row) + 1, path
+                    assert all(repr(float(word)) == word for word in words), path
         return original(path, header, rows)
 
     monkeypatch.setattr(report, "_write_rows", checked)
@@ -668,7 +709,29 @@ def test_every_cell_is_a_plain_value(tmp_path, cohort_path, monkeypatch):
     with pytest.raises(SubjectAnalysisError):
         report_all(RunConfig(input_path=_zeroed_cohort(cohort_path, tmp_path),
                              out_dir=tmp_path / "zeroed"))
-    assert kinds == {str, int, float, type(None), np.ndarray}
+    assert kinds == {str, int, float, type(None), report._Spelled}
+
+
+def test_metrics_emit_memory_is_bounded_by_the_floats(tmp_path):
+    """Writing a 2000-species metrics table holds its float array at most
+    twice over, plus a MiB: one block of rows is spelled at a time.  Peaks:
+    2.7 MB spelling row by row, 4.0 MB in blocks of 2**14 cells, 8.9 MB in
+    blocks of 2**16; the bound is 4.9 MB."""
+    counts = np.random.default_rng(7).integers(0, 5000, size=(2000, 60)).astype(float)
+    series = SubjectSeries(
+        "w", tuple(f"OTU{i}" for i in range(2000)), tuple(f"w_{t:03d}" for t in range(60)),
+        counts,
+    )
+    analyses = [report.analyze_subject(series, 10.0)]
+    assert analyses[0].records is not None
+    tracemalloc.start()
+    try:
+        report._metrics_tables(analyses, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    floats = 60 * 2 * 2000 * 8  # the (samples, 2 x species) float64 array
+    assert peak <= 2 * floats + 2**20
 
 
 # SHA-256 of the cohort's metrics and index tables: the bench golden compares
