@@ -17,17 +17,14 @@ from .fitting import (
     ModelFit,
     fit_linear,
     fit_logistic_batch,
-    fit_logistic_family,
     fit_model,
     fit_piecewise,
-    goodness,
     std_errors,
 )
 from .ingest import (
     AbundanceTable,
     SampleIdRule,
     SubjectSeries,
-    emit_table,
     filter_low_reads,
     parse_table,
     split_subjects,

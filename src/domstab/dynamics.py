@@ -32,6 +32,7 @@ __all__ = [
     "CONVERGENCE_TOL",
     "ROOT_TOL",
     "MAX_STEPS",
+    "SCAN_GRID",
     "iterate",
     "fixed_points",
     "resilience",
@@ -40,7 +41,7 @@ __all__ = [
 CONVERGENCE_TOL = 1e-10
 ROOT_TOL = 1e-10
 MAX_STEPS = 500  # default length of an iteration, and of a report's simulation
-DEFAULT_GRID = 10_000
+SCAN_GRID = 10_000  # intervals of the fixed-point scan
 _CYCLE_AMPLITUDE = 1e-4  # relative swing required to call an orbit a 2-cycle
 
 
@@ -110,22 +111,21 @@ def fixed_points(
     kind: ModelKind,
     params: Mapping[str, float] | Sequence[float],
     domain: tuple[float, float],
-    grid: int = DEFAULT_GRID,
 ) -> list[FixedPoint]:
     """Roots of the change rate on ``domain`` with stability verdicts.
 
-    Sign changes on a uniform grid are refined by bisection.  Brackets with
-    non-finite endpoints are skipped, and candidates where |S| stays large
-    (pole crossings of the logistic denominators) are discarded.  A domain
-    with a non-finite end, or an empty one (``hi <= lo``), raises
-    EmptyDomainError.
+    Sign changes on a uniform grid of ``SCAN_GRID`` intervals are refined
+    by bisection.  Brackets with non-finite endpoints are skipped, and
+    candidates where |S| stays large (pole crossings of the logistic
+    denominators) are discarded.  A domain with a non-finite end, or an
+    empty one (``hi <= lo``), raises EmptyDomainError.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise EmptyDomainError(f"fixed-point domain ({lo!r}, {hi!r}) is not finite")
     if not (hi > lo):
         raise EmptyDomainError(f"fixed-point domain ({lo!r}, {hi!r}) is empty")
-    xs = np.linspace(lo, hi, grid + 1)
+    xs = np.linspace(lo, hi, SCAN_GRID + 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ys = evaluate_array(kind, params, xs)
         y0, y1 = ys[:-1], ys[1:]

@@ -69,10 +69,8 @@ __all__ = [
     "GN_STEP_TOL",
     "fit_linear",
     "fit_logistic_batch",
-    "fit_logistic_family",
     "fit_piecewise",
     "fit_model",
-    "goodness",
     "std_errors",
     "breakpoint_candidates",
     "default_starts",
@@ -173,14 +171,6 @@ def _goodness_from_ss(
         return r2, math.nan, flags
     r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
     return r2, r2_adj, flags
-
-
-def goodness(fit: ModelFit, inp: FitInput) -> tuple[float, float]:
-    """Recompute (r2, r2_adj) of a fit against an input series."""
-    pred = evaluate_array(fit.kind, fit.params, inp.dominance)
-    ss_res = float(np.sum((inp.change_rate - pred) ** 2))
-    r2, r2_adj, _ = _goodness_from_ss(ss_res, inp.change_rate, fit.kind.arity)
-    return r2, r2_adj
 
 
 # ---------------------------------------------------------------- std errors
@@ -592,16 +582,24 @@ def _project_k(mine: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def fit_logistic_batch(
     items: Sequence[tuple[ModelKind, FitInput]],
 ) -> list[ModelFit | DomstabError]:
-    """Fit many logistic-family problems at once: one result per
-    ``(kind, inp)`` item, a ModelFit or the DomstabError that
-    :func:`fit_logistic_family` would raise for that item alone.
+    """Multi-start damped Gauss-Newton fits of many logistic-family
+    problems at once: one result per ``(kind, inp)`` item, a ModelFit or
+    the DomstabError that :func:`fit_model` raises for that item alone.
+
+    Each problem's :func:`default_starts` grid is ranked by initial SS.  The
+    best ``_N_EXPLORE`` starts are explored, each until it stops by itself
+    or after ``_EXPLORE_MAX_ITER`` iterations, and the best
+    ``_POLISH_ATTEMPTS`` distinct endpoints are polished with the full
+    budget.  The best converged polish wins; if nothing converges a
+    NonConvergenceError carries the best polish as ``best``.  Every "best"
+    follows one rule (:func:`_best`).  A fit's iterations and trace count
+    its exploration run too.
 
     Problems are grouped by series length ``n``, since a stacked matmul
     needs one ``n`` (zero padding would change the ddot blocking and so the
     bits).  Each group runs one exploration and one polish lockstep pass
     over the starts of all its problems, each row tagged with its problem,
-    so every item's result equals its lone fit to the bit.  A fit's
-    iterations and trace count its exploration run too.
+    so every item's result equals its lone fit to the bit.
     """
     results: list[ModelFit | DomstabError | None] = [None] * len(items)
     groups: dict[int, list[tuple[int, np.ndarray]]] = {}  # n -> (item, its starts)
@@ -655,24 +653,6 @@ def fit_logistic_batch(
                 f"{kind.value}: no start converged", best=fit
             )
     return results
-
-
-def fit_logistic_family(kind: ModelKind, inp: FitInput) -> ModelFit:
-    """Multi-start damped Gauss-Newton fit of a logistic-family model from
-    the :func:`default_starts` grid.
-
-    The grid is ranked by initial SS.  The best ``_N_EXPLORE`` starts are
-    explored, each until it stops by itself or after ``_EXPLORE_MAX_ITER``
-    iterations, and the best ``_POLISH_ATTEMPTS`` distinct endpoints are
-    polished with the full budget.  The best converged polish wins; if
-    nothing converges a NonConvergenceError carries the best polish as
-    ``best``.  Every "best" follows one rule (:func:`_best`).  This is
-    :func:`fit_logistic_batch` with one item.
-    """
-    (result,) = fit_logistic_batch([(kind, inp)])
-    if isinstance(result, DomstabError):
-        raise result
-    return result
 
 
 # ---------------------------------------------------------------- piecewise
@@ -819,9 +799,13 @@ def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
 
 
 def fit_model(kind: ModelKind, inp: FitInput) -> ModelFit:
-    """Fit one model kind with its family's route."""
+    """Fit one model kind with its family's route; a logistic kind is a
+    one-item :func:`fit_logistic_batch`, whose error is raised."""
     if kind is ModelKind.LINEAR:
         return fit_linear(inp)
     if kind.logistic_family:
-        return fit_logistic_family(kind, inp)
+        (result,) = fit_logistic_batch([(kind, inp)])
+        if isinstance(result, DomstabError):
+            raise result
+        return result
     return fit_piecewise(kind, inp)

@@ -38,7 +38,6 @@ __all__ = [
     "SampleIdRule",
     "SubjectSeries",
     "parse_table",
-    "emit_table",
     "split_subjects",
     "filter_low_reads",
 ]
@@ -163,27 +162,6 @@ def _scan_counts(numbered: list[tuple[int, list[str]]], width: int) -> np.ndarra
     return np.array(values, dtype=float).reshape(len(numbered), width - 1)
 
 
-def emit_table(table: AbundanceTable, delimiter: str = ",") -> str:
-    """Serialize a table back to text, one record per line.  Round-trips
-    through parse_table: a field holding the delimiter, a quote or a line
-    break is quoted.  (Before Python 3.13 csv.writer leaves a bare ``\\r``
-    unquoted, and a reader ends the record there.)"""
-    special = (delimiter, '"', "\r", "\n")
-
-    def field(text: str) -> str:
-        if any(c in text for c in special):
-            return '"' + text.replace('"', '""') + '"'
-        return text
-
-    rows = [["species_id", *table.sample_ids]]
-    rows += [[sid, *map(_fmt_count, row)] for sid, row in zip(table.species_ids, table.counts)]
-    return "".join(delimiter.join(map(field, row)) + "\n" for row in rows)
-
-
-def _fmt_count(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
-
-
 @dataclass(frozen=True)
 class SampleIdRule:
     """How sample ids decompose into subject and time token.
@@ -254,12 +232,13 @@ def split_subjects(
     Subjects come back sorted by id; sample order within a subject is by the
     rule's sort key with the original column order breaking ties.
     """
-    parsed = [rule.parse(sid) for sid in table.sample_ids]
-    subjects = sorted({subject for subject, _ in parsed})
+    keyed: dict[str, list[tuple[str, int]]] = {}  # subject -> (sort key, column)
+    for i, sample_id in enumerate(table.sample_ids):
+        subject, token = rule.parse(sample_id)
+        keyed.setdefault(subject, []).append((rule.sort_key(token), i))
     out = []
-    for subject in subjects:
-        columns = [i for i, (s, _) in enumerate(parsed) if s == subject]
-        columns.sort(key=lambda i: (rule.sort_key(parsed[i][1]), i))
+    for subject in sorted(keyed):
+        columns = [i for _, i in sorted(keyed[subject])]
         block = table.counts[:, columns]
         present = block.any(axis=1)
         out.append(

@@ -59,6 +59,7 @@ from .metrics import IndexKind, community_stats, diversity_block, diversity_indi
 from .metrics import regress_dominance_vs_index
 from .models import ModelKind, evaluate_array
 from .selection import (
+    PRIORITY,
     SelectedModel,
     SelectionPolicy,
     select,
@@ -116,6 +117,8 @@ class RunConfig:
     simulate_steps: int = MAX_STEPS
 
     def __post_init__(self):
+        # a kind named twice is fitted and written once, at its first place
+        object.__setattr__(self, "models", tuple(dict.fromkeys(self.models)))
         if not 0.0 <= self.min_total_reads < math.inf:
             raise ArgumentError(
                 f"min total reads {self.min_total_reads} is not a finite number at or above 0"
@@ -524,7 +527,7 @@ def _run_manifest(config: RunConfig, out_dir: Path) -> Path:
             "r2_min": config.policy.r2_min,
             "se_ratio_max": config.policy.se_ratio_max,
             "magnitude_max": config.policy.magnitude_max,
-            "priority": [kind.value for kind in config.policy.priority],
+            "priority": [kind.value for kind in PRIORITY],
         },
         "seed": config.seed,
         "simulate_steps": config.simulate_steps,

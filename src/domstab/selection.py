@@ -19,21 +19,15 @@ nothing is valid the linear fit is returned as the backup, flagged
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ArgumentError, SelectionError
 from .fitting import ModelFit
-from .models import (
-    EquilibriumPoint,
-    JointAmbiguous,
-    ModelKind,
-    Regime,
-    qualitative_equilibria,
-    regime_at,
-)
+from .models import JointAmbiguous, ModelKind, Regime, qualitative_equilibria, regime_at
 
 __all__ = [
+    "PRIORITY",
     "SelectionPolicy",
     "ValidityReport",
     "SelectedModel",
@@ -44,7 +38,7 @@ __all__ = [
     "regime_narrative",
 ]
 
-DEFAULT_PRIORITY = (
+PRIORITY = (  # the selection order
     ModelKind.LOGISTIC,
     ModelKind.LOGISTIC_SINE,
     ModelKind.LINEAR_QUADRATIC,
@@ -61,13 +55,11 @@ _NARRATIVE_POINTS = 101  # evenly spaced dominance levels the narrative reads
 
 @dataclass(frozen=True)
 class SelectionPolicy:
-    """Validity thresholds and the selection order; a maximum of inf sets no
-    limit."""
+    """Validity thresholds; a maximum of inf sets no limit."""
 
     r2_min: float = 0.30
     se_ratio_max: float = 20.0
     magnitude_max: float = 1e6
-    priority: tuple[ModelKind, ...] = DEFAULT_PRIORITY
 
     def __post_init__(self):
         if math.isnan(self.r2_min):
@@ -157,7 +149,7 @@ def select(
     if not fits:
         raise SelectionError("no fits to select from")
     reports = {kind: validate(fit, policy) for kind, fit in fits.items()}
-    for kind in policy.priority:
+    for kind in PRIORITY:
         report = reports.get(kind)
         if report is not None and report.valid:
             return SelectedModel(

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from domstab.ingest import AbundanceTable
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -92,3 +94,24 @@ def assert_close(actual: float, expected: float, tol: float, label: str = "") ->
         assert abs(actual - expected) <= tol, (
             f"{label}: |{actual} - {expected}| = {abs(actual - expected)} > {tol}"
         )
+
+
+def emit_table(table: AbundanceTable) -> str:
+    """Serialize a table back to comma-separated text, one record per line,
+    as the round-trip writer of the parse tests.  A field holding a comma, a
+    quote or a line break is quoted.  (Before Python 3.13 csv.writer leaves
+    a bare ``\\r`` unquoted, and a reader ends the record there.)"""
+    special = (",", '"', "\r", "\n")
+
+    def field(text: str) -> str:
+        if any(c in text for c in special):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    rows = [["species_id", *table.sample_ids]]
+    rows += [[sid, *map(_fmt_count, row)] for sid, row in zip(table.species_ids, table.counts)]
+    return "".join(",".join(map(field, row)) + "\n" for row in rows)
+
+
+def _fmt_count(v: float) -> str:
+    return str(int(v)) if float(v).is_integer() else repr(float(v))

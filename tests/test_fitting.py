@@ -19,10 +19,8 @@ from domstab.fitting import (
     default_starts,
     fit_linear,
     fit_logistic_batch,
-    fit_logistic_family,
     fit_model,
     fit_piecewise,
-    goodness,
     std_errors,
 )
 from domstab.ingest import parse_table, split_subjects
@@ -107,7 +105,7 @@ def test_non_converged_flag_precedes_singular_information(monkeypatch):
     inp = FitInput(tuple(np.linspace(1.0, 2.0, 8)), (0.3, 0.1, -0.2, 0.4, 0.0, -0.1, 0.2, 0.05))
     _grids(monkeypatch, {id(inp): [(1.0, 1.0, -1000.0)]})
     with pytest.raises(NonConvergenceError) as err:
-        fit_logistic_family(ModelKind.LOGISTIC, inp)
+        fit_model(ModelKind.LOGISTIC, inp)
     assert not err.value.best.converged
     assert err.value.best.flags == ("non-converged", "singular-information")
 
@@ -116,7 +114,7 @@ def test_minimum_points_enforced():
     with pytest.raises(PreconditionError):
         fit_linear(FitInput((1.0, 2.0), (0.1, 0.2)))
     with pytest.raises(PreconditionError):
-        fit_logistic_family(ModelKind.LOGISTIC, FitInput((1.0, 2.0, 3.0), (0.1, 0.2, 0.3)))
+        fit_model(ModelKind.LOGISTIC, FitInput((1.0, 2.0, 3.0), (0.1, 0.2, 0.3)))
 
 
 def test_from_series_round_trip():
@@ -134,7 +132,7 @@ def test_from_series_round_trip():
 def test_logistic_recovery_from_clean_data():
     truth = {"K": 4.741, "a": 0.026, "r": -0.206}
     inp = synth_input(ModelKind.LOGISTIC, truth, np.linspace(10.0, 60.0, 28))
-    fit = fit_logistic_family(ModelKind.LOGISTIC, inp)
+    fit = fit_model(ModelKind.LOGISTIC, inp)
     for name, value in truth.items():
         assert fit.params[name] == pytest.approx(value, rel=1e-6)
     assert fit.converged
@@ -144,7 +142,7 @@ def test_logistic_recovery_from_clean_data():
 def test_logistic_sine_recovery_with_negative_a():
     truth = {"K": -0.294, "a": -1.677, "r": 0.048}
     inp = synth_input(ModelKind.LOGISTIC_SINE, truth, np.linspace(15.0, 60.0, 28))
-    fit = fit_logistic_family(ModelKind.LOGISTIC_SINE, inp)
+    fit = fit_model(ModelKind.LOGISTIC_SINE, inp)
     for name, value in truth.items():
         assert fit.params[name] == pytest.approx(value, rel=1e-6)
 
@@ -152,7 +150,7 @@ def test_logistic_sine_recovery_with_negative_a():
 def test_gauss_newton_trace_is_non_increasing():
     truth = {"K": 2.0, "a": 0.5, "r": -0.3}
     inp = noisy_input(ModelKind.LOGISTIC, truth, np.linspace(2.0, 40.0, 25), 0.2, seed=31)
-    fit = fit_logistic_family(ModelKind.LOGISTIC, inp)
+    fit = fit_model(ModelKind.LOGISTIC, inp)
     trace = fit.ss_trace
     assert len(trace) >= 2
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
@@ -162,8 +160,8 @@ def test_gauss_newton_trace_is_non_increasing():
 def test_logistic_fit_is_deterministic():
     truth = {"K": 1.5, "a": -0.8, "r": 0.1}
     inp = noisy_input(ModelKind.LOGISTIC_SINE, truth, np.linspace(5.0, 55.0, 27), 0.15, seed=8)
-    one = fit_logistic_family(ModelKind.LOGISTIC_SINE, inp)
-    two = fit_logistic_family(ModelKind.LOGISTIC_SINE, inp)
+    one = fit_model(ModelKind.LOGISTIC_SINE, inp)
+    two = fit_model(ModelKind.LOGISTIC_SINE, inp)
     assert one.params == two.params
     assert one.residual_ss == two.residual_ss
     assert one.iterations == two.iterations
@@ -171,7 +169,7 @@ def test_logistic_fit_is_deterministic():
 
 def test_zero_change_rate_degenerates_to_flat_zero():
     dom = np.linspace(1.0, 30.0, 10)
-    fit = fit_logistic_family(ModelKind.LOGISTIC, FitInput(tuple(dom), (0.0,) * 10))
+    fit = fit_model(ModelKind.LOGISTIC, FitInput(tuple(dom), (0.0,) * 10))
     assert fit.params["K"] == 0.0
     assert fit.converged
     assert fit.flags == ("degenerate-zero-change", "degenerate-r2", "singular-information")
@@ -183,7 +181,7 @@ def test_every_start_failing_raises(monkeypatch):
     inp = synth_input(ModelKind.LOGISTIC, {"K": 2.0, "a": 0.5, "r": -0.3}, dom)
     _grids(monkeypatch, {id(inp): [(1e308, 1e308, 10.0)]})
     with pytest.raises(NonConvergenceError):
-        fit_logistic_family(ModelKind.LOGISTIC, inp)
+        fit_model(ModelKind.LOGISTIC, inp)
 
 
 def test_no_finite_start_raises_without_a_best(monkeypatch):
@@ -192,7 +190,7 @@ def test_no_finite_start_raises_without_a_best(monkeypatch):
     inp = FitInput(np.linspace(1.0, 30.0, 10), np.linspace(-1.0, 1.0, 10))
     _grids(monkeypatch, {id(inp): [(1.0, -1.0, 0.0), (math.nan, -1.0, 0.0)]})
     with pytest.raises(NonConvergenceError) as err:
-        fit_logistic_family(ModelKind.LOGISTIC, inp)
+        fit_model(ModelKind.LOGISTIC, inp)
     assert str(err.value) == "logistic: every start failed"
     assert err.value.best is None
 
@@ -214,8 +212,11 @@ def _comparable(outcome):
 
 
 def _lone(item):
+    kind, inp = item
+    if not kind.logistic_family:  # fit_model would fit it by its own route
+        return "PreconditionError", f"{kind.value} is not a logistic-family kind", "None"
     try:
-        return _comparable(fit_logistic_family(*item))
+        return _comparable(fit_model(kind, inp))
     except DomstabError as exc:
         return _comparable(exc)
 
@@ -274,7 +275,7 @@ def test_exempt_shape_param_can_stay_loose():
     # and r must not be disturbed by it
     truth = {"K": 4.168, "a": 0.00002, "r": -0.647}
     inp = synth_input(ModelKind.LOGISTIC, truth, np.linspace(5.0, 50.0, 27))
-    fit = fit_logistic_family(ModelKind.LOGISTIC, inp)
+    fit = fit_model(ModelKind.LOGISTIC, inp)
     assert fit.params["K"] == pytest.approx(truth["K"], rel=1e-4)
     assert fit.params["r"] == pytest.approx(truth["r"], rel=1e-3)
 
@@ -368,10 +369,12 @@ def test_goodness_matches_r2_definition():
     chg = 0.8 - 0.02 * dom + rng.normal(0.0, 0.05, size=20)
     inp = FitInput(tuple(dom), tuple(chg))
     fit = fit_linear(inp)
-    r2, r2_adj = goodness(fit, inp)
-    ss_tot = float(np.sum((np.array(chg) - np.mean(chg)) ** 2))
-    assert r2 == pytest.approx(1.0 - fit.residual_ss / ss_tot, rel=1e-12)
-    assert r2_adj < r2
+    ss_res = float(np.sum((chg - evaluate_array(fit.kind, fit.params, dom)) ** 2))
+    ss_tot = float(np.sum((chg - chg.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot
+    assert fit.r2 == pytest.approx(r2, rel=1e-12)
+    assert fit.r2_adj == pytest.approx(1.0 - (1.0 - r2) * (20 - 1) / (20 - 2 - 1), rel=1e-12)
+    assert fit.r2_adj < fit.r2
 
 
 def test_dominance_range_recorded():

@@ -3,12 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import emit_table
 
 from domstab.errors import DuplicateIdError, EmptyRosterError, IdRuleError, ParseError
 from domstab.ingest import (
     AbundanceTable,
     SampleIdRule,
-    emit_table,
     filter_low_reads,
     parse_table,
     split_subjects,

@@ -12,7 +12,7 @@ import pytest
 
 from domstab import fitting
 from domstab.errors import DomstabError
-from domstab.fitting import FitInput, fit_logistic_family
+from domstab.fitting import FitInput, fit_model
 from domstab.ingest import filter_low_reads
 from domstab.models import ModelKind
 from domstab.report import RunConfig, load_subjects
@@ -260,7 +260,7 @@ PINNED = {
 
 def _outcome(kind: ModelKind, inp: FitInput) -> tuple:
     try:
-        fit, error = fit_logistic_family(kind, inp), ""
+        fit, error = fit_model(kind, inp), ""
     except DomstabError as exc:
         fit, error = exc.best, str(exc)
     return (repr(fit.params), repr(fit.residual_ss), fit.iterations, len(fit.ss_trace), error)

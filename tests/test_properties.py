@@ -9,14 +9,16 @@ import math
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from conftest import emit_table
 
-from domstab import report
+from domstab import dynamics, report
 from domstab.dynamics import FixedPoint, _bisect, _multiplier_at, fixed_points
 from domstab.errors import (
     DomstabError,
@@ -38,7 +40,7 @@ from domstab.fitting import (
     breakpoint_candidates,
     fit_piecewise,
 )
-from domstab.ingest import _CHUNK_CELLS, AbundanceTable, SubjectSeries, emit_table, parse_table
+from domstab.ingest import _CHUNK_CELLS, AbundanceTable, SubjectSeries, parse_table
 from domstab.metrics import (
     community_stats,
     diversity_block,
@@ -568,6 +570,12 @@ def _reference_fixed_points(kind, params, domain, grid):
     return out
 
 
+def _scan(kind, params, domain, grid):
+    """fixed_points with its scan set to ``grid`` intervals."""
+    with mock.patch.object(dynamics, "SCAN_GRID", grid):
+        return fixed_points(kind, params, domain)
+
+
 def _outcome_of(call):
     try:
         return repr(call())
@@ -599,7 +607,7 @@ def fixed_point_problems(draw):
 def test_fixed_point_scan_matches_scalar_loop(problem):
     kind, params, domain, grid = problem
     expected = _outcome_of(lambda: _reference_fixed_points(kind, params, domain, grid))
-    assert _outcome_of(lambda: fixed_points(kind, params, domain, grid)) == expected
+    assert _outcome_of(lambda: _scan(kind, params, domain, grid)) == expected
 
 
 @PROPERTY
@@ -610,7 +618,7 @@ def test_fixed_points_are_roots_with_map_multipliers(problem):
     the rounding of the sums: with f(D*) = -4.07e-11 and a multiplier of 2
     the two forms differ by |f(D*)| plus 1.1e-16."""
     kind, params, domain, grid = problem
-    for point in fixed_points(kind, params, domain, grid):
+    for point in _scan(kind, params, domain, grid):
         rate = evaluate(kind, params, point.location)
         assert abs(rate) <= 1e-9
         slope = derivative(kind, params, point.location)

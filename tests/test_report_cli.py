@@ -848,3 +848,32 @@ def test_cli_select_models_subset(small_input, tmp_path):
     out_names = {p.name for p in (tmp_path / "out").iterdir()}
     assert "fit_linear.csv" in out_names
     assert "fit_logistic.csv" not in out_names
+
+
+def test_cli_repeated_model_kinds_are_fitted_and_written_once(
+    tmp_path, cohort_path, capsys, monkeypatch
+):
+    """A kind named twice in ``--models`` or ``RunConfig.models`` counts
+    once, at its first place: the run writes the bytes of the list without
+    repeats, prints each path once and fits each logistic problem once."""
+    explored = []
+    original = fitting._lockstep
+
+    def counted(*args):
+        explored.append(len(args[-2]))
+        return original(*args)
+
+    monkeypatch.setattr(fitting, "_lockstep", counted)
+    runs = {}
+    for name, models in (("once", "linear,logistic"), ("twice", "linear,linear,logistic,logistic")):
+        out = tmp_path / name
+        argv = ["report-all", "--input", str(cohort_path), "--out", str(out), "--models", models]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == len(set(printed))
+        runs[name] = [Path(p).name for p in printed], {p.name: p.read_bytes() for p in out.iterdir()}
+    assert runs["twice"] == runs["once"]
+    assert explored[0::2] == [5 * 24, 5 * 24]  # each run explores five problems
+    linear, logistic = ModelKind.LINEAR, ModelKind.LOGISTIC
+    config = RunConfig(cohort_path, tmp_path, models=(logistic, linear, logistic, linear))
+    assert config.models == (logistic, linear)

@@ -7,7 +7,7 @@ from domstab.errors import SelectionError
 from domstab.fitting import FitInput, ModelFit, fit_model
 from domstab.models import ModelKind, evaluate_array, param_vector
 from domstab.selection import (
-    DEFAULT_PRIORITY,
+    PRIORITY,
     SelectionPolicy,
     regime_narrative,
     select,
@@ -169,7 +169,7 @@ def test_select_nothing_valid_no_linear_raises():
 
 
 def test_default_priority_order():
-    assert DEFAULT_PRIORITY == (
+    assert PRIORITY == (
         ModelKind.LOGISTIC,
         ModelKind.LOGISTIC_SINE,
         ModelKind.LINEAR_QUADRATIC,
