@@ -11,13 +11,13 @@ Usage:
 
 Exit codes: 0 success, 1 input problem (a usage error such as a missing
 ``--input``, an unknown flag or a bad number; an unreadable, non-UTF-8 or
-malformed table; a count out of range; a subject id holding a path separator
-or NUL, or too long to name a file; an unknown subject or model name; a
-negative ``--steps``; a non-finite ``--start``; a ``--min-total-reads`` that
-is not finite and at least 0; a NaN ``--r2-min``; a ``--se-ratio-max`` or
-``--mag-max`` that is NaN or negative), 2 analysis problem in some subject,
-such as no species left by the read floor (every other subject's outputs
-are written).
+malformed table; a count out of range; a subject id holding a path
+separator, a control character or a line break, or too long to name a file;
+an unknown subject or model name; a negative ``--steps``; a non-finite
+``--start``; a ``--min-total-reads`` that is not finite and at least 0; a
+NaN ``--r2-min``; a ``--se-ratio-max`` or ``--mag-max`` that is NaN or
+negative), 2 analysis problem in some subject, such as no species left by
+the read floor (every other subject's outputs are written).
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("metrics", "per-sample dominance tables"),
         ("compare-indices", "dominance-vs-diversity-index regressions"),
-        ("fit", "fit all stability models per subject"),
-        ("select", "fit models and run validity-gated selection"),
+        ("fit", "fit the stability models and run validity-gated selection"),
+        ("select", "the same command as fit, writing the same files"),
         ("simulate", "iterate the dominance map for one subject"),
         ("report-all", "all reports plus per-subject simulations"),
     ):

@@ -51,15 +51,7 @@ from .errors import (
     PreconditionError,
     SingularInformationError,
 )
-from .models import (
-    DerivedParams,
-    ModelKind,
-    derived_params,
-    evaluate_array,
-    param_dict,
-    param_vector,
-)
-from .stability import StabilitySeries
+from .models import ModelKind, evaluate_array, param_dict, param_vector
 
 __all__ = [
     "FitInput",
@@ -112,13 +104,6 @@ class FitInput:
         object.__setattr__(self, "dominance", dom)
         object.__setattr__(self, "change_rate", chg)
 
-    @classmethod
-    def from_series(cls, series: StabilitySeries) -> "FitInput":
-        return cls(
-            dominance=np.array(series.dominance, dtype=float),
-            change_rate=np.array(series.change_rate, dtype=float),
-        )
-
     @property
     def n(self) -> int:
         return int(self.dominance.size)
@@ -142,7 +127,6 @@ class ModelFit:
     converged: bool
     iterations: int
     pearson_r: float | None = None          # linear fits only
-    derived: DerivedParams | None = None    # piecewise fits only
     dominance_min: float = math.nan
     dominance_max: float = math.nan
     flags: tuple[str, ...] = ()
@@ -212,15 +196,15 @@ def _linear_se_from_design(design: np.ndarray, ss_res: float, dof: int) -> np.nd
 
 
 def std_errors(
-    fit: ModelFit, inp: FitInput, candidates: Sequence[float] | None = None
+    fit: ModelFit, inp: FitInput, candidates: np.ndarray | None = None
 ) -> dict[str, float]:
     """Standard errors of the fitted parameters.
 
     Raises SingularInformationError when the information matrix cannot be
     inverted; :func:`_assemble` catches that and reports +inf instead.
     For piecewise kinds the breakpoint's entry is the local resolution of the
-    candidate grid (``breakpoint_candidates`` of the input unless given)
-    rather than a curvature-based error.
+    ascending candidate grid (``breakpoint_candidates`` of the input unless
+    given) rather than a curvature-based error.
     """
     kind = fit.kind
     vec = param_vector(kind, fit.params)
@@ -254,14 +238,14 @@ def _assemble(
     ss: float,
     flags: tuple[str, ...] = (),
     converged: bool = True,
-    candidates: Sequence[float] | None = None,
+    candidates: np.ndarray | None = None,
     **fields,
 ) -> ModelFit:
     """The one place a ModelFit is built, for every family.
 
     The family gives its parameters, residual SS ``ss``, its own ``flags``
     and the extra ``fields`` (``iterations`` and, where they apply,
-    ``pearson_r``, ``derived`` or ``ss_trace``).  This adds the goodness of
+    ``pearson_r`` or ``ss_trace``).  This adds the goodness of
     ``ss`` on the input, the input's dominance range and the standard
     errors.  Flags keep one order: the family's own, then the goodness
     flags, then ``non-converged`` unless ``converged``, then
@@ -658,10 +642,10 @@ def fit_logistic_batch(
 # ---------------------------------------------------------------- piecewise
 
 
-def breakpoint_candidates(dom: np.ndarray) -> list[float]:
-    """Candidate breakpoints: quartile points of each gap between consecutive
-    distinct dominance values, kept only where both sides retain at least
-    three distinct values."""
+def breakpoint_candidates(dom: np.ndarray) -> np.ndarray:
+    """Candidate breakpoints, ascending: quartile points of each gap between
+    consecutive distinct dominance values, kept only where both sides retain
+    at least three distinct values."""
     # np.unique would do, but in NumPy 2.4 it imports numpy.ma on first use
     ordered = np.sort(np.asarray(dom, dtype=float))
     first = np.ones(ordered.size, dtype=bool)
@@ -672,17 +656,16 @@ def breakpoint_candidates(dom: np.ndarray) -> list[float]:
     # distinct is sorted: counts of values below and above each candidate
     left = np.searchsorted(distinct, cand, "left")
     right = distinct.size - np.searchsorted(distinct, cand, "right")
-    return cand[(left >= 3) & (right >= 3)].tolist()
+    return cand[(left >= 3) & (right >= 3)]
 
 
-def _grid_resolution(candidates: Sequence[float], d: float) -> float:
-    """Local spacing of the candidate grid around d."""
-    if len(candidates) < 2:
+def _grid_resolution(candidates: np.ndarray, d: float) -> float:
+    """Local spacing of the ascending candidate grid around d."""
+    if candidates.size < 2:
         return math.inf
-    arr = np.asarray(sorted(candidates))
-    idx = int(np.argmin(np.abs(arr - d)))
+    idx = int(np.argmin(np.abs(candidates - d)))
     # the wider of the gaps on either side of the nearest candidate
-    return float(np.diff(arr)[max(idx - 1, 0):idx + 1].max())
+    return float(np.diff(candidates)[max(idx - 1, 0):idx + 1].max())
 
 
 def _off(h: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -765,12 +748,11 @@ def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
     dom, chg = inp.dominance, inp.change_rate
     if dom.min() == dom.max():
         raise DegenerateFitError("dominance values have zero range")
-    candidates = breakpoint_candidates(dom)
-    if not candidates:
+    cand = breakpoint_candidates(dom)
+    if not cand.size:
         raise InsufficientSupportError(
             "no breakpoint candidate has three distinct dominance values on each side"
         )
-    cand = np.array(candidates)
     screened = _screen(kind, cand, dom, chg)
     slack = _CERTIFY_ATOL * float(chg @ chg)
     best_ss = math.inf
@@ -787,12 +769,9 @@ def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
         betas.append(beta)
         sums.append(ss)
     best = np.lexsort((cand[solved], sums))[0]
-    d, ss = candidates[solved[best]], sums[best]
+    d, ss = cand[solved[best]], sums[best]
     params = param_dict(kind, np.insert(betas[best], 3, d))
-    return _assemble(
-        kind, inp, params, ss, candidates=candidates, iterations=len(candidates),
-        derived=derived_params(kind, params),
-    )
+    return _assemble(kind, inp, params, ss, candidates=cand, iterations=cand.size)
 
 
 # ---------------------------------------------------------------- dispatch

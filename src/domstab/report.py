@@ -57,7 +57,7 @@ from .ingest import (
 # community_stats and diversity_indices are not called here; bench/spans.py wraps them.
 from .metrics import IndexKind, community_stats, diversity_block, diversity_indices
 from .metrics import regress_dominance_vs_index
-from .models import ModelKind, evaluate_array
+from .models import ModelKind, derived_params, evaluate_array
 from .selection import (
     PRIORITY,
     SelectedModel,
@@ -261,10 +261,10 @@ def analyze_subject(series: SubjectSeries, min_total_reads: float) -> SubjectAna
     except DomstabError as exc:
         analysis.error, analysis.selection_error = exc, str(exc)
         return analysis
-    if not stability.points:
+    if not stability.points.size:
         analysis.selection_error = "no usable stability points"
         return analysis
-    analysis.fit_input = FitInput.from_series(stability)
+    analysis.fit_input = FitInput(stability.dominance, stability.change_rate)
     return analysis
 
 
@@ -464,7 +464,7 @@ def _fit_table(
         if kind is ModelKind.LINEAR:
             row.append(fit.pearson_r)
         if kind.piecewise:
-            derived = fit.derived
+            derived = derived_params(kind, fit.params)
             row.extend([derived.b1, derived.c1, derived.c2])
         row.extend(
             [

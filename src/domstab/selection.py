@@ -24,7 +24,8 @@ from typing import Mapping, Sequence
 
 from .errors import ArgumentError, SelectionError
 from .fitting import ModelFit
-from .models import JointAmbiguous, ModelKind, Regime, qualitative_equilibria, regime_at
+from .models import JointAmbiguous, ModelKind, Regime, derived_params, regime_at
+from .models import qualitative_equilibria
 
 __all__ = [
     "PRIORITY",
@@ -233,9 +234,7 @@ def _sign_annotations(fit: ModelFit) -> str:
         return f"b{_sign_mark(b)}"
     if fit.kind.logistic_family:
         return f"r{_sign_mark(fit.params['r'])}"
-    derived = fit.derived
-    if derived is None:
-        return ""
+    derived = derived_params(fit.kind, fit.params)
     parts = [f"b1{_sign_mark(derived.b1)}"]
     if derived.c1 is not None:
         parts.append(f"c1{_sign_mark(derived.c1)}")

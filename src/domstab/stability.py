@@ -5,9 +5,10 @@ Stability at step t is the relative change
     S(t) = (D(t+1) - D(t)) / D(t)
 
 computed on consecutive samples in time order (sampling gaps are ignored;
-the index is the sample order, not calendar time).  Steps whose denominator
-is within ``EPS_DENOMINATOR`` of zero are excluded and surfaced with a reason rather
-than silently dropped.
+the index is the sample order, not calendar time).  Steps with a non-finite
+D(t) or D(t+1), or whose denominator is within ``EPS_DENOMINATOR`` of zero,
+are left out of the series and kept, each with its reason, on
+``StabilitySeries.excluded``; no report file lists them.
 
 Species dominance can be -inf (absent species).  Before a species stability
 series is formed those values are replaced by the sentinel: the minimum
@@ -20,9 +21,7 @@ samples along the columns, roster species along the rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .metrics import community_stats, species_dominances
 
 __all__ = [
     "SubjectDominance",
-    "StabilityPoint",
     "ExcludedPoint",
     "StabilitySeries",
     "EPS_DENOMINATOR",
@@ -101,57 +99,44 @@ def apply_sentinel(records: SubjectDominance) -> SubjectDominance:
 
 
 @dataclass(frozen=True)
-class StabilityPoint:
-    t: int                 # sample index of the step start
-    dominance: float       # D(t)
-    change_rate: float     # S(t)
-
-
-@dataclass(frozen=True)
 class ExcludedPoint:
     t: int
     dominance: float
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilitySeries:
-    """Stability points for one subject and one scope (community or species)."""
+    """Stability series for one subject and one scope (community or species)."""
 
     subject_id: str
-    scope: str             # COMMUNITY_SCOPE or a species id
-    points: tuple[StabilityPoint, ...]
-    excluded: tuple[ExcludedPoint, ...] = ()
-
-    @property
-    def dominance(self) -> list[float]:
-        return [p.dominance for p in self.points]
-
-    @property
-    def change_rate(self) -> list[float]:
-        return [p.change_rate for p in self.points]
+    scope: str                # COMMUNITY_SCOPE or a species id
+    points: np.ndarray        # kept step starts t: ascending int sample indices
+    dominance: np.ndarray     # D(t) at each kept t
+    change_rate: np.ndarray   # S(t) at each kept t
+    excluded: tuple[ExcludedPoint, ...]  # the steps left out, each with its reason
 
 
-def _stability_points(
-    values: Sequence[float],
-) -> tuple[tuple[StabilityPoint, ...], tuple[ExcludedPoint, ...]]:
-    points, excluded = [], []
-    for t in range(len(values) - 1):
-        d_now, d_next = values[t], values[t + 1]
-        if not (math.isfinite(d_now) and math.isfinite(d_next)):
-            excluded.append(ExcludedPoint(t, d_now, "non-finite dominance"))
-            continue
-        if abs(d_now) < EPS_DENOMINATOR:
-            excluded.append(ExcludedPoint(t, d_now, "dominance below eps"))
-            continue
-        points.append(StabilityPoint(t, d_now, (d_next - d_now) / d_now))
-    return tuple(points), tuple(excluded)
+def _stability_series(subject_id: str, scope: str, values: np.ndarray) -> StabilitySeries:
+    """S(t) on every step of ``values`` with a finite D(t), D(t+1) and
+    |D(t)| of at least ``EPS_DENOMINATOR``; the rest are excluded, a
+    non-finite step as such even when |D(t)| is also small."""
+    now, after = values[:-1], values[1:]
+    finite = np.isfinite(now) & np.isfinite(after)
+    kept = finite & (np.abs(now) >= EPS_DENOMINATOR)
+    dropped = np.flatnonzero(~kept)
+    reasons = np.where(finite[dropped], "dominance below eps", "non-finite dominance")
+    excluded = tuple(map(ExcludedPoint, dropped.tolist(), now[dropped].tolist(), reasons.tolist()))
+    points = np.flatnonzero(kept)
+    dominance = now[points]
+    with np.errstate(over="ignore"):  # as float arithmetic: S overflows to +-inf
+        change_rate = (after[points] - dominance) / dominance
+    return StabilitySeries(subject_id, scope, points, dominance, change_rate, excluded)
 
 
 def community_stability(records: SubjectDominance, subject_id: str = "") -> StabilitySeries:
     """Community stability series from consecutive samples' dominance."""
-    points, excluded = _stability_points(records.community.tolist())
-    return StabilitySeries(subject_id, COMMUNITY_SCOPE, points, excluded)
+    return _stability_series(subject_id, COMMUNITY_SCOPE, records.community)
 
 
 def species_stability(
@@ -169,5 +154,4 @@ def species_stability(
         raise SentinelError(
             f"species {species_id!r} has -inf dominance; apply_sentinel first"
         )
-    points, excluded = _stability_points(values.tolist())
-    return StabilitySeries(subject_id, species_id, points, excluded)
+    return _stability_series(subject_id, species_id, values)

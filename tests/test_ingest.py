@@ -182,6 +182,17 @@ def test_id_rule_refuses_a_subject_too_long_to_name_a_file():
             rule.parse(f"{subject}_010106")
 
 
+@pytest.mark.parametrize("char", ["\n", "\r", "\x85", "\u2028", "\x1b"])
+def test_id_rule_refuses_a_subject_holding_a_control_character_or_line_break(char):
+    """A subject names files and each is printed on one line, so none may
+    hold a character that str.splitlines breaks at or any other control
+    character."""
+    rule = SampleIdRule()
+    with pytest.raises(IdRuleError, match="control character or line break"):
+        rule.parse(f"40{char}0_010106")
+    assert rule.parse("40 0_010106") == ("40 0", "010106")  # a space is no control
+
+
 def test_id_rule_rejects_empty_separator():
     with pytest.raises(IdRuleError):
         SampleIdRule(separator="")

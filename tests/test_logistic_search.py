@@ -274,7 +274,7 @@ def cohort_inputs(cohort_path, tmp_path_factory) -> dict[str, FitInput]:
         series = filter_low_reads(series, config.min_total_reads)
         records = apply_sentinel(dominance_records(series))
         stability = community_stability(records, subject_id=series.subject_id)
-        out[series.subject_id] = FitInput.from_series(stability)
+        out[series.subject_id] = FitInput(stability.dominance, stability.change_rate)
     return out
 
 

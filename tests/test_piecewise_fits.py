@@ -115,7 +115,7 @@ def cohort_inputs(cohort_path, tmp_path_factory) -> dict[str, FitInput]:
         series = filter_low_reads(series, config.min_total_reads)
         records = apply_sentinel(dominance_records(series))
         stability = community_stability(records, subject_id=series.subject_id)
-        out[series.subject_id] = FitInput.from_series(stability)
+        out[series.subject_id] = FitInput(stability.dominance, stability.change_rate)
     return out
 
 
@@ -147,7 +147,7 @@ def test_profile_solves_few_candidates(cohort_inputs, monkeypatch):
 def test_screen_chunking_moves_no_bits(cohort_inputs, monkeypatch):
     inp = cohort_inputs["101"]
     kind = ModelKind.QUADRATIC_QUADRATIC
-    cand = np.array(breakpoint_candidates(inp.dominance))
+    cand = breakpoint_candidates(inp.dominance)
     whole = _screen(kind, cand, inp.dominance, inp.change_rate)
     # seven candidates a chunk of two columns: 72 candidates make ten full
     # chunks and a short one
@@ -211,7 +211,7 @@ def test_screen_matches_design_column_screen(kind, cohort_inputs):
     inputs = [*cohort_inputs.values(), _long_series()]
     assert len(inputs) == 6
     for inp in inputs:
-        cand = np.array(breakpoint_candidates(inp.dominance))
+        cand = breakpoint_candidates(inp.dominance)
         args = (ModelKind(kind), cand, inp.dominance, inp.change_rate)
         assert _screen(*args).tobytes() == _design_column_screen(*args).tobytes()
 

@@ -1,5 +1,5 @@
 """Property tests for the dominance and diversity kernels, the sentinel
-policy, the breakpoint grid and profile, the lockstep logistic-family search,
+policy, the stability series, the breakpoint grid and profile, the lockstep logistic-family search,
 the fixed-point scan, the table round trip, the count parse and the CSV
 writer."""
 
@@ -49,7 +49,15 @@ from domstab.metrics import (
 )
 from domstab.models import ModelKind, derivative, evaluate, evaluate_array
 from domstab.report import _spell_rows, _write_rows
-from domstab.stability import apply_sentinel, dominance_records, sentinel_value
+from domstab.stability import (
+    EPS_DENOMINATOR,
+    SubjectDominance,
+    apply_sentinel,
+    community_stability,
+    dominance_records,
+    sentinel_value,
+    species_stability,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -134,6 +142,85 @@ def test_all_zero_sample_raises(block, data):
         species_dominances(block)
 
 
+# ---------------------------------------------------------------- stability
+
+
+def _reference_stability(values: list[float]):
+    """The stability series as the per-step scalar loop: (t, D(t), S(t)) of
+    each kept step and (t, D(t), reason) of each excluded one."""
+    points, excluded = [], []
+    for t in range(len(values) - 1):
+        d_now, d_next = values[t], values[t + 1]
+        if not (math.isfinite(d_now) and math.isfinite(d_next)):
+            excluded.append((t, d_now, "non-finite dominance"))
+            continue
+        if abs(d_now) < EPS_DENOMINATOR:
+            excluded.append((t, d_now, "dominance below eps"))
+            continue
+        points.append((t, d_now, (d_next - d_now) / d_now))
+    return points, excluded
+
+
+_NEAR_EPS = [np.nextafter(EPS_DENOMINATOR, 0.0), EPS_DENOMINATOR,
+             np.nextafter(EPS_DENOMINATOR, 1.0)]
+# Dominance around the exclusion edges: |D| just below, at and just above
+# EPS_DENOMINATOR, signed zeros, infinities and NaN, among any other float.
+DOMINANCE = st.one_of(
+    st.sampled_from([*map(float, _NEAR_EPS), *(-float(x) for x in _NEAR_EPS),
+                     0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(-10.0, 10.0),
+    st.floats(),
+)
+# S(0) overflows to inf; 0.0 before -inf is a non-finite step, not a small one.
+EDGES = [2e-9, 1e308, float(_NEAR_EPS[0]), 1.0, -float(_NEAR_EPS[2]), 3.0, math.inf,
+         1.0, math.nan, 0.0, -math.inf, 5.0]
+
+
+def _assert_matches_reference(series, values: list[float]) -> None:
+    points, excluded = _reference_stability(values)
+    assert series.points.tolist() == [t for t, _, _ in points]
+    assert series.dominance.dtype == series.change_rate.dtype == np.float64
+    assert series.dominance.tobytes() == np.array([d for _, d, _ in points]).tobytes()
+    assert series.change_rate.tobytes() == np.array([s for _, _, s in points]).tobytes()
+    bits = [(e.t, struct.pack("<d", e.dominance), e.reason) for e in series.excluded]
+    assert bits == [(t, struct.pack("<d", d), why) for t, d, why in excluded]
+
+
+def _dominance_records(community: np.ndarray, species: np.ndarray) -> SubjectDominance:
+    return SubjectDominance(
+        sample_ids=tuple(f"p_{t}" for t in range(community.size)),
+        species_ids=("s0",),
+        community=community,
+        distance=np.zeros((1, species.size)),
+        dominance=species[np.newaxis, :],
+        sentinel_replaced=np.zeros((1, species.size), dtype=bool),
+    )
+
+
+@PROPERTY
+@given(st.lists(DOMINANCE, max_size=10))
+@example([])
+@example([1.0])
+@example([1.0, 2.0])
+@example(EDGES)
+def test_community_stability_matches_scalar_loop(values):
+    community = np.array(values, dtype=float)
+    series = community_stability(_dominance_records(community, community), "p")
+    _assert_matches_reference(series, values)
+
+
+@PROPERTY
+@given(st.lists(DOMINANCE.filter(lambda d: d != -math.inf), max_size=10))
+@example([])
+@example([1.0])
+@example([-1.0, 2.0])
+@example([d for d in EDGES if d != -math.inf])
+def test_species_stability_matches_scalar_loop(values):
+    species = np.array(values, dtype=float)
+    series = species_stability(_dominance_records(species, species), "s0", "p")
+    _assert_matches_reference(series, values)
+
+
 # ---------------------------------------------------------------- fitting
 
 
@@ -163,7 +250,9 @@ def _breakpoint_definition(values: list[float]) -> list[float]:
 @example([0.0, 1.0, 5.0, float(np.nextafter(5.0, 6.0)), 10.0, 11.0, 12.0])
 @example([0.0, 1.0, 2.0, 5.0, float(np.nextafter(5.0, 6.0)), 10.0, 11.0])
 def test_breakpoint_candidates_match_definition(values):
-    assert breakpoint_candidates(np.array(values)) == _breakpoint_definition(values)
+    candidates = breakpoint_candidates(np.array(values)).tolist()
+    assert candidates == _breakpoint_definition(values)
+    assert candidates == sorted(candidates)  # _grid_resolution relies on it
 
 
 def _reference_design(kind, d, dom):
@@ -262,7 +351,7 @@ def _as_bits(values: dict) -> dict:
 ))
 def test_piecewise_profile_matches_per_candidate_loop(problem):
     kind, inp = problem
-    if not breakpoint_candidates(inp.dominance):
+    if not breakpoint_candidates(inp.dominance).size:
         with pytest.raises(DomstabError):
             fit_piecewise(kind, inp)
         return
@@ -307,7 +396,7 @@ def test_screen_never_exceeds_the_certification_bound(problem):
     SS by more than the margin: otherwise the winner could be left unsolved."""
     kind, inp = problem
     dom, chg = inp.dominance, inp.change_rate
-    cand = np.array(breakpoint_candidates(dom))
+    cand = breakpoint_candidates(dom)
     if cand.size == 0:
         return
     screened = _screen(kind, cand, dom, chg)

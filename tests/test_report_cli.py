@@ -395,6 +395,24 @@ def test_cli_subject_id_that_could_name_a_path_is_input_error(subject, tmp_path,
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [table]
 
 
+@pytest.mark.parametrize("char", ["\n", "\r", "\x85", "\u2028", "\x1b"])
+def test_cli_subject_id_holding_a_line_break_is_input_error(char, tmp_path, capsys):
+    """A quoted header cell may hold a line break, but a subject id holding
+    one (or any control character) would name a file across two printed
+    lines: it is refused before anything is written."""
+    table = tmp_path / "counts.csv"
+    table.write_text(
+        f'species_id,"40{char}0_010106","40{char}0_010206",b_010106\nOTU1,10,20,30\n',
+        encoding="utf-8", newline="",
+    )
+    code = main(["metrics", "--input", str(table), "--out", str(tmp_path / "out")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "control character or line break" in captured.err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [table]
+
+
 def _id_table(tmp_path: Path, subject: str) -> Path:
     """Four samples of ``subject`` and one of a sound subject ``b``."""
     samples = ",".join(f"{subject}_01{day:02d}06" for day in (1, 5, 8, 12))

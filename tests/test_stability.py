@@ -93,19 +93,19 @@ def test_community_stability_change_rates():
     assert series.subject_id == "400"
     dom = records.community.tolist()
     assert len(series.points) == 2
-    for point in series.points:
-        expected = (dom[point.t + 1] - dom[point.t]) / dom[point.t]
-        assert point.change_rate == pytest.approx(expected, rel=1e-14)
-        assert point.dominance == dom[point.t]
+    for t, d_now, rate in zip(series.points, series.dominance, series.change_rate):
+        expected = (dom[t + 1] - dom[t]) / dom[t]
+        assert rate == pytest.approx(expected, rel=1e-14)
+        assert d_now == dom[t]
 
 
 def test_stability_reconstruction_identity():
     _, records = subject_records(THREE_SAMPLES)
     series = community_stability(records)
     dom = records.community.tolist()
-    for point in series.points:
-        reconstructed = point.dominance * (1.0 + point.change_rate)
-        assert reconstructed == pytest.approx(dom[point.t + 1], rel=1e-14)
+    for t, d_now, rate in zip(series.points, series.dominance, series.change_rate):
+        reconstructed = d_now * (1.0 + rate)
+        assert reconstructed == pytest.approx(dom[t + 1], rel=1e-14)
 
 
 def test_stability_excludes_near_zero_denominators():
@@ -115,7 +115,7 @@ def test_stability_excludes_near_zero_denominators():
     _, records = subject_records(text)
     assert records.community[1] == pytest.approx(0.0, abs=1e-15)
     series = community_stability(records)
-    assert [p.t for p in series.points] == [0]
+    assert series.points.tolist() == [0]
     assert [e.t for e in series.excluded] == [1]
     assert series.excluded[0].reason == "dominance below eps"
     assert EPS_DENOMINATOR == 1e-9
@@ -127,7 +127,7 @@ def test_species_stability_uses_sentineled_values():
     series = species_stability(patched, "OTU3", subject_id="400")
     floor = sentinel_value(records)
     assert series.scope == "OTU3"
-    assert series.points[0].dominance == floor
+    assert series.dominance[0] == floor
 
 
 def test_species_stability_rejects_unsentineled_infinities():
@@ -141,9 +141,3 @@ def test_species_stability_unknown_id():
     with pytest.raises(KeyError):
         species_stability(apply_sentinel(records), "OTU99")
 
-
-def test_series_list_properties():
-    _, records = subject_records(THREE_SAMPLES)
-    series = community_stability(records)
-    assert series.dominance == [p.dominance for p in series.points]
-    assert series.change_rate == [p.change_rate for p in series.points]
