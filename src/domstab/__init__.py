@@ -55,7 +55,7 @@ from .models import (
     regime_at,
 )
 from .report import RunConfig, cmd_compare_indices, cmd_fit_select, cmd_metrics, cmd_simulate, report_all
-from .selection import SelectionPolicy, SelectedModel, ValidityReport, select, summarize, validate
+from .selection import SelectionPolicy, SelectedModel, ValidityReport, select, summary, validate
 from .stability import (
     StabilitySeries,
     SubjectDominance,

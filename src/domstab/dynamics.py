@@ -51,10 +51,9 @@ class Trajectory:
 
     status is one of "converged" (successive change below tolerance),
     "oscillating" (period-2 cycle detected), "collapsed" (dominance reached zero
-    or changed sign from ``start``), or "max-steps".
+    or changed sign from ``values[0]``), or "max-steps".
     """
 
-    start: float
     values: tuple[float, ...]
     status: str
 
@@ -76,9 +75,9 @@ def iterate(
             raise DivergenceError(f"non-finite dominance at step {step}", step=step)
         values.append(nxt)
         if nxt == 0.0 or (nxt < 0.0) != (values[0] < 0.0):
-            return Trajectory(start, tuple(values), "collapsed")
+            return Trajectory(tuple(values), "collapsed")
         if abs(nxt - current) < CONVERGENCE_TOL:
-            return Trajectory(start, tuple(values), "converged")
+            return Trajectory(tuple(values), "converged")
         if (
             len(values) >= 3
             and abs(nxt - values[-3]) < CONVERGENCE_TOL
@@ -86,8 +85,8 @@ def iterate(
         ):
             # a genuine 2-cycle keeps a macroscopic swing; a damped
             # alternating approach (multiplier in (-1, 0)) does not
-            return Trajectory(start, tuple(values), "oscillating")
-    return Trajectory(start, tuple(values), "max-steps")
+            return Trajectory(tuple(values), "oscillating")
+    return Trajectory(tuple(values), "max-steps")
 
 
 @dataclass(frozen=True)

@@ -238,7 +238,6 @@ def simpson_identity_residual(values: Sequence[float]) -> float:
 class IndexRegression:
     """OLS of community dominance on a diversity index across samples."""
 
-    index: IndexKind
     slope: float
     intercept: float
     correlation: float
@@ -272,10 +271,4 @@ def regress_dominance_vs_index(
     slope = sxy / sxx
     intercept = float(y.mean() - slope * x.mean())
     correlation = sxy / math.sqrt(sxx * syy) if syy > 0.0 else math.nan
-    return IndexRegression(
-        index=which,
-        slope=slope,
-        intercept=intercept,
-        correlation=correlation,
-        n=int(x.size),
-    )
+    return IndexRegression(slope, intercept, correlation, int(x.size))

@@ -58,14 +58,7 @@ from .ingest import (
 from .metrics import IndexKind, community_stats, diversity_block, diversity_indices
 from .metrics import regress_dominance_vs_index
 from .models import ModelKind, derived_params, evaluate_array
-from .selection import (
-    PRIORITY,
-    SelectedModel,
-    SelectionPolicy,
-    select,
-    summarize,
-    validate,
-)
+from .selection import PRIORITY, SelectedModel, SelectionPolicy, select, summary, validate
 from .stability import (
     SubjectDominance,
     apply_sentinel,
@@ -156,17 +149,22 @@ class _Spelled(str):
     """Cells already spelled as CSV text, written as they stand."""
 
 
-def _spell_rows(cells: np.ndarray) -> Iterable[_Spelled]:
-    """The rows of a 2-d float64 array as comma-separated ``repr`` cells.  A
-    block of rows (``_SPELL_CELLS`` cells, or one row) spells each distinct
-    bit pattern once; 0.0 and -0.0, compared as bits, keep their spellings."""
-    step = max(1, _SPELL_CELLS // cells.shape[1])
-    for lo in range(0, len(cells), step):
-        block = cells[lo:lo + step]
+def _spell_rows(distance: np.ndarray, dominance: np.ndarray) -> Iterable[_Spelled]:
+    """One text per column of two species-by-sample float64 arrays: each
+    species' distance then dominance, as comma-separated ``repr`` cells.  A
+    block of samples (``_SPELL_CELLS`` cells, or one sample) is interleaved on
+    its own and spells each distinct bit pattern once; 0.0 and -0.0, compared
+    as bits, keep their spellings."""
+    n_species, n_samples = dominance.shape
+    step = max(1, _SPELL_CELLS // (2 * n_species))
+    for lo in range(0, n_samples, step):
+        block = np.empty((min(step, n_samples - lo), 2 * n_species))
+        block[:, 0::2] = distance[:, lo:lo + step].T
+        block[:, 1::2] = dominance[:, lo:lo + step].T
         bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
         words = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
         yield from map(_Spelled, map(",".join, words[inverse].reshape(block.shape).tolist()))
-        del bits, inverse, words  # before the next block spells its own
+        del block, bits, inverse, words  # before the next block spells its own
 
 
 def _cell(cell) -> str:
@@ -230,10 +228,12 @@ def load_subjects(config: RunConfig) -> list[SubjectSeries]:
 class SubjectAnalysis:
     """Everything the emitters need for one subject.
 
-    ``error`` is the DomstabError that stopped the subject: before fitting
-    (``records`` is None when it came from the read floor or the dominance
-    records, and its text is also the subject's ``selection_error``), or in
-    the fixed-point scan of its simulation.
+    ``selection_error`` is what stopped the subject before a model was
+    selected; every table that names a stop reason takes it from there.
+    ``error`` is the DomstabError, if any, that stopped the subject before
+    fitting (``records`` is None when it came from the read floor or the
+    dominance records) or in the fixed-point scan of its simulation; it
+    decides only the exit code.
     """
 
     series: SubjectSeries
@@ -257,7 +257,7 @@ def analyze_subject(series: SubjectSeries, min_total_reads: float) -> SubjectAna
         if series.too_short:
             analysis.selection_error = "fewer than two samples"
             return analysis
-        stability = community_stability(analysis.records, subject_id=series.subject_id)
+        stability = community_stability(analysis.records)
     except DomstabError as exc:
         analysis.error, analysis.selection_error = exc, str(exc)
         return analysis
@@ -287,16 +287,12 @@ def _metrics_table(
     for sid in series.species_ids:
         header.extend([f"distance_{sid}", f"dominance_{sid}"])
     header.append("sentinel_replaced")
-    n_species, n_samples = records.dominance.shape
-    cells = np.empty((n_samples, 2 * n_species))
-    cells[:, 0::2] = records.distance.T
-    cells[:, 1::2] = records.dominance.T
     rows = (
         [sample_id, community, values, ";".join(compress(records.species_ids, replaced))]
         for sample_id, community, values, replaced in zip(
             records.sample_ids,
             records.community.tolist(),
-            _spell_rows(cells),
+            _spell_rows(records.distance, records.dominance),
             records.sentinel_replaced.T,
         )
     )
@@ -307,8 +303,9 @@ def _metrics_tables(analyses: list[SubjectAnalysis], out_dir: Path) -> list[Path
     """One dominance table per subject whose records were built.  A row
     hands its sample's distances and dominances to :func:`_write_rows` as
     one text from :func:`_spell_rows`; the bytes are those of one ``repr``
-    per cell.  Besides the subject's floats, one block's text is alive at a
-    time, so the peak is the floats twice over plus about a MiB."""
+    per cell.  Besides the subject's floats, one block of samples is
+    interleaved and spelled at a time, so the peak is the floats once over
+    plus about a MiB."""
     return [
         _metrics_table(a.series, a.records, out_dir)
         for a in analyses if a.records is not None
@@ -339,7 +336,7 @@ def _index_table(analyses: list[SubjectAnalysis], out_dir: Path) -> Path:
             index_values = diversity_block(series.counts)
         for which in _INDEX_ORDER:
             if records is None:
-                note = str(analysis.error)
+                note = analysis.selection_error
             elif series.n_samples < 3:
                 note = "too-few-samples"
             else:
@@ -426,12 +423,16 @@ def analyze_cohort(
             analysis.selection_error = "no converged fits"
             continue
         try:
-            analysis.selected = select(
-                candidates, config.policy, subject_id=analysis.series.subject_id
-            )
+            analysis.selected = select(candidates, config.policy)
         except DomstabError as exc:
             analysis.selection_error = str(exc)
     return analyses
+
+
+def _stop_reason(analysis: SubjectAnalysis, kind: ModelKind) -> str:
+    """Why a subject has no fit of ``kind``: the fit's error, else what
+    stopped the subject before fitting or selection."""
+    return analysis.fit_errors.get(kind) or analysis.selection_error or ""
 
 
 def _fit_table(
@@ -450,11 +451,8 @@ def _fit_table(
     for analysis in analyses:
         subject = analysis.series.subject_id
         fit = analysis.fits.get(kind)
-        error = analysis.fit_errors.get(kind, "")
         if fit is None:
-            if not error and analysis.selection_error:
-                error = analysis.selection_error
-            rows.append([subject] + [None] * (len(header) - 2) + [error])
+            rows.append([subject] + [None] * (len(header) - 2) + [_stop_reason(analysis, kind)])
             continue
         report = validate(fit, config.policy)
         row: list = [subject]
@@ -473,7 +471,7 @@ def _fit_table(
                 str(fit.converged).lower(),
                 str(report.valid).lower(),
                 "; ".join(report.reasons),
-                error,
+                analysis.fit_errors.get(kind, ""),
             ]
         )
         rows.append(row)
@@ -483,8 +481,6 @@ def _fit_table(
 def _selection_table(
     analyses: list[SubjectAnalysis], out_dir: Path
 ) -> Path:
-    chosen = [a.selected for a in analyses if a.selected is not None]
-    summary = {row.subject_id: row for row in summarize(chosen)}
     header = ["subject", "model", "quality", "signs", "narrative", "backup",
               "rationale", "error"]
     rows = []
@@ -494,10 +490,10 @@ def _selection_table(
             rows.append([subject, None, None, None, None, None, None,
                          analysis.selection_error or ""])
             continue
-        row = summary[subject]
+        chosen = analysis.selected
         rows.append(
-            [subject, row.kind.value, row.quality, row.signs, row.narrative,
-             str(row.backup).lower(), analysis.selected.rationale, ""]
+            [subject, chosen.kind.value, *summary(chosen.fit),
+             str(chosen.backup).lower(), chosen.rationale, ""]
         )
     return _write_rows(out_dir / "selection_summary.csv", header, rows)
 
@@ -509,8 +505,7 @@ def _resilience_table(analyses: list[SubjectAnalysis], out_dir: Path) -> Path:
         subject = analysis.series.subject_id
         fit = analysis.fits.get(ModelKind.LINEAR)
         if fit is None:
-            error = str(analysis.error or "no linear fit")
-            rows.append([subject, None, None, analysis.fit_errors.get(ModelKind.LINEAR, error)])
+            rows.append([subject, None, None, _stop_reason(analysis, ModelKind.LINEAR)])
             continue
         res = resilience(fit)
         rows.append([subject, res.slope, res.magnitude, ""])

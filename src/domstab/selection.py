@@ -1,6 +1,7 @@
 """Validity screening and priority-ordered selection among fitted models.
 
-A fit is valid when it clears three checks:
+A fit is valid when :func:`validate` finds no reason against it under
+three checks:
 
 * fit quality: r2 at or above ``r2_min``;
 * parameter precision: every standard error at most ``se_ratio_max`` times
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import ArgumentError, SelectionError
 from .fitting import ModelFit
@@ -32,10 +33,9 @@ __all__ = [
     "SelectionPolicy",
     "ValidityReport",
     "SelectedModel",
-    "SummaryRow",
     "validate",
     "select",
-    "summarize",
+    "summary",
     "regime_narrative",
 ]
 
@@ -72,56 +72,43 @@ class SelectionPolicy:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    fit: ModelFit
-    r2_ok: bool
-    se_ok: bool
-    magnitude_ok: bool
-    reasons: tuple[str, ...]
+    reasons: tuple[str, ...]  # every failed check, in the order validate runs them
 
     @property
     def valid(self) -> bool:
-        return self.r2_ok and self.se_ok and self.magnitude_ok
+        return not self.reasons
 
 
 def validate(fit: ModelFit, policy: SelectionPolicy = SelectionPolicy()) -> ValidityReport:
     """Run the three validity checks on one fit."""
     reasons: list[str] = []
 
-    r2_ok = math.isfinite(fit.r2) and fit.r2 >= policy.r2_min
-    if not r2_ok:
+    if not (math.isfinite(fit.r2) and fit.r2 >= policy.r2_min):
         reasons.append(f"r2 {_short(fit.r2)} below {_short(policy.r2_min)}")
 
     exempt = _SE_EXEMPT.get(fit.kind, ())
-    se_ok = True
     for name in fit.kind.param_names:
         if name in exempt:
             continue
         value = fit.params[name]
         se = fit.std_errors.get(name, math.inf)
         if not math.isfinite(se):
-            se_ok = False
             reasons.append(f"se({name}) is not finite")
             continue
         limit = policy.se_ratio_max * abs(value)
         if se > limit:
-            se_ok = False
             reasons.append(
                 f"se({name}) {_short(se)} exceeds {_short(policy.se_ratio_max)}x |{name}|"
             )
 
-    magnitude_ok = True
     for name in fit.kind.param_names:
         if abs(fit.params[name]) > policy.magnitude_max:
-            magnitude_ok = False
             reasons.append(f"|{name}| {_short(fit.params[name])} exceeds {_short(policy.magnitude_max)}")
 
     if not fit.converged:
-        se_ok = False
         reasons.append("fit did not converge")
 
-    return ValidityReport(
-        fit=fit, r2_ok=r2_ok, se_ok=se_ok, magnitude_ok=magnitude_ok, reasons=tuple(reasons)
-    )
+    return ValidityReport(tuple(reasons))
 
 
 def _short(x: float) -> str:
@@ -130,9 +117,7 @@ def _short(x: float) -> str:
 
 @dataclass(frozen=True)
 class SelectedModel:
-    subject_id: str
     fit: ModelFit
-    report: ValidityReport
     rationale: str
     backup: bool = False  # True when nothing was valid and linear stood in
 
@@ -142,32 +127,20 @@ class SelectedModel:
 
 
 def select(
-    fits: Mapping[ModelKind, ModelFit],
-    policy: SelectionPolicy = SelectionPolicy(),
-    subject_id: str = "",
+    fits: Mapping[ModelKind, ModelFit], policy: SelectionPolicy = SelectionPolicy()
 ) -> SelectedModel:
     """First valid fit in priority order; linear as flagged backup otherwise."""
     if not fits:
         raise SelectionError("no fits to select from")
-    reports = {kind: validate(fit, policy) for kind, fit in fits.items()}
     for kind in PRIORITY:
-        report = reports.get(kind)
-        if report is not None and report.valid:
-            return SelectedModel(
-                subject_id=subject_id,
-                fit=report.fit,
-                report=report,
-                rationale=f"first valid kind in priority order: {kind.value}",
-            )
-    linear = reports.get(ModelKind.LINEAR)
+        fit = fits.get(kind)
+        if fit is not None and validate(fit, policy).valid:
+            return SelectedModel(fit, f"first valid kind in priority order: {kind.value}")
+    linear = fits.get(ModelKind.LINEAR)
     if linear is None:
         raise SelectionError("no fit is valid and no linear backup was supplied")
     return SelectedModel(
-        subject_id=subject_id,
-        fit=linear.fit,
-        report=linear,
-        rationale="backup-invalid: no kind passed the validity checks",
-        backup=True,
+        linear, "backup-invalid: no kind passed the validity checks", backup=True
     )
 
 
@@ -218,16 +191,6 @@ def regime_narrative(fit: ModelFit) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    subject_id: str
-    kind: ModelKind
-    quality: str
-    signs: str
-    narrative: str
-    backup: bool
-
-
 def _sign_annotations(fit: ModelFit) -> str:
     if fit.kind is ModelKind.LINEAR:
         b = fit.params["b"]
@@ -250,23 +213,10 @@ def _sign_mark(x: float) -> str:
     return "=0"
 
 
-def summarize(selected: Sequence[SelectedModel]) -> list[SummaryRow]:
-    """One row per subject: kind, quality, branch signs, regime narrative."""
-    rows = []
-    for item in selected:
-        fit = item.fit
-        if fit.kind is ModelKind.LINEAR and fit.pearson_r is not None:
-            quality = f"R={fit.pearson_r:.2f}"
-        else:
-            quality = f"r2={fit.r2:.2f}"
-        rows.append(
-            SummaryRow(
-                subject_id=item.subject_id,
-                kind=fit.kind,
-                quality=quality,
-                signs=_sign_annotations(fit),
-                narrative=regime_narrative(fit),
-                backup=item.backup,
-            )
-        )
-    return rows
+def summary(fit: ModelFit) -> tuple[str, str, str]:
+    """A selected fit's quality, branch signs and regime narrative."""
+    if fit.kind is ModelKind.LINEAR and fit.pearson_r is not None:
+        quality = f"R={fit.pearson_r:.2f}"
+    else:
+        quality = f"r2={fit.r2:.2f}"
+    return quality, _sign_annotations(fit), regime_narrative(fit)

@@ -44,8 +44,6 @@ __all__ = [
 
 EPS_DENOMINATOR = 1e-9
 
-COMMUNITY_SCOPE = "community"
-
 
 @dataclass(frozen=True, eq=False)
 class SubjectDominance:
@@ -107,17 +105,15 @@ class ExcludedPoint:
 
 @dataclass(frozen=True, eq=False)
 class StabilitySeries:
-    """Stability series for one subject and one scope (community or species)."""
+    """Stability series of a subject's community or of one species."""
 
-    subject_id: str
-    scope: str                # COMMUNITY_SCOPE or a species id
     points: np.ndarray        # kept step starts t: ascending int sample indices
     dominance: np.ndarray     # D(t) at each kept t
     change_rate: np.ndarray   # S(t) at each kept t
     excluded: tuple[ExcludedPoint, ...]  # the steps left out, each with its reason
 
 
-def _stability_series(subject_id: str, scope: str, values: np.ndarray) -> StabilitySeries:
+def _stability_series(values: np.ndarray) -> StabilitySeries:
     """S(t) on every step of ``values`` with a finite D(t), D(t+1) and
     |D(t)| of at least ``EPS_DENOMINATOR``; the rest are excluded, a
     non-finite step as such even when |D(t)| is also small."""
@@ -131,19 +127,15 @@ def _stability_series(subject_id: str, scope: str, values: np.ndarray) -> Stabil
     dominance = now[points]
     with np.errstate(over="ignore"):  # as float arithmetic: S overflows to +-inf
         change_rate = (after[points] - dominance) / dominance
-    return StabilitySeries(subject_id, scope, points, dominance, change_rate, excluded)
+    return StabilitySeries(points, dominance, change_rate, excluded)
 
 
-def community_stability(records: SubjectDominance, subject_id: str = "") -> StabilitySeries:
+def community_stability(records: SubjectDominance) -> StabilitySeries:
     """Community stability series from consecutive samples' dominance."""
-    return _stability_series(subject_id, COMMUNITY_SCOPE, records.community)
+    return _stability_series(records.community)
 
 
-def species_stability(
-    records: SubjectDominance,
-    species_id: str,
-    subject_id: str = "",
-) -> StabilitySeries:
+def species_stability(records: SubjectDominance, species_id: str) -> StabilitySeries:
     """Species stability series; records must be sentinel-replaced first."""
     try:
         row = records.species_ids.index(species_id)
@@ -154,4 +146,4 @@ def species_stability(
         raise SentinelError(
             f"species {species_id!r} has -inf dominance; apply_sentinel first"
         )
-    return _stability_series(subject_id, species_id, values)
+    return _stability_series(values)

@@ -224,7 +224,7 @@ def test_criterion_6_selection_policy(
         )
         report = validate(pathology)
         assert not report.valid
-        assert not report.magnitude_ok
+        assert any(r.startswith("|K| ") for r in report.reasons)
 
         assert validate(logi_fit(400)).valid
 
@@ -244,7 +244,7 @@ def test_criterion_6_selection_policy(
         for subject, (expected, candidates) in scenarios.items():
             candidates = dict(candidates)
             candidates[ModelKind.LINEAR] = linear_fit(subject)
-            chosen = select(candidates, subject_id=str(subject))
+            chosen = select(candidates)
             assert chosen.kind is expected, f"{subject}: {chosen.kind} != {expected}"
             assert not chosen.backup
 

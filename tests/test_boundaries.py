@@ -2,8 +2,9 @@
 
 ``src/domstab`` depends on the standard library and NumPy only; scipy in
 particular is not a dependency.  ``bench/spans.py`` records its spans by
-replacing module attributes of domstab at run time, so every (module,
-attribute) pair it names must exist; the file is parsed, not run.
+replacing module attributes of domstab at run time, so every entry of its
+patch list must name a (module, attribute) pair and every pair it names must
+exist; the file is parsed, not run.
 """
 
 import ast
@@ -37,35 +38,39 @@ def test_package_imports_only_the_standard_library_numpy_and_itself():
     assert outside == set()
 
 
-def _patched_names(path: Path) -> list[tuple[str, str]]:
-    """(module, attribute) of every ``span(module, "attr", ...)`` call and
-    ``(module, "attr", wrapper)`` tuple whose module is imported from domstab."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def _pair(node: ast.AST, modules: set[str]) -> tuple[str, str] | None:
+    """(module, attribute) of a ``span(module, "attr", ...)`` call or a
+    ``(module, "attr", wrapper)`` tuple whose module is imported from
+    domstab; None for any other node."""
+    if isinstance(node, ast.Call):
+        head = node.args[:2]
+    elif isinstance(node, ast.Tuple):
+        head = node.elts[:2]
+    else:
+        return None
+    if (
+        len(head) == 2
+        and isinstance(head[0], ast.Name) and head[0].id in modules
+        and isinstance(head[1], ast.Constant) and isinstance(head[1].value, str)
+    ):
+        return head[0].id, head[1].value
+    return None
+
+
+def test_every_name_the_harness_wraps_exists():
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
     modules = {
         alias.asname or alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "domstab"
         for alias in node.names
     }
-    pairs = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            head = node.args[:2]
-        elif isinstance(node, ast.Tuple):
-            head = node.elts[:2]
-        else:
-            continue
-        if (
-            len(head) == 2
-            and isinstance(head[0], ast.Name) and head[0].id in modules
-            and isinstance(head[1], ast.Constant) and isinstance(head[1].value, str)
-        ):
-            pairs.append((head[0].id, head[1].value))
-    return pairs
-
-
-def test_every_name_the_harness_wraps_exists():
-    pairs = _patched_names(SPANS)
+    pairs = [pair for node in ast.walk(tree) if (pair := _pair(node, modules)) is not None]
+    # every entry of the list _patches returns is such a pair
+    (patches,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_patches"]
+    entries = patches.body[-1].value.elts
+    assert entries
+    assert None not in [_pair(entry, modules) for entry in entries]
     assert {
         ("report", "curve_chart"),
         ("report", "parse_table"),

@@ -32,7 +32,6 @@ def test_linear_trajectories_converge_from_both_sides():
 
 def test_trajectory_records_start_and_path():
     traj = iterate(ModelKind.LINEAR, LINEAR_405, 30.0)
-    assert traj.start == 30.0
     assert traj.values[0] == 30.0
     # first step follows the map by hand
     s0 = 1.551 - 0.033 * 30.0

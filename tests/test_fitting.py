@@ -120,7 +120,7 @@ def test_minimum_points_enforced():
 def test_fit_input_from_stability_arrays():
     table = parse_table("species_id,400_a,400_b,400_c\nOTU1,4,9,2\nOTU2,1,3,2\n")
     (series,) = split_subjects(table)
-    stability = community_stability(dominance_records(series), "400")
+    stability = community_stability(dominance_records(series))
     inp = FitInput(stability.dominance, stability.change_rate)
     assert inp.n == len(stability.points)
     assert list(inp.dominance) == stability.dominance.tolist()

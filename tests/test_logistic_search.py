@@ -273,7 +273,7 @@ def cohort_inputs(cohort_path, tmp_path_factory) -> dict[str, FitInput]:
     for series in load_subjects(config):
         series = filter_low_reads(series, config.min_total_reads)
         records = apply_sentinel(dominance_records(series))
-        stability = community_stability(records, subject_id=series.subject_id)
+        stability = community_stability(records)
         out[series.subject_id] = FitInput(stability.dominance, stability.change_rate)
     return out
 

@@ -1,7 +1,7 @@
 """Property tests for the dominance and diversity kernels, the sentinel
-policy, the stability series, the breakpoint grid and profile, the lockstep logistic-family search,
-the fixed-point scan, the table round trip, the count parse and the CSV
-writer."""
+policy, the stability series, the breakpoint grid and profile, the lockstep
+logistic-family search, validity screening and selection, the fixed-point
+scan, the table round trip, the count parse and the CSV writer."""
 
 import csv
 import io
@@ -23,6 +23,7 @@ from domstab.dynamics import FixedPoint, _bisect, _multiplier_at, fixed_points
 from domstab.errors import (
     DomstabError,
     ParseError,
+    SelectionError,
     SingularInformationError,
     ZeroCommunityError,
 )
@@ -32,6 +33,7 @@ from domstab.fitting import (
     GN_RELATIVE_SS_TOL,
     GN_STEP_TOL,
     FitInput,
+    ModelFit,
     _best,
     _linear_se_from_design,
     _lockstep,
@@ -49,6 +51,7 @@ from domstab.metrics import (
 )
 from domstab.models import ModelKind, derivative, evaluate, evaluate_array
 from domstab.report import _spell_rows, _write_rows
+from domstab.selection import PRIORITY, SelectionPolicy, select, validate
 from domstab.stability import (
     EPS_DENOMINATOR,
     SubjectDominance,
@@ -205,7 +208,7 @@ def _dominance_records(community: np.ndarray, species: np.ndarray) -> SubjectDom
 @example(EDGES)
 def test_community_stability_matches_scalar_loop(values):
     community = np.array(values, dtype=float)
-    series = community_stability(_dominance_records(community, community), "p")
+    series = community_stability(_dominance_records(community, community))
     _assert_matches_reference(series, values)
 
 
@@ -217,7 +220,7 @@ def test_community_stability_matches_scalar_loop(values):
 @example([d for d in EDGES if d != -math.inf])
 def test_species_stability_matches_scalar_loop(values):
     species = np.array(values, dtype=float)
-    series = species_stability(_dominance_records(species, species), "s0", "p")
+    series = species_stability(_dominance_records(species, species), "s0")
     _assert_matches_reference(series, values)
 
 
@@ -621,6 +624,123 @@ def test_ranking_matches_sorted_reference(rows):
     assert picked.tolist() == _reference_best(owner, ss, params, take, distinct, prefer)
 
 
+# ---------------------------------------------------------------- selection
+
+
+def reference_validate(fit: ModelFit, policy: SelectionPolicy):
+    """validate as it was when it kept one flag per check:
+    (r2_ok, se_ok, magnitude_ok, reasons)."""
+    reasons = []
+    r2_ok = math.isfinite(fit.r2) and fit.r2 >= policy.r2_min
+    if not r2_ok:
+        reasons.append(f"r2 {fit.r2:.4g} below {policy.r2_min:.4g}")
+    se_ok = True
+    for name in fit.kind.param_names:
+        if fit.kind.logistic_family and name == "a":
+            continue
+        value = fit.params[name]
+        se = fit.std_errors.get(name, math.inf)
+        if not math.isfinite(se):
+            se_ok = False
+            reasons.append(f"se({name}) is not finite")
+            continue
+        if se > policy.se_ratio_max * abs(value):
+            se_ok = False
+            reasons.append(f"se({name}) {se:.4g} exceeds {policy.se_ratio_max:.4g}x |{name}|")
+    magnitude_ok = True
+    for name in fit.kind.param_names:
+        if abs(fit.params[name]) > policy.magnitude_max:
+            magnitude_ok = False
+            reasons.append(f"|{name}| {fit.params[name]:.4g} exceeds {policy.magnitude_max:.4g}")
+    if not fit.converged:
+        se_ok = False
+        reasons.append("fit did not converge")
+    return r2_ok, se_ok, magnitude_ok, tuple(reasons)
+
+
+def reference_select(fits: dict, policy: SelectionPolicy):
+    """select as it was when it validated every fit first:
+    (kind, rationale, backup)."""
+    if not fits:
+        raise SelectionError("no fits to select from")
+    reports = {kind: reference_validate(fit, policy) for kind, fit in fits.items()}
+    for kind in PRIORITY:
+        report = reports.get(kind)
+        if report is not None and report[0] and report[1] and report[2]:
+            return kind, f"first valid kind in priority order: {kind.value}", False
+    if ModelKind.LINEAR not in reports:
+        raise SelectionError("no fit is valid and no linear backup was supplied")
+    return ModelKind.LINEAR, "backup-invalid: no kind passed the validity checks", True
+
+
+def _around(x: float) -> list[float]:
+    return [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+
+
+# Maxima of 0, finite or inf; an r2 minimum of any non-NaN float.
+POLICIES = st.builds(
+    SelectionPolicy,
+    r2_min=st.one_of(st.just(0.30), st.floats(allow_nan=False)),
+    se_ratio_max=st.one_of(st.sampled_from([20.0, 0.0, math.inf]), st.floats(0.0)),
+    magnitude_max=st.one_of(st.sampled_from([1e6, 0.0, math.inf]), st.floats(0.0)),
+)
+SE_CELLS = st.one_of(st.sampled_from([math.inf, math.nan, 0.0]), st.floats(0.0), st.floats())
+
+
+@st.composite
+def screened_fits(draw, kind: ModelKind, policy: SelectionPolicy) -> ModelFit:
+    """A fit whose r2 may be NaN, +-inf or at and around ``r2_min``, whose
+    params may be 0 or at and beyond ``magnitude_max``, and whose standard
+    errors may be inf, NaN, 0 or missing; one in three clears every check
+    that the policy lets a fit clear."""
+    names = kind.param_names
+    if draw(st.integers(0, 2)) == 0:
+        r2 = policy.r2_min if math.isfinite(policy.r2_min) else 1.0
+        return ModelFit(
+            kind=kind, params=dict.fromkeys(names, 0.0), std_errors=dict.fromkeys(names, 0.0),
+            r2=r2, r2_adj=r2, residual_ss=1.0, n=28, converged=True, iterations=1,
+        )
+    r2 = draw(st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, *_around(policy.r2_min)]), st.floats()
+    ))
+    limit = policy.magnitude_max
+    param = st.one_of(
+        st.sampled_from([0.0, -0.0, *_around(limit), -limit, 2.0 * limit, 1.0]), st.floats()
+    )
+    params = {name: draw(param) for name in names}
+    std_errors = {name: draw(SE_CELLS) for name in names if draw(st.integers(0, 9))}
+    return ModelFit(
+        kind=kind, params=params, std_errors=std_errors, r2=r2, r2_adj=r2,
+        residual_ss=1.0, n=28, converged=draw(st.booleans()), iterations=1,
+    )
+
+
+@PROPERTY
+@given(st.sampled_from(list(ModelKind)), POLICIES, st.data())
+def test_validate_matches_the_flagged_reference(kind, policy, data):
+    fit = data.draw(screened_fits(kind, policy))
+    report = validate(fit, policy)
+    r2_ok, se_ok, magnitude_ok, reasons = reference_validate(fit, policy)
+    assert report.reasons == reasons
+    assert report.valid == (r2_ok and se_ok and magnitude_ok)
+
+
+@PROPERTY
+@given(st.sets(st.sampled_from(list(ModelKind))), POLICIES, st.data())
+def test_select_matches_the_validate_everything_reference(kinds, policy, data):
+    fits = {kind: data.draw(screened_fits(kind, policy)) for kind in sorted(kinds, key=str)}
+    try:
+        expected = reference_select(fits, policy)
+    except SelectionError as exc:
+        with pytest.raises(SelectionError) as raised:
+            select(fits, policy)
+        assert str(raised.value) == str(exc)
+        return
+    picked = select(fits, policy)
+    assert (picked.kind, picked.rationale, picked.backup) == expected
+    assert picked.fit is fits[expected[0]]
+
+
 # ---------------------------------------------------------------- dynamics
 
 
@@ -893,7 +1013,13 @@ TEXT_CELLS = st.text(st.one_of(st.sampled_from(',"\r\n'), st.characters()), max_
 
 
 class FloatRun(tuple):
-    """A run of float cells, which the writer gets spelled by _spell_rows."""
+    """A run of float cells, (distance, dominance) pairs of one sample, which
+    the writer gets spelled by _spell_rows."""
+
+
+def spell_run(run: FloatRun) -> report._Spelled:
+    pairs = np.array(run).reshape(-1, 2)
+    return next(_spell_rows(pairs[:, :1], pairs[:, 1:]))
 
 
 CELLS = st.one_of(
@@ -901,7 +1027,9 @@ CELLS = st.one_of(
     st.integers(-(10**30), 10**30),
     st.none(),
     FLOAT_CELLS,
-    st.lists(FLOAT_CELLS, min_size=1, max_size=12).map(FloatRun),
+    st.lists(st.tuples(FLOAT_CELLS, FLOAT_CELLS), min_size=1, max_size=6).map(
+        lambda pairs: FloatRun(x for pair in pairs for x in pair)
+    ),
 )
 
 
@@ -930,7 +1058,7 @@ def csv_writer_bytes(header: list, rows: list[list]) -> bytes:
 )
 def test_write_rows_matches_csv_writer(header, rows):
     spelled = [
-        [next(_spell_rows(np.array([cell]))) if isinstance(cell, FloatRun) else cell
+        [spell_run(cell) if isinstance(cell, FloatRun) else cell
          for cell in row]
         for row in rows
     ]
@@ -941,21 +1069,28 @@ def test_write_rows_matches_csv_writer(header, rows):
 
 @st.composite
 def float_tables(draw):
-    """2-d float64 tables with repeated and special values, and a block size
-    of 1-16 cells, so that blocks split the table and a row may be wider
-    than a block."""
-    width = draw(st.integers(1, 12))
-    rows = draw(st.lists(st.lists(FLOAT_CELLS, min_size=width, max_size=width), max_size=10))
-    return np.array(rows, dtype=np.float64).reshape(-1, width), draw(st.integers(1, 16))
+    """Species-by-sample distance and dominance arrays with repeated and
+    special values, and a block size of 1-16 cells, so that blocks split
+    the samples and a sample's row may be wider than a block."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(0, 10)))
+    distance, dominance = (
+        draw(arrays(np.float64, shape, elements=FLOAT_CELLS)) for _ in range(2)
+    )
+    return distance, dominance, draw(st.integers(1, 16))
 
 
 @PROPERTY
 @given(float_tables())
-@example((np.array([[0.0, -0.0, PAYLOAD_NAN, math.nan], [5e-324, math.inf, -math.inf, 0.0]]), 3))
+@example((
+    np.array([[0.0, PAYLOAD_NAN], [5e-324, -math.inf]]),
+    np.array([[-0.0, math.nan], [math.inf, 0.0]]),
+    3,
+))
 def test_spell_rows_match_one_repr_per_cell(problem):
-    cells, block = problem
+    distance, dominance, block = problem
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(report, "_SPELL_CELLS", block)
-        spelled = list(_spell_rows(cells))
+        spelled = list(_spell_rows(distance, dominance))
+    cells = np.stack([distance.T, dominance.T], axis=2).reshape(distance.shape[1], 2 * len(distance))
     assert spelled == [",".join(map(repr, row)) for row in cells.tolist()]
     assert all(type(text) is report._Spelled for text in spelled)

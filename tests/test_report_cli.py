@@ -595,6 +595,28 @@ def test_cli_zero_sample_subject_gets_error_rows(tmp_path, cohort_path):
     assert [r["status"] for r in trajectory] == ["all abundances are zero"]
 
 
+def test_one_sample_subject_names_one_stop_reason_in_every_table(tmp_path, cohort_path):
+    """A subject with one sample is stopped before fitting without an
+    analysis error; every table that names its stop reason names the same."""
+    rows = list(csv.reader(cohort_path.read_text().splitlines()))
+    rows[0].append("999_010106")
+    for row in rows[1:]:
+        row.append("50")
+    src = tmp_path / "one_sample.csv"
+    src.write_text("".join(",".join(row) + "\n" for row in rows))
+    out = tmp_path / "out"
+    report_all(RunConfig(input_path=src, out_dir=out, models=(ModelKind.LINEAR,)))
+    tables = _subject_rows(out)
+    errors = {
+        name: [r["error"] for r in tables[name] if r["subject"] == "999"]
+        for name in ("fit_linear.csv", "selection_summary.csv", "resilience.csv")
+    }
+    assert errors["resilience.csv"] == errors["fit_linear.csv"] == ["fewer than two samples"]
+    assert errors["selection_summary.csv"] == ["fewer than two samples"]
+    trajectory = read_rows(out / "simulate_999_trajectory.csv")
+    assert [r["status"] for r in trajectory] == ["fewer than two samples"]
+
+
 def test_cli_metrics_contains_zero_sample_subject(tmp_path, cohort_path):
     """metrics writes the tables of subjects 102-105, as a clean run does,
     none for subject 101, whose records fail, and exits 2."""
@@ -731,10 +753,11 @@ def test_every_cell_is_a_plain_value(tmp_path, cohort_path, monkeypatch):
 
 
 def test_metrics_emit_memory_is_bounded_by_the_floats(tmp_path):
-    """Writing a 2000-species metrics table holds its float array at most
-    twice over, plus a MiB: one block of rows is spelled at a time.  Peaks:
-    2.7 MB spelling row by row, 4.0 MB in blocks of 2**14 cells, 8.9 MB in
-    blocks of 2**16; the bound is 4.9 MB."""
+    """Writing a 2000-species metrics table holds at most its distance and
+    dominance floats once over, plus a MiB: one block of samples is
+    interleaved and spelled at a time.  Peaks: 2.2 MB in blocks of 2**14
+    cells, 4.0 MB when the whole interleaved array was built first; the
+    bound is 2.9 MB."""
     counts = np.random.default_rng(7).integers(0, 5000, size=(2000, 60)).astype(float)
     series = SubjectSeries(
         "w", tuple(f"OTU{i}" for i in range(2000)), tuple(f"w_{t:03d}" for t in range(60)),
@@ -748,8 +771,8 @@ def test_metrics_emit_memory_is_bounded_by_the_floats(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    floats = 60 * 2 * 2000 * 8  # the (samples, 2 x species) float64 array
-    assert peak <= 2 * floats + 2**20
+    floats = 60 * 2 * 2000 * 8  # distance and dominance, species x samples
+    assert peak <= floats + 2**20
 
 
 # SHA-256 of the cohort's metrics and index tables: the bench golden compares
@@ -770,6 +793,73 @@ def test_cohort_metrics_and_index_bytes_pinned(tmp_path, cohort_path):
     paths = [*cmd_metrics(config), cmd_compare_indices(config)]
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert digests == COHORT_DIGESTS
+
+
+# SHA-256 of the cohort's selection and resilience tables, and the screening
+# columns (converged, valid, reasons, error) of each fit table by subject.
+COHORT_SELECTION_DIGESTS = {
+    "selection_summary.csv": "53620c3faccc3fb2b429877e1dda378b041204c80eeb4183aca4aece8d9c2057",
+    "resilience.csv": "c12775b1e13cae9154946ade720ea2ca32a5ae514aa63faaf1154c46e9f62106",
+}
+_NOT_CONVERGED = "fit did not converge"
+COHORT_SCREENING = {
+    "fit_linear.csv": {
+        "101": ("true", "false", "r2 0.2532 below 0.3", ""),
+        "102": ("true", "false", "r2 0.2396 below 0.3", ""),
+        "103": ("true", "false", "r2 0.09425 below 0.3", ""),
+        "104": ("true", "true", "", ""),
+        "105": ("true", "false", "r2 0.2346 below 0.3", ""),
+    },
+    "fit_logistic.csv": {
+        "101": ("false", "false", "r2 0.2127 below 0.3; se(K) 1499 exceeds 20x |K|; "
+                f"|a| -1.91e+11 exceeds 1e+06; {_NOT_CONVERGED}", "logistic: no start converged"),
+        "102": ("true", "false", "r2 0.1485 below 0.3; se(K) 189 exceeds 20x |K|; "
+                "|a| -8.187e+08 exceeds 1e+06", ""),
+        "103": ("true", "true", "", ""),
+        "104": ("false", "false", f"r2 0.2312 below 0.3; {_NOT_CONVERGED}",
+                "logistic: no start converged"),
+        "105": ("true", "false", "r2 0.1288 below 0.3", ""),
+    },
+    "fit_logistic_sine.csv": {
+        "101": ("false", "false", "r2 0.2129 below 0.3; se(K) 1303 exceeds 20x |K|; "
+                f"|a| -2.175e+11 exceeds 1e+06; {_NOT_CONVERGED}",
+                "logistic-sine: no start converged"),
+        "102": ("false", "false", f"r2 0.1701 below 0.3; {_NOT_CONVERGED}",
+                "logistic-sine: no start converged"),
+        "103": ("false", "false", f"r2 0.1126 below 0.3; {_NOT_CONVERGED}",
+                "logistic-sine: no start converged"),
+        "104": ("false", "false", f"r2 0.23 below 0.3; {_NOT_CONVERGED}",
+                "logistic-sine: no start converged"),
+        "105": ("true", "false", "r2 0.1289 below 0.3", ""),
+    },
+    "fit_linear_quadratic.csv": {
+        "101": ("true", "true", "", ""),
+        "102": ("true", "false", "se(b) 0.2682 exceeds 20x |b|", ""),
+        "103": ("true", "false", "r2 0.2353 below 0.3", ""),
+        "104": ("true", "true", "", ""),
+        "105": ("true", "true", "", ""),
+    },
+    "fit_quadratic_quadratic.csv": {
+        subject: ("true", "true", "", "") for subject in ("101", "102", "103", "104", "105")
+    },
+}
+
+
+def test_cohort_selection_outputs_pinned(tmp_path, cohort_path):
+    paths = {p.name: p for p in cmd_fit_select(RunConfig(cohort_path, tmp_path / "out"))}
+    digests = {
+        name: hashlib.sha256(paths[name].read_bytes()).hexdigest()
+        for name in COHORT_SELECTION_DIGESTS
+    }
+    assert digests == COHORT_SELECTION_DIGESTS
+    screening = {
+        name: {
+            r["subject"]: (r["converged"], r["valid"], r["reasons"], r["error"])
+            for r in read_rows(paths[name])
+        }
+        for name in COHORT_SCREENING
+    }
+    assert screening == COHORT_SCREENING
 
 
 def test_cli_non_utf8_input_is_input_error(tmp_path, capsys):

@@ -11,7 +11,7 @@ from domstab.selection import (
     SelectionPolicy,
     regime_narrative,
     select,
-    summarize,
+    summary,
     validate,
 )
 
@@ -60,14 +60,12 @@ def test_policy_maximum_of_inf_sets_no_limit():
 def test_accepts_reference_logistic():
     report = validate(FIT_400)
     assert report.valid
-    assert report.r2_ok and report.se_ok and report.magnitude_ok
     assert report.reasons == ()
 
 
 def test_rejects_huge_standard_error():
     report = validate(FIT_408)
     assert not report.valid
-    assert not report.se_ok
     assert any("se(K)" in reason for reason in report.reasons)
 
 
@@ -81,7 +79,7 @@ def test_shape_param_exempt_from_se_gate():
 def test_rejects_low_r2():
     low = manual_fit(ModelKind.LOGISTIC, {"K": 1.0, "a": 0.1, "r": -0.1}, {"K": 0.1, "a": 0.01, "r": 0.01}, 0.25)
     report = validate(low)
-    assert not report.r2_ok
+    assert any(r.startswith("r2 ") for r in report.reasons)
     assert not report.valid
 
 
@@ -93,13 +91,13 @@ def test_rejects_magnitude_pathology():
         0.80,
     )
     report = validate(huge)
-    assert not report.magnitude_ok
+    assert any(r.startswith("|K| ") for r in report.reasons)
     assert not report.valid
 
 
 def test_rejects_non_finite_r2():
     bad = manual_fit(ModelKind.LOGISTIC, {"K": 1.0, "a": 0.1, "r": -0.1}, {"K": 0.1, "a": 0.01, "r": 0.01}, math.nan)
-    assert not validate(bad).r2_ok
+    assert any(r.startswith("r2 ") for r in validate(bad).reasons)
 
 
 def test_rejects_unconverged_fit():
@@ -111,7 +109,7 @@ def test_rejects_unconverged_fit():
         converged=False,
     )
     report = validate(stalled)
-    assert not report.se_ok
+    assert not report.valid
     assert "fit did not converge" in report.reasons
 
 
@@ -129,10 +127,9 @@ def test_se_gate_uses_ratio_threshold():
 
 def test_priority_prefers_logistic_over_linear():
     lin = manual_fit(ModelKind.LINEAR, {"a": 2.974, "b": -0.061}, {"a": 0.407, "b": 0.009}, 0.66, pearson_r=0.81)
-    picked = select({ModelKind.LINEAR: lin, ModelKind.LOGISTIC: FIT_400}, subject_id="400")
+    picked = select({ModelKind.LINEAR: lin, ModelKind.LOGISTIC: FIT_400})
     assert picked.kind is ModelKind.LOGISTIC
     assert not picked.backup
-    assert picked.subject_id == "400"
 
 
 def test_priority_falls_through_invalid_kinds():
@@ -144,8 +141,7 @@ def test_priority_falls_through_invalid_kinds():
         0.85,
     )
     picked = select(
-        {ModelKind.LOGISTIC: FIT_408, ModelKind.LINEAR_QUADRATIC: lq, ModelKind.LINEAR: lin},
-        subject_id="408",
+        {ModelKind.LOGISTIC: FIT_408, ModelKind.LINEAR_QUADRATIC: lq, ModelKind.LINEAR: lin}
     )
     assert picked.kind is ModelKind.LINEAR_QUADRATIC
 
@@ -210,12 +206,11 @@ def test_narrative_lq_includes_equilibria():
 
 def test_summarize_rows():
     lin = manual_fit(ModelKind.LINEAR, {"a": 1.551, "b": -0.033}, {"a": 0.182, "b": 0.004}, 0.72, pearson_r=0.85)
-    picked = select({ModelKind.LINEAR: lin}, subject_id="405")
-    (row,) = summarize([picked])
-    assert row.subject_id == "405"
-    assert row.kind is ModelKind.LINEAR
-    assert row.quality == "R=0.85"
-    assert not row.backup
+    picked = select({ModelKind.LINEAR: lin})
+    quality, _, _ = summary(picked.fit)
+    assert picked.kind is ModelKind.LINEAR
+    assert quality == "R=0.85"
+    assert not picked.backup
 
 
 def test_summarize_sign_annotations():
@@ -224,8 +219,8 @@ def test_summarize_sign_annotations():
         {"a": 0.331, "b": 0.014, "c": 0.00033, "d": 28.341, "e": -0.108},
         28.341 + np.linspace(-18, 18, 28),
     )
-    picked = select({ModelKind.LINEAR_QUADRATIC: lq, }, subject_id="402")
-    (row,) = summarize([picked])
-    assert "b1>0" in row.signs
-    assert "c2>0" in row.signs
-    assert row.quality.startswith("r2=")
+    picked = select({ModelKind.LINEAR_QUADRATIC: lq, })
+    quality, signs, _ = summary(picked.fit)
+    assert "b1>0" in signs
+    assert "c2>0" in signs
+    assert quality.startswith("r2=")

@@ -89,8 +89,7 @@ def test_sentinel_without_finite_values_raises():
 
 def test_community_stability_change_rates():
     _, records = subject_records(THREE_SAMPLES)
-    series = community_stability(records, subject_id="400")
-    assert series.subject_id == "400"
+    series = community_stability(records)
     dom = records.community.tolist()
     assert len(series.points) == 2
     for t, d_now, rate in zip(series.points, series.dominance, series.change_rate):
@@ -124,9 +123,8 @@ def test_stability_excludes_near_zero_denominators():
 def test_species_stability_uses_sentineled_values():
     _, records = subject_records(THREE_SAMPLES)
     patched = apply_sentinel(records)
-    series = species_stability(patched, "OTU3", subject_id="400")
+    series = species_stability(patched, "OTU3")
     floor = sentinel_value(records)
-    assert series.scope == "OTU3"
     assert series.dominance[0] == floor
 
 
