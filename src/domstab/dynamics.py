@@ -128,8 +128,10 @@ def fixed_points(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ys = evaluate_array(kind, params, xs)
         y0, y1 = ys[:-1], ys[1:]
-        # brackets with finite ends that start on a root or change sign
-        hits = np.isfinite(y0) & np.isfinite(y1) & ((y0 == 0.0) | (y0 * y1 < 0.0))
+        # brackets with finite ends that start on a root or change sign, by
+        # comparing signs: the product of two tiny rates underflows to zero
+        change = ((y0 < 0.0) != (y1 < 0.0)) & (y1 != 0.0)
+        hits = np.isfinite(y0) & np.isfinite(y1) & ((y0 == 0.0) | change)
     roots = [float(xs[i]) if ys[i] == 0.0
              else _bisect(kind, params, float(xs[i]), float(xs[i + 1]), float(ys[i]))
              for i in np.flatnonzero(hits)]

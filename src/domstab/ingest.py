@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress
 from typing import Iterable
@@ -163,21 +162,15 @@ def _scan_counts(numbered: list[tuple[int, list[str]]], width: int) -> np.ndarra
     return np.array(values, dtype=float).reshape(len(numbered), width - 1)
 
 
-# What a subject id may not hold: a path separator, a Unicode control
-# character (Cc, NUL included) or a line break str.splitlines adds to those
-_UNNAMEABLE = re.compile(r"[/\\\x00-\x1f\x7f-\x9f\u2028\u2029]")
-
-
 @dataclass(frozen=True)
 class SampleIdRule:
     """How sample ids decompose into subject and time token.
 
     The token after the last ``separator`` is the time token; everything
-    before it is the subject id, which names output files, printed one to a
-    line: it holds no path separator, control character or character that
-    ``str.splitlines`` breaks at, and ``simulate_<id>_fixed_points.csv.tmp``
-    fits in 255 bytes.  A 6-digit token is treated as MMDDYY and sorted as
-    YYMMDD, any other token sorts lexicographically.
+    before it is the subject id, which may be any non-empty text (the report
+    layer refuses one that cannot name its files).  A 6-digit token is
+    treated as MMDDYY and sorted as YYMMDD, any other token sorts
+    lexicographically.
     """
 
     separator: str = "_"
@@ -194,12 +187,6 @@ class SampleIdRule:
         subject, _, token = sample_id.rpartition(self.separator)
         if not subject or not token:
             raise IdRuleError(f"sample id {sample_id!r} splits into an empty part")
-        if bad := _UNNAMEABLE.search(subject):
-            what = ("a path separator or NUL" if bad[0] in "/\\\0"
-                    else "a control character or line break")
-            raise IdRuleError(f"subject of sample id {sample_id!r} holds {what}")
-        if len(f"simulate_{subject}_fixed_points.csv.tmp".encode()) > 255:
-            raise IdRuleError(f"subject of sample id {sample_id!r} is too long to name a file")
         return subject, token
 
     def sort_key(self, token: str) -> str:

@@ -127,7 +127,7 @@ def evaluate_array(
         if kind is ModelKind.LINEAR:
             a, b = vec
             return a + b * dom
-        if kind is ModelKind.LOGISTIC or kind is ModelKind.LOGISTIC_SINE:
+        if kind.logistic_family:
             big_k, a, r = vec
             out = big_k / (1.0 + a * np.exp(-r * dom))
             if kind is ModelKind.LOGISTIC_SINE:
@@ -161,10 +161,10 @@ def derivative(
     derivatives are returned as a (left, right) pair; everywhere else the
     return value is a plain float.
     """
-    vec = param_vector(kind, params)
+    vec = param_vector(kind, params).tolist()  # Python floats: report cells take no NumPy scalar
     if kind is ModelKind.LINEAR:
-        return float(vec[1])
-    if kind is ModelKind.LOGISTIC or kind is ModelKind.LOGISTIC_SINE:
+        return vec[1]
+    if kind.logistic_family:
         big_k, a, r = vec
         try:
             expo = math.exp(-r * dom)
@@ -179,7 +179,7 @@ def derivative(
         logistic = big_k / denom
         return core * math.sin(dom / math.pi) + logistic * math.cos(dom / math.pi) / math.pi
     left, right = branch_polynomials(kind, params)
-    d = float(vec[3])
+    d = vec[3]
     if dom < d:
         return left[1] + 2.0 * left[2] * dom
     if dom > d:

@@ -37,7 +37,7 @@ from typing import Iterable
 import numpy as np
 
 from .dynamics import MAX_STEPS, fixed_points, iterate, resilience
-from .errors import ArgumentError, DivergenceError, DomstabError, ParseError
+from .errors import ArgumentError, DivergenceError, DomstabError, IdRuleError, ParseError
 from .errors import SubjectAnalysisError, UnknownNameError
 from .fitting import (
     FitInput,
@@ -79,21 +79,7 @@ __all__ = [
     "report_all",
 ]
 
-ALL_KINDS = (
-    ModelKind.LINEAR,
-    ModelKind.LOGISTIC,
-    ModelKind.LOGISTIC_SINE,
-    ModelKind.LINEAR_QUADRATIC,
-    ModelKind.QUADRATIC_QUADRATIC,
-)
-
-_INDEX_ORDER = (
-    IndexKind.SIMPSON,
-    IndexKind.SHANNON,
-    IndexKind.SHANNON_EVENNESS,
-    IndexKind.BERGER_PARKER,
-    IndexKind.SIMPSON_EVENNESS,
-)
+ALL_KINDS = tuple(ModelKind)
 
 
 @dataclass(frozen=True)
@@ -204,10 +190,20 @@ def _write_rows(path: Path, header: list[str], rows: Iterable[list]) -> Path:
     return path
 
 
+# What a subject id may not hold, as it names files each printed on its own
+# line: a path separator, a Unicode control character (Cc, NUL included) or a
+# line break str.splitlines adds to those
+_UNNAMEABLE = re.compile(r"[/\\\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
+
 def load_subjects(config: RunConfig) -> list[SubjectSeries]:
     """Parse the input table and split it by subject.  Low-read species are
     dropped per subject by :func:`analyze_subject`.  Input that is not
-    UTF-8 is a ParseError naming the byte offset of the first bad byte."""
+    UTF-8 is a ParseError naming the byte offset of the first bad byte.
+    A subject id that cannot name its files is an IdRuleError, checked once
+    per subject before anything is written: it may hold no path separator,
+    control character or character that ``str.splitlines`` breaks at, and
+    ``simulate_<id>_fixed_points.csv.tmp`` must fit in 255 bytes."""
     try:
         with open(config.input_path, encoding="utf-8", newline="") as stream:
             table = parse_table(stream, config.delimiter)
@@ -221,7 +217,15 @@ def load_subjects(config: RunConfig) -> list[SubjectSeries]:
             where = f"at byte offset {exc.start} (row {row})"
             raise ParseError(f"input is not UTF-8: {exc.reason} {where}", row=row) from None
         raise
-    return split_subjects(table, config.id_rule)
+    subjects = split_subjects(table, config.id_rule)
+    for subject in (series.subject_id for series in subjects):
+        if bad := _UNNAMEABLE.search(subject):
+            what = ("a path separator or NUL" if bad[0] in "/\\\0"
+                    else "a control character or line break")
+            raise IdRuleError(f"subject {subject!r} holds {what}")
+        if len(f"simulate_{subject}_fixed_points.csv.tmp".encode()) > 255:
+            raise IdRuleError(f"subject {subject!r} is too long to name a file")
+    return subjects
 
 
 @dataclass
@@ -328,13 +332,13 @@ def cmd_metrics(config: RunConfig) -> list[Path]:
 def _index_table(analyses: list[SubjectAnalysis], out_dir: Path) -> Path:
     rows: list[list] = []
     collected: dict[IndexKind, list[tuple[float, float, float]]] = {
-        which: [] for which in _INDEX_ORDER
+        which: [] for which in IndexKind
     }
     for analysis in analyses:
         series, records = analysis.series, analysis.records
         if records is not None:
             index_values = diversity_block(series.counts)
-        for which in _INDEX_ORDER:
+        for which in IndexKind:
             if records is None:
                 note = analysis.selection_error
             elif series.n_samples < 3:
@@ -356,7 +360,7 @@ def _index_table(analyses: list[SubjectAnalysis], out_dir: Path) -> Path:
             rows.append(
                 [series.subject_id, which.value, None, None, None, series.n_samples, note]
             )
-    for which in _INDEX_ORDER:
+    for which in IndexKind:
         entries = collected[which]
         if not entries:
             continue

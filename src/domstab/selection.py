@@ -47,10 +47,6 @@ PRIORITY = (  # the selection order
     ModelKind.LINEAR,
 )
 
-_SE_EXEMPT = {
-    ModelKind.LOGISTIC: ("a",),
-    ModelKind.LOGISTIC_SINE: ("a",),
-}
 _NARRATIVE_POINTS = 101  # evenly spaced dominance levels the narrative reads
 
 
@@ -86,9 +82,8 @@ def validate(fit: ModelFit, policy: SelectionPolicy = SelectionPolicy()) -> Vali
     if not (math.isfinite(fit.r2) and fit.r2 >= policy.r2_min):
         reasons.append(f"r2 {_short(fit.r2)} below {_short(policy.r2_min)}")
 
-    exempt = _SE_EXEMPT.get(fit.kind, ())
     for name in fit.kind.param_names:
-        if name in exempt:
+        if name == "a" and fit.kind.logistic_family:
             continue
         value = fit.params[name]
         se = fit.std_errors.get(name, math.inf)

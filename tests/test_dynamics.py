@@ -122,6 +122,33 @@ def test_fixed_points_multiplier_signs():
     assert point.verdict == "unstable"
 
 
+@pytest.mark.parametrize("kind, params", [
+    (ModelKind.LINEAR, LINEAR_405),
+    (ModelKind.LOGISTIC_SINE, {"K": 0.5, "a": 2.0, "r": 0.3}),
+    (ModelKind.LINEAR_QUADRATIC, {"a": -3.95, "b": 1.525, "c": -0.15, "d": 5.0, "e": 1.675}),
+    (ModelKind.QUADRATIC_QUADRATIC,
+     {"a": 1.0, "b": -0.2, "c": 0.004, "d": 10.0, "e": 0.002, "f": 0.05}),
+])
+def test_fixed_points_are_python_floats(kind, params):
+    """A report spells a NumPy float as ``np.float64(...)``, so every
+    location and multiplier is a Python float.  The logistic kind is left
+    out: K / (1 + a e^{-rD}) has no root."""
+    points = fixed_points(kind, params, (1.0, 60.0))
+    assert points
+    for point in points:
+        assert type(point.location) is float and type(point.multiplier) is float
+
+
+def test_sign_change_between_underflowing_rates_is_a_root():
+    """Around D = 2 pi^2 this fit's rates are about 1e-173, so the product
+    of two neighbouring grid rates underflows to -0.0; the root is found all
+    the same, and its multiplier raises no overflow warning."""
+    params = {"K": 0.11661896023125502, "a": 1.3937883737885165e-45, "r": -24.837225272488777}
+    points = fixed_points(ModelKind.LOGISTIC_SINE, params, (0.0, 19.823928638551962))
+    pi2 = math.pi * math.pi
+    assert [p.location for p in points] == pytest.approx([0.0, pi2, 2 * pi2], abs=1e-8)
+
+
 def linear_fit(a: float, b: float) -> ModelFit:
     return ModelFit(
         kind=ModelKind.LINEAR,

@@ -1,3 +1,4 @@
+import csv
 import io
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import emit_table
 
+from domstab import report
 from domstab.errors import DuplicateIdError, EmptyRosterError, IdRuleError, ParseError
 from domstab.ingest import (
     AbundanceTable,
@@ -13,6 +15,7 @@ from domstab.ingest import (
     parse_table,
     split_subjects,
 )
+from domstab.report import RunConfig, load_subjects
 
 CSV_TEXT = """species_id,400_010106,401_010106,400_010506,401_010506
 OTU1,10,3,12,0
@@ -171,26 +174,60 @@ def test_id_rule_rejects_missing_separator():
         rule.parse("_010106")
 
 
-def test_id_rule_refuses_a_subject_too_long_to_name_a_file():
+def _loaded_subject_ids(tmp_path, sample_ids: list[str]) -> list[str]:
+    """Subject ids that report.load_subjects, the reader of every command,
+    takes from a one-species table of ``sample_ids``."""
+    path = tmp_path / "counts.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(
+            [["species_id", *sample_ids], ["OTU1", *["1"] * len(sample_ids)]]
+        )
+    return [s.subject_id for s in load_subjects(RunConfig(path, tmp_path / "out"))]
+
+
+def test_id_rule_refuses_a_subject_too_long_to_name_a_file(tmp_path):
     """``simulate_<id>_fixed_points.csv.tmp`` may take 255 bytes of UTF-8,
     30 of them fixed, so a subject id may take 225: bytes, not characters."""
-    rule = SampleIdRule()
     longest = "\u00e9" * 112 + "x"  # 113 characters, 225 bytes
-    assert rule.parse(f"{longest}_010106") == (longest, "010106")
+    assert _loaded_subject_ids(tmp_path, [f"{longest}_010106"]) == [longest]
     for subject in (longest + "x", "\u00e9" * 113):  # 226 bytes
         with pytest.raises(IdRuleError, match="too long to name a file"):
-            rule.parse(f"{subject}_010106")
+            _loaded_subject_ids(tmp_path, [f"{subject}_010106"])
 
 
 @pytest.mark.parametrize("char", ["\n", "\r", "\x85", "\u2028", "\x1b"])
-def test_id_rule_refuses_a_subject_holding_a_control_character_or_line_break(char):
+def test_id_rule_refuses_a_subject_holding_a_control_character_or_line_break(char, tmp_path):
     """A subject names files and each is printed on one line, so none may
     hold a character that str.splitlines breaks at or any other control
     character."""
-    rule = SampleIdRule()
     with pytest.raises(IdRuleError, match="control character or line break"):
-        rule.parse(f"40{char}0_010106")
-    assert rule.parse("40 0_010106") == ("40 0", "010106")  # a space is no control
+        _loaded_subject_ids(tmp_path, [f"40{char}0_010106"])
+    assert _loaded_subject_ids(tmp_path, ["40 0_010106"]) == ["40 0"]  # a space is no control
+
+
+def test_split_subjects_accepts_any_subject_id():
+    """Only the report, which names files after subjects, refuses an id."""
+    ids = ["a/b", "a\\b", "a\0b", "40\n0", "40\r0", "40\x850", "40\u20280", "40\x1b0",
+           "x" * 300, "\u00e9" * 113]
+    header = ",".join(['"species_id"', *(f'"{subject}_010106"' for subject in ids)])
+    table = parse_table(header + "\nOTU1" + ",1" * len(ids) + "\n")
+    assert [s.subject_id for s in split_subjects(table)] == sorted(ids)
+
+
+def test_subject_names_are_checked_once_per_subject(tmp_path, monkeypatch):
+    """Three subjects of 40 samples each take three checks, not 120."""
+    checked = []
+
+    class Counting:
+        def search(self, subject):
+            checked.append(subject)
+            return pattern.search(subject)
+
+    pattern = report._UNNAMEABLE
+    monkeypatch.setattr(report, "_UNNAMEABLE", Counting())
+    ids = [f"{s}_t{t:03d}" for t in range(40) for s in ("p1", "p2", "p3")]
+    assert _loaded_subject_ids(tmp_path, ids) == ["p1", "p2", "p3"]
+    assert checked == ["p1", "p2", "p3"]
 
 
 def test_id_rule_rejects_empty_separator():

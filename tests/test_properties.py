@@ -758,7 +758,7 @@ def _reference_fixed_points(kind, params, domain, grid):
         if y0 == 0.0:
             roots.append(float(xs[i]))
             continue
-        if y0 * y1 < 0.0:
+        if (y0 < 0.0) != (y1 < 0.0) and y1 != 0.0:
             roots.append(_bisect(kind, params, float(xs[i]), float(xs[i + 1]), y0))
     if math.isfinite(float(ys[-1])) and float(ys[-1]) == 0.0:
         roots.append(float(xs[-1]))
