@@ -166,14 +166,18 @@ def derivative(
         return vec[1]
     if kind.logistic_family:
         big_k, a, r = vec
-        try:
-            expo = math.exp(-r * dom)
-        except OverflowError:
-            raise EvalError(f"{kind.value} derivative overflows at D={dom!r}") from None
-        denom = 1.0 + a * expo
+        expo = _exp(-r * dom) if a else 0.0  # a = 0 leaves no exponential term
+        finite = math.isfinite(a * expo)
+        # the model stays finite where exp(-r*D) or a*exp(-r*D) overflows:
+        # there t = a*exp(-r*D) is taken as exp(ln|a| - r*D)
+        t = a * expo if finite else math.copysign(_exp(math.log(abs(a)) - r * dom), a)
+        denom = 1.0 + t
         if denom == 0.0:
             raise EvalError(f"{kind.value} derivative has a pole at D={dom!r}")
-        core = big_k * a * r * expo / (denom * denom)
+        if finite:
+            core = big_k * a * r * expo / (denom * denom)
+        else:  # K*r*t/(1+t)^2
+            core = big_k * r / (t + 2.0 + 1.0 / t)
         if kind is ModelKind.LOGISTIC:
             return core
         logistic = big_k / denom
@@ -185,6 +189,14 @@ def derivative(
     if dom > d:
         return right[1] + 2.0 * right[2] * dom
     return (left[1] + 2.0 * left[2] * dom, right[1] + 2.0 * right[2] * dom)
+
+
+def _exp(x: float) -> float:
+    """exp(x), or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def branch_polynomials(

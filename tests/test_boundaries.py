@@ -1,7 +1,10 @@
-"""What the package may import, and the names the benchmark harness wraps.
+"""What the package may import and export, and the names the benchmark
+harness wraps.
 
 ``src/domstab`` depends on the standard library and NumPy only; scipy in
-particular is not a dependency.  ``bench/spans.py`` records its spans by
+particular is not a dependency.  Each public name has one import path, its
+module: ``import domstab`` loads no submodule, and a module's ``__all__``
+lists only names that module defines.  ``bench/spans.py`` records its spans by
 replacing module attributes of domstab at run time, so every entry of its
 patch list must name a (module, attribute) pair and every pair it names must
 exist; the file is parsed, not run.
@@ -9,6 +12,8 @@ exist; the file is parsed, not run.
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,6 +41,41 @@ def test_package_imports_only_the_standard_library_numpy_and_itself():
         for root in _imported_roots(path) - allowed
     }
     assert outside == set()
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    script = (
+        "import sys, domstab\n"
+        "print(sorted(m for m in sys.modules if m.startswith('domstab.') or m == 'numpy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.stdout.strip() == "[]", proc.stdout + proc.stderr
+
+
+def _defined_names(path: Path) -> set[str]:
+    """Names bound by a module's own top-level definitions and assignments."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_every_name_a_module_exports_is_defined_there():
+    undefined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem not in ("__init__", "__main__"):
+            exports = getattr(importlib.import_module(f"domstab.{path.stem}"), "__all__", None)
+            if exports is not None:
+                undefined[path.stem] = set(exports) - _defined_names(path)
+    assert "models" in undefined
+    assert {stem: names for stem, names in undefined.items() if names} == {}
 
 
 def _pair(node: ast.AST, modules: set[str]) -> tuple[str, str] | None:

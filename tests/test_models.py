@@ -179,10 +179,41 @@ def test_evaluate_rejects_non_finite_result():
         evaluate(ModelKind.LOGISTIC, params, 5.0)
 
 
-def test_derivative_overflow_is_eval_error():
-    # exp(-r D) = exp(10000) overflows a float
-    with pytest.raises(EvalError):
-        derivative(ModelKind.LOGISTIC, (1.0, 1.0, -1000.0), 10.0)
+def test_derivative_finite_path_keeps_its_bits():
+    # K*a*r*exp(-r*D) / (1 + a*exp(-r*D))^2, the digits written before the
+    # overflowing cases got their own route
+    pins = {
+        ModelKind.LOGISTIC: (LOGISTIC_400, [
+            -0.029299479839707744, -0.09457951091780922, -0.03641085150976176]),
+        ModelKind.LOGISTIC_SINE: (SINE_420, [
+            0.16824551774576396, -0.009975218877058434, 0.04449230828374047]),
+    }
+    for kind, (params, slopes) in pins.items():
+        assert [derivative(kind, params, dom) for dom in (1.0, 7.5, 33.3)] == slopes
+
+
+@pytest.mark.parametrize("kind", [ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE])
+@pytest.mark.parametrize(
+    "params, dom",
+    [
+        ((1.0, 1.0, -1000.0), 10.0),           # exp(-r*D) = exp(10000) overflows
+        ((0.5, 1.6e-59, -30.3), 23.5),          # exp(-r*D) overflows, a*exp(-r*D) does not
+        ((1.0, 1e10, -1.0), 690.0),             # exp(-r*D) is finite, a*exp(-r*D) is not
+    ],
+)
+def test_derivative_where_the_exponential_overflows_is_the_finite_limit(kind, params, dom):
+    slope = derivative(kind, params, dom)
+    assert math.isfinite(slope)
+    h = 1e-3
+    central = (evaluate(kind, params, dom + h) - evaluate(kind, params, dom - h)) / (2 * h)
+    assert slope == pytest.approx(central, abs=1e-12)
+    assert regime_at(kind, params, dom) is Regime.DIS
+
+
+def test_derivative_with_a_zero_has_no_exponential_to_overflow():
+    for kind in (ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE):
+        no_exponential = derivative(kind, (1.0, 0.0, 0.0), 10.0)
+        assert derivative(kind, (1.0, 0.0, -1000.0), 10.0) == no_exponential
 
 
 def test_derivative_pole_is_eval_error():

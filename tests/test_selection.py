@@ -192,6 +192,21 @@ def test_narrative_sine_mentions_recurring_crossings():
     assert "sine nodes" in text
 
 
+@pytest.mark.parametrize("kind", [ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE])
+@pytest.mark.parametrize(
+    "params, lo, hi",
+    [
+        ({"K": 0.5, "a": 1.6e-59, "r": -30.3}, 20.0, 30.0),  # a polish endpoint's shape
+        ({"K": 1.0, "a": 1e10, "r": -1.0}, 600.0, 700.0),
+    ],
+)
+def test_summary_where_the_exponential_overflows(kind, params, lo, hi):
+    fit = manual_fit(kind, params, {}, 0.5, dominance_min=lo, dominance_max=hi)
+    _, signs, narrative = summary(fit)
+    assert signs == "r<0"
+    assert narrative.startswith("DIS throughout; ")
+
+
 def test_narrative_lq_includes_equilibria():
     fit = fitted(
         ModelKind.LINEAR_QUADRATIC,
