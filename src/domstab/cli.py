@@ -26,7 +26,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ArgumentError, DomstabError, InputError, UnknownNameError
+from .errors import DomstabError, InputError, UnknownNameError
 from .ingest import DEFAULT_MIN_TOTAL_READS, SampleIdRule
 from .models import ModelKind
 from .report import (
@@ -111,7 +111,7 @@ def _parse_models(text: str | None) -> tuple[ModelKind, ...]:
             valid = ", ".join(k.value for k in ALL_KINDS)
             raise UnknownNameError(f"unknown model kind {name!r} (choose from: {valid})")
     if not out:
-        raise ArgumentError("no model kinds given")
+        raise InputError("no model kinds given")
     return tuple(out)
 
 

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, EmptyDomainError, KindError
+from .errors import DivergenceError, DomstabError
 from .fitting import ModelFit
 from .models import ModelKind, derivative, evaluate, evaluate_array
 
@@ -117,13 +117,13 @@ def fixed_points(
     by bisection.  Brackets with non-finite endpoints are skipped, and
     candidates where |S| stays large (pole crossings of the logistic
     denominators) are discarded.  A domain with a non-finite end, or an
-    empty one (``hi <= lo``), raises EmptyDomainError.
+    empty one (``hi <= lo``), raises DomstabError.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise EmptyDomainError(f"fixed-point domain ({lo!r}, {hi!r}) is not finite")
+        raise DomstabError(f"fixed-point domain ({lo!r}, {hi!r}) is not finite")
     if not (hi > lo):
-        raise EmptyDomainError(f"fixed-point domain ({lo!r}, {hi!r}) is empty")
+        raise DomstabError(f"fixed-point domain ({lo!r}, {hi!r}) is empty")
     xs = np.linspace(lo, hi, SCAN_GRID + 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ys = evaluate_array(kind, params, xs)
@@ -192,6 +192,6 @@ def resilience(fit: ModelFit) -> Resilience:
     comparing |b| across subjects ranks their recovery speed.
     """
     if fit.kind is not ModelKind.LINEAR:
-        raise KindError("resilience is defined for linear fits only")
+        raise DomstabError("resilience is defined for linear fits only")
     slope = fit.params["b"]
     return Resilience(slope=slope, magnitude=abs(slope))

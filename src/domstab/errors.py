@@ -1,13 +1,30 @@
-"""Exception hierarchy for domstab.
+"""Exception classes for domstab.
 
-Every error raised by the library derives from DomstabError so callers can
-catch one base class at pipeline boundaries.  Input-shaped problems (parsing,
-sample-id rules, arguments, unknown names) derive from InputError and are
-distinct from analysis-shaped problems (a subject's empty roster, degenerate
-fits, non-convergence) because the CLI maps them to different exit codes.
+Every error raised by the library is a DomstabError, so callers can catch
+one base class at pipeline boundaries.  A class exists only where code tells
+it apart or reads its attribute; every other problem is an InputError or a
+DomstabError whose message says what went wrong.
+
+- InputError: a problem with the input or the run's arguments.  The CLI
+  exits with code 1 for it and with 2 for any other DomstabError.
+- UnknownNameError: a subject, species or model kind that is not there;
+  also a KeyError.
+- SingularInformationError: fitting turns it into a fit without standard
+  errors.
+- NonConvergenceError: the reports file its ``best`` attempt.
+- DivergenceError: the trajectory reads its ``step``.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "DivergenceError",
+    "DomstabError",
+    "InputError",
+    "NonConvergenceError",
+    "SingularInformationError",
+    "UnknownNameError",
+]
 
 
 class DomstabError(Exception):
@@ -15,30 +32,7 @@ class DomstabError(Exception):
 
 
 class InputError(DomstabError):
-    """Base class for problems with the input or the run's arguments."""
-
-
-# ---------------------------------------------------------------- ingest
-
-
-class ParseError(InputError):
-    """Malformed input table (ragged row, missing header, ...)."""
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
-
-
-class DuplicateIdError(InputError):
-    """Duplicate species or sample identifier in the input table."""
-
-
-class IdRuleError(InputError):
-    """Sample identifier does not match the configured id rule."""
-
-
-class ArgumentError(InputError):
-    """A run argument is outside its domain, such as a negative step count."""
+    """A problem with the input or the run's arguments."""
 
 
 class UnknownNameError(InputError, KeyError):
@@ -46,50 +40,6 @@ class UnknownNameError(InputError, KeyError):
     plain message, not the quoted key that KeyError prints."""
 
     __str__ = BaseException.__str__
-
-
-class EmptyRosterError(DomstabError):
-    """No species left for a subject after filtering."""
-
-
-# ---------------------------------------------------------------- metrics
-
-
-class ZeroCommunityError(DomstabError):
-    """All abundances are zero, so crowding and dominance are undefined."""
-
-
-class PreconditionError(DomstabError):
-    """Not enough data for the requested computation."""
-
-
-class DegenerateRegressionError(DomstabError):
-    """Regression input is non-finite or has zero variance on the predictor axis."""
-
-
-# ---------------------------------------------------------------- stability
-
-
-class SentinelError(DomstabError):
-    """No finite species dominance value exists to use as the sentinel."""
-
-
-# ---------------------------------------------------------------- models
-
-
-class EvalError(DomstabError):
-    """Model evaluation produced a non-finite value."""
-
-
-class KindError(DomstabError):
-    """Operation is not defined for this model kind."""
-
-
-# ---------------------------------------------------------------- fitting
-
-
-class DegenerateFitError(DomstabError):
-    """Fit input is degenerate (for example, zero variance in the predictor)."""
 
 
 class NonConvergenceError(DomstabError):
@@ -100,34 +50,8 @@ class NonConvergenceError(DomstabError):
         self.best = best
 
 
-class InsufficientSupportError(DomstabError):
-    """No candidate breakpoint has enough distinct points on both sides."""
-
-
 class SingularInformationError(DomstabError):
     """Normal-equations matrix is singular; standard errors are undefined."""
-
-
-# ---------------------------------------------------------------- selection
-
-
-class SelectionError(DomstabError):
-    """Model selection cannot proceed (no fits supplied)."""
-
-
-# ---------------------------------------------------------------- report
-
-
-class SubjectAnalysisError(DomstabError):
-    """Some subjects stopped with an analysis error; the outputs of every
-    other subject were written."""
-
-
-# ---------------------------------------------------------------- dynamics
-
-
-class EmptyDomainError(DomstabError):
-    """Fixed-point scan domain is empty (its upper end is not above its lower)."""
 
 
 class DivergenceError(DomstabError):

@@ -43,14 +43,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateFitError,
-    DomstabError,
-    InsufficientSupportError,
-    NonConvergenceError,
-    PreconditionError,
-    SingularInformationError,
-)
+from .errors import DomstabError, NonConvergenceError, SingularInformationError
 from .models import ModelKind, evaluate_array, param_dict, param_vector
 
 __all__ = [
@@ -135,7 +128,7 @@ class ModelFit:
 
 def _require_points(inp: FitInput, kind: ModelKind) -> None:
     if inp.n < kind.arity + 1:
-        raise PreconditionError(
+        raise DomstabError(
             f"{kind.value} fit needs at least {kind.arity + 1} points, got {inp.n}"
         )
 
@@ -182,7 +175,7 @@ def _piecewise_design(kind: ModelKind, d: np.ndarray, dom: np.ndarray) -> np.nda
 
 def _linear_se_from_design(design: np.ndarray, ss_res: float, dof: int) -> np.ndarray:
     if dof <= 0:
-        raise PreconditionError("no residual degrees of freedom for standard errors")
+        raise DomstabError("no residual degrees of freedom for standard errors")
     info = design.T @ design
     try:
         cov = np.linalg.inv(info)
@@ -286,7 +279,7 @@ def fit_linear(inp: FitInput) -> ModelFit:
     dom, chg = inp.dominance, inp.change_rate
     sxx = float(np.sum((dom - dom.mean()) ** 2))
     if sxx == 0.0:
-        raise DegenerateFitError("dominance values have zero variance")
+        raise DomstabError("dominance values have zero variance")
     sxy = float(np.sum((dom - dom.mean()) * (chg - chg.mean())))
     syy = float(np.sum((chg - chg.mean()) ** 2))
     slope = sxy / sxx
@@ -313,7 +306,7 @@ def default_starts(inp: FitInput) -> list[tuple[float, float, float]]:
     lo, hi = inp.dominance_range
     span = hi - lo
     if span == 0.0:
-        raise DegenerateFitError("dominance values have zero range")
+        raise DomstabError("dominance values have zero range")
     r_scales = (0.1, 1.0, 10.0, 100.0)
     a_values = (1e-4, 1.0, 1e4, -1e-4, -1.0, -1e4)
     k_values = (chg_max, -chg_max, 2.0 * chg_max, -2.0 * chg_max)
@@ -590,7 +583,7 @@ def fit_logistic_batch(
     for i, (kind, inp) in enumerate(items):
         try:
             if not kind.logistic_family:
-                raise PreconditionError(f"{kind.value} is not a logistic-family kind")
+                raise DomstabError(f"{kind.value} is not a logistic-family kind")
             _require_points(inp, kind)
             if float(np.max(np.abs(inp.change_rate))) == 0.0:
                 # K = 0 reproduces an all-zero change rate exactly
@@ -743,14 +736,14 @@ def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
     ``iterations`` counts the candidates, screened or solved.
     """
     if not kind.piecewise:
-        raise PreconditionError(f"{kind.value} is not piecewise")
+        raise DomstabError(f"{kind.value} is not piecewise")
     _require_points(inp, kind)
     dom, chg = inp.dominance, inp.change_rate
     if dom.min() == dom.max():
-        raise DegenerateFitError("dominance values have zero range")
+        raise DomstabError("dominance values have zero range")
     cand = breakpoint_candidates(dom)
     if not cand.size:
-        raise InsufficientSupportError(
+        raise DomstabError(
             "no breakpoint candidate has three distinct dominance values on each side"
         )
     screened = _screen(kind, cand, dom, chg)

@@ -26,12 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    DuplicateIdError,
-    EmptyRosterError,
-    IdRuleError,
-    ParseError,
-)
+from .errors import DomstabError, InputError
 
 __all__ = [
     "AbundanceTable",
@@ -72,21 +67,21 @@ def parse_table(stream: str | Iterable[str], delimiter: str | None = None) -> Ab
     """Parse a delimited species-by-sample table from a string or an
     iterator of lines, such as a file opened with ``newline=""``.
     ``delimiter`` is one character, or None to take a tab if the header
-    holds one and a comma otherwise; any other delimiter is a ParseError.
+    holds one and a comma otherwise; any other delimiter is an InputError.
 
     A count is zero or lies in [2**-53, 2**53]; inside that range no step
     of the dominance, diversity and stability kernels overflows.  Raises
-    ParseError for structural problems and bad cells, among them counts
-    outside the range (carrying the offending 1-based row number), and
-    DuplicateIdError for repeated ids.  The module docstring gives the
-    memory it holds and which of several defects it names.
+    InputError for structural problems, bad cells (among them counts
+    outside the range) and repeated ids; the message of a bad record or
+    cell names its 1-based row.  The module docstring gives the memory it
+    holds and which of several defects it names.
     """
     if delimiter is not None and len(delimiter) != 1:
-        raise ParseError(f"delimiter {delimiter!r} is not one character")
+        raise InputError(f"delimiter {delimiter!r} is not one character")
     lines = iter(io.StringIO(stream, newline="") if isinstance(stream, str) else stream)
     first = next(lines, "")
     if not first:
-        raise ParseError("empty input", row=0)
+        raise InputError("empty input")
     # Records, not lines: the reader ends a record only at \r or \n outside
     # quotes, where str.splitlines would also break at \x0c, \x85, \u2028
     # and the rest.  A row number counts records, the header being row 1.
@@ -100,10 +95,10 @@ def parse_table(stream: str | Iterable[str], delimiter: str | None = None) -> Ab
         header = next(records)
         rownum, width = 1, len(header)
         if width < 2:
-            raise ParseError("header must name at least one sample", row=0)
+            raise InputError("header must name at least one sample")
         sample_ids = tuple(cell.strip() for cell in header[1:])
         if len(set(sample_ids)) != len(sample_ids):
-            raise DuplicateIdError("duplicate sample id in header")
+            raise InputError("duplicate sample id in header")
         for rownum, row in enumerate(records, start=2):
             if row and not (len(row) == 1 and not row[0].strip()):  # blank lines
                 species_ids.append(row[0].strip())
@@ -116,12 +111,12 @@ def parse_table(stream: str | Iterable[str], delimiter: str | None = None) -> Ab
             _chunk_counts(chunk, width)
         if isinstance(exc, UnicodeDecodeError):
             raise
-        raise ParseError(f"unreadable record at row {rownum + 1}: {exc}", row=rownum + 1) from None
+        raise InputError(f"unreadable record at row {rownum + 1}: {exc}") from None
     if not species_ids:
-        raise ParseError("no species rows", row=1)
+        raise InputError("no species rows")
     blocks.append(_chunk_counts(chunk, width))
     if len(set(species_ids)) != len(species_ids):
-        raise DuplicateIdError("duplicate species id")
+        raise InputError("duplicate species id")
     return AbundanceTable(tuple(species_ids), sample_ids, np.concatenate(blocks))
 
 
@@ -141,23 +136,23 @@ def _chunk_counts(chunk: list[tuple[int, list[str]]], width: int) -> np.ndarray:
 
 
 def _scan_counts(numbered: list[tuple[int, list[str]]], width: int) -> np.ndarray:
-    """Counts of the numbered body rows, cell by cell; raises ParseError
+    """Counts of the numbered body rows, cell by cell; raises InputError
     for the first ragged row, non-numeric cell or out-of-range count in
     reading order."""
     values: list[float] = []
     for rownum, row in numbered:
         if len(row) != width:
-            raise ParseError(f"row {rownum} has {len(row)} fields, expected {width}", row=rownum)
+            raise InputError(f"row {rownum} has {len(row)} fields, expected {width}")
         for colnum, cell in enumerate(row[1:], start=1):
             where = f"at row {rownum}, column {colnum}"
             try:
                 value = float(cell)
             except ValueError:
-                raise ParseError(f"non-numeric count {where}: {cell!r}", row=rownum) from None
+                raise InputError(f"non-numeric count {where}: {cell!r}") from None
             if not 2.0**-53 <= value <= 2.0**53 and value != 0.0:
                 if not math.isfinite(value) or value < 0:
-                    raise ParseError(f"negative or non-finite count {where}", row=rownum)
-                raise ParseError(f"count outside [2**-53, 2**53] {where}: {cell!r}", row=rownum)
+                    raise InputError(f"negative or non-finite count {where}")
+                raise InputError(f"count outside [2**-53, 2**53] {where}: {cell!r}")
             values.append(value)
     return np.array(values, dtype=float).reshape(len(numbered), width - 1)
 
@@ -177,16 +172,16 @@ class SampleIdRule:
 
     def __post_init__(self):
         if not self.separator:
-            raise IdRuleError("sample id separator is empty")
+            raise InputError("sample id separator is empty")
 
     def parse(self, sample_id: str) -> tuple[str, str]:
         if self.separator not in sample_id:
-            raise IdRuleError(
+            raise InputError(
                 f"sample id {sample_id!r} has no {self.separator!r} separator"
             )
         subject, _, token = sample_id.rpartition(self.separator)
         if not subject or not token:
-            raise IdRuleError(f"sample id {sample_id!r} splits into an empty part")
+            raise InputError(f"sample id {sample_id!r} splits into an empty part")
         return subject, token
 
     def sort_key(self, token: str) -> str:
@@ -226,7 +221,8 @@ def split_subjects(
     """Group samples by subject and time-order them.
 
     Subjects come back sorted by id; sample order within a subject is by the
-    rule's sort key with the original column order breaking ties.
+    rule's sort key with the original column order breaking ties.  A sample
+    id that the rule cannot split is an InputError.
     """
     keyed: dict[str, list[tuple[str, int]]] = {}  # subject -> (sort key, column)
     for i, sample_id in enumerate(table.sample_ids):
@@ -256,7 +252,7 @@ def filter_low_reads(
     ``min_total``.  The dropped ids are recorded on the returned series."""
     keep = series.counts.sum(axis=1) >= min_total
     if not keep.any():
-        raise EmptyRosterError(f"no species with >= {min_total} reads")
+        raise DomstabError(f"no species with >= {min_total} reads")
     return replace(
         series,
         species_ids=tuple(compress(series.species_ids, keep)),

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateRegressionError, PreconditionError, ZeroCommunityError
+from .errors import DomstabError
 
 __all__ = [
     "CommunityStats",
@@ -62,7 +62,7 @@ def _as_abundances(values, ndim: int = 1) -> np.ndarray:
     if np.any(arr < 0):
         raise ValueError("abundances must be non-negative")
     if not arr.any(axis=0).all():
-        raise ZeroCommunityError("all abundances are zero")
+        raise DomstabError("all abundances are zero")
     return arr
 
 
@@ -125,7 +125,7 @@ def species_dominances(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     sample (shape T) and species distance and dominance (shape S x T).  An
     absent species has distance +inf and dominance -inf.  The block must be
     two-dimensional, non-empty, finite and non-negative, and every sample
-    must hold some abundance (ZeroCommunityError otherwise).
+    must hold some abundance (DomstabError otherwise).
     """
     block = _as_abundances(counts, ndim=2)
     # Reduce each sample as one contiguous row so the sums are the same
@@ -259,13 +259,13 @@ def regress_dominance_vs_index(
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("dominance and index series must be 1-d and equal length")
     if x.size < 3:
-        raise PreconditionError("index regression needs at least 3 samples")
+        raise DomstabError("index regression needs at least 3 samples")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DegenerateRegressionError("index regression input must be finite")
+        raise DomstabError("index regression input must be finite")
     sxx = float(np.sum((x - x.mean()) ** 2))
     # relative guard: a constant column is rarely an exact float zero
     if sxx <= np.finfo(float).eps * float(np.sum(x * x)):
-        raise DegenerateRegressionError(f"index {which.value} has zero variance")
+        raise DomstabError(f"index {which.value} has zero variance")
     sxy = float(np.sum((x - x.mean()) * (y - y.mean())))
     syy = float(np.sum((y - y.mean()) ** 2))
     slope = sxy / sxx

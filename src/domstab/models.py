@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EvalError, KindError
+from .errors import DomstabError
 
 __all__ = [
     "ModelKind",
@@ -96,12 +96,12 @@ def param_vector(kind: ModelKind, params: Mapping[str, float] | Sequence[float])
     if isinstance(params, Mapping):
         missing = [name for name in names if name not in params]
         if missing:
-            raise KindError(f"{kind.value} params missing {missing}")
+            raise DomstabError(f"{kind.value} params missing {missing}")
         vec = np.array([float(params[name]) for name in names])
     else:
         vec = np.asarray(params, dtype=float)
         if vec.shape != (len(names),):
-            raise KindError(
+            raise DomstabError(
                 f"{kind.value} expects {len(names)} parameters, got {vec.shape}"
             )
     return vec
@@ -117,7 +117,7 @@ def evaluate_array(
 ) -> np.ndarray:
     """Vectorized model evaluation; non-finite results pass through silently.
 
-    The scalar wrapper :func:`evaluate` raises EvalError on non-finite
+    The scalar wrapper :func:`evaluate` raises DomstabError on non-finite
     output; this array form leaves the caller (the fitter, or the dominance
     map's divergence check) to deal with it.
     """
@@ -129,7 +129,10 @@ def evaluate_array(
             return a + b * dom
         if kind.logistic_family:
             big_k, a, r = vec
-            out = big_k / (1.0 + a * np.exp(-r * dom))
+            if a:
+                out = big_k / (1.0 + a * np.exp(-r * dom))
+            else:  # a = 0 leaves no exponential term, even where exp(-r*D) overflows
+                out = np.full(dom.shape, big_k)
             if kind is ModelKind.LOGISTIC_SINE:
                 out = out * np.sin(dom / math.pi)
             return out
@@ -139,16 +142,16 @@ def evaluate_array(
         if kind is ModelKind.QUADRATIC_QUADRATIC:
             a, b, c, d, e, f = vec
             return a + b * dom + c * dom**2 + np.abs(dom - d) * (e * (dom + d) + f)
-    raise KindError(f"unknown model kind {kind!r}")
+    raise DomstabError(f"unknown model kind {kind!r}")
 
 
 def evaluate(
     kind: ModelKind, params: Mapping[str, float] | Sequence[float], dom: float
 ) -> float:
-    """Change rate S at dominance ``dom``.  Raises EvalError if non-finite."""
+    """Change rate S at dominance ``dom``.  Raises DomstabError if non-finite."""
     out = float(evaluate_array(kind, params, np.array([dom]))[0])
     if not math.isfinite(out):
-        raise EvalError(f"{kind.value} model is non-finite at D={dom!r}")
+        raise DomstabError(f"{kind.value} model is non-finite at D={dom!r}")
     return out
 
 
@@ -173,7 +176,7 @@ def derivative(
         t = a * expo if finite else math.copysign(_exp(math.log(abs(a)) - r * dom), a)
         denom = 1.0 + t
         if denom == 0.0:
-            raise EvalError(f"{kind.value} derivative has a pole at D={dom!r}")
+            raise DomstabError(f"{kind.value} derivative has a pole at D={dom!r}")
         if finite:
             core = big_k * a * r * expo / (denom * denom)
         else:  # K*r*t/(1+t)^2
@@ -214,7 +217,7 @@ def branch_polynomials(
         left = (a + e * d * d + f * d, b - f, c - e)
         right = (a - e * d * d - f * d, b + f, c + e)
         return left, right
-    raise KindError(f"{kind.value} has no branches")
+    raise DomstabError(f"{kind.value} has no branches")
 
 
 @dataclass(frozen=True)
@@ -302,7 +305,7 @@ def qualitative_equilibria(
 ) -> list[EquilibriumPoint]:
     """Sign-rule equilibrium candidates for the piecewise kinds."""
     if not kind.piecewise:
-        raise KindError(f"qualitative equilibria are defined for piecewise kinds, not {kind.value}")
+        raise DomstabError(f"qualitative equilibria are defined for piecewise kinds, not {kind.value}")
     left, right = branch_polynomials(kind, params)
     derived = derived_params(kind, params)
     points: list[EquilibriumPoint] = []

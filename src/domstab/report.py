@@ -19,7 +19,7 @@ Per-subject failures are recorded in the output rows; one bad subject never
 aborts the run.  A subject left with no species by the read floor, or whose
 records or stability series raise an analysis error, or whose fixed-point
 scan does, still gets its rows, every other subject gets its files, and
-every command then raises SubjectAnalysisError naming the failed subjects.
+every command then raises DomstabError naming the failed subjects.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from typing import Iterable
 import numpy as np
 
 from .dynamics import MAX_STEPS, fixed_points, iterate, resilience
-from .errors import ArgumentError, DivergenceError, DomstabError, IdRuleError, ParseError
-from .errors import SubjectAnalysisError, UnknownNameError
+from .errors import DivergenceError, DomstabError, InputError, UnknownNameError
 from .fitting import (
     FitInput,
     ModelFit,
@@ -99,11 +98,11 @@ class RunConfig:
         # a kind named twice is fitted and written once, at its first place
         object.__setattr__(self, "models", tuple(dict.fromkeys(self.models)))
         if not 0.0 <= self.min_total_reads < math.inf:
-            raise ArgumentError(
+            raise InputError(
                 f"min total reads {self.min_total_reads} is not a finite number at or above 0"
             )
         if self.simulate_steps < 0:
-            raise ArgumentError(f"simulate steps {self.simulate_steps} is negative")
+            raise InputError(f"simulate steps {self.simulate_steps} is negative")
 
 
 @contextlib.contextmanager
@@ -199,8 +198,8 @@ _UNNAMEABLE = re.compile(r"[/\\\x00-\x1f\x7f-\x9f\u2028\u2029]")
 def load_subjects(config: RunConfig) -> list[SubjectSeries]:
     """Parse the input table and split it by subject.  Low-read species are
     dropped per subject by :func:`analyze_subject`.  Input that is not
-    UTF-8 is a ParseError naming the byte offset of the first bad byte.
-    A subject id that cannot name its files is an IdRuleError, checked once
+    UTF-8 is an InputError naming the byte offset of the first bad byte.
+    A subject id that cannot name its files is an InputError, checked once
     per subject before anything is written: it may hold no path separator,
     control character or character that ``str.splitlines`` breaks at, and
     ``simulate_<id>_fixed_points.csv.tmp`` must fit in 255 bytes."""
@@ -215,16 +214,16 @@ def load_subjects(config: RunConfig) -> list[SubjectSeries]:
         except UnicodeDecodeError as exc:
             row = data.count(b"\n", 0, exc.start) + 1
             where = f"at byte offset {exc.start} (row {row})"
-            raise ParseError(f"input is not UTF-8: {exc.reason} {where}", row=row) from None
+            raise InputError(f"input is not UTF-8: {exc.reason} {where}") from None
         raise
     subjects = split_subjects(table, config.id_rule)
     for subject in (series.subject_id for series in subjects):
         if bad := _UNNAMEABLE.search(subject):
             what = ("a path separator or NUL" if bad[0] in "/\\\0"
                     else "a control character or line break")
-            raise IdRuleError(f"subject {subject!r} holds {what}")
+            raise InputError(f"subject {subject!r} holds {what}")
         if len(f"simulate_{subject}_fixed_points.csv.tmp".encode()) > 255:
-            raise IdRuleError(f"subject {subject!r} is too long to name a file")
+            raise InputError(f"subject {subject!r} is too long to name a file")
     return subjects
 
 
@@ -278,7 +277,7 @@ def _raise_failures(analyses: list[SubjectAnalysis]) -> None:
         f"subject {a.series.subject_id}: {a.error}" for a in analyses if a.error is not None
     ]
     if failed:
-        raise SubjectAnalysisError("; ".join(failed))
+        raise DomstabError("; ".join(failed))
 
 
 # ---------------------------------------------------------------- metrics
@@ -626,7 +625,7 @@ def cmd_simulate(
 ) -> list[Path]:
     """Analyze one subject and write its simulation files."""
     if start is not None and not np.isfinite(start):
-        raise ArgumentError(f"start dominance {start!r} is not finite")
+        raise InputError(f"start dominance {start!r} is not finite")
     for series in load_subjects(config):
         if series.subject_id == subject_id:
             analyses = analyze_cohort([series], config)
@@ -643,7 +642,7 @@ def report_all(config: RunConfig) -> list[Path]:
     """Run every report from one read of the table: metrics, index
     comparisons, fits and selection, and a simulation per subject.  A
     subject stopped by an analysis error gets error rows, every other
-    subject its files, and then SubjectAnalysisError is raised."""
+    subject its files, and then DomstabError is raised."""
     analyses = analyze_cohort(load_subjects(config), config)
     out_dir = Path(config.out_dir)
     paths = _metrics_tables(analyses, out_dir)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ArgumentError, SelectionError
+from .errors import DomstabError, InputError
 from .fitting import ModelFit
 from .models import JointAmbiguous, ModelKind, Regime, derived_params, regime_at
 from .models import qualitative_equilibria
@@ -60,10 +60,10 @@ class SelectionPolicy:
 
     def __post_init__(self):
         if math.isnan(self.r2_min):
-            raise ArgumentError(f"r2 minimum {self.r2_min} is not a number")
+            raise InputError(f"r2 minimum {self.r2_min} is not a number")
         for name, value in (("se ratio", self.se_ratio_max), ("magnitude", self.magnitude_max)):
             if not value >= 0.0:
-                raise ArgumentError(f"{name} maximum {value} is not a number at or above 0")
+                raise InputError(f"{name} maximum {value} is not a number at or above 0")
 
 
 @dataclass(frozen=True)
@@ -126,14 +126,14 @@ def select(
 ) -> SelectedModel:
     """First valid fit in priority order; linear as flagged backup otherwise."""
     if not fits:
-        raise SelectionError("no fits to select from")
+        raise DomstabError("no fits to select from")
     for kind in PRIORITY:
         fit = fits.get(kind)
         if fit is not None and validate(fit, policy).valid:
             return SelectedModel(fit, f"first valid kind in priority order: {kind.value}")
     linear = fits.get(ModelKind.LINEAR)
     if linear is None:
-        raise SelectionError("no fit is valid and no linear backup was supplied")
+        raise DomstabError("no fit is valid and no linear backup was supplied")
     return SelectedModel(
         linear, "backup-invalid: no kind passed the validity checks", backup=True
     )

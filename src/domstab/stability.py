@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SentinelError, UnknownNameError
+from .errors import DomstabError, UnknownNameError
 from .ingest import SubjectSeries
 # community_stats is not called here; bench/spans.py wraps this name.
 from .metrics import community_stats, species_dominances
@@ -77,7 +77,7 @@ def sentinel_value(records: SubjectDominance) -> float:
     """Minimum finite species dominance across all species and samples."""
     finite = records.dominance[np.isfinite(records.dominance)]
     if finite.size == 0:
-        raise SentinelError("no finite species dominance value in any sample")
+        raise DomstabError("no finite species dominance value in any sample")
     return float(finite.min())
 
 
@@ -143,7 +143,7 @@ def species_stability(records: SubjectDominance, species_id: str) -> StabilitySe
         raise UnknownNameError(f"species {species_id!r} not in records") from None
     values = records.dominance[row]
     if np.any(values == -np.inf):
-        raise SentinelError(
+        raise DomstabError(
             f"species {species_id!r} has -inf dominance; apply_sentinel first"
         )
     return _stability_series(values)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from domstab.errors import DivergenceError, KindError
+from domstab.errors import DivergenceError, DomstabError
 from domstab.dynamics import fixed_points, iterate, resilience
 from domstab.fitting import ModelFit
 from domstab.models import ModelKind
@@ -182,5 +182,5 @@ def test_resilience_rejects_other_kinds():
         converged=True,
         iterations=5,
     )
-    with pytest.raises(KindError):
+    with pytest.raises(DomstabError, match="^resilience is defined for linear fits only$"):
         resilience(fit)

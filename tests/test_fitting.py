@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from domstab import fitting
-from domstab.errors import (
-    DegenerateFitError,
-    DomstabError,
-    InsufficientSupportError,
-    NonConvergenceError,
-    PreconditionError,
-)
+from domstab.errors import DomstabError, NonConvergenceError
 from domstab.fitting import (
     FitInput,
     ModelFit,
@@ -77,7 +71,7 @@ def test_linear_std_errors_closed_form():
 
 
 def test_linear_requires_dominance_variance():
-    with pytest.raises(DegenerateFitError):
+    with pytest.raises(DomstabError, match="^dominance values have zero variance$"):
         fit_linear(FitInput((3.0, 3.0, 3.0), (0.1, 0.2, 0.3)))
 
 
@@ -111,9 +105,9 @@ def test_non_converged_flag_precedes_singular_information(monkeypatch):
 
 
 def test_minimum_points_enforced():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomstabError, match="^linear fit needs at least 3 points, got 2$"):
         fit_linear(FitInput((1.0, 2.0), (0.1, 0.2)))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomstabError, match="^logistic fit needs at least 4 points, got 3$"):
         fit_model(ModelKind.LOGISTIC, FitInput((1.0, 2.0, 3.0), (0.1, 0.2, 0.3)))
 
 
@@ -214,7 +208,7 @@ def _comparable(outcome):
 def _lone(item):
     kind, inp = item
     if not kind.logistic_family:  # fit_model would fit it by its own route
-        return "PreconditionError", f"{kind.value} is not a logistic-family kind", "None"
+        return "DomstabError", f"{kind.value} is not a logistic-family kind", "None"
     try:
         return _comparable(fit_model(kind, inp))
     except DomstabError as exc:
@@ -254,8 +248,12 @@ def test_batch_items_equal_lone_fits(monkeypatch):
     assert batch == [_lone(item) for item in items]
     errors = [outcome for outcome in batch if isinstance(outcome, tuple)]
     assert len(errors) < len(batch)  # some items are fits
-    assert {name for name, _, _ in errors} == {
-        "DegenerateFitError", "PreconditionError", "NonConvergenceError"
+    assert {(name, text) for name, text, _ in errors} == {
+        ("DomstabError", "dominance values have zero range"),
+        ("DomstabError", "linear is not a logistic-family kind"),
+        ("DomstabError", "logistic fit needs at least 4 points, got 3"),
+        ("NonConvergenceError", "logistic: no start converged"),
+        ("NonConvergenceError", "logistic-sine: no start converged"),
     }
     assert any(best != "None" for name, _, best in errors if name == "NonConvergenceError")
 
@@ -303,7 +301,10 @@ def test_breakpoint_candidates_need_support():
 def test_piecewise_insufficient_support_raises():
     dom = (1.0, 2.0, 3.0, 4.0, 5.0, 5.0)
     chg = (0.1, 0.2, 0.3, 0.2, 0.1, 0.1)
-    with pytest.raises(InsufficientSupportError):
+    with pytest.raises(
+        DomstabError,
+        match="^no breakpoint candidate has three distinct dominance values on each side$",
+    ):
         fit_piecewise(ModelKind.LINEAR_QUADRATIC, FitInput(dom, chg))
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from domstab.errors import EvalError, KindError
+from domstab.errors import DomstabError
 from domstab.models import (
     JointAmbiguous,
     ModelKind,
@@ -40,7 +40,7 @@ def test_param_vector_and_dict_round_trip():
 
 
 def test_param_vector_rejects_wrong_arity():
-    with pytest.raises(KindError):
+    with pytest.raises(DomstabError, match=r"^linear expects 2 parameters, got \(3,\)$"):
         param_vector(ModelKind.LINEAR, [1.0, 2.0, 3.0])
 
 
@@ -108,7 +108,7 @@ def test_branch_polynomials_reproduce_evaluate():
 
 
 def test_branch_polynomials_reject_plain_kinds():
-    with pytest.raises(KindError):
+    with pytest.raises(DomstabError, match="^linear has no branches$"):
         branch_polynomials(ModelKind.LINEAR, {"a": 1.0, "b": 2.0})
 
 
@@ -175,7 +175,7 @@ def test_lq_right_branch_slope_uses_full_quadratic_derivative():
 def test_evaluate_rejects_non_finite_result():
     # logistic pole: 1 + a * exp(-r D) = 0
     params = {"K": 1.0, "a": -1.0, "r": 0.0}
-    with pytest.raises(EvalError):
+    with pytest.raises(DomstabError, match=r"^logistic model is non-finite at D=5\.0$"):
         evaluate(ModelKind.LOGISTIC, params, 5.0)
 
 
@@ -216,11 +216,23 @@ def test_derivative_with_a_zero_has_no_exponential_to_overflow():
         assert derivative(kind, (1.0, 0.0, -1000.0), 10.0) == no_exponential
 
 
+def test_evaluate_with_a_zero_is_k_where_the_exponential_overflows():
+    dom = np.array([10.0, 0.1])  # exp(-r*D) = exp(10000) overflows at D = 10 only
+    for kind, scale in [
+        (ModelKind.LOGISTIC, np.ones(2)),
+        (ModelKind.LOGISTIC_SINE, np.sin(dom / math.pi)),
+    ]:
+        out = evaluate_array(kind, (2.5, 0.0, -1000.0), dom)
+        assert out.tobytes() == (2.5 * scale).tobytes()
+        assert out.tobytes() == evaluate_array(kind, (2.5, 0.0, 0.0), dom).tobytes()
+        assert evaluate(kind, (2.5, 0.0, -1000.0), 10.0) == out[0]
+
+
 def test_derivative_pole_is_eval_error():
     # 1 + a exp(-r D) = 0 at D = 0 when a = -1
     params = {"K": 1.0, "a": -1.0, "r": 1.0}
     for kind in (ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE):
-        with pytest.raises(EvalError, match="pole"):
+        with pytest.raises(DomstabError, match=rf"^{kind.value} derivative has a pole at D=0\.0$"):
             derivative(kind, params, 0.0)
 
 
@@ -289,5 +301,7 @@ def test_equilibria_qq_joint_uncertain():
 
 
 def test_equilibria_reject_plain_kinds():
-    with pytest.raises(KindError):
+    with pytest.raises(
+        DomstabError, match="^qualitative equilibria are defined for piecewise kinds, not logistic$"
+    ):
         qualitative_equilibria(ModelKind.LOGISTIC, LOGISTIC_400)

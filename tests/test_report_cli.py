@@ -15,7 +15,7 @@ import pytest
 
 from domstab import cli, fitting, report
 from domstab.cli import main
-from domstab.errors import SubjectAnalysisError
+from domstab.errors import DomstabError
 from domstab.ingest import SubjectSeries, filter_low_reads, parse_table, split_subjects
 from domstab.metrics import community_dominance
 from domstab.models import ModelKind
@@ -376,7 +376,23 @@ def test_cli_delimiter_of_other_than_one_character_is_input_error(
         "--delimiter", delimiter,
     ])
     assert code == 1
-    assert "is not one character" in capsys.readouterr().err
+    message = f"delimiter {delimiter!r} is not one character"
+    assert capsys.readouterr().err == f"domstab: input error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("species_id,1_a,1_b\nx,1,2\nx,3,4\n", "duplicate species id"),
+    ("species_id,1_a,1_a\nx,1,2\n", "duplicate sample id in header"),
+    ("species_id,1_a,1b\nx,1,2\n", "sample id '1b' has no '_' separator"),
+])
+def test_cli_bad_id_in_the_table_is_input_error(text, message, tmp_path, capsys):
+    """A repeated id, or a sample id without the rule's separator, stops the
+    run before anything is written: exit 1 and no output directory."""
+    src, out = tmp_path / "in.csv", tmp_path / "out"
+    src.write_text(text)
+    assert main(["report-all", "--input", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"domstab: input error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("subject", ["a/../../../escaped", "a\\..\\escaped", "a\0b"])
@@ -746,7 +762,7 @@ def test_every_cell_is_a_plain_value(tmp_path, cohort_path, monkeypatch):
 
     monkeypatch.setattr(report, "_write_rows", checked)
     report_all(RunConfig(input_path=cohort_path, out_dir=tmp_path / "cohort"))
-    with pytest.raises(SubjectAnalysisError):
+    with pytest.raises(DomstabError, match="^subject 101: all abundances are zero$"):
         report_all(RunConfig(input_path=_zeroed_cohort(cohort_path, tmp_path),
                              out_dir=tmp_path / "zeroed"))
     assert kinds == {str, int, float, type(None), report._Spelled}

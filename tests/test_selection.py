@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from domstab.errors import SelectionError
+from domstab.errors import DomstabError
 from domstab.fitting import FitInput, ModelFit, fit_model
 from domstab.models import ModelKind, evaluate_array, param_vector
 from domstab.selection import (
@@ -155,12 +155,14 @@ def test_linear_backup_when_nothing_valid():
 
 
 def test_select_empty_mapping_raises():
-    with pytest.raises(SelectionError):
+    with pytest.raises(DomstabError, match="^no fits to select from$"):
         select({})
 
 
 def test_select_nothing_valid_no_linear_raises():
-    with pytest.raises(SelectionError):
+    with pytest.raises(
+        DomstabError, match="^no fit is valid and no linear backup was supplied$"
+    ):
         select({ModelKind.LOGISTIC: FIT_408})
 
 

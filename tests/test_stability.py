@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from domstab.errors import SentinelError
+from domstab.errors import DomstabError
 from domstab.ingest import parse_table, split_subjects
 from domstab.stability import (
     EPS_DENOMINATOR,
@@ -81,9 +81,9 @@ def test_sentinel_without_finite_values_raises():
         dominance=records.dominance[:0],
         sentinel_replaced=records.sentinel_replaced[:0],
     )
-    with pytest.raises(SentinelError):
+    with pytest.raises(DomstabError, match="^no finite species dominance value in any sample$"):
         sentinel_value(stripped)
-    with pytest.raises(SentinelError):
+    with pytest.raises(DomstabError, match="^no finite species dominance value in any sample$"):
         apply_sentinel(stripped)
 
 
@@ -130,7 +130,9 @@ def test_species_stability_uses_sentineled_values():
 
 def test_species_stability_rejects_unsentineled_infinities():
     _, records = subject_records(THREE_SAMPLES)
-    with pytest.raises(SentinelError):
+    with pytest.raises(
+        DomstabError, match="^species 'OTU3' has -inf dominance; apply_sentinel first$"
+    ):
         species_stability(records, "OTU3")
 
 
