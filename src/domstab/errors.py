@@ -1,9 +1,11 @@
 """Exception classes for domstab.
 
 Every error raised by the library is a DomstabError, so callers can catch
-one base class at pipeline boundaries.  A class exists only where code tells
-it apart or reads its attribute; every other problem is an InputError or a
-DomstabError whose message says what went wrong.
+one base class at pipeline boundaries; only the array checks of FitInput,
+AbundanceTable, the metrics kernels and regress_dominance_vs_index raise
+ValueError.  A class exists only where code tells it apart or reads its
+attribute; every other problem is an InputError or a DomstabError whose
+message says what went wrong.
 
 - InputError: a problem with the input or the run's arguments.  The CLI
   exits with code 1 for it and with 2 for any other DomstabError.

@@ -28,15 +28,15 @@ Three fitting routes, one per model family:
 
 Every route ends in one assembly step (:func:`_assemble`), which adds the
 goodness of fit, the dominance range, the standard errors and the flags.
-Standard errors come from sqrt(diag(s^2 (J^T J)^-1)) with s^2 the residual
-variance on n - p degrees of freedom; for the piecewise kinds they are
-conditional on the chosen breakpoint, whose own uncertainty is reported as
-the local candidate-grid resolution.
+Standard errors come from sqrt(diag(s^2 (J^T J)^-1)) with J the design the
+route solved (the Jacobian at the optimum for the logistic family) and s^2
+its residual SS on n - p degrees of freedom; for the piecewise kinds they
+are conditional on the chosen breakpoint, whose own uncertainty is reported
+as the local candidate-grid resolution.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -44,7 +44,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomstabError, NonConvergenceError, SingularInformationError
-from .models import ModelKind, evaluate_array, param_dict, param_vector
+# evaluate_array is not called here; bench/spans.py wraps it.
+from .models import ModelKind, evaluate_array, param_dict
 
 __all__ = [
     "FitInput",
@@ -56,7 +57,6 @@ __all__ = [
     "fit_logistic_batch",
     "fit_piecewise",
     "fit_model",
-    "std_errors",
     "breakpoint_candidates",
     "default_starts",
 ]
@@ -188,71 +188,48 @@ def _linear_se_from_design(design: np.ndarray, ss_res: float, dof: int) -> np.nd
     return np.sqrt(diag * (ss_res / dof))
 
 
-def std_errors(
-    fit: ModelFit, inp: FitInput, candidates: np.ndarray | None = None
-) -> dict[str, float]:
-    """Standard errors of the fitted parameters.
-
-    Raises SingularInformationError when the information matrix cannot be
-    inverted; :func:`_assemble` catches that and reports +inf instead.
-    For piecewise kinds the breakpoint's entry is the local resolution of the
-    ascending candidate grid (``breakpoint_candidates`` of the input unless
-    given) rather than a curvature-based error.
-    """
-    kind = fit.kind
-    vec = param_vector(kind, fit.params)
-    dom = inp.dominance
-    pred = evaluate_array(kind, fit.params, dom)
-    ss_res = float(np.sum((inp.change_rate - pred) ** 2))
-    dof = inp.n - kind.arity
-    if kind.piecewise:
-        d = fit.params["d"]
-        design = _piecewise_design(kind, np.array([d]), dom)[0]
-        se = _linear_se_from_design(design, ss_res, dof)
-        if candidates is None:
-            candidates = breakpoint_candidates(dom)
-        se = np.insert(se, 3, _grid_resolution(candidates, d))
-    elif kind is ModelKind.LINEAR:  # its Jacobian is the design [1, D]
-        se = _linear_se_from_design(np.column_stack([np.ones_like(dom), dom]), ss_res, dof)
-    else:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rows = _stack_problems([(kind, inp)])
-            jac = _jacobian(rows, vec[np.newaxis], np.empty((1, inp.n, 3)))[0]
-        if not np.all(np.isfinite(jac)):
-            raise SingularInformationError("Jacobian is non-finite at the optimum")
-        se = _linear_se_from_design(jac, ss_res, dof)
-    return dict(zip(kind.param_names, map(float, se)))
-
-
 def _assemble(
     kind: ModelKind,
     inp: FitInput,
     params: dict[str, float],
     ss: float,
+    design: np.ndarray | None,
     flags: tuple[str, ...] = (),
     converged: bool = True,
-    candidates: np.ndarray | None = None,
+    d_se: float = math.nan,
     **fields,
 ) -> ModelFit:
     """The one place a ModelFit is built, for every family.
 
-    The family gives its parameters, residual SS ``ss``, its own ``flags``
-    and the extra ``fields`` (``iterations`` and, where they apply,
-    ``pearson_r`` or ``ss_trace``).  This adds the goodness of
-    ``ss`` on the input, the input's dominance range and the standard
-    errors.  Flags keep one order: the family's own, then the goodness
-    flags, then ``non-converged`` unless ``converged``, then
-    ``singular-information`` when the information matrix cannot be
-    inverted, in which case every standard error is +inf.  A piecewise fit
-    hands over its breakpoint ``candidates`` for the breakpoint's error.
+    The family gives its parameters, residual SS ``ss``, the ``design`` it
+    solved (for the logistic family the Jacobian at the optimum; None where
+    the information is singular by construction), its own ``flags`` and the
+    extra ``fields`` (``iterations`` and, where they apply, ``pearson_r``
+    or ``ss_trace``).  This adds the goodness of ``ss`` on the input, the
+    input's dominance range and the standard errors from ``design`` and
+    ``ss``; a piecewise fit gives the breakpoint's own error as ``d_se``.
+    Flags keep one order: the family's own, then the goodness flags, then
+    ``non-converged`` unless ``converged``, then ``singular-information``
+    when the design is missing or non-finite or its information matrix
+    cannot be inverted, in which case every standard error is +inf.
     """
     r2, r2_adj, more = _goodness_from_ss(ss, inp.change_rate, kind.arity)
     flags = (*flags, *more) + (() if converged else ("non-converged",))
+    try:
+        if design is None or not np.all(np.isfinite(design)):
+            raise SingularInformationError("no finite design at the optimum")
+        se = _linear_se_from_design(design, ss, inp.n - kind.arity)
+        if kind.piecewise:
+            se = np.insert(se, 3, d_se)
+        std_errors = dict(zip(kind.param_names, map(float, se)))
+    except SingularInformationError:
+        std_errors = dict.fromkeys(kind.param_names, math.inf)
+        flags += ("singular-information",)
     lo, hi = inp.dominance_range
-    fit = ModelFit(
+    return ModelFit(
         kind=kind,
         params=params,
-        std_errors=dict.fromkeys(kind.param_names, math.inf),
+        std_errors=std_errors,
         r2=r2,
         r2_adj=r2_adj,
         residual_ss=ss,
@@ -263,10 +240,6 @@ def _assemble(
         flags=flags,
         **fields,
     )
-    try:
-        return dataclasses.replace(fit, std_errors=std_errors(fit, inp, candidates))
-    except SingularInformationError:
-        return dataclasses.replace(fit, flags=flags + ("singular-information",))
 
 
 # ---------------------------------------------------------------- linear
@@ -288,6 +261,7 @@ def fit_linear(inp: FitInput) -> ModelFit:
     pearson = sxy / math.sqrt(sxx * syy) if syy > 0.0 else math.nan
     return _assemble(
         kind, inp, {"a": intercept, "b": slope}, ss_res,
+        np.column_stack([np.ones_like(dom), dom]),
         flags=() if syy > 0.0 else ("degenerate-r",), iterations=0, pearson_r=pearson,
     )
 
@@ -586,9 +560,10 @@ def fit_logistic_batch(
                 raise DomstabError(f"{kind.value} is not a logistic-family kind")
             _require_points(inp, kind)
             if float(np.max(np.abs(inp.change_rate))) == 0.0:
-                # K = 0 reproduces an all-zero change rate exactly
+                # K = 0 reproduces an all-zero change rate exactly; it zeroes
+                # the a and r columns of the Jacobian, so no design is passed
                 results[i] = _assemble(
-                    kind, inp, {"K": 0.0, "a": 1.0, "r": 0.0}, 0.0,
+                    kind, inp, {"K": 0.0, "a": 1.0, "r": 0.0}, 0.0, None,
                     flags=("degenerate-zero-change",), iterations=0,
                 )
                 continue
@@ -612,16 +587,18 @@ def fit_logistic_batch(
             ends = _best(owner, explored.ss, explored.params, _POLISH_ATTEMPTS, distinct=True)
             owner = owner[ends]
             polished = _lockstep(problem, owner, explored.params[ends], GN_MAX_ITER)
-        win = _best(owner, polished.ss, polished.params, 1, prefer=polished.converged)
-        winner = dict(zip(owner[win].tolist(), win.tolist()))
+            win = _best(owner, polished.ss, polished.params, 1, prefer=polished.converged)
+            jac = _jacobian(problem[owner[win]], polished.params[win],
+                            np.empty((win.size, problem.shape[-1], 3)))
+        winner = dict(zip(owner[win].tolist(), zip(win.tolist(), jac)))
         for p, (i, _) in enumerate(group):
             kind, inp = items[i]
             if p not in winner:
                 results[i] = NonConvergenceError(f"{kind.value}: every start failed")
                 continue
-            j = winner[p]
+            j, design = winner[p]
             fit = _assemble(
-                kind, inp, param_dict(kind, polished.params[j]), float(polished.ss[j]),
+                kind, inp, param_dict(kind, polished.params[j]), float(polished.ss[j]), design,
                 converged=bool(polished.converged[j]),
                 iterations=int(explored.iterations[ends[j]] + polished.iterations[j]),
                 ss_trace=tuple(explored.traces[ends[j]] + polished.traces[j][1:]),
@@ -718,7 +695,8 @@ def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
     the stacked ``design @ beta`` and ``_dots``.  The visit stops once the next screened SS exceeds the best
     exact SS by the certification margin; the lowest exact SS among the
     visited wins, the lower breakpoint breaking ties, so the winner and its
-    coefficients are those of solving every candidate exactly.
+    coefficients are those of solving every candidate exactly.  The
+    winner's design and SS give the standard errors.
 
     The margin has two terms.  The relative one (``_CERTIFY_RTOL``) covers
     the screen's disagreement with the exact solve on a well-posed fit.  The
@@ -748,8 +726,7 @@ def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
         )
     screened = _screen(kind, cand, dom, chg)
     slack = _CERTIFY_ATOL * float(chg @ chg)
-    best_ss = math.inf
-    solved, betas, sums = [], [], []
+    best_ss, best = math.inf, None
     for i in np.argsort(screened, kind="stable").tolist():
         if screened[i] > best_ss * (1.0 + _CERTIFY_RTOL) + slack:
             break
@@ -757,14 +734,13 @@ def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
         beta = np.linalg.lstsq(design[0], chg, rcond=None)[0]
         resid = chg - (design @ beta[np.newaxis, :, np.newaxis])[:, :, 0]
         ss = float(_dots(resid, resid)[0])
+        if best is None or ss < best_ss or (ss == best_ss and cand[i] < best[0]):
+            best = cand[i], beta, design[0], ss
         best_ss = min(best_ss, ss)
-        solved.append(i)
-        betas.append(beta)
-        sums.append(ss)
-    best = np.lexsort((cand[solved], sums))[0]
-    d, ss = cand[solved[best]], sums[best]
-    params = param_dict(kind, np.insert(betas[best], 3, d))
-    return _assemble(kind, inp, params, ss, candidates=cand, iterations=cand.size)
+    d, beta, design, ss = best
+    params = param_dict(kind, np.insert(beta, 3, d))
+    return _assemble(kind, inp, params, ss, design,
+                     d_se=_grid_resolution(cand, d), iterations=cand.size)
 
 
 # ---------------------------------------------------------------- dispatch

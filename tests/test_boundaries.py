@@ -7,7 +7,8 @@ module: ``import domstab`` loads no submodule, and a module's ``__all__``
 lists only names that module defines.  ``bench/spans.py`` records its spans by
 replacing module attributes of domstab at run time, so every entry of its
 patch list must name a (module, attribute) pair and every pair it names must
-exist; the file is parsed, not run.
+exist; the file is parsed, not run.  A name a module imports is used there
+unless the harness wraps it on that module.
 """
 
 import ast
@@ -97,7 +98,9 @@ def _pair(node: ast.AST, modules: set[str]) -> tuple[str, str] | None:
     return None
 
 
-def test_every_name_the_harness_wraps_exists():
+def _spans() -> tuple[ast.Module, set[str], list[tuple[str, str]]]:
+    """``bench/spans.py`` parsed, the domstab modules it imports and every
+    (module, attribute) pair it names."""
     tree = ast.parse(SPANS.read_text(encoding="utf-8"))
     modules = {
         alias.asname or alias.name
@@ -106,6 +109,11 @@ def test_every_name_the_harness_wraps_exists():
         for alias in node.names
     }
     pairs = [pair for node in ast.walk(tree) if (pair := _pair(node, modules)) is not None]
+    return tree, modules, pairs
+
+
+def test_every_name_the_harness_wraps_exists():
+    tree, modules, pairs = _spans()
     # every entry of the list _patches returns is such a pair
     (patches,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_patches"]
     entries = patches.body[-1].value.elts
@@ -125,3 +133,24 @@ def test_every_name_the_harness_wraps_exists():
         if not hasattr(importlib.import_module(f"domstab.{module}"), attr)
     ]
     assert missing == []
+
+
+def test_every_imported_name_is_used_or_wrapped_by_the_harness():
+    """A name a module imports is used there, or it is one that
+    ``bench/spans.py`` wraps on that module (the harness counts or times the
+    calls made through it)."""
+    wrapped = set(_spans()[2])
+    unused = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused.update((path.stem, name) for name in names if name not in used)
+    assert ("fitting", "evaluate_array") in unused
+    assert unused - wrapped == set()

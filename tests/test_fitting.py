@@ -15,7 +15,6 @@ from domstab.fitting import (
     fit_logistic_batch,
     fit_model,
     fit_piecewise,
-    std_errors,
 )
 from domstab.ingest import parse_table, split_subjects
 from domstab.models import ModelKind, derived_params, evaluate_array, param_vector
@@ -139,6 +138,34 @@ def test_logistic_sine_recovery_with_negative_a():
     fit = fit_model(ModelKind.LOGISTIC_SINE, inp)
     for name, value in truth.items():
         assert fit.params[name] == pytest.approx(value, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind, truth, dom, sigma, seed", [
+    (ModelKind.LOGISTIC, {"K": 2.0, "a": 0.5, "r": -0.3},
+     np.linspace(2.0, 40.0, 25), 0.2, 31),
+    (ModelKind.LOGISTIC_SINE, {"K": 1.5, "a": -0.8, "r": 0.1},
+     np.linspace(5.0, 55.0, 27), 0.15, 8),
+], ids=["logistic", "logistic-sine"])
+def test_logistic_std_errors_from_jacobian(kind, truth, dom, sigma, seed):
+    """sqrt(diag((J^T J)^-1) s^2) with J the model's Jacobian at the fit
+    and s^2 its residual SS on n - 3 degrees of freedom."""
+    fit = fit_model(kind, noisy_input(kind, truth, dom, sigma, seed))
+    big_k, a, r = (fit.params[name] for name in ("K", "a", "r"))
+    sine = np.sin(dom / math.pi) if kind is ModelKind.LOGISTIC_SINE else np.ones_like(dom)
+    expo = np.exp(-r * dom)
+    denom = 1.0 + a * expo
+    jac = np.column_stack([
+        sine / denom,                               # dS/dK
+        -big_k * expo * sine / denom**2,            # dS/da
+        big_k * a * dom * expo * sine / denom**2,   # dS/dr
+    ])
+    s2 = fit.residual_ss / (dom.size - 3)
+    expected = dict(zip("Kar", np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)) * s2)))
+    # a and r must be told apart, or swapped columns would pass
+    assert expected["a"] != pytest.approx(expected["r"], rel=1e-3)
+    assert fit.converged and fit.flags == ()
+    for name, se in expected.items():
+        assert fit.std_errors[name] == pytest.approx(se, rel=1e-8)
 
 
 def test_gauss_newton_trace_is_non_increasing():
@@ -386,9 +413,10 @@ def test_dominance_range_recorded():
     assert fit.dominance_max == 33.0
 
 
-def test_std_errors_requires_known_kind():
-    dom = np.linspace(3.0, 33.0, 16)
-    inp = synth_input(ModelKind.LINEAR, {"a": 0.5, "b": -0.01}, dom)
-    fit = fit_linear(inp)
-    ses = std_errors(fit, inp)
-    assert set(ses) == {"a", "b"}
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+def test_std_errors_name_every_parameter(kind):
+    truth = {"K": 2.0, "a": 0.5, "r": -0.3}
+    inp = noisy_input(ModelKind.LOGISTIC, truth, np.linspace(2.0, 40.0, 25), 0.2, seed=31)
+    fit = fit_model(kind, inp)
+    assert set(fit.std_errors) == set(kind.param_names)
+    assert all(math.isfinite(se) for se in fit.std_errors.values())

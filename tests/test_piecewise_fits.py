@@ -32,19 +32,19 @@ PINNED = {
         "{'a': -3.8320947056998063, 'b': 1.74180234844862, 'c': -0.20130436937002488, 'd': 4.169746569374702, 'e': 2.087421307598255}",
         '0.3357316087562927',
         72,
-        "{'a': 1.594768062808367, 'b': 0.6755868023871862, 'c': 0.07187648169004393, 'd': 0.0080643427638325, 'e': 0.7265676594425279}",
+        "{'a': 1.5947680628083687, 'b': 0.6755868023871869, 'c': 0.071876481690044, 'd': 0.0080643427638325, 'e': 0.7265676594425287}",
     ),
     ('101', 'quadratic-quadratic'): (
         "{'a': -2.226473173406705, 'b': 0.9186712413714516, 'c': -0.09578170973363213, 'd': 4.1778109121385345, 'e': -0.2977455812148265, 'f': 2.8185537054804906}",
         '0.3342183978349979',
         72,
-        "{'a': 5.292515705019799, 'b': 2.6436016586965088, 'c': 0.3318572395247084, 'd': 0.011497010422991671, 'e': 0.294360766735162, 'f': 2.2844804352434114}",
+        "{'a': 5.292515705019796, 'b': 2.6436016586965074, 'c': 0.3318572395247082, 'd': 0.011497010422991671, 'e': 0.2943607667351618, 'f': 2.28448043524341}",
     ),
     ('102', 'linear-quadratic'): (
         "{'a': 0.05905470684953996, 'b': -0.01220651989220775, 'c': 0.008995429860809147, 'd': 4.095297010112452, 'e': -0.3137506335054832}",
         '0.4166435081545529',
         72,
-        "{'a': 0.72049219373073, 'b': 0.26818237965589004, 'c': 0.029689073533278387, 'd': 0.08301394998577649, 'e': 0.40803665016864993}",
+        "{'a': 0.7204921937307301, 'b': 0.26818237965589004, 'c': 0.029689073533278387, 'd': 0.08301394998577649, 'e': 0.40803665016864993}",
     ),
     ('102', 'quadratic-quadratic'): (
         "{'a': -13.451329179413994, 'b': 4.814917894831825, 'c': -0.43520682592573207, 'd': 5.438237472274794, 'e': -0.25584054300012404, 'f': 3.28963875043887}",
@@ -56,37 +56,37 @@ PINNED = {
         "{'a': -18.608262179221644, 'b': 5.157551852069267, 'c': -0.3570089335619296, 'd': 6.787294111428578, 'e': 5.190873868107169}",
         '0.4222854522293912',
         72,
-        "{'a': 10.72588422560851, 'b': 2.9280194889661737, 'c': 0.19915479211417467, 'd': 0.16476873440062967, 'e': 2.9373233920769426}",
+        "{'a': 10.725884225608471, 'b': 2.9280194889661635, 'c': 0.19915479211417395, 'd': 0.16476873440062967, 'e': 2.937323392076932}",
     ),
     ('103', 'quadratic-quadratic'): (
         "{'a': -21.086859160780357, 'b': 5.935778129110918, 'c': -0.4204392225770347, 'd': 6.622525377027948, 'e': -0.3577152438325232, 'f': 5.378206568466535}",
         '0.3787274880825852',
         72,
-        "{'a': 8.480521929530633, 'b': 2.3615562774753167, 'c': 0.16505259521644938, 'd': 0.16476873440063056, 'e': 0.14573792641017902, 'f': 2.18037884880734}",
+        "{'a': 8.480521929530614, 'b': 2.361556277475311, 'c': 0.165052595216449, 'd': 0.16476873440063056, 'e': 0.14573792641017866, 'f': 2.180378848807335}",
     ),
     ('104', 'linear-quadratic'): (
         "{'a': -96.27374414800764, 'b': 43.83398526774091, 'c': -4.993321995089747, 'd': 4.286830180909571, 'e': 44.06759193990651}",
         '0.25168085485894975',
         72,
-        "{'a': 135.2317400191956, 'b': 61.885654800798974, 'c': 7.078178171220255, 'd': 0.009876883629952538, 'e': 61.89943773822253}",
+        "{'a': 135.23174001920046, 'b': 61.88565480080121, 'c': 7.078178171220511, 'd': 0.009876883629952538, 'e': 61.89943773822477}",
     ),
     ('104', 'quadratic-quadratic'): (
         "{'a': -115.47656238044881, 'b': 52.60911907208428, 'c': -5.9964649233272445, 'd': 4.286830180909571, 'e': -5.905480098969783, 'f': 52.16787459660886}",
         '0.24887405056448478',
         72,
-        "{'a': 142.44822630946555, 'b': 65.18157378435453, 'c': 7.454882590214276, 'd': 0.009876883629952538, 'e': 7.4096872880045614, 'f': 64.85749152105214}",
+        "{'a': 142.44822630947067, 'b': 65.18157378435687, 'c': 7.454882590214544, 'd': 0.009876883629952538, 'e': 7.409687288004828, 'f': 64.85749152105447}",
     ),
     ('105', 'linear-quadratic'): (
         "{'a': 17.177716432146447, 'b': -7.12566221931992, 'c': 0.7347723145971711, 'd': 4.460199711888242, 'e': -7.078807319452042}",
         '0.20655936589440366',
         72,
-        "{'a': 14.431166207092176, 'b': 6.1831791702814245, 'c': 0.6614944986321979, 'd': 0.008532893302136912, 'e': 6.1973427394727}",
+        "{'a': 14.431166207092247, 'b': 6.183179170281454, 'c': 0.661494498632201, 'd': 0.008532893302136912, 'e': 6.19734273947273}",
     ),
     ('105', 'quadratic-quadratic'): (
         "{'a': 22.767140281475214, 'b': -9.63606932156211, 'c': 1.0186528103238481, 'd': 4.443493165906757, 'e': 0.7884916053176417, 'f': -7.797034455774553}",
         '0.19070568051950398',
         72,
-        "{'a': 14.305958926376704, 'b': 6.16613148532234, 'c': 0.6644662300768797, 'd': 0.06482975552540182, 'e': 0.6192256068267341, 'f': 5.820564020832874}",
+        "{'a': 14.3059589263768, 'b': 6.166131485322381, 'c': 0.6644662300768841, 'd': 0.06482975552540182, 'e': 0.6192256068267383, 'f': 5.820564020832913}",
     ),
 }
 
@@ -102,7 +102,7 @@ LONG_PINNED = {
         "{'a': -0.09101754218824065, 'b': 0.4035493963414124, 'c': -0.02756490525060629, 'd': 6.033375185860086, 'e': -0.0043266499778143175, 'f': 0.6442427098220158}",
         '17.574343631053566',
         432,
-        "{'a': 0.5371504047614166, 'b': 0.14752780485970404, 'c': 0.011852773554914965, 'd': 0.024794049520024508, 'e': 0.008369324965571556, 'f': 0.11977031615600653}",
+        "{'a': 0.5371504047614167, 'b': 0.14752780485970404, 'c': 0.011852773554914967, 'd': 0.024794049520024508, 'e': 0.008369324965571558, 'f': 0.11977031615600654}",
     ),
 }
 

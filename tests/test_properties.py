@@ -261,7 +261,8 @@ def _reference_design(kind, d, dom):
 
 def _reference_piecewise(kind, inp):
     """The breakpoint profile as a loop, one design and one lstsq per
-    candidate; returns (params, residual SS, candidates, std errors)."""
+    candidate; returns (params, residual SS, candidates, std errors), the
+    errors from the winner's design and residual SS."""
     dom, chg = inp.dominance, inp.change_rate
     candidates = breakpoint_candidates(dom)
     best = None
@@ -275,12 +276,8 @@ def _reference_piecewise(kind, inp):
     ss, d, beta = best
     names = kind.param_names
     params = dict(zip(names, map(float, [*beta[:3], d, *beta[3:]])))
-    pred = evaluate_array(kind, params, dom)
-    ss_res = float(np.sum((chg - pred) ** 2))
     try:
-        se = _linear_se_from_design(
-            _reference_design(kind, d, dom), ss_res, inp.n - kind.arity
-        )
+        se = _linear_se_from_design(_reference_design(kind, d, dom), ss, inp.n - kind.arity)
     except SingularInformationError:
         return params, ss, len(candidates), {name: math.inf for name in names}
     grid = sorted(candidates)
