@@ -123,7 +123,6 @@ class ModelFit:
     dominance_min: float = math.nan
     dominance_max: float = math.nan
     flags: tuple[str, ...] = ()
-    ss_trace: tuple[float, ...] = ()        # accepted-step SS of the winning start
 
 
 def _require_points(inp: FitInput, kind: ModelKind) -> None:
@@ -204,10 +203,10 @@ def _assemble(
     The family gives its parameters, residual SS ``ss``, the ``design`` it
     solved (for the logistic family the Jacobian at the optimum; None where
     the information is singular by construction), its own ``flags`` and the
-    extra ``fields`` (``iterations`` and, where they apply, ``pearson_r``
-    or ``ss_trace``).  This adds the goodness of ``ss`` on the input, the
-    input's dominance range and the standard errors from ``design`` and
-    ``ss``; a piecewise fit gives the breakpoint's own error as ``d_se``.
+    extra ``fields`` (``iterations`` and, for a linear fit, ``pearson_r``).
+    This adds the goodness of ``ss`` on the input, the input's dominance
+    range and the standard errors from ``design`` and ``ss``; a piecewise
+    fit gives the breakpoint's own error as ``d_se``.
     Flags keep one order: the family's own, then the goodness flags, then
     ``non-converged`` unless ``converged``, then ``singular-information``
     when the design is missing or non-finite or its information matrix
@@ -376,14 +375,12 @@ _DIAG = np.arange(3)
 
 class _Run(NamedTuple):
     """The outcome of a lockstep run, one row per start: its parameters, its
-    sum of squares, its iteration count, whether it converged and its trace
-    (the initial SS, then the SS after each accepted step)."""
+    sum of squares, its iteration count and whether it converged."""
 
     params: np.ndarray
     ss: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
-    traces: list[list[float]]
 
 
 def _lockstep(
@@ -394,8 +391,8 @@ def _lockstep(
 
     Each start runs exactly the search it would run alone.  An iteration
     takes the Jacobian and normal equations at the start's parameters and
-    tries damped steps until one reduces the sum of squares, so each trace
-    is non-increasing: lambda rises tenfold after a rejected step and falls
+    tries damped steps until one reduces the sum of squares, so a start's SS
+    never rises: lambda rises tenfold after a rejected step and falls
     tenfold after the accepted one.  A start stops when the relative SS drop
     or the step norm falls below tolerance (converged), when no damping up
     to ``_LAMBDA_MAX`` finds a downhill step (a stationary point: converged
@@ -405,83 +402,68 @@ def _lockstep(
     Each round makes one stacked solve over every running start's next two
     trials, at lambda and at ten times lambda, and takes the first that
     lowers its SS; the second counts only while its lambda is at most
-    ``_LAMBDA_MAX``.  A start whose step was accepted opens its next
-    iteration in the next round.  A stopped start's row leaves the stack.
+    ``_LAMBDA_MAX``.  A running start holds one row of state: parameters,
+    residual, SS, lambda and iteration count.  Every round takes its
+    Jacobian and normal equations afresh at its current parameters, so a
+    start whose two trials were both rejected gets the same bits again, and
+    a start whose step was accepted opens its next iteration in the next
+    round.  A stopped start's row leaves the stack before the next round,
+    and the run ends when the stack is empty; nothing it holds grows with
+    ``max_iter``.
     """
-    m = len(starts)
     rows = problem[owner]
     params = starts.astype(float)
     resid, ss = _residuals(rows, params)
-    iterations = np.zeros(m, dtype=int)
-    converged = np.zeros(m, dtype=bool)
-    traces = np.empty((m, max_iter + 1))
-    traces[:, 0] = ss
-    lengths = np.isfinite(ss).astype(int)  # a start with a non-finite SS never runs
-    # the running starts (indices ``idx``) and their state, one row each
-    idx = np.flatnonzero(lengths)
+    iterations = np.zeros(len(starts), dtype=int)
+    converged = np.zeros(len(starts), dtype=bool)
+    # the running starts (indices ``idx``) and their state, one row each; a
+    # start with a non-finite SS never runs, and the others open iteration 1
+    idx = np.flatnonzero(np.isfinite(ss) & (max_iter > 0))
     rows, vec, res, cur = rows[idx], params[idx], resid[idx], ss[idx]
-    lam = np.full(idx.size, _LAMBDA_INIT)
-    jtj, jtr = np.empty((idx.size, 3, 3)), np.empty((idx.size, 3, 1))
-    damping = np.zeros((idx.size, 3, 3))  # diagonal: max(diag(J^T J), 1e-12)
+    lam, its = np.full(idx.size, _LAMBDA_INIT), np.ones(idx.size, dtype=int)
     jac_out = np.empty((idx.size, problem.shape[-1], 3))
-    fresh = np.arange(idx.size)  # these open their next iteration
-    stop = np.zeros(idx.size, dtype=bool)
-    ok = np.zeros(idx.size, dtype=bool)  # converged, where stop
+    stop = ok = np.zeros(idx.size, dtype=bool)  # ok: converged, where stop
     while True:
-        if fresh.size:
-            at = idx[fresh]
-            capped = iterations[at] == max_iter
-            stop[fresh[capped]] = True
-            fresh, at = fresh[~capped], at[~capped]
-            iterations[at] += 1
-            jac = _jacobian(rows[fresh], vec[fresh], jac_out[:fresh.size])
-            finite = np.isfinite(jac).all(axis=(1, 2))
-            stop[fresh[~finite]] = True
-            fresh, jac = fresh[finite], jac[finite]
-            jac_t = jac.transpose(0, 2, 1)
-            jtj[fresh] = normal = jac_t @ jac
-            jtr[fresh] = jac_t @ res[fresh][:, :, None]
-            damping[fresh[:, None], _DIAG, _DIAG] = np.maximum(normal[:, _DIAG, _DIAG], 1e-12)
         if stop.any():
             gone, keep = idx[stop], ~stop
-            params[gone], ss[gone], converged[gone] = vec[stop], cur[stop], ok[stop]
-            idx, rows, lam = idx[keep], rows[keep], lam[keep]
-            vec, res, cur = vec[keep], res[keep], cur[keep]
-            jtj, jtr, damping = jtj[keep], jtr[keep], damping[keep]
+            params[gone], ss[gone], iterations[gone], converged[gone] = (
+                vec[stop], cur[stop], its[stop], ok[stop])
+            idx, rows, vec, res, cur, lam, its = (
+                x[keep] for x in (idx, rows, vec, res, cur, lam, its))
         if not idx.size:
             break
+        jac = _jacobian(rows, vec, jac_out[:idx.size])
+        failed = ~np.isfinite(jac).all(axis=(1, 2))  # its trials do not count
+        jac_t = jac.transpose(0, 2, 1)
+        normal = jac_t @ jac
+        damping = np.zeros_like(normal)  # diagonal: max(diag(J^T J), 1e-12)
+        damping[:, _DIAG, _DIAG] = np.maximum(normal[:, _DIAG, _DIAG], 1e-12)
         # a singular system's NaN step has an infinite trial SS, so only
         # that trial is rejected
         rungs = lam[:, None] * np.array([1.0, 10.0])
-        step = _solve(jtj[:, None] + rungs[:, :, None, None] * damping[:, None], jtr[:, None])
+        step = _solve(normal[:, None] + rungs[:, :, None, None] * damping[:, None],
+                      (jac_t @ res[:, :, None])[:, None])
         trial = vec[:, None] + step
         trial_res, trial_ss = _residuals(rows[:, None], trial)
         down = trial_ss < cur[:, None]
         second = ~down[:, 0] & down[:, 1] & (rungs[:, 1] <= _LAMBDA_MAX)
-        accepted = down[:, 0] | second
+        accepted = (down[:, 0] | second) & ~failed
         tried = np.where(second, rungs[:, 1], lam)  # the accepted trial's lambda
         lam = np.where(accepted, np.maximum(tried / 10.0, 1e-12), rungs[:, 1] * 10.0)
-        # no downhill step at any damping: a stationary point (a running
-        # start's SS is finite)
-        stop = ~accepted & (lam > _LAMBDA_MAX)
-        ok = stop & np.isfinite(vec).all(axis=1)
-        fresh = np.flatnonzero(accepted)
-        if fresh.size:
-            rung = second[fresh].astype(int)
-            moved, was, now = step[fresh, rung], cur[fresh], trial_ss[fresh, rung]
-            step_norm = np.sqrt(_dots(moved, moved))
-            rel_drop = (was - now) / np.maximum(was, 1e-300)
-            vec[fresh], res[fresh], cur[fresh] = trial[fresh, rung], trial_res[fresh, rung], now
-            at = idx[fresh]
-            traces[at, lengths[at]] = now
-            lengths[at] += 1
-            done = (rel_drop < GN_RELATIVE_SS_TOL) | (step_norm < GN_STEP_TOL)
-            stop[fresh[done]] = ok[fresh[done]] = True
-            fresh = fresh[~done]
-    return _Run(
-        params, ss, iterations, converged,
-        [traces[i, :lengths[i]].tolist() for i in range(m)],
-    )
+        # no downhill step at any damping: a stationary point, converged
+        # where finite (a running start's SS is)
+        stop = failed | (~accepted & (lam > _LAMBDA_MAX))
+        ok = stop & ~failed & np.isfinite(vec).all(axis=1)
+        won = np.flatnonzero(accepted)
+        rung = second[won].astype(int)
+        moved, was, now = step[won, rung], cur[won], trial_ss[won, rung]
+        step_norm = np.sqrt(_dots(moved, moved))
+        rel_drop = (was - now) / np.maximum(was, 1e-300)
+        vec[won], res[won], cur[won] = trial[won, rung], trial_res[won, rung], now
+        done = (rel_drop < GN_RELATIVE_SS_TOL) | (step_norm < GN_STEP_TOL)
+        stop[won], ok[won] = done | (its[won] == max_iter), done
+        its[won] += ~stop[won]  # its next iteration opens in the next round
+    return _Run(params, ss, iterations, converged)
 
 
 def _best(
@@ -543,8 +525,8 @@ def fit_logistic_batch(
     ``_POLISH_ATTEMPTS`` distinct endpoints are polished with the full
     budget.  The best converged polish wins; if nothing converges a
     NonConvergenceError carries the best polish as ``best``.  Every "best"
-    follows one rule (:func:`_best`).  A fit's iterations and trace count
-    its exploration run too.
+    follows one rule (:func:`_best`).  A fit's iterations count its
+    exploration run too; no per-step trace is kept.
 
     Problems are grouped by series length ``n``, since a stacked matmul
     needs one ``n`` (zero padding would change the ddot blocking and so the
@@ -601,7 +583,6 @@ def fit_logistic_batch(
                 kind, inp, param_dict(kind, polished.params[j]), float(polished.ss[j]), design,
                 converged=bool(polished.converged[j]),
                 iterations=int(explored.iterations[ends[j]] + polished.iterations[j]),
-                ss_trace=tuple(explored.traces[ends[j]] + polished.traces[j][1:]),
             )
             results[i] = fit if fit.converged else NonConvergenceError(
                 f"{kind.value}: no start converged", best=fit

@@ -168,16 +168,6 @@ def test_logistic_std_errors_from_jacobian(kind, truth, dom, sigma, seed):
         assert fit.std_errors[name] == pytest.approx(se, rel=1e-8)
 
 
-def test_gauss_newton_trace_is_non_increasing():
-    truth = {"K": 2.0, "a": 0.5, "r": -0.3}
-    inp = noisy_input(ModelKind.LOGISTIC, truth, np.linspace(2.0, 40.0, 25), 0.2, seed=31)
-    fit = fit_model(ModelKind.LOGISTIC, inp)
-    trace = fit.ss_trace
-    assert len(trace) >= 2
-    assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
-    assert trace[-1] == pytest.approx(fit.residual_ss, rel=1e-12)
-
-
 def test_logistic_fit_is_deterministic():
     truth = {"K": 1.5, "a": -0.8, "r": 0.1}
     inp = noisy_input(ModelKind.LOGISTIC_SINE, truth, np.linspace(5.0, 55.0, 27), 0.15, seed=8)

@@ -3,9 +3,11 @@
 The multi-start search (ranking, exploration, polish) decides which endpoint
 a fit reports, converged or not, and the reports pin those endpoints.  These
 values must be reproduced exactly: the parameters and residual SS by repr, the
-iteration count, the accepted-step trace length and the error text.  The short
-inputs are series of 6 to 13 points.
+iteration count and the error text.  The short inputs are series of 6 to 13
+points.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,154 +107,132 @@ PINNED = {
         "{'K': 9.341597116877892, 'a': -191029178112.90134, 'r': 3.9364647439721083}",
         '0.48092817909477764',
         620,
-        621,
         'logistic: no start converged',
     ),
     ('cohort', '101', 'logistic-sine'): (
         "{'K': 8.874286056229824, 'a': -217453128654.5143, 'r': 3.9730075391511996}",
         '0.48082953436707504',
         620,
-        621,
         'logistic-sine: no start converged',
     ),
     ('cohort', '102', 'logistic'): (
         "{'K': 2.9366069898315734, 'a': -818748085.1155131, 'r': 2.776014048116203}",
         '0.5079887706245821',
         338,
-        339,
         '',
     ),
     ('cohort', '102', 'logistic-sine'): (
         "{'K': 0.127540782673627, 'a': 1.5711558400517986e-59, 'r': -30.267428295453364}",
         '0.49512852359616283',
         620,
-        621,
         'logistic-sine: no start converged',
     ),
     ('cohort', '103', 'logistic'): (
         "{'K': 0.034678327895241626, 'a': -0.00019587030757407703, 'r': -1.5326018226579172}",
         '0.37239458702325784',
         106,
-        107,
         '',
     ),
     ('cohort', '103', 'logistic-sine'): (
         "{'K': 0.06325179951151998, 'a': 4.5683892805590625e-28, 'r': -11.402112880901981}",
         '0.4900261770233828',
         620,
-        621,
         'logistic-sine: no start converged',
     ),
     ('cohort', '104', 'logistic'): (
         "{'K': 0.12453967147252841, 'a': 8.571624155722166e-25, 'r': -15.915624856280104}",
         '0.3248331961986866',
         620,
-        621,
         'logistic: no start converged',
     ),
     ('cohort', '104', 'logistic-sine'): (
         "{'K': 0.14805703305566575, 'a': 1.1980688382798603e-22, 'r': -14.535670173705642}",
         '0.32533820099433836',
         620,
-        621,
         'logistic-sine: no start converged',
     ),
     ('cohort', '105', 'logistic'): (
         "{'K': -0.3382585214370782, 'a': -0.00021697812006568964, 'r': -2.9253148376631954}",
         '0.28049710007732465',
         103,
-        104,
         '',
     ),
     ('cohort', '105', 'logistic-sine'): (
         "{'K': -0.35675037881577765, 'a': -0.0001569967422702399, 'r': -3.0051121480626923}",
         '0.280476303513796',
         104,
-        105,
         '',
     ),
     ('short', 2, 'logistic'): (
         "{'K': 1.2092154914570619, 'a': 295202202478.26904, 'r': 0.8603635397640823}",
         '0.9830712864880554',
         122,
-        123,
         '',
     ),
     ('short', 2, 'logistic-sine'): (
         "{'K': -1.2519360840574405, 'a': 182546604216.43408, 'r': 0.8950269839374451}",
         '1.0699225816470417',
         123,
-        124,
         '',
     ),
     ('short', 3, 'logistic'): (
         "{'K': -0.04287015610454942, 'a': -3.5635659859940603, 'r': 0.038056597325689015}",
         '1.3324147945820262',
         349,
-        350,
         '',
     ),
     ('short', 3, 'logistic-sine'): (
         "{'K': -0.18610955079051686, 'a': -1.3856886540383044e-06, 'r': -0.41347762996712406}",
         '1.232989259932823',
         620,
-        621,
         'logistic-sine: no start converged',
     ),
     ('short', 6, 'logistic'): (
         "{'K': -0.12515370657368824, 'a': -36.30526091049468, 'r': 0.12574485718077422}",
         '0.8761009122318774',
         324,
-        325,
         '',
     ),
     ('short', 6, 'logistic-sine'): (
         "{'K': 0.22949521311619478, 'a': -0.011679237962379336, 'r': -0.15480436237839124}",
         '0.3670923461317063',
         139,
-        140,
         '',
     ),
     ('short', 11, 'logistic'): (
         "{'K': 0.3728001007728975, 'a': -2.557000885987069e-07, 'r': -4.142187475097631}",
         '0.7721922106534206',
         620,
-        621,
         'logistic: no start converged',
     ),
     ('short', 11, 'logistic-sine'): (
         "{'K': 0.16088503828314116, 'a': -2.8946297286106817, 'r': 0.24131979159954073}",
         '0.6479400540905871',
         52,
-        53,
         '',
     ),
     ('short', 16, 'logistic'): (
         "{'K': 0.014483168824021755, 'a': -115770.71268298701, 'r': 0.33163655849397994}",
         '0.8592681016412491',
         620,
-        621,
         'logistic: no start converged',
     ),
     ('short', 16, 'logistic-sine'): (
         "{'K': -0.15662410067015756, 'a': -0.22699696176906659, 'r': -0.07070243388317327}",
         '1.0162013343198708',
         41,
-        42,
         '',
     ),
     ('short', 34, 'logistic'): (
         "{'K': 0.05708318221858153, 'a': -41.77217691670841, 'r': 0.3961178139945238}",
         '0.24398866624957335',
         71,
-        72,
         '',
     ),
     ('short', 34, 'logistic-sine'): (
         "{'K': -0.41842345815463117, 'a': 3.090214111824203e-25, 'r': -1.6327780823041815}",
         '0.06042511251655537',
         620,
-        621,
         'logistic-sine: no start converged',
     ),
 }
@@ -263,7 +243,7 @@ def _outcome(kind: ModelKind, inp: FitInput) -> tuple:
         fit, error = fit_model(kind, inp), ""
     except DomstabError as exc:
         fit, error = exc.best, str(exc)
-    return (repr(fit.params), repr(fit.residual_ss), fit.iterations, len(fit.ss_trace), error)
+    return (repr(fit.params), repr(fit.residual_ss), fit.iterations, error)
 
 
 @pytest.fixture(scope="module")
@@ -313,3 +293,31 @@ def test_best_attempt_is_no_worse_than_any_explored_start(seed, kind, monkeypatc
     _outcome(kind, FitInput(np.array(dom), np.array(chg)))
     explored, polished = runs
     assert polished.ss.min() <= explored.ss.min()
+
+
+def test_lockstep_memory_does_not_grow_with_its_budget(cohort_inputs, monkeypatch):
+    """A lockstep pass holds one row of state per running start, so its
+    peak memory is the same at 50 iterations as at 2,000.  The polish starts
+    of cohort subject 101's logistic fit, less the best one (it converges in
+    iteration 553), crawl to any such cap."""
+    calls = []
+    lockstep = fitting._lockstep
+
+    def recorded(*args):
+        calls.append(args)
+        return lockstep(*args)
+
+    monkeypatch.setattr(fitting, "_lockstep", recorded)
+    _outcome(ModelKind.LOGISTIC, cohort_inputs["101"])
+    problem, owner, starts, _ = calls[1]
+    peaks = []
+    for max_iter in (50, 2000):
+        tracemalloc.start()
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                run = lockstep(problem, owner[1:], starts[1:], max_iter)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert run.iterations.tolist() == [max_iter] * (len(starts) - 1)
+    assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
