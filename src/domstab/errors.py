@@ -5,7 +5,8 @@ one base class at pipeline boundaries; only the array checks of FitInput,
 AbundanceTable, the metrics kernels and regress_dominance_vs_index raise
 ValueError.  A class exists only where code tells it apart or reads its
 attribute; every other problem is an InputError or a DomstabError whose
-message says what went wrong.
+message says what went wrong.  A fit that did not converge is no error but a
+ModelFit with ``converged`` false.
 
 - InputError: a problem with the input or the run's arguments.  The CLI
   exits with code 1 for it and with 2 for any other DomstabError.
@@ -13,7 +14,6 @@ message says what went wrong.
   also a KeyError.
 - SingularInformationError: fitting turns it into a fit without standard
   errors.
-- NonConvergenceError: the reports file its ``best`` attempt.
 - DivergenceError: the trajectory reads its ``step``.
 """
 
@@ -23,7 +23,6 @@ __all__ = [
     "DivergenceError",
     "DomstabError",
     "InputError",
-    "NonConvergenceError",
     "SingularInformationError",
     "UnknownNameError",
 ]
@@ -42,14 +41,6 @@ class UnknownNameError(InputError, KeyError):
     plain message, not the quoted key that KeyError prints."""
 
     __str__ = BaseException.__str__
-
-
-class NonConvergenceError(DomstabError):
-    """No optimizer start converged.  ``best`` holds the best attempt."""
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
 
 
 class SingularInformationError(DomstabError):

@@ -27,7 +27,8 @@ Three fitting routes, one per model family:
   candidate.
 
 Every route ends in one assembly step (:func:`_assemble`), which adds the
-goodness of fit, the dominance range, the standard errors and the flags.
+goodness of fit, the dominance range and the standard errors; a logistic
+fit whose search converged nowhere is still a ModelFit, ``converged`` false.
 Standard errors come from sqrt(diag(s^2 (J^T J)^-1)) with J the design the
 route solved (the Jacobian at the optimum for the logistic family) and s^2
 its residual SS on n - p degrees of freedom; for the piecewise kinds they
@@ -43,7 +44,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomstabError, NonConvergenceError, SingularInformationError
+from .errors import DomstabError, SingularInformationError
 # evaluate_array is not called here; bench/spans.py wraps it.
 from .models import ModelKind, evaluate_array, param_dict
 
@@ -122,7 +123,6 @@ class ModelFit:
     pearson_r: float | None = None          # linear fits only
     dominance_min: float = math.nan
     dominance_max: float = math.nan
-    flags: tuple[str, ...] = ()
 
 
 def _require_points(inp: FitInput, kind: ModelKind) -> None:
@@ -132,21 +132,16 @@ def _require_points(inp: FitInput, kind: ModelKind) -> None:
         )
 
 
-def _goodness_from_ss(
-    ss_res: float, chg: np.ndarray, p: int
-) -> tuple[float, float, list[str]]:
-    flags: list[str] = []
+def _goodness_from_ss(ss_res: float, chg: np.ndarray, p: int) -> tuple[float, float]:
+    """r2 and adjusted r2; both NaN for a constant ``chg``, whose float ss_tot is roundoff."""
     n = chg.size
     ss_tot = float(np.sum((chg - chg.mean()) ** 2))
-    if ss_tot == 0.0:
-        flags.append("degenerate-r2")
-        return math.nan, math.nan, flags
+    if ss_tot == 0.0 or chg.min() == chg.max():
+        return math.nan, math.nan
     r2 = 1.0 - ss_res / ss_tot
     if n - p - 1 <= 0:
-        flags.append("r2-adj-undefined")
-        return r2, math.nan, flags
-    r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
-    return r2, r2_adj, flags
+        return r2, math.nan
+    return r2, 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
 
 
 # ---------------------------------------------------------------- std errors
@@ -193,7 +188,6 @@ def _assemble(
     params: dict[str, float],
     ss: float,
     design: np.ndarray | None,
-    flags: tuple[str, ...] = (),
     converged: bool = True,
     d_se: float = math.nan,
     **fields,
@@ -202,18 +196,15 @@ def _assemble(
 
     The family gives its parameters, residual SS ``ss``, the ``design`` it
     solved (for the logistic family the Jacobian at the optimum; None where
-    the information is singular by construction), its own ``flags`` and the
-    extra ``fields`` (``iterations`` and, for a linear fit, ``pearson_r``).
-    This adds the goodness of ``ss`` on the input, the input's dominance
-    range and the standard errors from ``design`` and ``ss``; a piecewise
-    fit gives the breakpoint's own error as ``d_se``.
-    Flags keep one order: the family's own, then the goodness flags, then
-    ``non-converged`` unless ``converged``, then ``singular-information``
-    when the design is missing or non-finite or its information matrix
-    cannot be inverted, in which case every standard error is +inf.
+    the information is singular by construction), whether it ``converged``
+    and the extra ``fields`` (``iterations`` and, for a linear fit,
+    ``pearson_r``).  This adds the goodness of ``ss`` on the input, the
+    input's dominance range and the standard errors from ``design`` and
+    ``ss``; a piecewise fit gives the breakpoint's own error as ``d_se``.
+    Every standard error is +inf when the design is missing or non-finite
+    or its information matrix cannot be inverted.
     """
-    r2, r2_adj, more = _goodness_from_ss(ss, inp.change_rate, kind.arity)
-    flags = (*flags, *more) + (() if converged else ("non-converged",))
+    r2, r2_adj = _goodness_from_ss(ss, inp.change_rate, kind.arity)
     try:
         if design is None or not np.all(np.isfinite(design)):
             raise SingularInformationError("no finite design at the optimum")
@@ -223,7 +214,6 @@ def _assemble(
         std_errors = dict(zip(kind.param_names, map(float, se)))
     except SingularInformationError:
         std_errors = dict.fromkeys(kind.param_names, math.inf)
-        flags += ("singular-information",)
     lo, hi = inp.dominance_range
     return ModelFit(
         kind=kind,
@@ -236,7 +226,6 @@ def _assemble(
         converged=converged,
         dominance_min=lo,
         dominance_max=hi,
-        flags=flags,
         **fields,
     )
 
@@ -250,18 +239,18 @@ def fit_linear(inp: FitInput) -> ModelFit:
     _require_points(inp, kind)
     dom, chg = inp.dominance, inp.change_rate
     sxx = float(np.sum((dom - dom.mean()) ** 2))
-    if sxx == 0.0:
+    # a constant series's float sum of squares is roundoff, and one can underflow to 0
+    if sxx == 0.0 or dom.min() == dom.max():
         raise DomstabError("dominance values have zero variance")
     sxy = float(np.sum((dom - dom.mean()) * (chg - chg.mean())))
     syy = float(np.sum((chg - chg.mean()) ** 2))
     slope = sxy / sxx
     intercept = float(chg.mean() - slope * dom.mean())
     ss_res = float(np.sum((chg - (intercept + slope * dom)) ** 2))
-    pearson = sxy / math.sqrt(sxx * syy) if syy > 0.0 else math.nan
+    pearson = math.nan if syy == 0.0 or chg.min() == chg.max() else sxy / math.sqrt(sxx * syy)
     return _assemble(
         kind, inp, {"a": intercept, "b": slope}, ss_res,
-        np.column_stack([np.ones_like(dom), dom]),
-        flags=() if syy > 0.0 else ("degenerate-r",), iterations=0, pearson_r=pearson,
+        np.column_stack([np.ones_like(dom), dom]), iterations=0, pearson_r=pearson,
     )
 
 
@@ -516,17 +505,17 @@ def fit_logistic_batch(
     items: Sequence[tuple[ModelKind, FitInput]],
 ) -> list[ModelFit | DomstabError]:
     """Multi-start damped Gauss-Newton fits of many logistic-family
-    problems at once: one result per ``(kind, inp)`` item, a ModelFit or
-    the DomstabError that :func:`fit_model` raises for that item alone.
+    problems at once: one result per ``(kind, inp)`` item, the ModelFit that
+    :func:`fit_model` returns for that item alone or the DomstabError it raises.
 
     Each problem's :func:`default_starts` grid is ranked by initial SS.  The
     best ``_N_EXPLORE`` starts are explored, each until it stops by itself
     or after ``_EXPLORE_MAX_ITER`` iterations, and the best
     ``_POLISH_ATTEMPTS`` distinct endpoints are polished with the full
-    budget.  The best converged polish wins; if nothing converges a
-    NonConvergenceError carries the best polish as ``best``.  Every "best"
-    follows one rule (:func:`_best`).  A fit's iterations count its
-    exploration run too; no per-step trace is kept.
+    budget.  The best converged polish wins, else the best polish, with
+    ``converged`` false; only an item with no finite polish at all is an
+    error.  Every "best" follows one rule (:func:`_best`).  A fit's
+    iterations count its exploration run too; no per-step trace is kept.
 
     Problems are grouped by series length ``n``, since a stacked matmul
     needs one ``n`` (zero padding would change the ddot blocking and so the
@@ -545,8 +534,7 @@ def fit_logistic_batch(
                 # K = 0 reproduces an all-zero change rate exactly; it zeroes
                 # the a and r columns of the Jacobian, so no design is passed
                 results[i] = _assemble(
-                    kind, inp, {"K": 0.0, "a": 1.0, "r": 0.0}, 0.0, None,
-                    flags=("degenerate-zero-change",), iterations=0,
+                    kind, inp, {"K": 0.0, "a": 1.0, "r": 0.0}, 0.0, None, iterations=0,
                 )
                 continue
             starts = np.array(default_starts(inp), dtype=float).reshape(-1, 3)
@@ -576,16 +564,13 @@ def fit_logistic_batch(
         for p, (i, _) in enumerate(group):
             kind, inp = items[i]
             if p not in winner:
-                results[i] = NonConvergenceError(f"{kind.value}: every start failed")
+                results[i] = DomstabError(f"{kind.value}: every start failed")
                 continue
             j, design = winner[p]
-            fit = _assemble(
+            results[i] = _assemble(
                 kind, inp, param_dict(kind, polished.params[j]), float(polished.ss[j]), design,
                 converged=bool(polished.converged[j]),
                 iterations=int(explored.iterations[ends[j]] + polished.iterations[j]),
-            )
-            results[i] = fit if fit.converged else NonConvergenceError(
-                f"{kind.value}: no start converged", best=fit
             )
     return results
 
@@ -728,8 +713,9 @@ def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
 
 
 def fit_model(kind: ModelKind, inp: FitInput) -> ModelFit:
-    """Fit one model kind with its family's route; a logistic kind is a
-    one-item :func:`fit_logistic_batch`, whose error is raised."""
+    """Fit one model kind with its family's route.  A logistic kind is a
+    one-item :func:`fit_logistic_batch`, whose fit is returned, converged or
+    not, and whose error is raised."""
     if kind is ModelKind.LINEAR:
         return fit_linear(inp)
     if kind.logistic_family:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, compress
 from typing import Iterable
 
@@ -203,7 +203,6 @@ class SubjectSeries:
     species_ids: tuple[str, ...]
     sample_ids: tuple[str, ...]
     counts: np.ndarray  # shape (roster, T)
-    dropped_species: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def n_samples(self) -> int:
@@ -239,7 +238,6 @@ def split_subjects(
                 species_ids=tuple(compress(table.species_ids, present)),
                 sample_ids=tuple(table.sample_ids[i] for i in columns),
                 counts=block[present],
-                dropped_species=tuple(compress(table.species_ids, ~present)),
             )
         )
     return out
@@ -249,7 +247,7 @@ def filter_low_reads(
     series: SubjectSeries, min_total: float = DEFAULT_MIN_TOTAL_READS
 ) -> SubjectSeries:
     """Drop roster species whose reads summed over the subject fall below
-    ``min_total``.  The dropped ids are recorded on the returned series."""
+    ``min_total``; a DomstabError when none is left."""
     keep = series.counts.sum(axis=1) >= min_total
     if not keep.any():
         raise DomstabError(f"no species with >= {min_total} reads")
@@ -257,5 +255,4 @@ def filter_low_reads(
         series,
         species_ids=tuple(compress(series.species_ids, keep)),
         counts=series.counts[keep],
-        dropped_species=series.dropped_species + tuple(compress(series.species_ids, ~keep)),
     )

