@@ -4,9 +4,8 @@ Usage:
 
     domstab metrics          --input counts.csv --out results/
     domstab compare-indices  --input counts.csv --out results/
-    domstab fit              --input counts.csv --out results/
-    domstab select           --input counts.csv --out results/ --r2-min 0.3
-    domstab simulate         --input counts.csv --out results/ --subject 405
+    domstab fit              --input counts.csv --out results/ --r2-min 0.3 --seed 7
+    domstab simulate         --input counts.csv --out results/ --subject 405 --plot
     domstab report-all       --input counts.csv --out results/ --plot
 
 Exit codes: 0 success, 1 input problem (a usage error such as a missing
@@ -14,10 +13,11 @@ Exit codes: 0 success, 1 input problem (a usage error such as a missing
 malformed table; a count out of range; a subject id holding a path
 separator, a control character or a line break, or too long to name a file;
 an unknown subject or model name; a negative ``--steps``; a non-finite
-``--start``; a ``--min-total-reads`` that is not finite and at least 0; a
-NaN ``--r2-min``; a ``--se-ratio-max`` or ``--mag-max`` that is NaN or
-negative), 2 analysis problem in some subject, such as no species left by
-the read floor (every other subject's outputs are written).
+``--start``; a ``--min-total-reads`` that is not finite and at least 0; for
+``fit``, ``simulate`` and ``report-all``, a NaN ``--r2-min`` or a
+``--se-ratio-max`` or ``--mag-max`` that is NaN or negative), 2 analysis
+problem in some subject, such as no species left by the read floor (every
+other subject's outputs are written).
 """
 
 from __future__ import annotations
@@ -50,45 +50,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    policy = SelectionPolicy()
-    parser.add_argument("--input", required=True, help="species-by-sample count table")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--delimiter", default=None,
+def build_parser() -> argparse.ArgumentParser:
+    inputs, fits, seed, plot = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    inputs.add_argument("--input", required=True, help="species-by-sample count table")
+    inputs.add_argument("--out", required=True, help="output directory")
+    inputs.add_argument("--delimiter", default=None,
                         help="field delimiter (default: auto-detect comma/tab)")
-    parser.add_argument("--min-total-reads", type=float, default=DEFAULT_MIN_TOTAL_READS,
+    inputs.add_argument("--min-total-reads", type=float, default=DEFAULT_MIN_TOTAL_READS,
                         help="drop species below this many reads per subject "
                              "(default %(default)s)")
-    parser.add_argument("--id-rule", default=SampleIdRule.separator,
+    inputs.add_argument("--id-rule", default=SampleIdRule.separator,
                         help="separator between subject and time token in sample ids")
-    parser.add_argument("--models", default=None,
-                        help="comma-separated model kinds to fit (default: all)")
-    parser.add_argument("--r2-min", type=float, default=policy.r2_min)
-    parser.add_argument("--se-ratio-max", type=float, default=policy.se_ratio_max)
-    parser.add_argument("--mag-max", type=float, default=policy.magnitude_max)
-    parser.add_argument("--seed", type=int, default=RunConfig.seed,
-                        help="recorded in run_config.json only; nothing in domstab is random")
-    parser.add_argument("--plot", action="store_true",
-                        help="also write SVG charts")
+    fits.add_argument("--models", default=None,
+                      help="comma-separated model kinds to fit (default: all)")
+    fits.add_argument("--r2-min", type=float, default=RunConfig.policy.r2_min)
+    fits.add_argument("--se-ratio-max", type=float, default=RunConfig.policy.se_ratio_max)
+    fits.add_argument("--mag-max", type=float, default=RunConfig.policy.magnitude_max)
+    seed.add_argument("--seed", type=int, default=RunConfig.seed,
+                      help="recorded in run_config.json only; nothing in domstab is random")
+    plot.add_argument("--plot", action="store_true", help="also write SVG charts")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="domstab",
         description="Dominance metrics and dominance-stability modeling "
                     "for species-abundance time series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("metrics", "per-sample dominance tables"),
-        ("compare-indices", "dominance-vs-diversity-index regressions"),
-        ("fit", "fit the stability models and run validity-gated selection"),
-        ("select", "the same command as fit, writing the same files"),
-        ("simulate", "iterate the dominance map for one subject"),
-        ("report-all", "all reports plus per-subject simulations"),
+    for name, groups, help_text in (
+        ("metrics", [inputs], "per-sample dominance tables"),
+        ("compare-indices", [inputs], "dominance-vs-diversity-index regressions"),
+        ("fit", [inputs, fits, seed], "fit the stability models and run validity-gated selection"),
+        ("simulate", [inputs, fits, plot], "iterate the dominance map for one subject"),
+        ("report-all", [inputs, fits, seed, plot], "all reports plus per-subject simulations"),
     ):
-        cmd = sub.add_parser(name, help=help_text)
-        _add_common(cmd)
+        cmd = sub.add_parser(name, help=help_text, parents=groups)
         if name == "simulate":
             cmd.add_argument("--subject", required=True)
             cmd.add_argument("--start", type=float, default=None,
@@ -116,20 +111,22 @@ def _parse_models(text: str | None) -> tuple[ModelKind, ...]:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
+    """A flag the subcommand does not take keeps its RunConfig default."""
+    policy = RunConfig.policy
     return RunConfig(
         input_path=Path(args.input),
         out_dir=Path(args.out),
         delimiter=args.delimiter,
         min_total_reads=args.min_total_reads,
         id_rule=SampleIdRule(separator=args.id_rule),
-        models=_parse_models(args.models),
+        models=_parse_models(getattr(args, "models", None)),
         policy=SelectionPolicy(
-            r2_min=args.r2_min,
-            se_ratio_max=args.se_ratio_max,
-            magnitude_max=args.mag_max,
+            r2_min=getattr(args, "r2_min", policy.r2_min),
+            se_ratio_max=getattr(args, "se_ratio_max", policy.se_ratio_max),
+            magnitude_max=getattr(args, "mag_max", policy.magnitude_max),
         ),
-        seed=args.seed,
-        plot=args.plot,
+        seed=getattr(args, "seed", RunConfig.seed),
+        plot=getattr(args, "plot", RunConfig.plot),
         simulate_steps=getattr(args, "steps", RunConfig.simulate_steps),
     )
 
@@ -142,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
             paths = cmd_metrics(config)
         elif args.command == "compare-indices":
             paths = [cmd_compare_indices(config)]
-        elif args.command in ("fit", "select"):
+        elif args.command == "fit":
             paths = cmd_fit_select(config)
         elif args.command == "simulate":
             paths = cmd_simulate(config, args.subject, start=args.start)
@@ -157,7 +154,3 @@ def main(argv: list[str] | None = None) -> int:
     for path in paths:
         print(path)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

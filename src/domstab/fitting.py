@@ -45,6 +45,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomstabError, SingularInformationError
+from .metrics import least_squares_line
 # evaluate_array is not called here; bench/spans.py wraps it.
 from .models import ModelKind, evaluate_array, param_dict
 
@@ -238,16 +239,13 @@ def fit_linear(inp: FitInput) -> ModelFit:
     kind = ModelKind.LINEAR
     _require_points(inp, kind)
     dom, chg = inp.dominance, inp.change_rate
-    sxx = float(np.sum((dom - dom.mean()) ** 2))
+    sxx, syy, slope, intercept, pearson = least_squares_line(dom, chg)
     # a constant series's float sum of squares is roundoff, and one can underflow to 0
     if sxx == 0.0 or dom.min() == dom.max():
         raise DomstabError("dominance values have zero variance")
-    sxy = float(np.sum((dom - dom.mean()) * (chg - chg.mean())))
-    syy = float(np.sum((chg - chg.mean()) ** 2))
-    slope = sxy / sxx
-    intercept = float(chg.mean() - slope * dom.mean())
     ss_res = float(np.sum((chg - (intercept + slope * dom)) ** 2))
-    pearson = math.nan if syy == 0.0 or chg.min() == chg.max() else sxy / math.sqrt(sxx * syy)
+    if syy == 0.0 or chg.min() == chg.max():
+        pearson = math.nan
     return _assemble(
         kind, inp, {"a": intercept, "b": slope}, ss_res,
         np.column_stack([np.ones_like(dom), dom]), iterations=0, pearson_r=pearson,
@@ -530,6 +528,7 @@ def fit_logistic_batch(
             if not kind.logistic_family:
                 raise DomstabError(f"{kind.value} is not a logistic-family kind")
             _require_points(inp, kind)
+            starts = np.array(default_starts(inp), dtype=float).reshape(-1, 3)
             if float(np.max(np.abs(inp.change_rate))) == 0.0:
                 # K = 0 reproduces an all-zero change rate exactly; it zeroes
                 # the a and r columns of the Jacobian, so no design is passed
@@ -537,7 +536,6 @@ def fit_logistic_batch(
                     kind, inp, {"K": 0.0, "a": 1.0, "r": 0.0}, 0.0, None, iterations=0,
                 )
                 continue
-            starts = np.array(default_starts(inp), dtype=float).reshape(-1, 3)
         except DomstabError as exc:
             results[i] = exc
             continue

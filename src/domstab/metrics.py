@@ -48,6 +48,7 @@ __all__ = [
     "diversity_indices",
     "diversity_block",
     "simpson_identity_residual",
+    "least_squares_line",
     "regress_dominance_vs_index",
 ]
 
@@ -234,6 +235,19 @@ def simpson_identity_residual(values: Sequence[float]) -> float:
 # ---------------------------------------------------------------- regression
 
 
+def least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float]:
+    """Centred sums of squares, coefficients and Pearson r of the line y =
+    intercept + slope * x, as ``(sxx, syy, slope, intercept, r)``; slope and r
+    are NaN where a sum they divide by is 0, and each caller guards the rest."""
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    sxy = float(np.sum((x - x.mean()) * (y - y.mean())))
+    syy = float(np.sum((y - y.mean()) ** 2))
+    slope = sxy / sxx if sxx else math.nan
+    intercept = float(y.mean() - slope * x.mean())
+    r = sxy / math.sqrt(sxx * syy) if sxx * syy else math.nan
+    return sxx, syy, slope, intercept, r
+
+
 @dataclass(frozen=True)
 class IndexRegression:
     """OLS of community dominance on a diversity index across samples."""
@@ -262,13 +276,8 @@ def regress_dominance_vs_index(
         raise DomstabError("index regression needs at least 3 samples")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DomstabError("index regression input must be finite")
-    sxx = float(np.sum((x - x.mean()) ** 2))
+    sxx, syy, slope, intercept, correlation = least_squares_line(x, y)
     # relative guard: a constant column is rarely an exact float zero
     if sxx <= np.finfo(float).eps * float(np.sum(x * x)):
         raise DomstabError(f"index {which.value} has zero variance")
-    sxy = float(np.sum((x - x.mean()) * (y - y.mean())))
-    syy = float(np.sum((y - y.mean()) ** 2))
-    slope = sxy / sxx
-    intercept = float(y.mean() - slope * x.mean())
-    correlation = sxy / math.sqrt(sxx * syy) if syy > 0.0 else math.nan
-    return IndexRegression(slope, intercept, correlation, int(x.size))
+    return IndexRegression(slope, intercept, correlation if syy > 0.0 else math.nan, int(x.size))

@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 
 from domstab.cli import main
 
-COMMANDS = ("metrics", "compare-indices", "fit", "select", "simulate", "report-all")
+COMMANDS = ("metrics", "compare-indices", "fit", "simulate", "report-all")
 FITS = ["fit_linear.csv", "fit_logistic.csv", "fit_logistic_sine.csv",
         "fit_linear_quadratic.csv", "fit_quadratic_quadratic.csv", "selection_summary.csv"]
 # files of one subject, and shared tables that must hold a row for it
 OWN = {"metrics": ["metrics_{}.csv"], "simulate": ["simulate_{}_trajectory.csv"],
        "report-all": ["metrics_{}.csv", "simulate_{}_trajectory.csv"]}
-SHARED = {"compare-indices": ["index_regressions.csv"], "fit": FITS, "select": FITS,
+SHARED = {"compare-indices": ["index_regressions.csv"], "fit": FITS,
           "report-all": ["index_regressions.csv", *FITS]}
 
 counts = st.one_of(

@@ -201,6 +201,20 @@ def test_zero_change_rate_degenerates_to_flat_zero():
     assert all(se == math.inf for se in fit.std_errors.values())
 
 
+@pytest.mark.parametrize("kind", [ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE])
+def test_constant_dominance_with_zero_change_has_no_logistic_fit(kind):
+    """Constant dominance has no range for the start grid, whatever the
+    change rate: an all-zero change rate is no exception, as linear's
+    zero-variance error is none either."""
+    inp = FitInput(np.full(5, 3.0), np.zeros(5))
+    with pytest.raises(DomstabError, match="^dominance values have zero range$"):
+        fit_model(kind, inp)
+    (outcome,) = fit_logistic_batch([(kind, inp)])
+    assert isinstance(outcome, DomstabError)
+    with pytest.raises(DomstabError, match="^dominance values have zero variance$"):
+        fit_linear(inp)
+
+
 def test_every_start_failing_returns_a_non_converged_fit(monkeypatch):
     """A start whose Jacobian turns non-finite stops unconverged; its
     endpoint is still the fit."""

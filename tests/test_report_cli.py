@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -261,7 +262,7 @@ def test_cli_policy_and_read_floor_arguments_are_input_errors(
     """A read floor that is not finite and at least 0, a NaN r2 minimum and
     a NaN or negative gate maximum are rejected before the table is read."""
     out = tmp_path / "out"
-    code = main(["select", "--input", str(cohort_path), "--out", str(out), flag])
+    code = main(["fit", "--input", str(cohort_path), "--out", str(out), flag])
     assert code == 1
     assert capsys.readouterr().err == f"domstab: input error: {message}\n"
     assert not out.exists()
@@ -271,7 +272,7 @@ def test_cli_policy_and_read_floor_arguments_are_input_errors(
     [],
     ["metrics", "--out", "out"],
     ["metrics", "--input", "in.csv", "--out", "out", "--bogus"],
-    ["select", "--input", "in.csv", "--out", "out", "--r2-min", "high"],
+    ["fit", "--input", "in.csv", "--out", "out", "--r2-min", "high"],
     ["simulate", "--input", "in.csv", "--out", "out", "--subject", "1", "--steps", "1.5"],
 ])
 def test_cli_usage_error_is_input_error(argv, capsys):
@@ -280,6 +281,73 @@ def test_cli_usage_error_is_input_error(argv, capsys):
         main(argv)
     assert exit_info.value.code == 1
     assert "error: " in capsys.readouterr().err
+
+
+INPUT_FLAGS = {"--input", "--out", "--delimiter", "--min-total-reads", "--id-rule"}
+FIT_FLAGS = {"--models", "--r2-min", "--se-ratio-max", "--mag-max"}
+# the flags each subcommand reads, and so takes
+ACCEPTED = {
+    "metrics": INPUT_FLAGS,
+    "compare-indices": INPUT_FLAGS,
+    "fit": INPUT_FLAGS | FIT_FLAGS | {"--seed"},
+    "simulate": INPUT_FLAGS | FIT_FLAGS | {"--plot", "--subject", "--start", "--steps"},
+    "report-all": INPUT_FLAGS | FIT_FLAGS | {"--seed", "--plot"},
+}
+
+
+def _parser_flags() -> dict[str, set[str]]:
+    """The long flags, --help aside, that each subcommand of the parser takes."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {flag for action in cmd._actions for flag in action.option_strings
+               if flag.startswith("--") and flag != "--help"}
+        for name, cmd in sub.choices.items()
+    }
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    assert _parser_flags() == ACCEPTED
+    assert sum(map(len, ACCEPTED.values())) == 44
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["metrics", "--plot"], "unrecognized arguments: --plot"),
+    (["compare-indices", "--models", "linear"], "unrecognized arguments: --models linear"),
+    (["metrics", "--r2-min", "nan"], "unrecognized arguments: --r2-min nan"),
+    (["fit", "--plot"], "unrecognized arguments: --plot"),
+    (["simulate", "--subject", "103", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["select"], "argument command: invalid choice: 'select'"),
+])
+def test_a_flag_or_command_not_taken_is_a_usage_error(argv, message, cohort_path, tmp_path, capsys):
+    """A retired (subcommand, flag) pair, or ``select``, ends in argparse's
+    usage error: SystemExit with code 1, not a traceback, and no output."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--input", str(cohort_path), "--out", str(out)])
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: domstab ")
+    assert f"domstab: error: {message}" in err
+    assert not out.exists()
+
+
+def test_readme_flag_table_matches_the_parser():
+    """README's flag table marks with an x each flag a subcommand takes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = iter(readme.splitlines())
+    header = next(line for line in lines if line.startswith("| flag |"))
+    commands = [cell.strip() for cell in header.strip("|").split("|")][1:]
+    next(lines)  # the |---| rule
+    table = {command: set() for command in commands}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        flag, *marks = [cell.strip() for cell in line.strip("|").split("|")]
+        for command, mark in zip(commands, marks, strict=True):
+            assert mark in ("x", ""), line
+            if mark:
+                table[command].add(flag.strip("`"))
+    assert table == _parser_flags()
 
 
 def test_report_all_reads_and_analyses_once(small_input, tmp_path, monkeypatch):
