@@ -6,14 +6,13 @@ AbundanceTable, the metrics kernels and regress_dominance_vs_index raise
 ValueError.  A class exists only where code tells it apart or reads its
 attribute; every other problem is an InputError or a DomstabError whose
 message says what went wrong.  A fit that did not converge is no error but a
-ModelFit with ``converged`` false.
+ModelFit with ``converged`` false, and a fit without standard errors is one
+whose ``std_errors`` are +inf.
 
 - InputError: a problem with the input or the run's arguments.  The CLI
   exits with code 1 for it and with 2 for any other DomstabError.
 - UnknownNameError: a subject, species or model kind that is not there;
   also a KeyError.
-- SingularInformationError: fitting turns it into a fit without standard
-  errors.
 - DivergenceError: the trajectory reads its ``step``.
 """
 
@@ -23,7 +22,6 @@ __all__ = [
     "DivergenceError",
     "DomstabError",
     "InputError",
-    "SingularInformationError",
     "UnknownNameError",
 ]
 
@@ -41,10 +39,6 @@ class UnknownNameError(InputError, KeyError):
     plain message, not the quoted key that KeyError prints."""
 
     __str__ = BaseException.__str__
-
-
-class SingularInformationError(DomstabError):
-    """Normal-equations matrix is singular; standard errors are undefined."""
 
 
 class DivergenceError(DomstabError):

@@ -33,7 +33,8 @@ Standard errors come from sqrt(diag(s^2 (J^T J)^-1)) with J the design the
 route solved (the Jacobian at the optimum for the logistic family) and s^2
 its residual SS on n - p degrees of freedom; for the piecewise kinds they
 are conditional on the chosen breakpoint, whose own uncertainty is reported
-as the local candidate-grid resolution.
+as the local candidate-grid resolution.  Where J is missing or not finite or
+J^T J is singular, every standard error is +inf: a value, not an error.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomstabError, SingularInformationError
+from .errors import DomstabError
 from .metrics import least_squares_line
 # evaluate_array is not called here; bench/spans.py wraps it.
 from .models import ModelKind, evaluate_array, param_dict
@@ -55,9 +56,7 @@ __all__ = [
     "GN_MAX_ITER",
     "GN_RELATIVE_SS_TOL",
     "GN_STEP_TOL",
-    "fit_linear",
     "fit_logistic_batch",
-    "fit_piecewise",
     "fit_model",
     "breakpoint_candidates",
     "default_starts",
@@ -71,7 +70,7 @@ _LAMBDA_MAX = 1e12
 _N_EXPLORE = 24  # starts kept after ranking the grid by initial SS
 _EXPLORE_MAX_ITER = 120  # iteration budget per start during exploration
 _POLISH_ATTEMPTS = 3  # best exploration endpoints re-run with the full budget
-# Breakpoint profile (see fit_piecewise): a candidate is solved exactly while
+# Breakpoint profile (see _fit_piecewise): a candidate is solved exactly while
 # its screened SS is within best_exact_ss * (1 + RTOL) + ATOL * |y|^2.
 _CERTIFY_RTOL = 1e-8
 _CERTIFY_ATOL = 1e-12
@@ -168,19 +167,25 @@ def _piecewise_design(kind: ModelKind, d: np.ndarray, dom: np.ndarray) -> np.nda
     return design
 
 
-def _linear_se_from_design(design: np.ndarray, ss_res: float, dof: int) -> np.ndarray:
-    if dof <= 0:
-        raise DomstabError("no residual degrees of freedom for standard errors")
-    info = design.T @ design
-    try:
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError:
-        raise SingularInformationError("normal-equations matrix is singular") from None
-    diag = np.diag(cov).copy()
+def _std_errors(
+    kind: ModelKind, design: np.ndarray | None, ss: float, n: int, d_se: float
+) -> dict[str, float]:
+    """sqrt(diag(s^2 (J^T J)^-1)) for the design J and s^2 = ss / (n - p); a
+    piecewise fit's breakpoint takes ``d_se``.  Every standard error is +inf
+    when J is missing or not finite, J^T J cannot be inverted or the
+    diagonal of its inverse is not finite."""
+    diag = np.array([math.inf])
+    if design is not None and np.all(np.isfinite(design)):
+        try:
+            diag = np.diag(np.linalg.inv(design.T @ design))
+        except np.linalg.LinAlgError:  # singular: diag stays +inf
+            pass
     if not np.all(np.isfinite(diag)):
-        raise SingularInformationError("normal-equations matrix is singular")
-    diag[diag < 0] = 0.0  # roundoff guard
-    return np.sqrt(diag * (ss_res / dof))
+        return dict.fromkeys(kind.param_names, math.inf)
+    se = np.sqrt(np.where(diag < 0.0, 0.0, diag) * (ss / (n - kind.arity)))  # roundoff guard
+    if kind.piecewise:
+        se = np.insert(se, 3, d_se)
+    return dict(zip(kind.param_names, map(float, se)))
 
 
 def _assemble(
@@ -201,25 +206,15 @@ def _assemble(
     and the extra ``fields`` (``iterations`` and, for a linear fit,
     ``pearson_r``).  This adds the goodness of ``ss`` on the input, the
     input's dominance range and the standard errors from ``design`` and
-    ``ss``; a piecewise fit gives the breakpoint's own error as ``d_se``.
-    Every standard error is +inf when the design is missing or non-finite
-    or its information matrix cannot be inverted.
+    ``ss`` (:func:`_std_errors`); a piecewise fit gives the breakpoint's
+    own error as ``d_se``.
     """
     r2, r2_adj = _goodness_from_ss(ss, inp.change_rate, kind.arity)
-    try:
-        if design is None or not np.all(np.isfinite(design)):
-            raise SingularInformationError("no finite design at the optimum")
-        se = _linear_se_from_design(design, ss, inp.n - kind.arity)
-        if kind.piecewise:
-            se = np.insert(se, 3, d_se)
-        std_errors = dict(zip(kind.param_names, map(float, se)))
-    except SingularInformationError:
-        std_errors = dict.fromkeys(kind.param_names, math.inf)
     lo, hi = inp.dominance_range
     return ModelFit(
         kind=kind,
         params=params,
-        std_errors=std_errors,
+        std_errors=_std_errors(kind, design, ss, inp.n, d_se),
         r2=r2,
         r2_adj=r2_adj,
         residual_ss=ss,
@@ -234,7 +229,7 @@ def _assemble(
 # ---------------------------------------------------------------- linear
 
 
-def fit_linear(inp: FitInput) -> ModelFit:
+def _fit_linear(inp: FitInput) -> ModelFit:
     """Closed-form OLS of change rate on dominance."""
     kind = ModelKind.LINEAR
     _require_points(inp, kind)
@@ -649,7 +644,7 @@ def _screen(
     return screened
 
 
-def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
+def _fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
     """Breakpoint-profiled exact least squares for the piecewise kinds.
 
     Screen, then certify.  ``_screen`` gives every candidate an approximate
@@ -677,8 +672,6 @@ def fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
 
     ``iterations`` counts the candidates, screened or solved.
     """
-    if not kind.piecewise:
-        raise DomstabError(f"{kind.value} is not piecewise")
     _require_points(inp, kind)
     dom, chg = inp.dominance, inp.change_rate
     if dom.min() == dom.max():
@@ -715,10 +708,10 @@ def fit_model(kind: ModelKind, inp: FitInput) -> ModelFit:
     one-item :func:`fit_logistic_batch`, whose fit is returned, converged or
     not, and whose error is raised."""
     if kind is ModelKind.LINEAR:
-        return fit_linear(inp)
+        return _fit_linear(inp)
     if kind.logistic_family:
         (result,) = fit_logistic_batch([(kind, inp)])
         if isinstance(result, DomstabError):
             raise result
         return result
-    return fit_piecewise(kind, inp)
+    return _fit_piecewise(kind, inp)

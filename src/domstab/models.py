@@ -118,8 +118,8 @@ def evaluate_array(
     """Vectorized model evaluation; non-finite results pass through silently.
 
     The scalar wrapper :func:`evaluate` raises DomstabError on non-finite
-    output; this array form leaves the caller (the fitter, or the dominance
-    map's divergence check) to deal with it.
+    output; this array form leaves the caller (the dominance map's
+    divergence check, or the response chart) to deal with it.
     """
     vec = param_vector(kind, params)
     dom = np.asarray(dom, dtype=float)
@@ -139,10 +139,8 @@ def evaluate_array(
         if kind is ModelKind.LINEAR_QUADRATIC:
             a, b, c, d, e = vec
             return a + b * dom + c * dom**2 + np.abs(dom - d) * (c * (dom + d) + e)
-        if kind is ModelKind.QUADRATIC_QUADRATIC:
-            a, b, c, d, e, f = vec
-            return a + b * dom + c * dom**2 + np.abs(dom - d) * (e * (dom + d) + f)
-    raise DomstabError(f"unknown model kind {kind!r}")
+        a, b, c, d, e, f = vec  # quadratic-quadratic
+        return a + b * dom + c * dom**2 + np.abs(dom - d) * (e * (dom + d) + f)
 
 
 def evaluate(

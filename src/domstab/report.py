@@ -566,9 +566,12 @@ def simulate_subject(
 ) -> list[Path]:
     """Trajectory and fixed-point tables for one analyzed subject.
 
-    A divergent trajectory ends in a ``diverged: ...`` status row.  A fixed
-    point scan that raises a DomstabError leaves its text in the table's
-    ``verdict`` and becomes the subject's ``error``."""
+    The trajectory begins at ``start``, by default the last observed
+    dominance; the fixed-point scan's domain comes from the fit's range and
+    that last dominance only.  A divergent trajectory ends in a
+    ``diverged: ...`` status row.  A fixed point scan that raises a
+    DomstabError leaves its text in the table's ``verdict`` and becomes the
+    subject's ``error``."""
     out_dir = Path(config.out_dir)
     subject = analysis.series.subject_id
     trajectory_csv = out_dir / f"simulate_{subject}_trajectory.csv"
@@ -577,11 +580,11 @@ def simulate_subject(
         rows = [[None, None, analysis.selection_error or "no selected model"]]
         return [_write_rows(trajectory_csv, header, rows)]
     fit = analysis.selected.fit
-    if start is None:
-        start = float(analysis.records.community[-1])
+    d_last = float(analysis.records.community[-1])
     rows = []
     try:
-        trajectory = iterate(fit.kind, fit.params, start, max_steps=config.simulate_steps)
+        trajectory = iterate(fit.kind, fit.params, d_last if start is None else start,
+                             max_steps=config.simulate_steps)
         for step, value in enumerate(trajectory.values):
             last = step == len(trajectory.values) - 1
             rows.append([step, value, trajectory.status if last else ""])
@@ -589,11 +592,12 @@ def simulate_subject(
         rows.append([exc.step, None, f"diverged: {exc}"])
     paths = [_write_rows(trajectory_csv, header, rows)]
 
-    # scan on the data's side of 0: relative abundances give negative D
-    if start < 0.0:
-        domain = (min(fit.dominance_min, start) * 2.0, 0.0)
+    # scan on the data's side of 0, whatever the start: relative abundances
+    # give negative D
+    if d_last < 0.0:
+        domain = (min(fit.dominance_min, d_last) * 2.0, 0.0)
     else:
-        domain = (0.0, max(fit.dominance_max, start) * 2.0)
+        domain = (0.0, max(fit.dominance_max, d_last) * 2.0)
     try:
         points = fixed_points(fit.kind, fit.params, domain)
         rows = [[p.location, p.multiplier, p.verdict] for p in points]

@@ -8,7 +8,8 @@ lists only names that module defines.  ``bench/spans.py`` records its spans by
 replacing module attributes of domstab at run time, so every entry of its
 patch list must name a (module, attribute) pair and every pair it names must
 exist; the file is parsed, not run.  A name a module imports is used there
-unless the harness wraps it on that module.
+unless the harness wraps it on that module.  An error class is told apart
+outside the module that raises it.
 """
 
 import ast
@@ -154,3 +155,37 @@ def test_every_imported_name_is_used_or_wrapped_by_the_harness():
             unused.update((path.stem, name) for name in names if name not in used)
     assert ("fitting", "evaluate_array") in unused
     assert unused - wrapped == set()
+
+
+def _named(node: ast.AST) -> str | None:
+    """The class a ``raise`` or ``except`` names, bare or as ``module.Name``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_no_error_class_is_raised_and_caught_in_one_module_only():
+    """An error class exists only where code tells it apart.  One that a
+    single module both raises and catches is control flow inside it, which a
+    returned value can carry.  ``DomstabError``, the base every boundary
+    catches, is exempt."""
+    classes = set(importlib.import_module("domstab.errors").__all__) - {"DomstabError"}
+    raised, caught = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                names, sites = [_named(node.exc)], raised
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                names, sites = [_named(t) for t in types], caught
+            else:
+                continue
+            for name in classes.intersection(names):
+                sites.setdefault(name, set()).add(path.stem)
+    assert caught["DivergenceError"] == {"report"} and "dynamics" in raised["DivergenceError"]
+    local = {name for name, where in caught.items() if len(where | raised.get(name, set())) == 1}
+    assert local == set()

@@ -9,12 +9,11 @@ from domstab.fitting import (
     FitInput,
     ModelFit,
     _solve,
+    _std_errors,
     breakpoint_candidates,
     default_starts,
-    fit_linear,
     fit_logistic_batch,
     fit_model,
-    fit_piecewise,
 )
 from domstab.ingest import parse_table, split_subjects
 from domstab.models import ModelKind, derived_params, evaluate_array, param_vector
@@ -39,7 +38,7 @@ def noisy_input(kind: ModelKind, params: dict, dom: np.ndarray, sigma: float, se
 def test_linear_exact_line():
     dom = np.linspace(5.0, 50.0, 12)
     inp = synth_input(ModelKind.LINEAR, {"a": 1.551, "b": -0.033}, dom)
-    fit = fit_linear(inp)
+    fit = fit_model(ModelKind.LINEAR, inp)
     assert fit.params["a"] == pytest.approx(1.551, abs=1e-12)
     assert fit.params["b"] == pytest.approx(-0.033, abs=1e-12)
     assert fit.converged
@@ -49,7 +48,7 @@ def test_linear_exact_line():
 
 def test_linear_pearson_sign_follows_slope():
     dom = np.linspace(0.0, 10.0, 8)
-    rising = fit_linear(synth_input(ModelKind.LINEAR, {"a": 0.0, "b": 2.0}, dom))
+    rising = fit_model(ModelKind.LINEAR, synth_input(ModelKind.LINEAR, {"a": 0.0, "b": 2.0}, dom))
     assert rising.pearson_r == pytest.approx(1.0)
 
 
@@ -58,7 +57,7 @@ def test_linear_std_errors_closed_form():
     rng = np.random.default_rng(5)
     x = np.linspace(1.0, 20.0, 15)
     y = 0.7 - 0.05 * x + rng.normal(0.0, 0.1, size=15)
-    fit = fit_linear(FitInput(tuple(x), tuple(y)))
+    fit = fit_model(ModelKind.LINEAR, FitInput(tuple(x), tuple(y)))
     n = 15
     resid = y - (fit.params["a"] + fit.params["b"] * x)
     s2 = float(resid @ resid) / (n - 2)
@@ -71,17 +70,17 @@ def test_linear_std_errors_closed_form():
 
 def test_linear_requires_dominance_variance():
     with pytest.raises(DomstabError, match="^dominance values have zero variance$"):
-        fit_linear(FitInput((3.0, 3.0, 3.0), (0.1, 0.2, 0.3)))
+        fit_model(ModelKind.LINEAR, FitInput((3.0, 3.0, 3.0), (0.1, 0.2, 0.3)))
     # a constant whose float sum of squared deviations is roundoff, not zero
     dom = np.full(29, 0.8881122789769851)
     assert np.sum((dom - dom.mean()) ** 2) > 0.0
     with pytest.raises(DomstabError, match="^dominance values have zero variance$"):
-        fit_linear(FitInput(dom, np.linspace(0.0, 1.0, 29)))
+        fit_model(ModelKind.LINEAR, FitInput(dom, np.linspace(0.0, 1.0, 29)))
 
 
 def test_linear_constant_change_flags_degenerate_r():
     dom = np.linspace(1.0, 9.0, 5)
-    fit = fit_linear(FitInput(tuple(dom), (0.4,) * 5))
+    fit = fit_model(ModelKind.LINEAR, FitInput(tuple(dom), (0.4,) * 5))
     assert math.isnan(fit.pearson_r)
     assert math.isnan(fit.r2) and math.isnan(fit.r2_adj)
 
@@ -119,9 +118,33 @@ def test_non_converged_fit_without_finite_jacobian_has_infinite_std_errors(monke
 
 def test_minimum_points_enforced():
     with pytest.raises(DomstabError, match="^linear fit needs at least 3 points, got 2$"):
-        fit_linear(FitInput((1.0, 2.0), (0.1, 0.2)))
+        fit_model(ModelKind.LINEAR, FitInput((1.0, 2.0), (0.1, 0.2)))
     with pytest.raises(DomstabError, match="^logistic fit needs at least 4 points, got 3$"):
         fit_model(ModelKind.LOGISTIC, FitInput((1.0, 2.0, 3.0), (0.1, 0.2, 0.3)))
+
+
+@pytest.mark.parametrize("dom, chg, message", [
+    ((1.0, 2.0, 3.0), (0.1, 0.2), "dominance and change_rate must be 1-d and equal length"),
+    ([[1.0, 2.0]], [[0.1, 0.2]], "dominance and change_rate must be 1-d and equal length"),
+    ((1.0, math.nan, 3.0), (0.1, 0.2, 0.3), "fit input must be finite"),
+    ((1.0, 2.0, 3.0), (0.1, -math.inf, 0.3), "fit input must be finite"),
+])
+def test_fit_input_array_checks_are_value_errors(dom, chg, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FitInput(dom, chg)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.LINEAR, ModelKind.LINEAR_QUADRATIC],
+                         ids=lambda kind: kind.value)
+def test_singular_design_has_infinite_std_errors(kind):
+    """An exactly collinear design has a singular information matrix: every
+    standard error, the breakpoint's too, is +inf, and nothing is raised."""
+    columns = kind.arity - kind.piecewise  # the breakpoint has no column
+    design = np.column_stack([np.arange(1.0, 9.0)] * columns)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(design.T @ design)
+    std_errors = _std_errors(kind, design, 1.0, 8, 0.5)
+    assert std_errors == dict.fromkeys(kind.param_names, math.inf)
 
 
 def test_fit_input_from_stability_arrays():
@@ -212,7 +235,7 @@ def test_constant_dominance_with_zero_change_has_no_logistic_fit(kind):
     (outcome,) = fit_logistic_batch([(kind, inp)])
     assert isinstance(outcome, DomstabError)
     with pytest.raises(DomstabError, match="^dominance values have zero variance$"):
-        fit_linear(inp)
+        fit_model(ModelKind.LINEAR, inp)
 
 
 def test_every_start_failing_returns_a_non_converged_fit(monkeypatch):
@@ -351,7 +374,7 @@ def test_piecewise_insufficient_support_raises():
         DomstabError,
         match="^no breakpoint candidate has three distinct dominance values on each side$",
     ):
-        fit_piecewise(ModelKind.LINEAR_QUADRATIC, FitInput(dom, chg))
+        fit_model(ModelKind.LINEAR_QUADRATIC, FitInput(dom, chg))
 
 
 def test_lq_exact_recovery_when_joint_on_grid():
@@ -359,7 +382,7 @@ def test_lq_exact_recovery_when_joint_on_grid():
     # symmetric offsets put the joint exactly on a midpoint candidate
     dom = truth["d"] + np.linspace(-18.0, 18.0, 28)
     inp = synth_input(ModelKind.LINEAR_QUADRATIC, truth, dom)
-    fit = fit_piecewise(ModelKind.LINEAR_QUADRATIC, inp)
+    fit = fit_model(ModelKind.LINEAR_QUADRATIC, inp)
     for name, value in truth.items():
         assert fit.params[name] == pytest.approx(value, rel=1e-9)
     assert fit.converged
@@ -370,7 +393,7 @@ def test_qq_exact_recovery_when_joint_on_grid():
     truth = {"a": -12.71, "b": 0.572, "c": -0.0066, "d": 43.061, "e": -0.0027, "f": 0.333}
     dom = truth["d"] + np.linspace(-20.0, 20.0, 28)
     inp = synth_input(ModelKind.QUADRATIC_QUADRATIC, truth, dom)
-    fit = fit_piecewise(ModelKind.QUADRATIC_QUADRATIC, inp)
+    fit = fit_model(ModelKind.QUADRATIC_QUADRATIC, inp)
     for name, value in truth.items():
         assert fit.params[name] == pytest.approx(value, rel=1e-8)
     derived = derived_params(fit.kind, fit.params)
@@ -384,9 +407,9 @@ def test_nested_model_ss_ordering():
         dom = np.sort(rng.uniform(1.0, 60.0, size=24))
         chg = rng.normal(0.0, 1.0, size=24)
         inp = FitInput(tuple(dom), tuple(chg))
-        ss_lin = fit_linear(inp).residual_ss
-        ss_lq = fit_piecewise(ModelKind.LINEAR_QUADRATIC, inp).residual_ss
-        ss_qq = fit_piecewise(ModelKind.QUADRATIC_QUADRATIC, inp).residual_ss
+        ss_lin = fit_model(ModelKind.LINEAR, inp).residual_ss
+        ss_lq = fit_model(ModelKind.LINEAR_QUADRATIC, inp).residual_ss
+        ss_qq = fit_model(ModelKind.QUADRATIC_QUADRATIC, inp).residual_ss
         assert ss_lq <= ss_lin + 1e-9
         assert ss_qq <= ss_lq + 1e-9
 
@@ -395,7 +418,7 @@ def test_piecewise_breakpoint_se_is_grid_resolution():
     truth = {"a": 0.3, "b": 0.01, "c": 0.0005, "d": 20.0, "e": -0.1}
     dom = truth["d"] + np.linspace(-12.0, 12.0, 26)
     inp = noisy_input(ModelKind.LINEAR_QUADRATIC, truth, dom, 0.05, seed=13)
-    fit = fit_piecewise(ModelKind.LINEAR_QUADRATIC, inp)
+    fit = fit_model(ModelKind.LINEAR_QUADRATIC, inp)
     assert fit.std_errors["d"] > 0.0
     assert math.isfinite(fit.std_errors["d"])
     # conditional-on-d errors for the remaining parameters
@@ -415,7 +438,7 @@ def test_goodness_matches_r2_definition():
     dom = np.linspace(1.0, 40.0, 20)
     chg = 0.8 - 0.02 * dom + rng.normal(0.0, 0.05, size=20)
     inp = FitInput(tuple(dom), tuple(chg))
-    fit = fit_linear(inp)
+    fit = fit_model(ModelKind.LINEAR, inp)
     ss_res = float(np.sum((chg - evaluate_array(fit.kind, fit.params, dom)) ** 2))
     ss_tot = float(np.sum((chg - chg.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot
@@ -427,7 +450,7 @@ def test_goodness_matches_r2_definition():
 def test_dominance_range_recorded():
     dom = np.linspace(3.0, 33.0, 16)
     inp = synth_input(ModelKind.LINEAR, {"a": 0.5, "b": -0.01}, dom)
-    fit = fit_linear(inp)
+    fit = fit_model(ModelKind.LINEAR, inp)
     assert fit.dominance_min == 3.0
     assert fit.dominance_max == 33.0
 

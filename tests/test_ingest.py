@@ -114,6 +114,12 @@ def test_parse_memory_is_bounded_by_the_counts(wide_path):
     assert peak <= 3 * table.counts.nbytes + 2**20
 
 
+@pytest.mark.parametrize("stream", ["", []], ids=["text", "lines"])
+def test_parse_empty_input_is_input_error(stream):
+    with pytest.raises(InputError, match="^empty input$"):
+        parse_table(stream)
+
+
 def test_parse_rejects_bad_cell():
     with pytest.raises(InputError, match="^non-numeric count at row 2, column 1: 'four'$"):
         parse_table("species_id,400_010106\nOTU1,four\n")

@@ -20,7 +20,7 @@ from domstab.fitting import (
     _screen,
     _unit,
     breakpoint_candidates,
-    fit_piecewise,
+    fit_model,
 )
 from domstab.ingest import filter_low_reads
 from domstab.models import ModelKind
@@ -122,7 +122,7 @@ def cohort_inputs(cohort_path, tmp_path_factory) -> dict[str, FitInput]:
 @pytest.mark.parametrize("key", list(PINNED), ids="-".join)
 def test_cohort_piecewise_fit_pinned(key, cohort_inputs):
     subject, kind = key
-    fit = fit_piecewise(ModelKind(kind), cohort_inputs[subject])
+    fit = fit_model(ModelKind(kind), cohort_inputs[subject])
     outcome = (repr(fit.params), repr(fit.residual_ss), fit.iterations, repr(fit.std_errors))
     assert outcome == PINNED[key]
 
@@ -138,7 +138,7 @@ def test_profile_solves_few_candidates(cohort_inputs, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", counting)
     candidates = sum(
-        fit_piecewise(ModelKind(kind), cohort_inputs[subject]).iterations
+        fit_model(ModelKind(kind), cohort_inputs[subject]).iterations
         for subject, kind in PINNED
     )
     assert 0 < len(calls) * 10 < candidates
@@ -218,6 +218,6 @@ def test_screen_matches_design_column_screen(kind, cohort_inputs):
 
 @pytest.mark.parametrize("kind", list(LONG_PINNED))
 def test_long_series_fit_pinned(kind):
-    fit = fit_piecewise(ModelKind(kind), _long_series())
+    fit = fit_model(ModelKind(kind), _long_series())
     outcome = (repr(fit.params), repr(fit.residual_ss), fit.iterations, repr(fit.std_errors))
     assert outcome == LONG_PINNED[kind]

@@ -20,7 +20,7 @@ from conftest import emit_table
 
 from domstab import dynamics, report
 from domstab.dynamics import FixedPoint, _bisect, _multiplier_at, fixed_points
-from domstab.errors import DomstabError, InputError, SingularInformationError
+from domstab.errors import DomstabError, InputError
 from domstab.fitting import (
     _CERTIFY_ATOL,
     _CERTIFY_RTOL,
@@ -29,12 +29,12 @@ from domstab.fitting import (
     FitInput,
     ModelFit,
     _best,
-    _linear_se_from_design,
     _lockstep,
     _screen,
     _stack_problems,
+    _std_errors,
     breakpoint_candidates,
-    fit_piecewise,
+    fit_model,
 )
 from domstab.ingest import _CHUNK_CELLS, AbundanceTable, SubjectSeries, parse_table
 from domstab.metrics import (
@@ -274,19 +274,13 @@ def _reference_piecewise(kind, inp):
         if best is None or key < best:
             best = key
     ss, d, beta = best
-    names = kind.param_names
-    params = dict(zip(names, map(float, [*beta[:3], d, *beta[3:]])))
-    try:
-        se = _linear_se_from_design(_reference_design(kind, d, dom), ss, inp.n - kind.arity)
-    except SingularInformationError:
-        return params, ss, len(candidates), {name: math.inf for name in names}
+    params = dict(zip(kind.param_names, map(float, [*beta[:3], d, *beta[3:]])))
     grid = sorted(candidates)
     i = int(np.argmin(np.abs(np.array(grid) - d)))
     gaps = [grid[j + 1] - grid[j] for j in (i - 1, i) if 0 <= j < len(grid) - 1]
     resolution = float(max(gaps)) if gaps else math.inf
-    return params, ss, len(candidates), dict(
-        zip(names, map(float, [*se[:3], resolution, *se[3:]]))
-    )
+    ses = _std_errors(kind, _reference_design(kind, d, dom), ss, inp.n, resolution)
+    return params, ss, len(candidates), ses
 
 
 @st.composite
@@ -347,9 +341,9 @@ def test_piecewise_profile_matches_per_candidate_loop(problem):
     kind, inp = problem
     if not breakpoint_candidates(inp.dominance).size:
         with pytest.raises(DomstabError):
-            fit_piecewise(kind, inp)
+            fit_model(kind, inp)
         return
-    fit = fit_piecewise(kind, inp)
+    fit = fit_model(kind, inp)
     params, ss, iterations, ses = _reference_piecewise(kind, inp)
     assert _as_bits(fit.params) == _as_bits(params)
     assert np.float64(fit.residual_ss).tobytes() == np.float64(ss).tobytes()

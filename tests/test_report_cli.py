@@ -218,17 +218,30 @@ def test_simulate_contains_logistic_pole(small_input, tmp_path):
     assert rows[0]["status"].startswith("diverged: ")
 
 
-@pytest.mark.parametrize("start", ["1e308"])
-def test_cli_non_finite_fixed_point_domain_is_analysis_error(start, tmp_path, cohort_path, capsys):
-    """A finite start of 1e308 doubles to an infinite end of the fixed-point
-    scan: the subject gets an error row and the run exits 2."""
-    out = tmp_path / "out"
-    code = main(["simulate", "--input", str(cohort_path), "--out", str(out),
-                 "--subject", "103", "--start", start])
-    assert code == 2
-    assert "is not finite" in capsys.readouterr().err
-    (row,) = read_rows(out / "simulate_103_fixed_points.csv")
-    assert row["verdict"] == "fixed-point domain (0.0, inf) is not finite"
+@pytest.mark.parametrize("start, first", [
+    ("1e4", ["0", "10000.0", ""]),
+    ("-5", ["0", "-5.0", ""]),
+    ("1e308", ["1", "", "diverged: non-finite dominance at step 1"]),
+], ids=["1e4", "-5", "1e308"])
+def test_start_moves_the_trajectory_but_not_the_fixed_point_scan(
+    start, first, tmp_path, cohort_path
+):
+    """The scan's domain comes from the fit's range and the last observed
+    dominance, not from ``--start``.  A start of 1e4 once widened the grid
+    until two roots 0.037 apart shared one interval, -5 scanned the negative
+    side, where the fit has no root, and 1e308 doubled to an infinite domain
+    end and exit 2; now each writes the default table and exits 0, and 1e308
+    overflows the map at its first step."""
+    for out, flags in [("default", []), ("start", [f"--start={start}"])]:
+        code = main(["simulate", "--input", str(cohort_path), "--out", str(tmp_path / out),
+                     "--subject", "104", *flags])
+        assert code == 0
+    name = "simulate_104_fixed_points.csv"
+    default = (tmp_path / "default" / name).read_bytes()
+    assert (tmp_path / "start" / name).read_bytes() == default
+    assert len(read_rows(tmp_path / "default" / name)) == 3
+    (row, *_) = read_rows(tmp_path / "start" / "simulate_104_trajectory.csv")
+    assert list(row.values()) == first
 
 
 @pytest.mark.parametrize("flag", ["--steps=-1", "--start=nan", "--start=inf", "--start=-inf"])
@@ -255,12 +268,14 @@ def test_cli_simulate_argument_is_input_error(flag, tmp_path, cohort_path, capsy
     ("--se-ratio-max=-1", "se ratio maximum -1.0 is not a number at or above 0"),
     ("--mag-max=nan", "magnitude maximum nan is not a number at or above 0"),
     ("--mag-max=-1e6", "magnitude maximum -1000000.0 is not a number at or above 0"),
+    ("--models=,", "no model kinds given"),
 ])
 def test_cli_policy_and_read_floor_arguments_are_input_errors(
     flag, message, tmp_path, cohort_path, capsys
 ):
-    """A read floor that is not finite and at least 0, a NaN r2 minimum and
-    a NaN or negative gate maximum are rejected before the table is read."""
+    """A read floor that is not finite and at least 0, a NaN r2 minimum, a
+    NaN or negative gate maximum and a model list naming no kind are
+    rejected before the table is read."""
     out = tmp_path / "out"
     code = main(["fit", "--input", str(cohort_path), "--out", str(out), flag])
     assert code == 1
@@ -562,6 +577,36 @@ def test_cli_unknown_model_is_input_error(small_input, tmp_path, capsys):
     ])
     assert code == 1
     assert "unknown model kind" in capsys.readouterr().err
+
+
+def test_cli_steps_of_zero_dominance_leave_no_usable_stability_points(tmp_path):
+    """Every count 1: each of the three samples has D = 0, so no step of the
+    stability series is usable.  The subject is stopped before fitting, every
+    table names why, and the run exits 0."""
+    path = tmp_path / "ones.csv"
+    path.write_text("species_id,500_a,500_b,500_c\nOTU1,1,1,1\nOTU2,1,1,1\n")
+    out = tmp_path / "out"
+    code = main(["report-all", "--input", str(path), "--out", str(out),
+                 "--min-total-reads", "0"])
+    assert code == 0
+    for name, column in [("selection_summary.csv", "error"), ("fit_linear.csv", "error"),
+                         ("resilience.csv", "error"), ("simulate_500_trajectory.csv", "status")]:
+        (row,) = read_rows(out / name)
+        assert row[column] == "no usable stability points", name
+    assert not (out / "simulate_500_fixed_points.csv").exists()
+
+
+def test_cli_no_valid_fit_without_a_linear_backup_is_a_selection_error(tmp_path, cohort_path):
+    """With logistic alone, a subject whose converged fit fails validation
+    has no linear fit to fall back on; selection names that and the run
+    exits 0."""
+    out = tmp_path / "out"
+    code = main(["fit", "--input", str(cohort_path), "--out", str(out), "--models", "logistic"])
+    assert code == 0
+    errors = {row["subject"]: row["error"] for row in read_rows(out / "selection_summary.csv")}
+    no_backup = "no fit is valid and no linear backup was supplied"
+    assert errors == {"101": "no converged fits", "102": no_backup, "103": "",
+                      "104": "no converged fits", "105": no_backup}
 
 
 def test_cli_unknown_subject_is_input_error(small_input, tmp_path, capsys):
