@@ -26,7 +26,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import DomstabError, InputError, UnknownNameError
+from .errors import DomstabError, InputError
 from .ingest import DEFAULT_MIN_TOTAL_READS, SampleIdRule
 from .models import ModelKind
 from .report import (
@@ -104,7 +104,7 @@ def _parse_models(text: str | None) -> tuple[ModelKind, ...]:
             out.append(ModelKind(name))
         except ValueError:
             valid = ", ".join(k.value for k in ALL_KINDS)
-            raise UnknownNameError(f"unknown model kind {name!r} (choose from: {valid})")
+            raise InputError(f"unknown model kind {name!r} (choose from: {valid})")
     if not out:
         raise InputError("no model kinds given")
     return tuple(out)

@@ -9,10 +9,9 @@ message says what went wrong.  A fit that did not converge is no error but a
 ModelFit with ``converged`` false, and a fit without standard errors is one
 whose ``std_errors`` are +inf.
 
-- InputError: a problem with the input or the run's arguments.  The CLI
-  exits with code 1 for it and with 2 for any other DomstabError.
-- UnknownNameError: a subject, species or model kind that is not there;
-  also a KeyError.
+- InputError: a problem with the input or the run's arguments, a subject,
+  species or model kind that is not there included.  The CLI exits with
+  code 1 for it and with 2 for any other DomstabError.
 - DivergenceError: the trajectory reads its ``step``.
 """
 
@@ -22,7 +21,6 @@ __all__ = [
     "DivergenceError",
     "DomstabError",
     "InputError",
-    "UnknownNameError",
 ]
 
 
@@ -32,13 +30,6 @@ class DomstabError(Exception):
 
 class InputError(DomstabError):
     """A problem with the input or the run's arguments."""
-
-
-class UnknownNameError(InputError, KeyError):
-    """A subject, species or model kind that is not there.  Its text is the
-    plain message, not the quoted key that KeyError prints."""
-
-    __str__ = BaseException.__str__
 
 
 class DivergenceError(DomstabError):

@@ -21,6 +21,9 @@ variance; that is why the divisor is n throughout.
 takes a species x samples block and returns every sample's community
 dominance and every species' distance and dominance as arrays.
 :func:`community_stats` is the scalar reference for one sample.
+:func:`diversity_block` gives the classical indices of every sample as one
+array per :class:`IndexKind`, and :func:`diversity_indices` gives one
+sample's as one float per kind, its scalar reference.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .errors import DomstabError
 __all__ = [
     "CommunityStats",
     "IndexKind",
-    "DiversityIndices",
     "IndexRegression",
     "community_stats",
     "mean_crowding",
@@ -153,48 +155,29 @@ class IndexKind(enum.Enum):
     SIMPSON_EVENNESS = "simpson-evenness"
 
 
-@dataclass(frozen=True)
-class DiversityIndices:
-    """Classical indices for one sample.
+def diversity_indices(values: Sequence[float]) -> dict[IndexKind, float]:
+    """Classical indices of one sample, keyed as :func:`diversity_block` keys
+    them; the scalar reference for that block form.
 
-    ``simpson`` is the probability-of-conspecific-encounter form sum(p_i^2),
-    so larger means more dominated.  ``simpson_evenness`` is simpson / n,
-    which is deliberately the literal ratio (not 1/(simpson * n)); it pairs
-    with the linearity identity and is what the regressions below expect.
-    ``shannon_evenness`` is NaN for a single-species roster (0/0).
+    SIMPSON is the probability-of-conspecific-encounter form sum(p_i^2), so
+    larger means more dominated.  SIMPSON_EVENNESS is simpson / n, which is
+    deliberately the literal ratio (not 1/(simpson * n)); it pairs with the
+    linearity identity and is what the regressions below expect.
+    SHANNON_EVENNESS is NaN for a single-species roster (0/0).
     """
-
-    simpson: float
-    shannon: float
-    shannon_evenness: float
-    berger_parker: float
-    simpson_evenness: float
-
-    def value(self, which: IndexKind) -> float:
-        return {
-            IndexKind.SIMPSON: self.simpson,
-            IndexKind.SHANNON: self.shannon,
-            IndexKind.SHANNON_EVENNESS: self.shannon_evenness,
-            IndexKind.BERGER_PARKER: self.berger_parker,
-            IndexKind.SIMPSON_EVENNESS: self.simpson_evenness,
-        }[which]
-
-
-def diversity_indices(values: Sequence[float]) -> DiversityIndices:
     arr = _as_abundances(values)
     n = arr.size
     p = arr / arr.sum()
     simpson = float(np.sum(p * p))
     positive = p[p > 0]
     shannon = float(-np.sum(positive * np.log(positive)))
-    shannon_evenness = shannon / math.log(n) if n > 1 else math.nan
-    return DiversityIndices(
-        simpson=simpson,
-        shannon=shannon,
-        shannon_evenness=shannon_evenness,
-        berger_parker=float(p.max()),
-        simpson_evenness=simpson / n,
-    )
+    return {
+        IndexKind.SIMPSON: simpson,
+        IndexKind.SHANNON: shannon,
+        IndexKind.SHANNON_EVENNESS: shannon / math.log(n) if n > 1 else math.nan,
+        IndexKind.BERGER_PARKER: float(p.max()),
+        IndexKind.SIMPSON_EVENNESS: simpson / n,
+    }
 
 
 def diversity_block(counts: np.ndarray) -> dict[IndexKind, np.ndarray]:
@@ -227,7 +210,7 @@ def simpson_identity_residual(values: Sequence[float]) -> float:
     """Residual of D_com = n * simpson - n / total (zero up to roundoff)."""
     arr = _as_abundances(values)
     stats = community_stats(arr)
-    simpson = diversity_indices(arr).simpson
+    simpson = diversity_indices(arr)[IndexKind.SIMPSON]
     n = arr.size
     return stats.dominance - (n * simpson - n / stats.total)
 

@@ -40,7 +40,6 @@ __all__ = [
     "ModelKind",
     "Regime",
     "JointAmbiguous",
-    "DerivedParams",
     "EquilibriumPoint",
     "REGIME_TOLERANCE",
     "param_vector",
@@ -218,29 +217,17 @@ def branch_polynomials(
     raise DomstabError(f"{kind.value} has no branches")
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Branch coefficients that carry the regime interpretation.
-
-    ``b1`` is the left-branch slope, ``c1``/``c2`` the branch quadratic
-    coefficients (c1 is None for the linear-quadratic kind, whose left branch
-    has no curvature), ``joint`` the breakpoint location.
-    """
-
-    b1: float
-    c2: float
-    joint: float
-    c1: float | None = None
-
-
 def derived_params(
     kind: ModelKind, params: Mapping[str, float] | Sequence[float]
-) -> DerivedParams:
+) -> dict[str, float]:
+    """Branch coefficients that carry the regime interpretation, by name:
+    ``b1`` the left-branch slope, ``c1`` and ``c2`` the branch quadratic
+    coefficients.  The linear-quadratic kind has no ``c1``: its left branch
+    has no curvature.  The joint is ``params["d"]``."""
     left, right = branch_polynomials(kind, params)
-    joint = float(param_vector(kind, params)[3])
     if kind is ModelKind.LINEAR_QUADRATIC:
-        return DerivedParams(b1=left[1], c2=right[2], joint=joint)
-    return DerivedParams(b1=left[1], c1=left[2], c2=right[2], joint=joint)
+        return {"b1": left[1], "c2": right[2]}
+    return {"b1": left[1], "c1": left[2], "c2": right[2]}
 
 
 class Regime(enum.Enum):
@@ -305,19 +292,19 @@ def qualitative_equilibria(
     if not kind.piecewise:
         raise DomstabError(f"qualitative equilibria are defined for piecewise kinds, not {kind.value}")
     left, right = branch_polynomials(kind, params)
-    derived = derived_params(kind, params)
     points: list[EquilibriumPoint] = []
 
     if kind is ModelKind.LINEAR_QUADRATIC:
-        if derived.b1 > 0:
+        if left[1] > 0:
             joint_verdict = "unstable"
-        elif derived.b1 < 0:
+        elif left[1] < 0:
             joint_verdict = "depends-on-c2"
         else:
             joint_verdict = "uncertain"
     else:
         joint_verdict = "uncertain"
-    points.append(EquilibriumPoint(derived.joint, "joint", joint_verdict))
+    joint = float(param_vector(kind, params)[3])
+    points.append(EquilibriumPoint(joint, "joint", joint_verdict))
 
     for branch_name, coeffs in (("left", left), ("right", right)):
         constant, slope, quad = coeffs

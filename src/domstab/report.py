@@ -37,7 +37,7 @@ from typing import Iterable
 import numpy as np
 
 from .dynamics import MAX_STEPS, fixed_points, iterate, resilience
-from .errors import DivergenceError, DomstabError, InputError, UnknownNameError
+from .errors import DivergenceError, DomstabError, InputError
 from .fitting import FitInput, ModelFit, fit_logistic_batch, fit_model
 from .ingest import (
     DEFAULT_MIN_TOTAL_READS,
@@ -456,7 +456,7 @@ def _fit_table(
             row.append(fit.pearson_r)
         if kind.piecewise:
             derived = derived_params(kind, fit.params)
-            row.extend([derived.b1, derived.c1, derived.c2])
+            row.extend(derived.get(name) for name in ("b1", "c1", "c2"))
         row.extend(
             [
                 fit.residual_ss,
@@ -568,7 +568,9 @@ def simulate_subject(
 
     The trajectory begins at ``start``, by default the last observed
     dominance; the fixed-point scan's domain comes from the fit's range and
-    that last dominance only.  A divergent trajectory ends in a
+    that last dominance only.  It lies on the side of 0 that holds the fit's
+    data, and on the side of the last dominance's sign when the data
+    straddle 0.  A divergent trajectory ends in a
     ``diverged: ...`` status row.  A fixed point scan that raises a
     DomstabError leaves its text in the table's ``verdict`` and becomes the
     subject's ``error``."""
@@ -592,9 +594,10 @@ def simulate_subject(
         rows.append([exc.step, None, f"diverged: {exc}"])
     paths = [_write_rows(trajectory_csv, header, rows)]
 
-    # scan on the data's side of 0, whatever the start: relative abundances
-    # give negative D
-    if d_last < 0.0:
+    # scan on the side of 0 that holds the fit's data, whatever the start
+    # (relative abundances give negative D); only data that straddle 0 leave
+    # the side to the last dominance's sign
+    if fit.dominance_max < 0.0 or (fit.dominance_min < 0.0 and d_last < 0.0):
         domain = (min(fit.dominance_min, d_last) * 2.0, 0.0)
     else:
         domain = (0.0, max(fit.dominance_max, d_last) * 2.0)
@@ -626,7 +629,7 @@ def cmd_simulate(
             paths = simulate_subject(analyses[0], config, start=start)
             _raise_failures(analyses)
             return paths
-    raise UnknownNameError(f"subject {subject_id!r} not found in input")
+    raise InputError(f"subject {subject_id!r} not found in input")
 
 
 # ---------------------------------------------------------------- report-all

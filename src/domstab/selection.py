@@ -193,11 +193,7 @@ def _sign_annotations(fit: ModelFit) -> str:
     if fit.kind.logistic_family:
         return f"r{_sign_mark(fit.params['r'])}"
     derived = derived_params(fit.kind, fit.params)
-    parts = [f"b1{_sign_mark(derived.b1)}"]
-    if derived.c1 is not None:
-        parts.append(f"c1{_sign_mark(derived.c1)}")
-    parts.append(f"c2{_sign_mark(derived.c2)}")
-    return " ".join(parts)
+    return " ".join(f"{name}{_sign_mark(value)}" for name, value in derived.items())
 
 
 def _sign_mark(x: float) -> str:

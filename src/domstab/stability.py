@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomstabError, UnknownNameError
+from .errors import DomstabError, InputError
 from .ingest import SubjectSeries
 # community_stats is not called here; bench/spans.py wraps this name.
 from .metrics import community_stats, species_dominances
@@ -140,7 +140,7 @@ def species_stability(records: SubjectDominance, species_id: str) -> StabilitySe
     try:
         row = records.species_ids.index(species_id)
     except ValueError:
-        raise UnknownNameError(f"species {species_id!r} not in records") from None
+        raise InputError(f"species {species_id!r} not in records") from None
     values = records.dominance[row]
     if np.any(values == -np.inf):
         raise DomstabError(

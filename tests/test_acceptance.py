@@ -158,27 +158,27 @@ def test_criterion_5_derived_parameters(lq_table, qq_table):
             params = {name: float(row[name]) for name in "abcde"}
             der = derived_params(ModelKind.LINEAR_QUADRATIC, params)
             label = f"subject {row['subject']}"
-            assert_close(der.b1, float(row["b1"]), printed_tolerance(row["b1"]), f"{label} b1")
-            assert_close(der.c2, float(row["c2"]), printed_tolerance(row["c2"]), f"{label} c2")
+            assert_close(der["b1"], float(row["b1"]), printed_tolerance(row["b1"]), f"{label} b1")
+            assert_close(der["c2"], float(row["c2"]), printed_tolerance(row["c2"]), f"{label} c2")
         for row in qq_table:
             params = {name: float(row[name]) for name in "abcdef"}
             der = derived_params(ModelKind.QUADRATIC_QUADRATIC, params)
             label = f"subject {row['subject']}"
-            assert_close(der.c1, float(row["c1"]), printed_tolerance(row["c1"]), f"{label} c1")
-            assert_close(der.c2, float(row["c2"]), printed_tolerance(row["c2"]), f"{label} c2")
+            assert_close(der["c1"], float(row["c1"]), printed_tolerance(row["c1"]), f"{label} c1")
+            assert_close(der["c2"], float(row["c2"]), printed_tolerance(row["c2"]), f"{label} c2")
         # named anchor rows hold at the strict floor
         anchor_lq = derived_params(
             ModelKind.LINEAR_QUADRATIC,
             {"a": 0.331, "b": 0.014, "c": 0.00033, "d": 28.341, "e": -0.108},
         )
-        assert abs(anchor_lq.b1 - 0.122) <= 1e-3
-        assert abs(anchor_lq.c2 - 0.0007) <= 1e-3
+        assert abs(anchor_lq["b1"] - 0.122) <= 1e-3
+        assert abs(anchor_lq["c2"] - 0.0007) <= 1e-3
         anchor_qq = derived_params(
             ModelKind.QUADRATIC_QUADRATIC,
             {"a": -12.71, "b": 0.572, "c": -0.0066, "d": 43.061, "e": -0.0027, "f": 0.333},
         )
-        assert abs(anchor_qq.c1 - (-0.0039)) <= 1e-3
-        assert abs(anchor_qq.c2 - (-0.0093)) <= 1e-3
+        assert abs(anchor_qq["c1"] - (-0.0039)) <= 1e-3
+        assert abs(anchor_qq["c2"] - (-0.0093)) <= 1e-3
 
 
 def test_criterion_6_selection_policy(

@@ -168,11 +168,10 @@ def _named(node: ast.AST) -> str | None:
     return None
 
 
-def test_no_error_class_is_raised_and_caught_in_one_module_only():
-    """An error class exists only where code tells it apart.  One that a
-    single module both raises and catches is control flow inside it, which a
-    returned value can carry.  ``DomstabError``, the base every boundary
-    catches, is exempt."""
+def _error_sites() -> tuple[set[str], dict[str, set[str]], dict[str, set[str]]]:
+    """The error classes other than ``DomstabError``, and for each the
+    modules that raise it and the modules whose ``except`` clauses name it,
+    alone or in a tuple."""
     classes = set(importlib.import_module("domstab.errors").__all__) - {"DomstabError"}
     raised, caught = {}, {}
     for path in sorted(PACKAGE.glob("*.py")):
@@ -186,6 +185,24 @@ def test_no_error_class_is_raised_and_caught_in_one_module_only():
                 continue
             for name in classes.intersection(names):
                 sites.setdefault(name, set()).add(path.stem)
+    return classes, raised, caught
+
+
+def test_no_error_class_is_raised_and_caught_in_one_module_only():
+    """An error class exists only where code tells it apart.  One that a
+    single module both raises and catches is control flow inside it, which a
+    returned value can carry.  ``DomstabError``, the base every boundary
+    catches, is exempt."""
+    _, raised, caught = _error_sites()
     assert caught["DivergenceError"] == {"report"} and "dynamics" in raised["DivergenceError"]
     local = {name for name, where in caught.items() if len(where | raised.get(name, set())) == 1}
     assert local == set()
+
+
+def test_every_error_class_is_caught_somewhere():
+    """A class that no ``except`` clause names is told apart by no code: its
+    raise sites can raise the class it derives from.  ``DomstabError``, the
+    base every boundary catches, is exempt."""
+    classes, _, caught = _error_sites()
+    assert caught["InputError"] == {"cli"}
+    assert classes - set(caught) == set()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -147,6 +148,20 @@ def test_sign_change_between_underflowing_rates_is_a_root():
     points = fixed_points(ModelKind.LOGISTIC_SINE, params, (0.0, 19.823928638551962))
     pi2 = math.pi * math.pi
     assert [p.location for p in points] == pytest.approx([0.0, pi2, 2 * pi2], abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "domain, message",
+    [
+        ((0.0, math.inf), "fixed-point domain (0.0, inf) is not finite"),
+        ((math.nan, 1.0), "fixed-point domain (nan, 1.0) is not finite"),
+        ((0.0, 0.0), "fixed-point domain (0.0, 0.0) is empty"),
+        ((2.0, 1.0), "fixed-point domain (2.0, 1.0) is empty"),
+    ],
+)
+def test_fixed_points_rejects_bad_domain(domain, message):
+    with pytest.raises(DomstabError, match=f"^{re.escape(message)}$"):
+        fixed_points(ModelKind.LINEAR, LINEAR_405, domain)
 
 
 def linear_fit(a: float, b: float) -> ModelFit:

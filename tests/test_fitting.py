@@ -386,7 +386,7 @@ def test_lq_exact_recovery_when_joint_on_grid():
     for name, value in truth.items():
         assert fit.params[name] == pytest.approx(value, rel=1e-9)
     assert fit.converged
-    assert derived_params(fit.kind, fit.params).b1 == pytest.approx(0.122, abs=1e-9)
+    assert derived_params(fit.kind, fit.params)["b1"] == pytest.approx(0.122, abs=1e-9)
 
 
 def test_qq_exact_recovery_when_joint_on_grid():
@@ -397,8 +397,8 @@ def test_qq_exact_recovery_when_joint_on_grid():
     for name, value in truth.items():
         assert fit.params[name] == pytest.approx(value, rel=1e-8)
     derived = derived_params(fit.kind, fit.params)
-    assert derived.c1 == pytest.approx(-0.0039, abs=1e-9)
-    assert derived.c2 == pytest.approx(-0.0093, abs=1e-9)
+    assert derived["c1"] == pytest.approx(-0.0039, abs=1e-9)
+    assert derived["c2"] == pytest.approx(-0.0093, abs=1e-9)
 
 
 def test_nested_model_ss_ordering():

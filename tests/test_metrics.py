@@ -133,25 +133,25 @@ def test_rejects_bad_vectors():
 
 def test_diversity_indices_hand_values():
     idx = diversity_indices(HAND)
-    assert idx.simpson == pytest.approx(0.68)
-    assert idx.berger_parker == pytest.approx(0.8)
-    assert idx.shannon == pytest.approx(0.5004024235381879)
-    assert idx.shannon_evenness == pytest.approx(idx.shannon / math.log(2))
-    assert idx.simpson_evenness == pytest.approx(0.34)
-    assert idx.value(IndexKind.SIMPSON) == idx.simpson
+    assert list(idx) == list(IndexKind)
+    assert idx[IndexKind.SIMPSON] == pytest.approx(0.68)
+    assert idx[IndexKind.BERGER_PARKER] == pytest.approx(0.8)
+    assert idx[IndexKind.SHANNON] == pytest.approx(0.5004024235381879)
+    assert idx[IndexKind.SHANNON_EVENNESS] == pytest.approx(idx[IndexKind.SHANNON] / math.log(2))
+    assert idx[IndexKind.SIMPSON_EVENNESS] == pytest.approx(0.34)
 
 
 def test_diversity_zero_abundances_ignored_in_shannon():
     with_zero = diversity_indices([4.0, 1.0, 0.0])
-    assert with_zero.shannon == pytest.approx(0.5004024235381879)
-    # simpson_evenness uses the community size including zeros
-    assert with_zero.simpson_evenness == pytest.approx(0.68 / 3)
+    assert with_zero[IndexKind.SHANNON] == pytest.approx(0.5004024235381879)
+    # simpson evenness uses the community size including zeros
+    assert with_zero[IndexKind.SIMPSON_EVENNESS] == pytest.approx(0.68 / 3)
 
 
 def test_shannon_evenness_single_species_is_nan():
     idx = diversity_indices([5.0])
-    assert math.isnan(idx.shannon_evenness)
-    assert idx.shannon == 0.0
+    assert math.isnan(idx[IndexKind.SHANNON_EVENNESS])
+    assert idx[IndexKind.SHANNON] == 0.0
 
 
 def test_regression_recovers_exact_line():

@@ -114,17 +114,16 @@ def test_branch_polynomials_reject_plain_kinds():
 
 def test_derived_params_lq():
     derived = derived_params(ModelKind.LINEAR_QUADRATIC, LQ_402)
-    assert derived.b1 == pytest.approx(0.122, abs=1e-9)
-    assert derived.c2 == pytest.approx(0.00066, abs=1e-9)
-    assert derived.c1 is None
-    assert derived.joint == 28.341
+    assert list(derived) == ["b1", "c2"]
+    assert derived["b1"] == pytest.approx(0.122, abs=1e-9)
+    assert derived["c2"] == pytest.approx(0.00066, abs=1e-9)
 
 
 def test_derived_params_qq():
     derived = derived_params(ModelKind.QUADRATIC_QUADRATIC, QQ_446)
-    assert derived.c1 == pytest.approx(-0.0039, abs=1e-9)
-    assert derived.c2 == pytest.approx(-0.0093, abs=1e-9)
-    assert derived.joint == 43.061
+    assert list(derived) == ["b1", "c1", "c2"]
+    assert derived["c1"] == pytest.approx(-0.0039, abs=1e-9)
+    assert derived["c2"] == pytest.approx(-0.0093, abs=1e-9)
 
 
 def test_derivative_matches_finite_difference():

@@ -113,7 +113,7 @@ def test_diversity_block_matches_scalar_reference(block):
     indices = diversity_block(block)
     expected = [diversity_indices(block[:, t]) for t in range(block.shape[1])]
     for which, values in indices.items():
-        assert values.tobytes() == np.array([e.value(which) for e in expected]).tobytes()
+        assert values.tobytes() == np.array([e[which] for e in expected]).tobytes()
 
 
 @PROPERTY

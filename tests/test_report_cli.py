@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ import pytest
 
 from domstab import cli, fitting, report
 from domstab.cli import main
-from domstab.errors import DomstabError
+from domstab.errors import DomstabError, InputError
 from domstab.ingest import SubjectSeries, filter_low_reads, parse_table, split_subjects
 from domstab.metrics import community_dominance
 from domstab.models import ModelKind
@@ -182,9 +183,9 @@ def test_simulate_without_selection_writes_reason(small_input, tmp_path):
     assert rows[0]["status"] != ""
 
 
-def test_simulate_unknown_subject_raises_key_error(small_input, tmp_path):
+def test_simulate_unknown_subject_raises_input_error(small_input, tmp_path):
     config = RunConfig(input_path=small_input, out_dir=tmp_path / "out")
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError, match="^subject '999' not found in input$"):
         cmd_simulate(config, "999")
 
 
@@ -200,6 +201,43 @@ def test_simulate_trajectory_and_fixed_points(tmp_path, cohort_path):
     fp_rows = read_rows(paths["simulate_103_fixed_points.csv"])
     for row in fp_rows:
         assert row["verdict"] in ("stable", "unstable", "marginal")
+
+
+def one_species_last_table(n_species: int, seed: int, lo: float, hi: float) -> str:
+    """Eleven samples of fractional abundances, then one held by one species,
+    whose community dominance n(simpson - 1) is 0 up to roundoff."""
+    rng = random.Random(seed)
+    samples = [[round(rng.uniform(lo, hi), 3) for _ in range(n_species)] for _ in range(11)]
+    samples.append([1.0 if i == 1 else 0.0 for i in range(n_species)])
+    lines = ["species_id," + ",".join(f"1_{t:02d}" for t in range(len(samples)))]
+    lines.extend(f"OTU{i}," + ",".join(repr(s[i]) for s in samples) for i in range(n_species))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n_species, seed, lo, hi, models, expected", [
+    # D_last is 0.0 exactly: a scan from it was the empty domain (0.0, 0.0)
+    (3, 3, 0.05, 0.3, None, None),
+    # D_last is +1.1e-15: a scan from it covered (0, 2.2e-15) and found nothing
+    (5, 5, 0.02, 0.2, (ModelKind.LINEAR,), [(-8.4749, "stable")]),
+])
+def test_fixed_point_scan_takes_the_side_of_the_data(
+    tmp_path, n_species, seed, lo, hi, models, expected
+):
+    path = tmp_path / "counts.csv"
+    path.write_text(one_species_last_table(n_species, seed, lo, hi))
+    config = RunConfig(input_path=path, out_dir=tmp_path / "out", min_total_reads=0.0)
+    if models is not None:
+        config = dataclasses.replace(config, models=models)
+    (series,) = load_subjects(config)
+    assert 0.0 <= community_dominance(series.counts[:, -1]) < 1e-14
+    paths = {p.name: p for p in cmd_simulate(config, "1")}
+    rows = read_rows(paths["simulate_1_fixed_points.csv"])
+    assert rows
+    assert all(float(r["location"]) < 0.0 for r in rows)
+    if expected is not None:
+        found = [(float(r["location"]), r["verdict"]) for r in rows]
+        assert [v for _, v in found] == [v for _, v in expected]
+        assert [x for x, _ in found] == pytest.approx([x for x, _ in expected], abs=1e-4)
 
 
 def test_simulate_contains_logistic_pole(small_input, tmp_path):

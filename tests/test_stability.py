@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from domstab.errors import DomstabError
+from domstab.errors import DomstabError, InputError
 from domstab.ingest import parse_table, split_subjects
 from domstab.stability import (
     EPS_DENOMINATOR,
@@ -138,6 +138,6 @@ def test_species_stability_rejects_unsentineled_infinities():
 
 def test_species_stability_unknown_id():
     _, records = subject_records(THREE_SAMPLES)
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError, match="^species 'OTU99' not in records$"):
         species_stability(apply_sentinel(records), "OTU99")
 
