@@ -96,16 +96,6 @@ class FixedPoint:
     verdict: str  # "stable" | "unstable" | "marginal"
 
 
-def _multiplier_at(
-    kind: ModelKind, params: Mapping[str, float] | Sequence[float], root: float
-) -> float:
-    slope = derivative(kind, params, root)
-    if isinstance(slope, tuple):
-        slope = slope[1]  # root exactly on a piecewise joint: use the right side
-    rate = evaluate(kind, params, root)
-    return 1.0 + rate + root * slope
-
-
 def fixed_points(
     kind: ModelKind,
     params: Mapping[str, float] | Sequence[float],
@@ -146,7 +136,10 @@ def fixed_points(
         rate = evaluate(kind, params, root)
         if abs(rate) >= 1e-9:
             continue  # bracketed a pole, not a root
-        mult = _multiplier_at(kind, params, root)
+        slope = derivative(kind, params, root)
+        if isinstance(slope, tuple):
+            slope = slope[1]  # root exactly on a piecewise joint: use the right side
+        mult = 1.0 + rate + root * slope
         if abs(abs(mult) - 1.0) <= 1e-9:
             verdict = "marginal"
         elif abs(mult) < 1.0:

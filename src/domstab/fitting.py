@@ -23,8 +23,8 @@ Three fitting routes, one per model family:
   the design columns that do not depend on d are factored once, and each
   candidate's two breakpoint columns are taken off them by Gram-Schmidt.
   Only the candidates the screen cannot rule out are solved exactly, each
-  alone, so the winner and its coefficients are those of solving every
-  candidate.
+  alone on the design built for its one breakpoint, so the winner and its
+  coefficients are those of solving every candidate.
 
 Every route ends in one assembly step (:func:`_assemble`), which adds the
 goodness of fit, the dominance range and the standard errors; a logistic
@@ -47,7 +47,6 @@ import numpy as np
 
 from .errors import DomstabError
 from .metrics import least_squares_line
-# evaluate_array is not called here; bench/spans.py wraps it.
 from .models import ModelKind, evaluate_array, param_dict
 
 __all__ = [
@@ -158,13 +157,10 @@ def _bend_gap(kind: ModelKind, d: np.ndarray, dom: np.ndarray) -> tuple[np.ndarr
     return bend, gap
 
 
-def _piecewise_design(kind: ModelKind, d: np.ndarray, dom: np.ndarray) -> np.ndarray:
-    """``(m, n, p)`` design matrices of the model conditional on each
-    breakpoint in ``d`` (linear in the rest); columns a, b, c, e(, f)."""
-    design = np.empty((d.size, dom.size, kind.arity - 1))
-    design[:, :, :-2] = np.vander(dom, kind.arity - 3, increasing=True)  # 1, D(, D**2)
-    design[:, :, -2], design[:, :, -1] = _bend_gap(kind, d, dom)
-    return design
+def _piecewise_design(kind: ModelKind, d: float, dom: np.ndarray) -> np.ndarray:
+    """The ``(n, p)`` design of the model given the breakpoint ``d``; columns a, b, c, e(, f)."""
+    (bend,), (gap,) = _bend_gap(kind, np.array([d]), dom)
+    return np.column_stack([np.vander(dom, kind.arity - 3, increasing=True), bend, gap])
 
 
 def _std_errors(
@@ -238,7 +234,7 @@ def _fit_linear(inp: FitInput) -> ModelFit:
     # a constant series's float sum of squares is roundoff, and one can underflow to 0
     if sxx == 0.0 or dom.min() == dom.max():
         raise DomstabError("dominance values have zero variance")
-    ss_res = float(np.sum((chg - (intercept + slope * dom)) ** 2))
+    ss_res = float(np.sum((chg - evaluate_array(kind, (intercept, slope), dom)) ** 2))
     if syy == 0.0 or chg.min() == chg.max():
         pearson = math.nan
     return _assemble(
@@ -615,21 +611,21 @@ def _screen(
 ) -> np.ndarray:
     """Approximate residual SS of every candidate, with one QR per call.
 
-    Of the columns of :func:`_piecewise_design`, only the last two depend on
-    the breakpoint d, and the screen builds only those (:func:`_bend_gap`).
-    The shared columns, ``[1, D]`` or ``[1, D, D**2]``, are factored once by
-    Householder QR and the response is projected off them once.  Each
-    candidate projects its two columns off that basis and takes the residual
-    by Gram-Schmidt on them, in residual form: ``r - q (q . r)`` for the
-    unit bend q1, then for the unit gap q2, rather than the cheaper
-    ``|y|^2 - |Q^T y|^2``, which cancels catastrophically when the fit is
-    good.  A column with nothing left after its projection has no unit
-    vector and takes nothing off.  Every reduction is over one row (``_off``,
-    ``_dots``), so a candidate's SS does not depend on its chunk.
-    Candidates go through in chunks of as many as fill ``_SCREEN_BYTES``
-    with their two columns, so the working arrays stay bounded."""
-    # the shared columns do not depend on d, so any breakpoint gives them
-    basis = np.linalg.qr(_piecewise_design(kind, np.zeros(1), dom)[0, :, :-2])[0]
+    Of the columns of the one-breakpoint design (:func:`_piecewise_design`),
+    only the last two depend on d, and the screen builds only those
+    (:func:`_bend_gap`).  The shared columns, ``[1, D]`` or ``[1, D, D**2]``,
+    are factored once by Householder QR and the response is projected off
+    them once.  Each candidate projects its two columns off that basis and
+    takes the residual by Gram-Schmidt on them, in residual form:
+    ``r - q (q . r)`` for the unit bend q1, then for the unit gap q2, rather
+    than the cheaper ``|y|^2 - |Q^T y|^2``, which cancels catastrophically
+    when the fit is good.  A column with nothing left after its projection
+    has no unit vector and takes nothing off.  Every reduction is over one
+    row (``_off``, ``_dots``), so a candidate's SS does not depend on its
+    chunk.  Candidates go through in chunks of as many as fill
+    ``_SCREEN_BYTES`` with their two columns, so the working arrays stay
+    bounded."""
+    basis = np.linalg.qr(np.vander(dom, kind.arity - 3, increasing=True))[0]
     rest = chg - basis @ (chg @ basis)
     step = max(1, _SCREEN_BYTES // (dom.size * 2 * 8))
     screened = np.empty(cand.size)
@@ -649,13 +645,14 @@ def _fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
 
     Screen, then certify.  ``_screen`` gives every candidate an approximate
     SS.  Candidates are then visited from the lowest screened SS up and
-    solved exactly, each by its own ``np.linalg.lstsq`` on its own design
-    (a stacked SVD or QR solve moves the last bits), its SS taken through
-    the stacked ``design @ beta`` and ``_dots``.  The visit stops once the next screened SS exceeds the best
-    exact SS by the certification margin; the lowest exact SS among the
-    visited wins, the lower breakpoint breaking ties, so the winner and its
-    coefficients are those of solving every candidate exactly.  The
-    winner's design and SS give the standard errors.
+    solved exactly, each by its own ``np.linalg.lstsq`` on the design built
+    for its breakpoint (a stacked SVD or QR solve moves the last bits), its
+    SS taken through ``design @ beta`` and ``_dots``.  The visit stops once
+    the next screened SS exceeds the best exact SS by the certification
+    margin; the lowest exact SS among the visited wins, the lower breakpoint
+    breaking ties, so the winner and its coefficients are those of solving
+    every candidate exactly.  The winner's design and SS give the standard
+    errors.
 
     The margin has two terms.  The relative one (``_CERTIFY_RTOL``) covers
     the screen's disagreement with the exact solve on a well-posed fit.  The
@@ -687,12 +684,12 @@ def _fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
     for i in np.argsort(screened, kind="stable").tolist():
         if screened[i] > best_ss * (1.0 + _CERTIFY_RTOL) + slack:
             break
-        design = _piecewise_design(kind, cand[i:i + 1], dom)
-        beta = np.linalg.lstsq(design[0], chg, rcond=None)[0]
-        resid = chg - (design @ beta[np.newaxis, :, np.newaxis])[:, :, 0]
-        ss = float(_dots(resid, resid)[0])
+        design = _piecewise_design(kind, cand[i], dom)
+        beta = np.linalg.lstsq(design, chg, rcond=None)[0]
+        resid = chg - design @ beta
+        ss = float(_dots(resid, resid))
         if best is None or ss < best_ss or (ss == best_ss and cand[i] < best[0]):
-            best = cand[i], beta, design[0], ss
+            best = cand[i], beta, design, ss
         best_ss = min(best_ss, ss)
     d, beta, design, ss = best
     params = param_dict(kind, np.insert(beta, 3, d))

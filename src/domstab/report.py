@@ -428,46 +428,44 @@ def _stop_reason(analysis: SubjectAnalysis, kind: ModelKind) -> str:
     return analysis.fit_errors.get(kind) or analysis.selection_error or ""
 
 
+def _stopped(analysis: SubjectAnalysis, header: list[str], reason: str) -> list:
+    """The row of a subject the table has nothing for: empty cells, then ``reason``."""
+    return [analysis.series.subject_id] + [None] * (len(header) - 2) + [reason]
+
+
 def _fit_table(
     kind: ModelKind, analyses: list[SubjectAnalysis], config: RunConfig, out_dir: Path
 ) -> Path:
-    header = ["subject"]
-    header.extend(kind.param_names)
-    header.extend(f"se_{p}" for p in kind.param_names)
-    header.extend(["r2", "r2_adj"])
+    extra: list[str] = []  # the columns only some kinds have; each row reads them by name
     if kind is ModelKind.LINEAR:
-        header.append("pearson_r")
-    if kind.piecewise:
-        header.extend(["b1", "c1", "c2"])
-    header.extend(["residual_ss", "n", "converged", "valid", "reasons", "error"])
+        extra = ["pearson_r"]
+    elif kind.piecewise:
+        extra = ["b1", "c1", "c2"]
+    header = ["subject", *kind.param_names, *(f"se_{p}" for p in kind.param_names),
+              "r2", "r2_adj", *extra, "residual_ss", "n", "converged", "valid", "reasons", "error"]
     rows = []
     for analysis in analyses:
-        subject = analysis.series.subject_id
         fit = analysis.fits.get(kind)
         if fit is None:
-            rows.append([subject] + [None] * (len(header) - 2) + [_stop_reason(analysis, kind)])
+            rows.append(_stopped(analysis, header, _stop_reason(analysis, kind)))
             continue
         report = validate(fit, config.policy)
-        row: list = [subject]
-        row.extend(fit.params[p] for p in kind.param_names)
-        row.extend(fit.std_errors[p] for p in kind.param_names)
-        row.extend([fit.r2, fit.r2_adj])
-        if kind is ModelKind.LINEAR:
-            row.append(fit.pearson_r)
-        if kind.piecewise:
-            derived = derived_params(kind, fit.params)
-            row.extend(derived.get(name) for name in ("b1", "c1", "c2"))
-        row.extend(
-            [
-                fit.residual_ss,
-                fit.n,
-                str(fit.converged).lower(),
-                str(report.valid).lower(),
-                "; ".join(report.reasons),
-                analysis.fit_errors.get(kind, ""),
-            ]
-        )
-        rows.append(row)
+        extras = (derived_params(kind, fit.params) if kind.piecewise
+                  else {"pearson_r": fit.pearson_r})
+        rows.append([
+            analysis.series.subject_id,
+            *(fit.params[p] for p in kind.param_names),
+            *(fit.std_errors[p] for p in kind.param_names),
+            fit.r2,
+            fit.r2_adj,
+            *map(extras.get, extra),
+            fit.residual_ss,
+            fit.n,
+            str(fit.converged).lower(),
+            str(report.valid).lower(),
+            "; ".join(report.reasons),
+            analysis.fit_errors.get(kind, ""),
+        ])
     return _write_rows(out_dir / f"fit_{kind.value.replace('-', '_')}.csv", header, rows)
 
 
@@ -478,14 +476,12 @@ def _selection_table(
               "rationale", "error"]
     rows = []
     for analysis in analyses:
-        subject = analysis.series.subject_id
         if analysis.selected is None:
-            rows.append([subject, None, None, None, None, None, None,
-                         analysis.selection_error or ""])
+            rows.append(_stopped(analysis, header, analysis.selection_error or ""))
             continue
         chosen = analysis.selected
         rows.append(
-            [subject, chosen.kind.value, *summary(chosen.fit),
+            [analysis.series.subject_id, chosen.kind.value, *summary(chosen.fit),
              str(chosen.backup).lower(), chosen.rationale, ""]
         )
     return _write_rows(out_dir / "selection_summary.csv", header, rows)
@@ -495,13 +491,12 @@ def _resilience_table(analyses: list[SubjectAnalysis], out_dir: Path) -> Path:
     header = ["subject", "slope", "magnitude", "error"]
     rows: list[list] = []
     for analysis in analyses:
-        subject = analysis.series.subject_id
         fit = analysis.fits.get(ModelKind.LINEAR)
         if fit is None:
-            rows.append([subject, None, None, _stop_reason(analysis, ModelKind.LINEAR)])
+            rows.append(_stopped(analysis, header, _stop_reason(analysis, ModelKind.LINEAR)))
             continue
         res = resilience(fit)
-        rows.append([subject, res.slope, res.magnitude, ""])
+        rows.append([analysis.series.subject_id, res.slope, res.magnitude, ""])
     return _write_rows(out_dir / "resilience.csv", header, rows)
 
 

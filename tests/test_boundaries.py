@@ -153,7 +153,7 @@ def test_every_imported_name_is_used_or_wrapped_by_the_harness():
             else:
                 continue
             unused.update((path.stem, name) for name in names if name not in used)
-    assert ("fitting", "evaluate_array") in unused
+    assert ("fitting", "evaluate_array") not in unused  # the linear fit calls it
     assert unused - wrapped == set()
 
 

@@ -140,6 +140,18 @@ def test_fixed_points_are_python_floats(kind, params):
         assert type(point.location) is float and type(point.multiplier) is float
 
 
+def test_roots_from_adjacent_brackets_within_the_tolerance_are_one():
+    """S = 1e-12 - |D - 100| crosses zero at 100 -+ 1e-12, on either side
+    of the grid point 100, so the brackets on each side bisect to roots
+    closer than the scan's duplicate tolerance (2e-10 on this domain); the
+    second is dropped."""
+    params = {"a": 1e-12, "b": 0.0, "c": 0.0, "d": 100.0, "e": -1.0}
+    (point,) = fixed_points(ModelKind.LINEAR_QUADRATIC, params, (0.0, 200.0))
+    assert point.location == pytest.approx(100.0, abs=1e-10)
+    assert point.location < 100.0  # the left bracket's root
+    assert point.verdict == "unstable"
+
+
 def test_sign_change_between_underflowing_rates_is_a_root():
     """Around D = 2 pi^2 this fit's rates are about 1e-173, so the product
     of two neighbouring grid rates underflows to -0.0; the root is found all

@@ -426,6 +426,22 @@ def test_piecewise_breakpoint_se_is_grid_resolution():
         assert math.isfinite(fit.std_errors[name])
 
 
+def test_piecewise_breakpoint_se_of_a_lone_candidate_is_infinite():
+    """Six distinct values leave one gap with three on each side, and that
+    gap is two ulps wide: two of its quartile points round onto its ends,
+    which have too few values on one side, so one candidate is left and the
+    grid has no spacing around it."""
+    u = 3.0
+    dom = np.array([1.0, 2.0, u, u + 2 * math.ulp(u), 5.0, 6.0])
+    inp = FitInput(tuple(dom), (0.3, 0.1, -0.2, 0.05, 0.4, -0.1))
+    fit = fit_model(ModelKind.LINEAR_QUADRATIC, inp)
+    assert fit.iterations == 1
+    assert fit.params["d"] == u + math.ulp(u)
+    assert fit.std_errors["d"] == math.inf
+    for name in ("a", "b", "c", "e"):
+        assert math.isfinite(fit.std_errors[name])
+
+
 def test_fit_model_dispatch():
     dom = np.linspace(2.0, 50.0, 25)
     inp = synth_input(ModelKind.LINEAR, {"a": 1.0, "b": -0.02}, dom)

@@ -323,3 +323,7 @@ def test_abundance_table_is_value_like():
     t2 = parse_table(CSV_TEXT)
     assert t1 == t2
     assert isinstance(t1, AbundanceTable)
+    assert t1.__eq__(t1.species_ids) is NotImplemented
+    assert t1 != t1.species_ids
+    with pytest.raises(ValueError, match="^counts shape does not match id axes$"):
+        AbundanceTable(t1.species_ids, t1.sample_ids[1:], t1.counts)

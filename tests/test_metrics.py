@@ -170,6 +170,13 @@ def test_regression_needs_three_samples():
         regress_dominance_vs_index([1.0, 2.0], [0.1, 0.2], IndexKind.SIMPSON)
 
 
+def test_regression_rejects_unpaired_or_non_finite_input():
+    with pytest.raises(ValueError, match="^dominance and index series must be 1-d and equal length$"):
+        regress_dominance_vs_index([1.0, 2.0, 3.0], [0.1, 0.2], IndexKind.SIMPSON)
+    with pytest.raises(DomstabError, match="^index regression input must be finite$"):
+        regress_dominance_vs_index([1.0, math.nan, 3.0], [0.1, 0.2, 0.3], IndexKind.SIMPSON)
+
+
 def test_regression_degenerate_x():
     with pytest.raises(DomstabError, match="^index simpson has zero variance$"):
         regress_dominance_vs_index([1.0, 2.0, 3.0], [0.4, 0.4, 0.4], IndexKind.SIMPSON)

@@ -42,6 +42,8 @@ def test_param_vector_and_dict_round_trip():
 def test_param_vector_rejects_wrong_arity():
     with pytest.raises(DomstabError, match=r"^linear expects 2 parameters, got \(3,\)$"):
         param_vector(ModelKind.LINEAR, [1.0, 2.0, 3.0])
+    with pytest.raises(DomstabError, match=r"^logistic params missing \['K', 'r'\]$"):
+        param_vector(ModelKind.LOGISTIC, {"a": 1.0, "b": 2.0})
 
 
 def test_kind_properties():
@@ -287,6 +289,13 @@ def test_equilibria_lq_402():
 def test_equilibria_lq_b1_negative():
     points = qualitative_equilibria(ModelKind.LINEAR_QUADRATIC, LQ_408)
     assert points[0].verdict == "depends-on-c2"  # b1 < 0
+
+
+def test_equilibria_lq_b1_zero_is_uncertain():
+    params = {"a": 0.0, "b": 0.1, "c": 0.001, "d": 5.0, "e": 0.1}  # b1 = b - e = 0
+    points = qualitative_equilibria(ModelKind.LINEAR_QUADRATIC, params)
+    assert derived_params(ModelKind.LINEAR_QUADRATIC, params)["b1"] == 0.0
+    assert (points[0].point_kind, points[0].verdict) == ("joint", "uncertain")
 
 
 def test_equilibria_qq_joint_uncertain():

@@ -162,7 +162,7 @@ def test_screen_chunking_moves_no_bits(cohort_inputs, monkeypatch):
     monkeypatch.setattr(fitting, "_bend_gap", counted)
     chunked = _screen(kind, cand, inp.dominance, inp.change_rate)
     assert cand.size == 72
-    assert chunks == [1] + [7] * 10 + [2]  # the first builds the shared basis
+    assert chunks == [7] * 10 + [2]
     assert chunked.tobytes() == whole.tobytes()
 
 

@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import emit_table
 
 from domstab import dynamics, report
-from domstab.dynamics import FixedPoint, _bisect, _multiplier_at, fixed_points
+from domstab.dynamics import FixedPoint, _bisect, fixed_points
 from domstab.errors import DomstabError, InputError
 from domstab.fitting import (
     _CERTIFY_ATOL,
@@ -765,9 +765,13 @@ def _reference_fixed_points(kind, params, domain, grid):
     for root in sorted(roots):
         if out and abs(root - out[-1].location) <= (hi - lo) * 1e-12:
             continue
-        if abs(evaluate(kind, params, root)) >= 1e-9:
+        rate = evaluate(kind, params, root)
+        if abs(rate) >= 1e-9:
             continue
-        mult = _multiplier_at(kind, params, root)
+        slope = derivative(kind, params, root)
+        if isinstance(slope, tuple):
+            slope = slope[1]
+        mult = 1.0 + rate + root * slope
         if abs(abs(mult) - 1.0) <= 1e-9:
             verdict = "marginal"
         elif abs(mult) < 1.0:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -439,6 +440,24 @@ def test_svg_chart_structure():
     assert svg.count("M ") == 2
 
 
+@pytest.mark.parametrize("ys, x_ticks, y_ticks, paths", [
+    # a flat curve is given one unit of range, centred on its value
+    ([0.2] * 3, ["0.9", "1.45", "2", "2.55", "3.1"],
+     ["-0.35", "-0.075", "0.2", "0.475", "0.75"], 1),
+    # with no finite value on an axis, both take [0, 1]
+    ([math.nan] * 3, ["-0.05", "0.225", "0.5", "0.775", "1.05"],
+     ["-0.05", "0.225", "0.5", "0.775", "1.05"], 0),
+], ids=["flat", "no-finite-value"])
+def test_svg_chart_axes_without_a_data_range(ys, x_ticks, y_ticks, paths):
+    svg = curve_chart("t", "fit", [1.0, 2.0, 3.0], ys, points=[(math.inf, 0.1)])
+    assert re.findall(r'text-anchor="middle" font-family="sans-serif" font-size="11">([^<]*)<',
+                      svg) == x_ticks
+    assert re.findall(r'text-anchor="end" font-family="sans-serif" font-size="11">([^<]*)<',
+                      svg) == y_ticks
+    assert svg.count("<path") == paths
+    assert "<circle" not in svg
+
+
 def test_report_all_with_plots_writes_svg(small_input, tmp_path):
     out = tmp_path / "out"
     paths = report_all(RunConfig(input_path=small_input, out_dir=out, plot=True))
@@ -760,6 +779,37 @@ def test_cli_zero_sample_subject_gets_error_rows(tmp_path, cohort_path):
         assert errors and set(errors) == {"all abundances are zero"}, name
     trajectory = read_rows(out / "simulate_101_trajectory.csv")
     assert [r["status"] for r in trajectory] == ["all abundances are zero"]
+
+
+def test_failed_fixed_point_scan_stays_with_its_subject(tmp_path, cohort_path, monkeypatch, capsys):
+    """A fixed-point scan that raises for subject 103 leaves its message in
+    103's fixed-point table and exits 2 naming 103; every other byte,
+    103's trajectory included, is that of a run without the failure."""
+    argv = ["report-all", "--input", str(cohort_path), "--plot", "--out"]
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    assert main([*argv, str(clean)]) == 0
+    capsys.readouterr()
+    simulate, scan, current = report.simulate_subject, report.fixed_points, []
+
+    def tracking(analysis, *args, **kwargs):
+        current[:] = [analysis.series.subject_id]
+        return simulate(analysis, *args, **kwargs)
+
+    def failing(*args):
+        if current == ["103"]:
+            raise DomstabError("scan failed")
+        return scan(*args)
+
+    monkeypatch.setattr(report, "simulate_subject", tracking)
+    monkeypatch.setattr(report, "fixed_points", failing)
+    assert main([*argv, str(out)]) == 2
+    assert "analysis error: subject 103: scan failed" in capsys.readouterr().err
+    failed = "simulate_103_fixed_points.csv"
+    assert (out / failed).read_text() == "location,multiplier,verdict\n,,scan failed\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in clean.iterdir())
+    for path in clean.iterdir():
+        if path.name != failed:
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_one_sample_subject_names_one_stop_reason_in_every_table(tmp_path, cohort_path):

@@ -221,6 +221,15 @@ def test_narrative_lq_includes_equilibria():
     assert text.startswith("DID then DDS")  # rising left branch, falling right
 
 
+@pytest.mark.parametrize("lo, hi", [(math.nan, math.nan), (5.0, 5.0)])
+def test_summary_of_a_flat_line_without_an_observed_range(lo, hi):
+    """A slope of exactly 0 is marked ``=0``; a fit whose dominance range is
+    missing or a single point has no range to narrate."""
+    fit = manual_fit(ModelKind.LINEAR, {"a": 1.0, "b": 0.0}, {}, 0.5,
+                     pearson_r=0.0, dominance_min=lo, dominance_max=hi)
+    assert summary(fit) == ("R=0.00", "b=0", "no observed dominance range")
+
+
 def test_summarize_rows():
     lin = manual_fit(ModelKind.LINEAR, {"a": 1.551, "b": -0.033}, {"a": 0.182, "b": 0.004}, 0.72, pearson_r=0.85)
     picked = select({ModelKind.LINEAR: lin})
