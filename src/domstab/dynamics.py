@@ -104,10 +104,12 @@ def fixed_points(
     """Roots of the change rate on ``domain`` with stability verdicts.
 
     Sign changes on a uniform grid of ``SCAN_GRID`` intervals are refined
-    by bisection.  Brackets with non-finite endpoints are skipped, and
-    candidates where |S| stays large (pole crossings of the logistic
-    denominators) are discarded.  A domain with a non-finite end, or an
-    empty one (``hi <= lo``), raises DomstabError.
+    by bisection.  Brackets with non-finite endpoints are skipped.  A
+    refined candidate whose |S| exceeds the larger |S| at its bracket's two
+    grid ends is a pole crossing of a logistic denominator, not a root, and
+    is discarded: near a pole |S| grows past both ends, at a root it falls
+    below them.  A root on a grid point is always kept.  A domain with a
+    non-finite end, or an empty one (``hi <= lo``), raises DomstabError.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -122,24 +124,23 @@ def fixed_points(
         # comparing signs: the product of two tiny rates underflows to zero
         change = ((y0 < 0.0) != (y1 < 0.0)) & (y1 != 0.0)
         hits = np.isfinite(y0) & np.isfinite(y1) & ((y0 == 0.0) | change)
-    roots = [float(xs[i]) if ys[i] == 0.0
-             else _bisect(kind, params, float(xs[i]), float(xs[i + 1]), float(ys[i]))
+    # each candidate with the largest |S| it may keep and still be a root
+    roots = [(float(xs[i]), math.inf) if ys[i] == 0.0
+             else (_bisect(kind, params, float(xs[i]), float(xs[i + 1]), float(ys[i])),
+                   float(max(abs(ys[i]), abs(ys[i + 1]))))
              for i in np.flatnonzero(hits)]
     if ys[-1] == 0.0:
-        roots.append(float(xs[-1]))
+        roots.append((float(xs[-1]), math.inf))
 
     out: list[FixedPoint] = []
     span = hi - lo
-    for root in sorted(roots):
+    for root, bound in sorted(roots):
         if out and abs(root - out[-1].location) <= span * 1e-12:
             continue  # duplicate from adjacent brackets
         rate = evaluate(kind, params, root)
-        if abs(rate) >= 1e-9:
+        if abs(rate) > bound:
             continue  # bracketed a pole, not a root
-        slope = derivative(kind, params, root)
-        if isinstance(slope, tuple):
-            slope = slope[1]  # root exactly on a piecewise joint: use the right side
-        mult = 1.0 + rate + root * slope
+        mult = 1.0 + rate + root * derivative(kind, params, root)
         if abs(abs(mult) - 1.0) <= 1e-9:
             verdict = "marginal"
         elif abs(mult) < 1.0:

@@ -568,9 +568,9 @@ def fit_logistic_batch(
 
 
 def breakpoint_candidates(dom: np.ndarray) -> np.ndarray:
-    """Candidate breakpoints, ascending: quartile points of each gap between
-    consecutive distinct dominance values, kept only where both sides retain
-    at least three distinct values."""
+    """Distinct candidate breakpoints, ascending: quartile points of each gap
+    between consecutive distinct dominance values, kept only where both
+    sides retain at least three distinct values."""
     # np.unique would do, but in NumPy 2.4 it imports numpy.ma on first use
     ordered = np.sort(np.asarray(dom, dtype=float))
     first = np.ones(ordered.size, dtype=bool)
@@ -581,7 +581,9 @@ def breakpoint_candidates(dom: np.ndarray) -> np.ndarray:
     # distinct is sorted: counts of values below and above each candidate
     left = np.searchsorted(distinct, cand, "left")
     right = distinct.size - np.searchsorted(distinct, cand, "right")
-    return cand[(left >= 3) & (right >= 3)]
+    keep = (left >= 3) & (right >= 3)
+    keep[1:] &= cand[1:] != cand[:-1]  # quartile points of ulp-wide gaps can round together
+    return cand[keep]
 
 
 def _grid_resolution(candidates: np.ndarray, d: float) -> float:

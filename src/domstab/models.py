@@ -22,7 +22,8 @@ and b1 = b - f, c1 = c - e, c2 = c + e for quadratic-quadratic.
 The regime at a dominance level is the sign of dS/dD: negative means
 dominance-dependent stability (DDS, the change rate falls as dominance
 rises), positive means dominance-increased instability (DID), zero within
-tolerance means dominance-independent stability (DIS).
+tolerance means dominance-independent stability (DIS).  There is one slope
+per dominance level: at a piecewise joint, the right-hand one.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .errors import DomstabError
 __all__ = [
     "ModelKind",
     "Regime",
-    "JointAmbiguous",
     "EquilibriumPoint",
     "REGIME_TOLERANCE",
     "param_vector",
@@ -154,13 +154,9 @@ def evaluate(
 
 def derivative(
     kind: ModelKind, params: Mapping[str, float] | Sequence[float], dom: float
-) -> float | tuple[float, float]:
-    """Analytic dS/dD at ``dom``.
-
-    For the piecewise kinds evaluated exactly at the joint, the two one-sided
-    derivatives are returned as a (left, right) pair; everywhere else the
-    return value is a plain float.
-    """
+) -> float:
+    """Analytic dS/dD at ``dom``; exactly at a piecewise joint, the
+    right-hand slope."""
     vec = param_vector(kind, params).tolist()  # Python floats: report cells take no NumPy scalar
     if kind is ModelKind.LINEAR:
         return vec[1]
@@ -184,11 +180,8 @@ def derivative(
         return core * math.sin(dom / math.pi) + logistic * math.cos(dom / math.pi) / math.pi
     left, right = branch_polynomials(kind, params)
     d = vec[3]
-    if dom < d:
-        return left[1] + 2.0 * left[2] * dom
-    if dom > d:
-        return right[1] + 2.0 * right[2] * dom
-    return (left[1] + 2.0 * left[2] * dom, right[1] + 2.0 * right[2] * dom)
+    branch = left if dom < d else right
+    return branch[1] + 2.0 * branch[2] * dom
 
 
 def _exp(x: float) -> float:
@@ -238,34 +231,17 @@ class Regime(enum.Enum):
     DIS = "DIS"  # dominance-independent stability, dS/dD = 0
 
 
-@dataclass(frozen=True)
-class JointAmbiguous:
-    """Marker for a piecewise joint whose one-sided regimes differ."""
-
-    location: float
-    left: Regime
-    right: Regime
-
-
-def _classify(slope: float) -> Regime:
-    if abs(slope) <= REGIME_TOLERANCE:
-        return Regime.DIS
-    return Regime.DDS if slope < 0 else Regime.DID
-
-
 def regime_at(
     kind: ModelKind,
     params: Mapping[str, float] | Sequence[float],
     dom: float,
-) -> Regime | JointAmbiguous:
-    """Regime at one dominance level from the analytic derivative sign."""
+) -> Regime:
+    """Regime at one dominance level from the sign of the analytic
+    derivative; exactly at a piecewise joint, the right-hand regime."""
     slope = derivative(kind, params, dom)
-    if isinstance(slope, tuple):
-        left, right = (_classify(s) for s in slope)
-        if left is right:
-            return left
-        return JointAmbiguous(location=dom, left=left, right=right)
-    return _classify(slope)
+    if abs(slope) <= REGIME_TOLERANCE:
+        return Regime.DIS
+    return Regime.DDS if slope < 0 else Regime.DID
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .errors import DomstabError, InputError
 from .fitting import ModelFit
-from .models import JointAmbiguous, ModelKind, Regime, derived_params, regime_at
+from .models import ModelKind, derived_params, regime_at
 from .models import qualitative_equilibria
 
 __all__ = [
@@ -151,13 +151,7 @@ def regime_narrative(fit: ModelFit) -> str:
         return "no observed dominance range"
     kind = fit.kind
     step = (hi - lo) / (_NARRATIVE_POINTS - 1)
-    regimes: list[Regime] = []
-    for i in range(_NARRATIVE_POINTS):
-        dom = lo + i * step
-        regime = regime_at(kind, fit.params, dom)
-        if isinstance(regime, JointAmbiguous):
-            continue
-        regimes.append(regime)
+    regimes = [regime_at(kind, fit.params, lo + i * step) for i in range(_NARRATIVE_POINTS)]
     runs = [r for i, r in enumerate(regimes) if i == 0 or r is not regimes[i - 1]]
 
     if len(runs) == 1:

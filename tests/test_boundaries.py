@@ -7,19 +7,23 @@ module: ``import domstab`` loads no submodule, and a module's ``__all__``
 lists only names that module defines.  ``bench/spans.py`` records its spans by
 replacing module attributes of domstab at run time, so every entry of its
 patch list must name a (module, attribute) pair and every pair it names must
-exist; the file is parsed, not run.  A name a module imports is used there
+exist.  Its wrappers also read attributes of what they wrap (``fit.iterations``,
+``traj.values`` and more), so one cohort run goes through them, and its report
+files must match an untraced run's.  A name a module imports is used there
 unless the harness wraps it on that module.  An error class is told apart
 outside the module that raises it.
 """
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import domstab
+from domstab import cli, fitting, report, stability
 
 PACKAGE = Path(domstab.__file__).resolve().parent
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -155,6 +159,32 @@ def test_every_imported_name_is_used_or_wrapped_by_the_harness():
             unused.update((path.stem, name) for name in names if name not in used)
     assert ("fitting", "evaluate_array") not in unused  # the linear fit calls it
     assert unused - wrapped == set()
+
+
+def test_a_traced_cohort_run_writes_the_untraced_files(tmp_path, cohort_path, monkeypatch):
+    """``spans.install`` runs ``report-all --plot`` through every wrapper,
+    whose attribute reads succeed, and puts every name back afterwards."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    spec = importlib.util.spec_from_file_location("spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "spans", spans)  # dataclasses look their module up
+    spec.loader.exec_module(spans)
+    modules = (cli, fitting, report, stability)
+    before = [dict(vars(module)) for module in modules]
+    argv = ["report-all", "--input", str(cohort_path), "--plot", "--out"]
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    assert cli.main([*argv, str(plain)]) == 0
+    with spans.install(spans.Tracer()) as tracer:
+        assert cli.main([*argv, str(traced)]) == 0
+    # the spans whose wrappers read attributes of a result
+    assert {"fitting.linear", "selection.select", "selection.validate", "dynamics.iterate",
+            "ingest.parse_table", "ingest.filter_low_reads",
+            "stability.community_stability"} <= {span.name for span in tracer.spans}
+    for module, old in zip(modules, before):
+        assert {k: v for k, v in vars(module).items() if v is not old.get(k)} == {}
+    assert sorted(p.name for p in traced.iterdir()) == sorted(p.name for p in plain.iterdir())
+    for path in plain.iterdir():
+        assert (traced / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def _named(node: ast.AST) -> str | None:

@@ -109,6 +109,18 @@ def test_sine_pole_not_reported_as_root():
     assert all(abs(p.location - pole) > 0.5 for p in points)
 
 
+@pytest.mark.parametrize("slope", [-1.0, -100.0, -1000.0])
+def test_steep_root_is_not_taken_for_a_pole(slope):
+    """Bisection stops at a width of 1e-10, so at a slope of -100 the root
+    keeps a rate of 2.4e-9; it is still below the rates at its bracket's
+    grid ends, which is what tells a root from a pole."""
+    root = 1.0742468
+    (point,) = fixed_points(ModelKind.LINEAR, {"a": -slope * root, "b": slope}, (0.0, 10.0))
+    assert point.location == pytest.approx(root, abs=1e-10)
+    assert point.multiplier == pytest.approx(1.0 + root * slope, rel=1e-9)
+    assert point.verdict == ("stable" if slope == -1.0 else "unstable")
+
+
 def test_logistic_without_roots_returns_empty():
     # K/(1 + a e^{-rD}) with K, a > 0 never touches zero
     points = fixed_points(ModelKind.LOGISTIC, {"K": 2.0, "a": 0.5, "r": -0.2}, (0.0, 80.0))

@@ -430,16 +430,21 @@ def test_piecewise_breakpoint_se_of_a_lone_candidate_is_infinite():
     """Six distinct values leave one gap with three on each side, and that
     gap is two ulps wide: two of its quartile points round onto its ends,
     which have too few values on one side, so one candidate is left and the
-    grid has no spacing around it."""
+    grid has no spacing around it.  With seven values and two gaps one ulp
+    wide, the quartile points of both round onto the value between them,
+    which is one candidate too, not an exact joint with a zero error."""
     u = 3.0
-    dom = np.array([1.0, 2.0, u, u + 2 * math.ulp(u), 5.0, 6.0])
-    inp = FitInput(tuple(dom), (0.3, 0.1, -0.2, 0.05, 0.4, -0.1))
-    fit = fit_model(ModelKind.LINEAR_QUADRATIC, inp)
-    assert fit.iterations == 1
-    assert fit.params["d"] == u + math.ulp(u)
-    assert fit.std_errors["d"] == math.inf
-    for name in ("a", "b", "c", "e"):
-        assert math.isfinite(fit.std_errors[name])
+    v = u + math.ulp(u)
+    for dom in ([1.0, 2.0, u, v + math.ulp(v), 5.0, 6.0],
+                [1.0, 2.0, u, v, v + math.ulp(v), 6.0, 7.0]):
+        assert breakpoint_candidates(np.array(dom)).tolist() == [v]
+        chg = (0.3, 0.1, -0.2, 0.05, 0.4, -0.1, 0.2)[:len(dom)]
+        fit = fit_model(ModelKind.LINEAR_QUADRATIC, FitInput(tuple(dom), chg))
+        assert fit.iterations == 1
+        assert fit.params["d"] == v
+        assert fit.std_errors["d"] == math.inf
+        for name in ("a", "b", "c", "e"):
+            assert math.isfinite(fit.std_errors[name])
 
 
 def test_fit_model_dispatch():

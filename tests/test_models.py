@@ -5,7 +5,6 @@ import pytest
 
 from domstab.errors import DomstabError
 from domstab.models import (
-    JointAmbiguous,
     ModelKind,
     Regime,
     branch_polynomials,
@@ -149,13 +148,13 @@ def test_derivative_matches_finite_difference():
             assert derivative(kind, vec, dom) == pytest.approx(approx, abs=1e-6)
 
 
-def test_derivative_at_joint_returns_both_sides():
-    left, right = derivative(ModelKind.LINEAR_QUADRATIC, LQ_402, LQ_402["d"])
+def test_derivative_at_joint_is_the_right_hand_slope():
     lpoly, rpoly = branch_polynomials(ModelKind.LINEAR_QUADRATIC, LQ_402)
     d = LQ_402["d"]
-    assert left == pytest.approx(lpoly[1] + 2 * lpoly[2] * d, rel=1e-12)
-    assert right == pytest.approx(rpoly[1] + 2 * rpoly[2] * d, rel=1e-12)
-    assert left != pytest.approx(right)
+    below = math.nextafter(d, -math.inf)
+    assert derivative(ModelKind.LINEAR_QUADRATIC, LQ_402, d) == rpoly[1] + 2 * rpoly[2] * d
+    assert derivative(ModelKind.LINEAR_QUADRATIC, LQ_402, below) == lpoly[1] + 2 * lpoly[2] * below
+    assert lpoly[1] + 2 * lpoly[2] * d != pytest.approx(rpoly[1] + 2 * rpoly[2] * d)
 
 
 def test_lq_right_branch_slope_uses_full_quadratic_derivative():
@@ -257,12 +256,11 @@ def test_regime_tolerance_band():
     assert regime_at(ModelKind.LINEAR, barely, 1.0) is Regime.DIS
 
 
-def test_regime_at_joint_reports_ambiguity():
-    result = regime_at(ModelKind.LINEAR_QUADRATIC, LQ_402, LQ_402["d"])
-    assert isinstance(result, JointAmbiguous)
-    assert result.location == LQ_402["d"]
-    assert result.left is Regime.DID  # b1 = 0.122 > 0
-    assert result.right is Regime.DDS  # (b+e) + 4cd < 0 at d
+def test_regime_at_joint_is_the_right_hand_regime():
+    d = LQ_402["d"]
+    assert regime_at(ModelKind.LINEAR_QUADRATIC, LQ_402, d) is Regime.DDS  # (b+e) + 4cd < 0
+    below = math.nextafter(d, -math.inf)
+    assert regime_at(ModelKind.LINEAR_QUADRATIC, LQ_402, below) is Regime.DID  # b1 = 0.122 > 0
 
 
 def test_regime_at_joint_agreeing_sides_collapse():

@@ -250,3 +250,15 @@ def test_summarize_sign_annotations():
     assert "b1>0" in signs
     assert "c2>0" in signs
     assert quality.startswith("r2=")
+
+
+def test_narrative_sample_on_a_joint_reads_the_right_hand_regime():
+    """The joint D = 5 is sample 50 of the range [0, 10].  Left of it
+    S = 20.2 D - 76 rises; right of it S = 2 D^2 - 20.2 D + 76 falls until
+    its vertex at 5.05, so the one sample on the joint is the DDS dip."""
+    fit = manual_fit(ModelKind.LINEAR_QUADRATIC,
+                     {"a": 0.0, "b": 0.0, "c": 1.0, "d": 5.0, "e": -20.2}, {}, 0.5,
+                     dominance_min=0.0, dominance_max=10.0)
+    assert regime_narrative(fit) == (
+        "DID then DDS then DID; joint at D=5 (unstable), vertex at D=5.05 (stable)"
+    )
