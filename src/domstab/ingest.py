@@ -208,11 +208,6 @@ class SubjectSeries:
     def n_samples(self) -> int:
         return len(self.sample_ids)
 
-    @property
-    def too_short(self) -> bool:
-        """True when fewer than two samples exist; no stability series then."""
-        return self.n_samples < 2
-
 
 def split_subjects(
     table: AbundanceTable, rule: SampleIdRule = SampleIdRule()

@@ -225,12 +225,14 @@ def load_subjects(config: RunConfig) -> list[SubjectSeries]:
 class SubjectAnalysis:
     """Everything the emitters need for one subject.
 
-    ``selection_error`` is what stopped the subject before a model was
-    selected; every table that names a stop reason takes it from there.
-    ``error`` is the DomstabError, if any, that stopped the subject before
-    fitting (``records`` is None when it came from the read floor or the
-    dominance records) or in the fixed-point scan of its simulation; it
-    decides only the exit code.
+    ``fit_errors`` holds the text of each kind whose fit raised; an
+    unconverged fit is kept in ``fits``.  ``selection_error`` is what
+    stopped the subject before a model was selected, in the words of the
+    rule that stopped it; every table that names a stop reason takes it
+    from there.  ``error`` is the DomstabError, if any, that stopped the
+    subject before fitting (``records`` is None when it came from the read
+    floor or the dominance records) or in the fixed-point scan of its
+    simulation; it decides only the exit code.
     """
 
     series: SubjectSeries
@@ -246,14 +248,13 @@ class SubjectAnalysis:
 def analyze_subject(series: SubjectSeries, min_total_reads: float) -> SubjectAnalysis:
     """One subject's read-floor roster, sentinel-applied records, stability
     series and fit input.  A DomstabError on the way becomes the subject's
-    ``error``; ``series`` is the filtered series once the floor has passed."""
+    ``error``; ``series`` is the filtered series once the floor has passed.
+    A stability series without a usable step (one sample has no step) stops
+    the subject with "no usable stability points" and no ``error``."""
     analysis = SubjectAnalysis(series=series, records=None, fit_input=None)
     try:
         analysis.series = series = filter_low_reads(series, min_total_reads)
         analysis.records = apply_sentinel(dominance_records(series))
-        if series.too_short:
-            analysis.selection_error = "fewer than two samples"
-            return analysis
         stability = community_stability(analysis.records)
     except DomstabError as exc:
         analysis.error, analysis.selection_error = exc, str(exc)
@@ -290,7 +291,7 @@ def _metrics_table(
             records.sample_ids,
             records.community.tolist(),
             _spell_rows(records.distance, records.dominance),
-            records.sentinel_replaced.T,
+            (records.distance == np.inf).T,  # the cells apply_sentinel floored
         )
     )
     return _write_rows(out_dir / f"metrics_{series.subject_id}.csv", header, rows)
@@ -334,8 +335,6 @@ def _index_table(analyses: list[SubjectAnalysis], out_dir: Path) -> Path:
         for which in IndexKind:
             if records is None:
                 note = analysis.selection_error
-            elif series.n_samples < 3:
-                note = "too-few-samples"
             else:
                 try:
                     reg = regress_dominance_vs_index(
@@ -386,7 +385,9 @@ def analyze_cohort(
 
     The logistic-family fits of all subjects go through one
     :func:`fit_logistic_batch` call; the other kinds are fitted per subject.
-    A fit that did not converge is filed with "<kind>: no start converged".
+    A fit that raised is filed in ``fit_errors``; every other fit, converged
+    or not, goes to :func:`select`, which rejects an unconverged one and
+    states why a subject gets no model.
     """
     analyses = [analyze_subject(series, config.min_total_reads) for series in subjects]
     fitted = [a for a in analyses if a.fit_input is not None]
@@ -405,18 +406,10 @@ def analyze_cohort(
                     outcome = exc
             if isinstance(outcome, DomstabError):
                 analysis.fit_errors[kind] = str(outcome)
-                continue
-            analysis.fits[kind] = outcome
-            if not outcome.converged:
-                analysis.fit_errors[kind] = f"{kind.value}: no start converged"
-        candidates = {
-            kind: fit for kind, fit in analysis.fits.items() if fit.converged
-        }
-        if not candidates:
-            analysis.selection_error = "no converged fits"
-            continue
+            else:
+                analysis.fits[kind] = outcome
         try:
-            analysis.selected = select(candidates, config.policy)
+            analysis.selected = select(analysis.fits, config.policy)
         except DomstabError as exc:
             analysis.selection_error = str(exc)
     return analyses
@@ -464,7 +457,7 @@ def _fit_table(
             str(fit.converged).lower(),
             str(report.valid).lower(),
             "; ".join(report.reasons),
-            analysis.fit_errors.get(kind, ""),
+            "" if fit.converged else f"{kind.value}: no start converged",
         ])
     return _write_rows(out_dir / f"fit_{kind.value.replace('-', '_')}.csv", header, rows)
 

@@ -13,7 +13,7 @@ are left out of the series and kept, each with its reason, on
 Species dominance can be -inf (absent species).  Before a species stability
 series is formed those values are replaced by the sentinel: the minimum
 finite species dominance over all species and all samples of the subject.
-Replaced entries keep a flag so reports can mark them.
+A replaced cell is one whose distance is +inf; reports mark it from that.
 
 A subject's dominance is held column-wise in one :class:`SubjectDominance`:
 samples along the columns, roster species along the rows.
@@ -49,11 +49,11 @@ EPS_DENOMINATOR = 1e-9
 class SubjectDominance:
     """Community and species dominance for every sample of one subject.
 
-    ``community`` has one entry per sample (time order); ``distance``,
-    ``dominance`` and ``sentinel_replaced`` have one row per roster species
-    and one column per sample.  An absent species has distance +inf and
-    dominance -inf until :func:`apply_sentinel` floors the dominance and
-    sets ``sentinel_replaced``.
+    ``community`` has one entry per sample (time order); ``distance`` and
+    ``dominance`` have one row per roster species and one column per
+    sample.  An absent species has distance +inf and dominance -inf until
+    :func:`apply_sentinel` floors the dominance; the distance stays +inf and
+    marks the floored cell.
     """
 
     sample_ids: tuple[str, ...]
@@ -61,16 +61,12 @@ class SubjectDominance:
     community: np.ndarray
     distance: np.ndarray
     dominance: np.ndarray
-    sentinel_replaced: np.ndarray
 
 
 def dominance_records(series: SubjectSeries) -> SubjectDominance:
     """Dominance of every species and sample of a subject, in time order."""
     community, distance, dominance = species_dominances(series.counts)
-    return SubjectDominance(
-        series.sample_ids, series.species_ids, community, distance, dominance,
-        sentinel_replaced=np.zeros(dominance.shape, dtype=bool),
-    )
+    return SubjectDominance(series.sample_ids, series.species_ids, community, distance, dominance)
 
 
 def sentinel_value(records: SubjectDominance) -> float:
@@ -89,11 +85,7 @@ def apply_sentinel(records: SubjectDominance) -> SubjectDominance:
     """
     floor = sentinel_value(records)
     absent = records.dominance == -np.inf
-    return replace(
-        records,
-        dominance=np.where(absent, floor, records.dominance),
-        sentinel_replaced=records.sentinel_replaced | absent,
-    )
+    return replace(records, dominance=np.where(absent, floor, records.dominance))
 
 
 @dataclass(frozen=True)

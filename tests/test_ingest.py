@@ -311,13 +311,6 @@ def test_filter_low_reads_empty_roster_raises():
         filter_low_reads(series, min_total=10)
 
 
-def test_too_short_flag():
-    table = parse_table("species_id,400_a\nOTU1,5\n")
-    (series,) = split_subjects(table)
-    assert series.too_short
-    assert series.n_samples == 1
-
-
 def test_abundance_table_is_value_like():
     t1 = parse_table(CSV_TEXT)
     t2 = parse_table(CSV_TEXT)

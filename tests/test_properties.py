@@ -126,8 +126,10 @@ def test_sentinel_floor_is_finite_minimum_and_idempotent(block):
     twice = apply_sentinel(once)
     assert sentinel_value(once) == floor
     assert np.array_equal(once.dominance, twice.dominance)
-    assert np.array_equal(once.sentinel_replaced, twice.sentinel_replaced)
-    assert np.array_equal(once.sentinel_replaced, block == 0)
+    assert np.array_equal(once.distance, twice.distance)
+    # the floored cells are the absent ones, and their distance marks them
+    assert np.array_equal(once.dominance != records.dominance, block == 0)
+    assert np.array_equal(once.distance == math.inf, block == 0)
 
 
 @PROPERTY
@@ -190,7 +192,6 @@ def _dominance_records(community: np.ndarray, species: np.ndarray) -> SubjectDom
         community=community,
         distance=np.zeros((1, species.size)),
         dominance=species[np.newaxis, :],
-        sentinel_replaced=np.zeros((1, species.size), dtype=bool),
     )
 
 

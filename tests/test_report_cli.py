@@ -20,7 +20,7 @@ from domstab import cli, fitting, report
 from domstab.cli import main
 from domstab.errors import DomstabError, InputError
 from domstab.ingest import SubjectSeries, filter_low_reads, parse_table, split_subjects
-from domstab.metrics import community_dominance
+from domstab.metrics import IndexKind, community_dominance
 from domstab.models import ModelKind
 from domstab.report import (
     RunConfig,
@@ -101,8 +101,9 @@ def test_compare_indices_layout(small_input, tmp_path):
     assert [r["index"] for r in by_subject["400"]] == [
         "simpson", "shannon", "shannon-evenness", "berger-parker", "simpson-evenness"
     ]
-    # subject 401 has two samples: regression needs three
-    assert all(r["note"] == "too-few-samples" for r in by_subject["401"])
+    # subject 401 has two samples: the regression needs three and says so
+    assert all(r["note"] == "index regression needs at least 3 samples"
+               for r in by_subject["401"])
     assert all(r["slope"] == "" for r in by_subject["401"])
     assert all(r["note"] == "cross-subject mean" for r in by_subject["mean"])
     # the simpson regression on one subject is exactly linear
@@ -281,6 +282,17 @@ def test_start_moves_the_trajectory_but_not_the_fixed_point_scan(
     assert len(read_rows(tmp_path / "default" / name)) == 3
     (row, *_) = read_rows(tmp_path / "start" / "simulate_104_trajectory.csv")
     assert list(row.values()) == first
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="F14: the piecewise form cancels far from its joint (ROADMAP item 9)")
+def test_far_start_does_not_read_converged(tmp_path, cohort_path):
+    """From -5, subject 104's linear-quadratic map runs to -3.4e21 by step 6,
+    where the |D - d| form cancels to S = 0, so step 7 repeats step 6 and
+    reads ``converged`` 21 orders of magnitude from the data."""
+    config = RunConfig(input_path=cohort_path, out_dir=tmp_path / "out")
+    trajectory, *_ = cmd_simulate(config, "104", start=-5.0)
+    assert read_rows(trajectory)[-1]["status"] != "converged"
 
 
 @pytest.mark.parametrize("flag", ["--steps=-1", "--start=nan", "--start=inf", "--start=-inf"])
@@ -654,16 +666,46 @@ def test_cli_steps_of_zero_dominance_leave_no_usable_stability_points(tmp_path):
 
 
 def test_cli_no_valid_fit_without_a_linear_backup_is_a_selection_error(tmp_path, cohort_path):
-    """With logistic alone, a subject whose converged fit fails validation
-    has no linear fit to fall back on; selection names that and the run
-    exits 0."""
+    """With logistic alone, a subject whose fit fails validation has no
+    linear fit to fall back on; selection names that and the run exits 0.
+    An unconverged fit is one that fails validation: 101's and 104's did
+    not converge, and their fit table says so."""
     out = tmp_path / "out"
     code = main(["fit", "--input", str(cohort_path), "--out", str(out), "--models", "logistic"])
     assert code == 0
     errors = {row["subject"]: row["error"] for row in read_rows(out / "selection_summary.csv")}
     no_backup = "no fit is valid and no linear backup was supplied"
-    assert errors == {"101": "no converged fits", "102": no_backup, "103": "",
-                      "104": "no converged fits", "105": no_backup}
+    assert errors == {"101": no_backup, "102": no_backup, "103": "",
+                      "104": no_backup, "105": no_backup}
+    fits = {row["subject"]: row for row in read_rows(out / "fit_logistic.csv")}
+    for subject in ("101", "104"):
+        assert fits[subject]["converged"] == "false"
+        assert fits[subject]["error"] == "logistic: no start converged"
+        assert "fit did not converge" in fits[subject]["reasons"]
+    assert all(fits[s]["error"] == "" for s in ("102", "103", "105"))
+
+
+@pytest.mark.parametrize("policy", [[], ["--r2-min=-inf", "--se-ratio-max=inf", "--mag-max=inf"]],
+                         ids=["default", "no-thresholds"])
+def test_every_selected_fit_converged(policy, tmp_path, cohort_path):
+    """Selection sees every fit that did not raise, converged or not, and
+    never selects an unconverged one, even with every threshold lifted."""
+    out = tmp_path / "out"
+    assert main(["fit", "--input", str(cohort_path), "--out", str(out),
+                 "--models", "logistic,logistic-sine", *policy]) == 0
+    selected = {row["subject"]: row["model"] for row in read_rows(out / "selection_summary.csv")}
+    fits = {
+        kind: {row["subject"]: row for row in read_rows(out / f"fit_{kind.replace('-', '_')}.csv")}
+        for kind in ("logistic", "logistic-sine")
+    }
+    assert any(row["converged"] == "false" for rows in fits.values() for row in rows.values())
+    chosen = {subject: kind for subject, kind in selected.items() if kind}
+    assert chosen
+    assert all(fits[kind][subject]["converged"] == "true" for subject, kind in chosen.items())
+    if policy:  # convergence alone decides: every subject with a converged fit gets one
+        converged = {s for rows in fits.values() for s, row in rows.items()
+                     if row["converged"] == "true"}
+        assert set(chosen) == converged
 
 
 def test_cli_unknown_subject_is_input_error(small_input, tmp_path, capsys):
@@ -812,26 +854,70 @@ def test_failed_fixed_point_scan_stays_with_its_subject(tmp_path, cohort_path, m
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
-def test_one_sample_subject_names_one_stop_reason_in_every_table(tmp_path, cohort_path):
-    """A subject with one sample is stopped before fitting without an
-    analysis error; every table that names its stop reason names the same."""
+def _short_subjects_input(cohort_path: Path, tmp_path: Path) -> Path:
+    """The cohort plus subject 999 with one sample and subject 998 with two,
+    every count 50 in 999 and 998's first sample, 70 in its second."""
     rows = list(csv.reader(cohort_path.read_text().splitlines()))
-    rows[0].append("999_010106")
+    rows[0].extend(["999_010106", "998_010106", "998_010206"])
     for row in rows[1:]:
-        row.append("50")
-    src = tmp_path / "one_sample.csv"
+        row.extend(["50", "50", "70"])
+    src = tmp_path / "short_subjects.csv"
     src.write_text("".join(",".join(row) + "\n" for row in rows))
+    return src
+
+
+def test_one_sample_subject_names_one_stop_reason_in_every_table(tmp_path, cohort_path):
+    """Subjects too short to model are stopped without an analysis error, and
+    each stop names the rule that made it.  999 has one sample, so no step:
+    every table that names its stop reason reads the empty stability series.
+    998 has two samples, one usable step: its linear fit raises, selection
+    has nothing to select from, and the index regression needs three."""
     out = tmp_path / "out"
-    report_all(RunConfig(input_path=src, out_dir=out, models=(ModelKind.LINEAR,)))
+    report_all(RunConfig(input_path=_short_subjects_input(cohort_path, tmp_path), out_dir=out,
+                         models=(ModelKind.LINEAR,)))
     tables = _subject_rows(out)
-    errors = {
-        name: [r["error"] for r in tables[name] if r["subject"] == "999"]
-        for name in ("fit_linear.csv", "selection_summary.csv", "resilience.csv")
-    }
-    assert errors["resilience.csv"] == errors["fit_linear.csv"] == ["fewer than two samples"]
-    assert errors["selection_summary.csv"] == ["fewer than two samples"]
-    trajectory = read_rows(out / "simulate_999_trajectory.csv")
-    assert [r["status"] for r in trajectory] == ["fewer than two samples"]
+
+    def column(name, subject, key="error"):
+        return [r[key] for r in tables[name] if r["subject"] == subject]
+
+    def stops(subject):
+        trajectory = read_rows(out / f"simulate_{subject}_trajectory.csv")
+        return (column("fit_linear.csv", subject), column("resilience.csv", subject),
+                column("selection_summary.csv", subject), [r["status"] for r in trajectory])
+
+    no_points = ["no usable stability points"]
+    assert stops("999") == (no_points, no_points, no_points, no_points)
+    no_fit = ["linear fit needs at least 3 points, got 1"]
+    no_fits = ["no fits to select from"]
+    assert stops("998") == (no_fit, no_fit, no_fits, no_fits)
+    for subject in ("998", "999"):
+        notes = column("index_regressions.csv", subject, "note")
+        assert notes == ["index regression needs at least 3 samples"] * len(IndexKind)
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["cohort", "short-subjects"])
+def test_report_all_is_the_union_of_the_partial_commands(short, tmp_path, cohort_path):
+    """Every file that metrics, compare-indices, fit and a simulate per
+    subject write is byte for byte report-all's copy, and together they
+    write all of report-all's files.  A simulate fits its one subject in a
+    batch of one, so this also holds a one-subject logistic batch to the
+    cohort batch, end to end."""
+    src = _short_subjects_input(cohort_path, tmp_path) if short else cohort_path
+    subjects = [s.subject_id for s in load_subjects(RunConfig(input_path=src, out_dir=tmp_path))]
+
+    def run(name, *flags):
+        out = tmp_path / name
+        assert main([*flags, "--input", str(src), "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    whole = run("all", "report-all", "--plot")
+    parts = [run(command, command) for command in ("metrics", "compare-indices", "fit")]
+    parts += [run(f"simulate_{s}", "simulate", "--subject", s, "--plot") for s in subjects]
+    covered = set()
+    for files in parts:
+        assert files == {name: whole[name] for name in files}
+        covered |= set(files)
+    assert covered == set(whole)
 
 
 def test_cli_metrics_contains_zero_sample_subject(tmp_path, cohort_path):

@@ -34,7 +34,8 @@ def test_records_carry_community_and_species_values():
     assert records.species_ids == ("OTU1", "OTU2", "OTU3")
     assert records.community.shape == (3,)
     assert records.distance.shape == records.dominance.shape == (3, 3)
-    assert not records.sentinel_replaced.any()
+    # an absent species is marked by its infinite distance, and only it
+    assert np.array_equal(records.distance == math.inf, records.dominance == -math.inf)
     # absent species in the first sample
     assert records.distance[2, 0] == math.inf
     assert records.dominance[2, 0] == -math.inf
@@ -53,11 +54,10 @@ def test_apply_sentinel_replaces_only_negative_infinities():
     absent = records.dominance == -math.inf
     assert absent.any()
     assert (patched.dominance[absent] == floor).all()
-    assert patched.sentinel_replaced[absent].all()
-    # the distance stays infinite: only the dominance is floored
-    assert (patched.distance[absent] == math.inf).all()
+    # the distance stays infinite where, and only where, the dominance is floored
+    assert np.array_equal(patched.distance == math.inf, absent)
+    assert np.array_equal(patched.distance, records.distance)
     assert np.array_equal(patched.dominance[~absent], records.dominance[~absent])
-    assert not patched.sentinel_replaced[~absent].any()
     # the unpatched record is left as it was
     assert (records.dominance[absent] == -math.inf).all()
 
@@ -67,7 +67,7 @@ def test_apply_sentinel_is_idempotent():
     once = apply_sentinel(records)
     twice = apply_sentinel(once)
     assert np.array_equal(once.dominance, twice.dominance)
-    assert np.array_equal(once.sentinel_replaced, twice.sentinel_replaced)
+    assert np.array_equal(once.distance, twice.distance)
 
 
 def test_sentinel_without_finite_values_raises():
@@ -79,7 +79,6 @@ def test_sentinel_without_finite_values_raises():
         species_ids=(),
         distance=records.distance[:0],
         dominance=records.dominance[:0],
-        sentinel_replaced=records.sentinel_replaced[:0],
     )
     with pytest.raises(DomstabError, match="^no finite species dominance value in any sample$"):
         sentinel_value(stripped)
