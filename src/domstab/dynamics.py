@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DivergenceError, DomstabError
 from .fitting import ModelFit
-from .models import ModelKind, derivative, evaluate, evaluate_array
+from .models import ModelKind, derivative, evaluate, response
 
 __all__ = [
     "Trajectory",
@@ -65,27 +65,28 @@ def iterate(
     max_steps: int = MAX_STEPS,
 ) -> Trajectory:
     """Iterate the dominance map from ``start`` for up to ``max_steps``."""
+    rate_at = response(kind, params)
     values = [float(start)]
-    for step in range(1, max_steps + 1):
-        current = values[-1]
-        # the array form lets a pole's non-finite rate reach the divergence check
-        rate = float(evaluate_array(kind, params, np.array([current]))[0])
-        nxt = current * (1.0 + rate)
-        if not math.isfinite(nxt):
-            raise DivergenceError(f"non-finite dominance at step {step}", step=step)
-        values.append(nxt)
-        if nxt == 0.0 or (nxt < 0.0) != (values[0] < 0.0):
-            return Trajectory(tuple(values), "collapsed")
-        if abs(nxt - current) < CONVERGENCE_TOL:
-            return Trajectory(tuple(values), "converged")
-        if (
-            len(values) >= 3
-            and abs(nxt - values[-3]) < CONVERGENCE_TOL
-            and abs(nxt - current) > _CYCLE_AMPLITUDE * max(1.0, abs(nxt))
-        ):
-            # a genuine 2-cycle keeps a macroscopic swing; a damped
-            # alternating approach (multiplier in (-1, 0)) does not
-            return Trajectory(tuple(values), "oscillating")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(1, max_steps + 1):
+            current = values[-1]
+            # a logistic pole's rate is +-inf or NaN, never ZeroDivisionError
+            nxt = current * (1.0 + float(rate_at(current)))
+            if not math.isfinite(nxt):
+                raise DivergenceError(f"non-finite dominance at step {step}", step=step)
+            values.append(nxt)
+            if nxt == 0.0 or (nxt < 0.0) != (values[0] < 0.0):
+                return Trajectory(tuple(values), "collapsed")
+            if abs(nxt - current) < CONVERGENCE_TOL:
+                return Trajectory(tuple(values), "converged")
+            if (
+                len(values) >= 3
+                and abs(nxt - values[-3]) < CONVERGENCE_TOL
+                and abs(nxt - current) > _CYCLE_AMPLITUDE * max(1.0, abs(nxt))
+            ):
+                # a genuine 2-cycle keeps a macroscopic swing; a damped
+                # alternating approach (multiplier in (-1, 0)) does not
+                return Trajectory(tuple(values), "oscillating")
     return Trajectory(tuple(values), "max-steps")
 
 
@@ -116,19 +117,20 @@ def fixed_points(
         raise DomstabError(f"fixed-point domain ({lo!r}, {hi!r}) is not finite")
     if not (hi > lo):
         raise DomstabError(f"fixed-point domain ({lo!r}, {hi!r}) is empty")
+    rate_at = response(kind, params)
     xs = np.linspace(lo, hi, SCAN_GRID + 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ys = evaluate_array(kind, params, xs)
+        ys = rate_at(xs)
         y0, y1 = ys[:-1], ys[1:]
         # brackets with finite ends that start on a root or change sign, by
         # comparing signs: the product of two tiny rates underflows to zero
         change = ((y0 < 0.0) != (y1 < 0.0)) & (y1 != 0.0)
         hits = np.isfinite(y0) & np.isfinite(y1) & ((y0 == 0.0) | change)
-    # each candidate with the largest |S| it may keep and still be a root
-    roots = [(float(xs[i]), math.inf) if ys[i] == 0.0
-             else (_bisect(kind, params, float(xs[i]), float(xs[i + 1]), float(ys[i])),
-                   float(max(abs(ys[i]), abs(ys[i + 1]))))
-             for i in np.flatnonzero(hits)]
+        # each candidate with the largest |S| it may keep and still be a root
+        roots = [(float(xs[i]), math.inf) if ys[i] == 0.0
+                 else (_bisect(rate_at, float(xs[i]), float(xs[i + 1]), float(ys[i])),
+                       float(max(abs(ys[i]), abs(ys[i + 1]))))
+                 for i in np.flatnonzero(hits)]
     if ys[-1] == 0.0:
         roots.append((float(xs[-1]), math.inf))
 
@@ -151,16 +153,11 @@ def fixed_points(
     return out
 
 
-def _bisect(
-    kind: ModelKind,
-    params: Mapping[str, float] | Sequence[float],
-    lo: float,
-    hi: float,
-    y_lo: float,
-) -> float:
+def _bisect(rate_at: Callable, lo: float, hi: float, y_lo: float) -> float:
+    """Root of ``rate_at``'s sign change on [lo, hi]; the caller holds np.errstate."""
     while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
-        y_mid = float(evaluate_array(kind, params, np.array([mid]))[0])
+        y_mid = float(rate_at(mid))
         if y_mid == 0.0:
             return mid
         if (y_lo < 0) == (y_mid < 0):

@@ -191,11 +191,14 @@ def diversity_block(counts: np.ndarray) -> dict[IndexKind, np.ndarray]:
     p = samples / samples.sum(axis=1)[:, np.newaxis]
     simpson = np.sum(p * p, axis=1)
     positive = p > 0
-    terms = p[positive] * np.log(p[positive])
-    # each sample's positive terms are summed on their own: zeros left in a
-    # row would change the blocks of the pairwise sum
-    rows = np.split(terms, np.cumsum(positive.sum(axis=1))[:-1])
-    shannon = -np.array([np.sum(row) for row in rows])
+    present = positive.sum(axis=1)
+    shannon = np.empty(len(p))
+    # a sample's k positive terms are one row of a contiguous (samples, k) block:
+    # zeros left in a row would change the blocks of the pairwise sum
+    for k in np.flatnonzero(np.bincount(present)):
+        rows = present == k
+        x = p[rows][positive[rows]].reshape(np.count_nonzero(rows), k)
+        shannon[rows] = -np.sum(x * np.log(x), axis=1)
     evenness = shannon / math.log(n) if n > 1 else np.full(len(p), math.nan)
     return {
         IndexKind.SIMPSON: simpson,
@@ -222,11 +225,12 @@ def least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, floa
     """Centred sums of squares, coefficients and Pearson r of the line y =
     intercept + slope * x, as ``(sxx, syy, slope, intercept, r)``; slope and r
     are NaN where a sum they divide by is 0, and each caller guards the rest."""
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    sxy = float(np.sum((x - x.mean()) * (y - y.mean())))
-    syy = float(np.sum((y - y.mean()) ** 2))
+    x_mean, y_mean = x.mean(), y.mean()
+    sxx = float(np.sum((x - x_mean) ** 2))
+    sxy = float(np.sum((x - x_mean) * (y - y_mean)))
+    syy = float(np.sum((y - y_mean) ** 2))
     slope = sxy / sxx if sxx else math.nan
-    intercept = float(y.mean() - slope * x.mean())
+    intercept = float(y_mean - slope * x_mean)
     r = sxy / math.sqrt(sxx * syy) if sxx * syy else math.nan
     return sxx, syy, slope, intercept, r
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "REGIME_TOLERANCE",
     "param_vector",
     "param_dict",
+    "response",
     "evaluate",
     "evaluate_array",
     "derivative",
@@ -96,57 +97,55 @@ def param_vector(kind: ModelKind, params: Mapping[str, float] | Sequence[float])
         missing = [name for name in names if name not in params]
         if missing:
             raise DomstabError(f"{kind.value} params missing {missing}")
-        vec = np.array([float(params[name]) for name in names])
-    else:
-        vec = np.asarray(params, dtype=float)
-        if vec.shape != (len(names),):
-            raise DomstabError(
-                f"{kind.value} expects {len(names)} parameters, got {vec.shape}"
-            )
+        return np.array([float(params[name]) for name in names])
+    vec = np.asarray(params, dtype=float)
+    if vec.shape != (len(names),):
+        raise DomstabError(f"{kind.value} expects {len(names)} parameters, got {vec.shape}")
     return vec
 
 
 def param_dict(kind: ModelKind, vector: Sequence[float]) -> dict[str, float]:
-    vec = param_vector(kind, vector)
-    return {name: float(v) for name, v in zip(kind.param_names, vec)}
+    return dict(zip(kind.param_names, param_vector(kind, vector).tolist()))
+
+
+def response(kind: ModelKind, params: Mapping[str, float] | Sequence[float]) -> Callable:
+    """S = f(D) for D a Python float or an ndarray, by the same IEEE operations on
+    either (NumPy's exp and sin run their ufunc loops on a float too, where math.exp
+    rounds otherwise), a pole giving +-inf or NaN.  The caller holds np.errstate."""
+    vec = param_vector(kind, params).tolist()
+    if kind is ModelKind.LINEAR:
+        a, b = vec
+        return lambda dom: a + b * dom
+    if kind.logistic_family:
+        big_k, a, r = vec
+        sine = kind is ModelKind.LOGISTIC_SINE
+
+        def logistic(dom):  # a = 0 has no exponential term, even where exp(-r*D) overflows
+            out = big_k / (1.0 + a * np.exp(-r * dom)) if a else np.full(np.shape(dom), big_k)
+            return out * np.sin(dom / math.pi) if sine else out
+
+        return logistic
+    # the |D-d| term takes (c, e) in linear-quadratic, (e, f) in quadratic-quadratic
+    a, b, c, d, *tail = vec
+    g, h = (c, *tail) if kind is ModelKind.LINEAR_QUADRATIC else tail
+    return lambda dom: a + b * dom + c * (dom * dom) + abs(dom - d) * (g * (dom + d) + h)
 
 
 def evaluate_array(
     kind: ModelKind, params: Mapping[str, float] | Sequence[float], dom: np.ndarray
 ) -> np.ndarray:
-    """Vectorized model evaluation; non-finite results pass through silently.
-
-    The scalar wrapper :func:`evaluate` raises DomstabError on non-finite
-    output; this array form leaves the caller (the dominance map's
-    divergence check, or the response chart) to deal with it.
-    """
-    vec = param_vector(kind, params)
-    dom = np.asarray(dom, dtype=float)
+    """S at every dominance of ``dom``; non-finite results pass through, where
+    :func:`evaluate` raises DomstabError."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if kind is ModelKind.LINEAR:
-            a, b = vec
-            return a + b * dom
-        if kind.logistic_family:
-            big_k, a, r = vec
-            if a:
-                out = big_k / (1.0 + a * np.exp(-r * dom))
-            else:  # a = 0 leaves no exponential term, even where exp(-r*D) overflows
-                out = np.full(dom.shape, big_k)
-            if kind is ModelKind.LOGISTIC_SINE:
-                out = out * np.sin(dom / math.pi)
-            return out
-        if kind is ModelKind.LINEAR_QUADRATIC:
-            a, b, c, d, e = vec
-            return a + b * dom + c * dom**2 + np.abs(dom - d) * (c * (dom + d) + e)
-        a, b, c, d, e, f = vec  # quadratic-quadratic
-        return a + b * dom + c * dom**2 + np.abs(dom - d) * (e * (dom + d) + f)
+        return response(kind, params)(np.asarray(dom, dtype=float))
 
 
 def evaluate(
     kind: ModelKind, params: Mapping[str, float] | Sequence[float], dom: float
 ) -> float:
     """Change rate S at dominance ``dom``.  Raises DomstabError if non-finite."""
-    out = float(evaluate_array(kind, params, np.array([dom]))[0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = float(response(kind, params)(float(dom)))
     if not math.isfinite(out):
         raise DomstabError(f"{kind.value} model is non-finite at D={dom!r}")
     return out

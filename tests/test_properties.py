@@ -19,8 +19,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import emit_table
 
 from domstab import dynamics, report
-from domstab.dynamics import FixedPoint, _bisect, fixed_points
-from domstab.errors import DomstabError, InputError
+from domstab.dynamics import ROOT_TOL, FixedPoint, _bisect, fixed_points, iterate
+from domstab.errors import DivergenceError, DomstabError, InputError
 from domstab.fitting import (
     _CERTIFY_ATOL,
     _CERTIFY_RTOL,
@@ -43,7 +43,7 @@ from domstab.metrics import (
     diversity_indices,
     species_dominances,
 )
-from domstab.models import ModelKind, derivative, evaluate, evaluate_array
+from domstab.models import ModelKind, derivative, evaluate, evaluate_array, response
 from domstab.report import _spell_rows, _write_rows
 from domstab.selection import PRIORITY, SelectionPolicy, select, validate
 from domstab.stability import (
@@ -109,6 +109,11 @@ def test_kernel_species_identity_and_absent_infinities(block):
 
 @PROPERTY
 @given(count_blocks())
+# four samples with two present species each and one with a single species
+@example(np.array([[1.0, 2.0, 0.0, 3.0, 5.0], [4.0, 0.0, 5.0, 6.0, 0.0], [0.0, 7.0, 8.0, 0.0, 0.0]]))
+# 300 and twice 200 present species: the pairwise sums run in more than one block
+@example(np.where(np.arange(300)[:, np.newaxis] < [300, 200, 200],
+                  np.sqrt(np.arange(1.0, 901.0)).reshape(300, 3), 0.0))
 def test_diversity_block_matches_scalar_reference(block):
     indices = diversity_block(block)
     expected = [diversity_indices(block[:, t]) for t in range(block.shape[1])]
@@ -746,6 +751,27 @@ def test_select_matches_the_validate_everything_reference(kinds, policy, data):
 # ---------------------------------------------------------------- dynamics
 
 
+def _per_step(kind, params):
+    """The rate as one one-element evaluate_array call per value, the array
+    form that the dominance map's float path must match bit for bit."""
+    return lambda dom: float(evaluate_array(kind, params, np.array([dom]))[0])
+
+
+def _reference_bisect(kind, params, lo, hi, y_lo):
+    """dynamics._bisect with the rate of :func:`_per_step`."""
+    rate = _per_step(kind, params)
+    while hi - lo > ROOT_TOL:
+        mid = 0.5 * (lo + hi)
+        y_mid = rate(mid)
+        if y_mid == 0.0:
+            return mid
+        if (y_lo < 0) == (y_mid < 0):
+            lo, y_lo = mid, y_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _reference_fixed_points(kind, params, domain, grid):
     """fixed_points with its bracket scan as a scalar loop over the grid."""
     lo, hi = domain
@@ -761,7 +787,7 @@ def _reference_fixed_points(kind, params, domain, grid):
             roots.append((float(xs[i]), math.inf))
             continue
         if (y0 < 0.0) != (y1 < 0.0) and y1 != 0.0:
-            root = _bisect(kind, params, float(xs[i]), float(xs[i + 1]), y0)
+            root = _reference_bisect(kind, params, float(xs[i]), float(xs[i + 1]), y0)
             roots.append((root, max(abs(y0), abs(y1))))
     if math.isfinite(float(ys[-1])) and float(ys[-1]) == 0.0:
         roots.append((float(xs[-1]), math.inf))
@@ -845,6 +871,58 @@ def test_fixed_points_are_roots_with_map_multipliers(problem):
         assert abs(rate) <= 1e-9 * max(1.0, abs(slope))
         roundoff = 4 * math.ulp(max(1.0, abs(point.multiplier)))
         assert abs(point.multiplier - (1.0 + point.location * slope)) <= abs(rate) + roundoff
+
+
+@st.composite
+def map_problems(draw):
+    """Model parameters as :func:`fixed_point_problems` draws them, and a start."""
+    kind, params, _, _ = draw(fixed_point_problems())
+    return kind, params, draw(st.floats(-50.0, 50.0))
+
+
+def _orbit(kind, params, start):
+    """iterate's status and values as bits, or the step it diverged at."""
+    try:
+        traj = iterate(kind, params, start)
+    except DivergenceError as exc:
+        return "diverged", exc.step
+    assert {type(value) for value in traj.values} == {float}  # _write_rows takes no NumPy scalar
+    return traj.status, struct.pack(f"{len(traj.values)}d", *traj.values)
+
+
+@PROPERTY
+@given(map_problems())
+@example((ModelKind.LOGISTIC, (1.0, -1.0, 1.0), 0.0))  # a pole at the start
+@example((ModelKind.LOGISTIC, (-0.5, 0.0, 2.0), -400.0))  # a = 0 where exp(-r*D) overflows
+@example((ModelKind.LOGISTIC_SINE, (0.5, 0.0, 2.0), -400.0))
+@example((ModelKind.LINEAR_QUADRATIC, (0.1, 0.01, 0.01, 0.0, 0.0), 10.0))  # runaway overflow
+@example((ModelKind.LINEAR, (0.5, 0.1), -3.0))
+@example((ModelKind.QUADRATIC_QUADRATIC, (0.5, 0.1, -0.01, -2.0, 0.02, 0.1), -3.0))
+# long orbits take exp at a few hundred arguments, where math.exp rounds some
+# of them otherwise than NumPy's ufunc loop
+@example((ModelKind.LOGISTIC, (-0.3, 1.5, 0.2), 10.0))
+@example((ModelKind.LOGISTIC_SINE, (-0.294, -1.677, 0.048), 5.0))
+def test_iterate_matches_the_per_step_array_form(problem):
+    """The map on Python floats gives the trajectory, status and divergence
+    step that one one-element evaluate_array call per step gives, bit for bit."""
+    kind, params, start = problem
+    with mock.patch.object(dynamics, "response", _per_step):
+        expected = _orbit(kind, params, start)
+    assert _orbit(kind, params, start) == expected
+
+
+@PROPERTY
+@given(fixed_point_problems())
+@example(STEEP_ROOT)
+@example((ModelKind.LOGISTIC, (1.0, -1.0, 1.0), (-0.5, 0.5), 1))  # a pole inside the bracket
+@example((ModelKind.LOGISTIC, (1.0, 0.0, 2.0), (-400.0, -399.0), 1))  # a = 0, exp overflows
+def test_bisection_matches_the_per_step_array_form(problem):
+    kind, params, (lo, hi), _ = problem
+    y_lo = _per_step(kind, params)(lo)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        root = _bisect(response(kind, params), lo, hi, y_lo)
+    assert type(root) is float
+    assert struct.pack("d", root) == struct.pack("d", _reference_bisect(kind, params, lo, hi, y_lo))
 
 
 # ---------------------------------------------------------------- ingest
