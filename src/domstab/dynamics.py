@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomstabError
 from .fitting import ModelFit
-from .models import ModelKind, derivative, evaluate, response
+from .models import ModelKind, response, slope
 
 __all__ = [
     "Trajectory",
@@ -106,19 +106,20 @@ def fixed_points(
 
     Sign changes on a uniform grid of ``SCAN_GRID`` intervals are refined
     by bisection.  Brackets with non-finite endpoints are skipped.  A
-    refined candidate whose |S| exceeds the larger |S| at its bracket's two
-    grid ends is a pole crossing of a logistic denominator, not a root, and
-    is discarded: near a pole |S| grows past both ends, at a root it falls
-    below them.  A root on a grid point is always kept.  A domain with a
-    non-finite end, or an empty one (``hi <= lo``), raises DomstabError.
+    refined candidate whose |S| is not finite or exceeds the larger |S| at its
+    bracket's two grid ends is a pole crossing of a logistic denominator, not
+    a root, and is discarded: near a pole |S| grows past both ends, at a root
+    it falls below them.  A root on a grid point is always kept.  A domain
+    with a non-finite end, or an empty one (``hi <= lo``), raises DomstabError.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomstabError(f"fixed-point domain ({lo!r}, {hi!r}) is not finite")
     if not (hi > lo):
         raise DomstabError(f"fixed-point domain ({lo!r}, {hi!r}) is empty")
-    rate_at = response(kind, params)
+    rate_at, slope_at = response(kind, params), slope(kind, params)
     xs = np.linspace(lo, hi, SCAN_GRID + 1)
+    out: list[FixedPoint] = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ys = rate_at(xs)
         y0, y1 = ys[:-1], ys[1:]
@@ -131,25 +132,22 @@ def fixed_points(
                  else (_bisect(rate_at, float(xs[i]), float(xs[i + 1]), float(ys[i])),
                        float(max(abs(ys[i]), abs(ys[i + 1]))))
                  for i in np.flatnonzero(hits)]
-    if ys[-1] == 0.0:
-        roots.append((float(xs[-1]), math.inf))
-
-    out: list[FixedPoint] = []
-    span = hi - lo
-    for root, bound in sorted(roots):
-        if out and abs(root - out[-1].location) <= span * 1e-12:
-            continue  # duplicate from adjacent brackets
-        rate = evaluate(kind, params, root)
-        if abs(rate) > bound:
-            continue  # bracketed a pole, not a root
-        mult = 1.0 + rate + root * derivative(kind, params, root)
-        if abs(abs(mult) - 1.0) <= 1e-9:
-            verdict = "marginal"
-        elif abs(mult) < 1.0:
-            verdict = "stable"
-        else:
-            verdict = "unstable"
-        out.append(FixedPoint(location=root, multiplier=mult, verdict=verdict))
+        if ys[-1] == 0.0:
+            roots.append((float(xs[-1]), math.inf))
+        for root, bound in sorted(roots):
+            if out and abs(root - out[-1].location) <= (hi - lo) * 1e-12:
+                continue  # duplicate from adjacent brackets
+            rate = float(rate_at(root))
+            if not abs(rate) <= bound:
+                continue  # bracketed a pole, not a root; a NaN or infinite rate too
+            mult = 1.0 + rate + root * slope_at(root)
+            if abs(abs(mult) - 1.0) <= 1e-9:
+                verdict = "marginal"
+            elif abs(mult) < 1.0:
+                verdict = "stable"
+            else:
+                verdict = "unstable"
+            out.append(FixedPoint(location=root, multiplier=mult, verdict=verdict))
     return out
 
 
@@ -184,5 +182,5 @@ def resilience(fit: ModelFit) -> Resilience:
     """
     if fit.kind is not ModelKind.LINEAR:
         raise DomstabError("resilience is defined for linear fits only")
-    slope = fit.params["b"]
-    return Resilience(slope=slope, magnitude=abs(slope))
+    b = fit.params["b"]
+    return Resilience(slope=b, magnitude=abs(b))

@@ -19,6 +19,9 @@ continuous at the joint d.  Expanding the piecewise forms per branch:
 so the derived coefficients are b1 = b - e, c2 = 2*c for linear-quadratic
 and b1 = b - f, c1 = c - e, c2 = c + e for quadratic-quadratic.
 
+Each model has two forms, built once from its parameters and then called per
+dominance level: :func:`response` gives S and :func:`slope` gives dS/dD.
+
 The regime at a dominance level is the sign of dS/dD: negative means
 dominance-dependent stability (DDS, the change rate falls as dominance
 rises), positive means dominance-increased instability (DID), zero within
@@ -45,12 +48,10 @@ __all__ = [
     "param_vector",
     "param_dict",
     "response",
-    "evaluate",
+    "slope",
     "evaluate_array",
-    "derivative",
     "branch_polynomials",
     "derived_params",
-    "regime_at",
     "qualitative_equilibria",
 ]
 
@@ -134,53 +135,43 @@ def response(kind: ModelKind, params: Mapping[str, float] | Sequence[float]) -> 
 def evaluate_array(
     kind: ModelKind, params: Mapping[str, float] | Sequence[float], dom: np.ndarray
 ) -> np.ndarray:
-    """S at every dominance of ``dom``; non-finite results pass through, where
-    :func:`evaluate` raises DomstabError."""
+    """S at every dominance of ``dom``; non-finite results pass through."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return response(kind, params)(np.asarray(dom, dtype=float))
 
 
-def evaluate(
-    kind: ModelKind, params: Mapping[str, float] | Sequence[float], dom: float
-) -> float:
-    """Change rate S at dominance ``dom``.  Raises DomstabError if non-finite."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = float(response(kind, params)(float(dom)))
-    if not math.isfinite(out):
-        raise DomstabError(f"{kind.value} model is non-finite at D={dom!r}")
-    return out
-
-
-def derivative(
-    kind: ModelKind, params: Mapping[str, float] | Sequence[float], dom: float
-) -> float:
-    """Analytic dS/dD at ``dom``; exactly at a piecewise joint, the
-    right-hand slope."""
+def slope(kind: ModelKind, params: Mapping[str, float] | Sequence[float]) -> Callable:
+    """Analytic dS/dD for D a Python float, by math.exp, with the parameters taken
+    once: the finite limit where exp(-r*D) overflows, the right-hand slope exactly
+    at a piecewise joint, and DomstabError at a logistic pole 1 + a*exp(-r*D) = 0."""
     vec = param_vector(kind, params).tolist()  # Python floats: report cells take no NumPy scalar
     if kind is ModelKind.LINEAR:
-        return vec[1]
+        return lambda dom: vec[1]
     if kind.logistic_family:
         big_k, a, r = vec
-        expo = _exp(-r * dom) if a else 0.0  # a = 0 leaves no exponential term
-        finite = math.isfinite(a * expo)
-        # the model stays finite where exp(-r*D) or a*exp(-r*D) overflows:
-        # there t = a*exp(-r*D) is taken as exp(ln|a| - r*D)
-        t = a * expo if finite else math.copysign(_exp(math.log(abs(a)) - r * dom), a)
-        denom = 1.0 + t
-        if denom == 0.0:
-            raise DomstabError(f"{kind.value} derivative has a pole at D={dom!r}")
-        if finite:
-            core = big_k * a * r * expo / (denom * denom)
-        else:  # K*r*t/(1+t)^2
-            core = big_k * r / (t + 2.0 + 1.0 / t)
-        if kind is ModelKind.LOGISTIC:
-            return core
-        logistic = big_k / denom
-        return core * math.sin(dom / math.pi) + logistic * math.cos(dom / math.pi) / math.pi
-    left, right = branch_polynomials(kind, params)
+
+        def logistic(dom):
+            expo = _exp(-r * dom) if a else 0.0  # a = 0 leaves no exponential term
+            finite = math.isfinite(a * expo)
+            # the model stays finite where exp(-r*D) or a*exp(-r*D) overflows:
+            # there t = a*exp(-r*D) is taken as exp(ln|a| - r*D)
+            t = a * expo if finite else math.copysign(_exp(math.log(abs(a)) - r * dom), a)
+            denom = 1.0 + t
+            if denom == 0.0:
+                raise DomstabError(f"{kind.value} derivative has a pole at D={dom!r}")
+            if finite:
+                core = big_k * a * r * expo / (denom * denom)
+            else:  # K*r*t/(1+t)^2
+                core = big_k * r / (t + 2.0 + 1.0 / t)
+            if kind is ModelKind.LOGISTIC:
+                return core
+            cycle = dom / math.pi
+            return core * math.sin(cycle) + big_k / denom * math.cos(cycle) / math.pi
+
+        return logistic
+    (_, b1, c1), (_, b2, c2) = branch_polynomials(kind, vec)
     d = vec[3]
-    branch = left if dom < d else right
-    return branch[1] + 2.0 * branch[2] * dom
+    return lambda dom: b1 + 2.0 * c1 * dom if dom < d else b2 + 2.0 * c2 * dom
 
 
 def _exp(x: float) -> float:
@@ -229,18 +220,12 @@ class Regime(enum.Enum):
     DID = "DID"  # dominance-increased instability, dS/dD > 0
     DIS = "DIS"  # dominance-independent stability, dS/dD = 0
 
-
-def regime_at(
-    kind: ModelKind,
-    params: Mapping[str, float] | Sequence[float],
-    dom: float,
-) -> Regime:
-    """Regime at one dominance level from the sign of the analytic
-    derivative; exactly at a piecewise joint, the right-hand regime."""
-    slope = derivative(kind, params, dom)
-    if abs(slope) <= REGIME_TOLERANCE:
-        return Regime.DIS
-    return Regime.DDS if slope < 0 else Regime.DID
+    @classmethod
+    def of(cls, slope: float) -> Regime:
+        """The regime of one slope dS/dD, DIS within REGIME_TOLERANCE of zero."""
+        if abs(slope) <= REGIME_TOLERANCE:
+            return cls.DIS
+        return cls.DDS if slope < 0 else cls.DID
 
 
 @dataclass(frozen=True)
@@ -266,7 +251,8 @@ def qualitative_equilibria(
     """Sign-rule equilibrium candidates for the piecewise kinds."""
     if not kind.piecewise:
         raise DomstabError(f"qualitative equilibria are defined for piecewise kinds, not {kind.value}")
-    left, right = branch_polynomials(kind, params)
+    vec = param_vector(kind, params)
+    left, right = branch_polynomials(kind, vec)
     points: list[EquilibriumPoint] = []
 
     if kind is ModelKind.LINEAR_QUADRATIC:
@@ -278,7 +264,7 @@ def qualitative_equilibria(
             joint_verdict = "uncertain"
     else:
         joint_verdict = "uncertain"
-    joint = float(param_vector(kind, params)[3])
+    joint = float(vec[3])
     points.append(EquilibriumPoint(joint, "joint", joint_verdict))
 
     for branch_name, coeffs in (("left", left), ("right", right)):

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .errors import DomstabError, InputError
 from .fitting import ModelFit
-from .models import ModelKind, derived_params, regime_at
+from .models import ModelKind, Regime, derived_params, slope
 from .models import qualitative_equilibria
 
 __all__ = [
@@ -144,14 +144,16 @@ def select(
 
 def regime_narrative(fit: ModelFit) -> str:
     """One-line description of how the regime changes over the observed
-    dominance range, read off the analytic derivative plus, for piecewise
-    kinds, the qualitative equilibrium verdicts."""
+    dominance range, read off the sign of the slope (built once, read at
+    each level) plus, for piecewise kinds, the qualitative equilibrium
+    verdicts."""
     lo, hi = fit.dominance_min, fit.dominance_max
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return "no observed dominance range"
     kind = fit.kind
     step = (hi - lo) / (_NARRATIVE_POINTS - 1)
-    regimes = [regime_at(kind, fit.params, lo + i * step) for i in range(_NARRATIVE_POINTS)]
+    slope_at = slope(kind, fit.params)
+    regimes = [Regime.of(slope_at(lo + i * step)) for i in range(_NARRATIVE_POINTS)]
     runs = [r for i, r in enumerate(regimes) if i == 0 or r is not regimes[i - 1]]
 
     if len(runs) == 1:

@@ -10,8 +10,9 @@ patch list must name a (module, attribute) pair and every pair it names must
 exist.  Its wrappers also read attributes of what they wrap (``fit.iterations``,
 ``traj.values`` and more), so one cohort run goes through them, and its report
 files must match an untraced run's.  A name a module imports is used there
-unless the harness wraps it on that module.  An error class is told apart
-outside the module that raises it.
+unless the harness wraps it on that module, and a name a module exports is
+called from ``src`` or ``bench``.  An error class is told apart outside the
+module that raises it.
 """
 
 import ast
@@ -61,16 +62,20 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy():
     assert proc.stdout.strip() == "[]", proc.stdout + proc.stderr
 
 
+def _defined_names_of(node: ast.stmt) -> set[str]:
+    """Names one top-level definition or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
 def _defined_names(path: Path) -> set[str]:
     """Names bound by a module's own top-level definitions and assignments."""
-    names = set()
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return names
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return set().union(*map(_defined_names_of, tree.body))
 
 
 def test_every_name_a_module_exports_is_defined_there():
@@ -82,6 +87,69 @@ def test_every_name_a_module_exports_is_defined_there():
                 undefined[path.stem] = set(exports) - _defined_names(path)
     assert "models" in undefined
     assert {stem: names for stem, names in undefined.items() if names} == {}
+
+
+# Paper metrics and library names kept public with no caller in src or bench.
+# metrics.mean_crowding the function is one: ``.mean_crowding`` reads the
+# CommunityStats field of that name.
+UNCALLED_EXPORTS = {
+    ("metrics", "mean_crowding"),
+    ("metrics", "community_dominance"),
+    ("metrics", "species_dominance_distance"),
+    ("metrics", "species_dominance"),
+    ("metrics", "simpson_identity_residual"),
+    ("stability", "species_stability"),
+}
+
+
+def _references(path: Path, module: str | None) -> set[tuple[str, str]]:
+    """(module, name) of every domstab name that ``path``'s code reads: a
+    bare name of its own ``module`` outside that name's top-level
+    definition, a name it imports from a domstab module, or an attribute
+    of a domstab module it imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("domstab")):
+            source = (node.module or "").removeprefix("domstab").lstrip(".")
+            for alias in node.names:
+                if source:
+                    names[alias.asname or alias.name] = (source, alias.name)
+                else:
+                    modules[alias.asname or alias.name] = alias.name
+    seen = set()
+    for statement in tree.body:
+        defined = _defined_names_of(statement)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in names:
+                    seen.add(names[node.id])
+                elif module is not None and node.id not in defined:
+                    seen.add((module, node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                seen.add((modules[node.value.id], node.attr))
+    return seen
+
+
+def test_every_exported_name_has_a_caller():
+    """A name in a module's ``__all__`` is read by code in ``src`` or
+    ``bench`` outside its own definition, or it is one of
+    ``UNCALLED_EXPORTS``; a public entry point that nothing calls is dead
+    code or a second way to do one job."""
+    seen = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        seen |= _references(path, path.stem)
+    for path in sorted(SPANS.parent.glob("*.py")):
+        seen |= _references(path, None)
+    exported = {
+        (path.stem, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem not in ("__init__", "__main__")
+        for name in getattr(importlib.import_module(f"domstab.{path.stem}"), "__all__", ())
+    }
+    assert ("models", "evaluate_array") in seen and ("models", "slope") in seen
+    assert exported - seen == UNCALLED_EXPORTS
 
 
 def _pair(node: ast.AST, modules: set[str]) -> tuple[str, str] | None:

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from domstab import dynamics
 from domstab.errors import DivergenceError, DomstabError
 from domstab.dynamics import fixed_points, iterate, resilience
 from domstab.fitting import ModelFit
@@ -107,6 +108,22 @@ def test_sine_pole_not_reported_as_root():
     pole = math.log(1.677) / 0.048
     points = fixed_points(ModelKind.LOGISTIC_SINE, SINE_420, (1.0, 65.0))
     assert all(abs(p.location - pole) > 0.5 for p in points)
+
+
+def test_a_candidate_exactly_on_a_pole_is_dropped(monkeypatch):
+    """S = 1 / (1 - e^{-D}) has a pole at D = 0 and no root.  Where the
+    bisection of the bracket around the pole lands on 0 itself, the rate
+    there is infinite, and the candidate is dropped as a pole, not raised."""
+    bisect, brackets = dynamics._bisect, []
+
+    def onto_the_pole(rate_at, lo, hi, y_lo):
+        brackets.append((lo, hi))
+        return 0.0 if lo < 0.0 < hi else bisect(rate_at, lo, hi, y_lo)
+
+    monkeypatch.setattr(dynamics, "_bisect", onto_the_pole)
+    params = {"K": 1.0, "a": -1.0, "r": 1.0}
+    assert fixed_points(ModelKind.LOGISTIC, params, (-1.00005, 0.99995)) == []
+    assert [lo < 0.0 < hi for lo, hi in brackets] == [True]
 
 
 @pytest.mark.parametrize("slope", [-1.0, -100.0, -1000.0])

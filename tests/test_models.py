@@ -7,15 +7,15 @@ from domstab.errors import DomstabError
 from domstab.models import (
     ModelKind,
     Regime,
+    REGIME_TOLERANCE,
     branch_polynomials,
-    derivative,
     derived_params,
-    evaluate,
     evaluate_array,
     param_dict,
     param_vector,
     qualitative_equilibria,
-    regime_at,
+    response,
+    slope,
 )
 
 # printed reference parameter sets reused across the suite
@@ -24,6 +24,11 @@ SINE_420 = {"K": -0.294, "a": -1.677, "r": 0.048}
 LQ_402 = {"a": 0.331, "b": 0.014, "c": 0.00033, "d": 28.341, "e": -0.108}
 LQ_408 = {"a": 49.023, "b": -5.947, "c": 0.00067, "d": 8.187, "e": 5.862}
 QQ_446 = {"a": -12.71, "b": 0.572, "c": -0.0066, "d": 43.061, "e": -0.0027, "f": 0.333}
+
+
+def rate(kind, params, dom):
+    """S at one dominance level, through the array form."""
+    return float(evaluate_array(kind, params, np.array([dom]))[0])
 
 
 def test_param_vector_and_dict_round_trip():
@@ -56,10 +61,10 @@ def test_kind_properties():
 
 def test_logistic_value_at_zero():
     # K / (1 + a) at D = 0
-    assert evaluate(ModelKind.LOGISTIC, LOGISTIC_400, 0.0) == pytest.approx(
+    assert rate(ModelKind.LOGISTIC, LOGISTIC_400, 0.0) == pytest.approx(
         4.741 / 1.026, abs=5e-6
     )
-    assert evaluate(ModelKind.LOGISTIC, LOGISTIC_400, 0.0) == pytest.approx(4.62086, abs=5e-6)
+    assert rate(ModelKind.LOGISTIC, LOGISTIC_400, 0.0) == pytest.approx(4.62086, abs=5e-6)
 
 
 def test_logistic_sine_is_logistic_times_sine():
@@ -70,7 +75,7 @@ def test_logistic_sine_is_logistic_times_sine():
 
 
 def test_linear_evaluate():
-    assert evaluate(ModelKind.LINEAR, {"a": 1.551, "b": -0.033}, 47.0) == pytest.approx(0.0, abs=1e-12)
+    assert rate(ModelKind.LINEAR, {"a": 1.551, "b": -0.033}, 47.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_piecewise_continuity_at_joint():
@@ -84,12 +89,12 @@ def test_piecewise_continuity_at_joint():
         at_left = left[0] + left[1] * d + left[2] * d * d
         at_right = right[0] + right[1] * d + right[2] * d * d
         assert at_left == pytest.approx(at_right, abs=1e-9)
-        assert evaluate(kind, params, d) == pytest.approx(at_left, abs=1e-9)
+        assert rate(kind, params, d) == pytest.approx(at_left, abs=1e-9)
 
 
 def test_lq_402_joint_value_matches_reference():
     # a + b*d + c*d^2 at the printed 402 parameters
-    assert evaluate(ModelKind.LINEAR_QUADRATIC, LQ_402, 28.341) == pytest.approx(0.99283, abs=5e-6)
+    assert rate(ModelKind.LINEAR_QUADRATIC, LQ_402, 28.341) == pytest.approx(0.99283, abs=5e-6)
 
 
 def test_branch_polynomials_reproduce_evaluate():
@@ -102,10 +107,10 @@ def test_branch_polynomials_reproduce_evaluate():
             d = vec[3]
             for dom in (d - 5.0, d - 0.5):
                 expected = left[0] + left[1] * dom + left[2] * dom * dom
-                assert evaluate(kind, vec, dom) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+                assert rate(kind, vec, dom) == pytest.approx(expected, rel=1e-10, abs=1e-12)
             for dom in (d + 0.5, d + 5.0):
                 expected = right[0] + right[1] * dom + right[2] * dom * dom
-                assert evaluate(kind, vec, dom) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+                assert rate(kind, vec, dom) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 def test_branch_polynomials_reject_plain_kinds():
@@ -143,17 +148,17 @@ def test_derivative_matches_finite_difference():
             if kind.piecewise and abs(dom - vec[3]) < 10 * h:
                 continue  # the kink itself is tested separately
             approx = (
-                evaluate(kind, vec, dom + h) - evaluate(kind, vec, dom - h)
+                rate(kind, vec, dom + h) - rate(kind, vec, dom - h)
             ) / (2 * h)
-            assert derivative(kind, vec, dom) == pytest.approx(approx, abs=1e-6)
+            assert slope(kind, vec)(dom) == pytest.approx(approx, abs=1e-6)
 
 
 def test_derivative_at_joint_is_the_right_hand_slope():
     lpoly, rpoly = branch_polynomials(ModelKind.LINEAR_QUADRATIC, LQ_402)
     d = LQ_402["d"]
     below = math.nextafter(d, -math.inf)
-    assert derivative(ModelKind.LINEAR_QUADRATIC, LQ_402, d) == rpoly[1] + 2 * rpoly[2] * d
-    assert derivative(ModelKind.LINEAR_QUADRATIC, LQ_402, below) == lpoly[1] + 2 * lpoly[2] * below
+    assert slope(ModelKind.LINEAR_QUADRATIC, LQ_402)(d) == rpoly[1] + 2 * rpoly[2] * d
+    assert slope(ModelKind.LINEAR_QUADRATIC, LQ_402)(below) == lpoly[1] + 2 * lpoly[2] * below
     assert lpoly[1] + 2 * lpoly[2] * d != pytest.approx(rpoly[1] + 2 * rpoly[2] * d)
 
 
@@ -164,19 +169,12 @@ def test_lq_right_branch_slope_uses_full_quadratic_derivative():
     dom = 25.0
     h = 1e-6
     fd = (
-        evaluate(ModelKind.LINEAR_QUADRATIC, params, dom + h)
-        - evaluate(ModelKind.LINEAR_QUADRATIC, params, dom - h)
+        rate(ModelKind.LINEAR_QUADRATIC, params, dom + h)
+        - rate(ModelKind.LINEAR_QUADRATIC, params, dom - h)
     ) / (2 * h)
-    analytic = derivative(ModelKind.LINEAR_QUADRATIC, params, dom)
+    analytic = slope(ModelKind.LINEAR_QUADRATIC, params)(dom)
     assert analytic == pytest.approx((params["b"] + params["e"]) + 4 * params["c"] * dom, rel=1e-9)
     assert analytic == pytest.approx(fd, abs=1e-5)
-
-
-def test_evaluate_rejects_non_finite_result():
-    # logistic pole: 1 + a * exp(-r D) = 0
-    params = {"K": 1.0, "a": -1.0, "r": 0.0}
-    with pytest.raises(DomstabError, match=r"^logistic model is non-finite at D=5\.0$"):
-        evaluate(ModelKind.LOGISTIC, params, 5.0)
 
 
 def test_derivative_finite_path_keeps_its_bits():
@@ -189,7 +187,7 @@ def test_derivative_finite_path_keeps_its_bits():
             0.16824551774576396, -0.009975218877058434, 0.04449230828374047]),
     }
     for kind, (params, slopes) in pins.items():
-        assert [derivative(kind, params, dom) for dom in (1.0, 7.5, 33.3)] == slopes
+        assert [slope(kind, params)(dom) for dom in (1.0, 7.5, 33.3)] == slopes
 
 
 @pytest.mark.parametrize("kind", [ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE])
@@ -202,18 +200,18 @@ def test_derivative_finite_path_keeps_its_bits():
     ],
 )
 def test_derivative_where_the_exponential_overflows_is_the_finite_limit(kind, params, dom):
-    slope = derivative(kind, params, dom)
-    assert math.isfinite(slope)
+    dsdd = slope(kind, params)(dom)
+    assert math.isfinite(dsdd)
     h = 1e-3
-    central = (evaluate(kind, params, dom + h) - evaluate(kind, params, dom - h)) / (2 * h)
-    assert slope == pytest.approx(central, abs=1e-12)
-    assert regime_at(kind, params, dom) is Regime.DIS
+    central = (rate(kind, params, dom + h) - rate(kind, params, dom - h)) / (2 * h)
+    assert dsdd == pytest.approx(central, abs=1e-12)
+    assert Regime.of(dsdd) is Regime.DIS
 
 
 def test_derivative_with_a_zero_has_no_exponential_to_overflow():
     for kind in (ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE):
-        no_exponential = derivative(kind, (1.0, 0.0, 0.0), 10.0)
-        assert derivative(kind, (1.0, 0.0, -1000.0), 10.0) == no_exponential
+        no_exponential = slope(kind, (1.0, 0.0, 0.0))(10.0)
+        assert slope(kind, (1.0, 0.0, -1000.0))(10.0) == no_exponential
 
 
 def test_evaluate_with_a_zero_is_k_where_the_exponential_overflows():
@@ -225,7 +223,7 @@ def test_evaluate_with_a_zero_is_k_where_the_exponential_overflows():
         out = evaluate_array(kind, (2.5, 0.0, -1000.0), dom)
         assert out.tobytes() == (2.5 * scale).tobytes()
         assert out.tobytes() == evaluate_array(kind, (2.5, 0.0, 0.0), dom).tobytes()
-        assert evaluate(kind, (2.5, 0.0, -1000.0), 10.0) == out[0]
+        assert response(kind, (2.5, 0.0, -1000.0))(10.0) == out[0]
 
 
 def test_derivative_pole_is_eval_error():
@@ -233,7 +231,7 @@ def test_derivative_pole_is_eval_error():
     params = {"K": 1.0, "a": -1.0, "r": 1.0}
     for kind in (ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE):
         with pytest.raises(DomstabError, match=rf"^{kind.value} derivative has a pole at D=0\.0$"):
-            derivative(kind, params, 0.0)
+            slope(kind, params)(0.0)
 
 
 def test_evaluate_array_passes_non_finite_through():
@@ -246,27 +244,38 @@ def test_regime_classification_by_slope_sign():
     lin_down = {"a": 1.0, "b": -0.05}
     lin_up = {"a": -1.0, "b": 0.05}
     lin_flat = {"a": 1.0, "b": 0.0}
-    assert regime_at(ModelKind.LINEAR, lin_down, 10.0) is Regime.DDS
-    assert regime_at(ModelKind.LINEAR, lin_up, 10.0) is Regime.DID
-    assert regime_at(ModelKind.LINEAR, lin_flat, 10.0) is Regime.DIS
+    assert Regime.of(slope(ModelKind.LINEAR, lin_down)(10.0)) is Regime.DDS
+    assert Regime.of(slope(ModelKind.LINEAR, lin_up)(10.0)) is Regime.DID
+    assert Regime.of(slope(ModelKind.LINEAR, lin_flat)(10.0)) is Regime.DIS
 
 
 def test_regime_tolerance_band():
     barely = {"a": 1.0, "b": 5e-10}
-    assert regime_at(ModelKind.LINEAR, barely, 1.0) is Regime.DIS
+    assert Regime.of(slope(ModelKind.LINEAR, barely)(1.0)) is Regime.DIS
+
+
+def test_regime_of_the_tolerance_edges():
+    # |slope| <= REGIME_TOLERANCE is DIS, either sign of zero included
+    tol = REGIME_TOLERANCE
+    assert Regime.of(0.0) is Regime.DIS
+    assert Regime.of(-0.0) is Regime.DIS
+    assert Regime.of(tol) is Regime.DIS
+    assert Regime.of(-tol) is Regime.DIS
+    assert Regime.of(math.nextafter(tol, math.inf)) is Regime.DID
+    assert Regime.of(math.nextafter(-tol, -math.inf)) is Regime.DDS
 
 
 def test_regime_at_joint_is_the_right_hand_regime():
     d = LQ_402["d"]
-    assert regime_at(ModelKind.LINEAR_QUADRATIC, LQ_402, d) is Regime.DDS  # (b+e) + 4cd < 0
+    assert Regime.of(slope(ModelKind.LINEAR_QUADRATIC, LQ_402)(d)) is Regime.DDS  # (b+e) + 4cd < 0
     below = math.nextafter(d, -math.inf)
-    assert regime_at(ModelKind.LINEAR_QUADRATIC, LQ_402, below) is Regime.DID  # b1 = 0.122 > 0
+    assert Regime.of(slope(ModelKind.LINEAR_QUADRATIC, LQ_402)(below)) is Regime.DID  # b1 = 0.122 > 0
 
 
 def test_regime_at_joint_agreeing_sides_collapse():
     # both branches rising at the joint: not ambiguous
     params = {"a": 0.0, "b": 1.0, "c": 0.001, "d": 5.0, "e": 0.1}
-    result = regime_at(ModelKind.LINEAR_QUADRATIC, params, 5.0)
+    result = Regime.of(slope(ModelKind.LINEAR_QUADRATIC, params)(5.0))
     assert result is Regime.DID
 
 

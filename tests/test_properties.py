@@ -43,7 +43,7 @@ from domstab.metrics import (
     diversity_indices,
     species_dominances,
 )
-from domstab.models import ModelKind, derivative, evaluate, evaluate_array, response
+from domstab.models import ModelKind, evaluate_array, param_vector, response, slope
 from domstab.report import _spell_rows, _write_rows
 from domstab.selection import PRIORITY, SelectionPolicy, select, validate
 from domstab.stability import (
@@ -772,6 +772,46 @@ def _reference_bisect(kind, params, lo, hi, y_lo):
     return 0.5 * (lo + hi)
 
 
+def _exp(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _reference_derivative(kind, params, dom):
+    """dS/dD at one level, the parameters read afresh on each call: on Python
+    floats through math.exp, the finite limit where exp(-r*D) overflows and
+    the right-hand slope at a joint; the reference that :func:`slope` must match."""
+    vec = param_vector(kind, params).tolist()
+    if kind is ModelKind.LINEAR:
+        return vec[1]
+    if kind.logistic_family:
+        big_k, a, r = vec
+        expo = _exp(-r * dom) if a else 0.0
+        finite = math.isfinite(a * expo)
+        t = a * expo if finite else math.copysign(_exp(math.log(abs(a)) - r * dom), a)
+        denom = 1.0 + t
+        if denom == 0.0:
+            raise DomstabError(f"{kind.value} derivative has a pole at D={dom!r}")
+        if finite:
+            core = big_k * a * r * expo / (denom * denom)
+        else:
+            core = big_k * r / (t + 2.0 + 1.0 / t)
+        if kind is ModelKind.LOGISTIC:
+            return core
+        logistic = big_k / denom
+        return core * math.sin(dom / math.pi) + logistic * math.cos(dom / math.pi) / math.pi
+    if kind is ModelKind.LINEAR_QUADRATIC:
+        a, b, c, d, e = vec
+        left, right = (b - e, 0.0), (b + e, 2.0 * c)
+    else:
+        a, b, c, d, e, f = vec
+        left, right = (b - f, c - e), (b + f, c + e)
+    linear, quad = left if dom < d else right
+    return linear + 2.0 * quad * dom
+
+
 def _reference_fixed_points(kind, params, domain, grid):
     """fixed_points with its bracket scan as a scalar loop over the grid."""
     lo, hi = domain
@@ -795,10 +835,10 @@ def _reference_fixed_points(kind, params, domain, grid):
     for root, bound in sorted(roots):
         if out and abs(root - out[-1].location) <= (hi - lo) * 1e-12:
             continue
-        rate = evaluate(kind, params, root)
-        if abs(rate) > bound:
-            continue  # a pole: |S| above both of its bracket's ends
-        mult = 1.0 + rate + root * derivative(kind, params, root)
+        rate = _per_step(kind, params)(root)
+        if not abs(rate) <= bound:
+            continue  # a pole: |S| above both of its bracket's ends, or not finite
+        mult = 1.0 + rate + root * _reference_derivative(kind, params, root)
         if abs(abs(mult) - 1.0) <= 1e-9:
             verdict = "marginal"
         elif abs(mult) < 1.0:
@@ -866,11 +906,11 @@ def test_fixed_points_are_roots_with_map_multipliers(problem):
     multiplier of 2 the two forms differ by |f(D*)| plus 1.1e-16."""
     kind, params, domain, grid = problem
     for point in _scan(kind, params, domain, grid):
-        rate = evaluate(kind, params, point.location)
-        slope = derivative(kind, params, point.location)
-        assert abs(rate) <= 1e-9 * max(1.0, abs(slope))
+        rate = _per_step(kind, params)(point.location)
+        dsdd = _reference_derivative(kind, params, point.location)
+        assert abs(rate) <= 1e-9 * max(1.0, abs(dsdd))
         roundoff = 4 * math.ulp(max(1.0, abs(point.multiplier)))
-        assert abs(point.multiplier - (1.0 + point.location * slope)) <= abs(rate) + roundoff
+        assert abs(point.multiplier - (1.0 + point.location * dsdd)) <= abs(rate) + roundoff
 
 
 @st.composite
@@ -923,6 +963,56 @@ def test_bisection_matches_the_per_step_array_form(problem):
         root = _bisect(response(kind, params), lo, hi, y_lo)
     assert type(root) is float
     assert struct.pack("d", root) == struct.pack("d", _reference_bisect(kind, params, lo, hi, y_lo))
+
+
+def _slope_outcome(call):
+    """A slope's bits, or the error it raised."""
+    try:
+        value = call()
+    except DomstabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    assert type(value) is float  # report cells take no NumPy scalar
+    return struct.pack("d", value)
+
+
+@st.composite
+def slope_problems(draw):
+    """Model parameters as :func:`fixed_point_problems` draws them, and a
+    dominance level: anywhere, or a piecewise joint, or the float below it."""
+    kind, params, _, _ = draw(fixed_point_problems())
+    dom = draw(st.floats(-50.0, 50.0))
+    if kind.piecewise:
+        joint = params[3]
+        dom = draw(st.sampled_from([dom, joint, math.nextafter(joint, -math.inf)]))
+    return kind, params, dom
+
+
+@PROPERTY
+@given(slope_problems())
+# the finite logistic route at levels where math.exp and NumPy's exp round
+# exp(-r*D) apart, and where the overflow form rounds otherwise
+@example((ModelKind.LOGISTIC, (4.741, 0.026, -0.206), 29.0))
+@example((ModelKind.LOGISTIC_SINE, (-0.294, -1.677, 0.048), 5.0))
+@example((ModelKind.LOGISTIC, (0.5, 1.6e-59, -30.3), 23.5))  # exp(-r*D) overflows, a*exp(-r*D) not
+@example((ModelKind.LOGISTIC_SINE, (0.5, 1.6e-59, -30.3), 23.5))
+@example((ModelKind.LOGISTIC, (1.0, 1e10, -1.0), 690.0))  # a*exp(-r*D) overflows
+@example((ModelKind.LOGISTIC_SINE, (1.0, 1e10, -1.0), 690.0))
+@example((ModelKind.LOGISTIC, (1.0, 0.0, -1000.0), 10.0))  # a = 0
+@example((ModelKind.LOGISTIC_SINE, (1.0, 0.0, -1000.0), 10.0))
+@example((ModelKind.LINEAR_QUADRATIC, (0.331, 0.014, 0.00033, 28.341, -0.108), 28.341))
+@example((ModelKind.LINEAR_QUADRATIC, (0.331, 0.014, 0.00033, 28.341, -0.108),
+          math.nextafter(28.341, -math.inf)))
+@example((ModelKind.QUADRATIC_QUADRATIC, (-12.71, 0.572, -0.0066, 43.061, -0.0027, 0.333), 43.061))
+@example((ModelKind.QUADRATIC_QUADRATIC, (-12.71, 0.572, -0.0066, 43.061, -0.0027, 0.333),
+          math.nextafter(43.061, -math.inf)))
+@example((ModelKind.LOGISTIC, (1.0, -1.0, 1.0), 0.0))  # a pole
+@example((ModelKind.LOGISTIC_SINE, (1.0, -1.0, 1.0), 0.0))
+def test_slope_keeps_the_bits_of_the_per_call_derivative(problem):
+    """slope, built once, gives the bits or the pole error that the per-call
+    derivative gives at the same level."""
+    kind, params, dom = problem
+    expected = _slope_outcome(lambda: _reference_derivative(kind, params, dom))
+    assert _slope_outcome(lambda: slope(kind, params)(dom)) == expected
 
 
 # ---------------------------------------------------------------- ingest

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from domstab import models, selection
 from domstab.errors import DomstabError
 from domstab.fitting import FitInput, ModelFit, fit_model
 from domstab.models import ModelKind, evaluate_array, param_vector
@@ -262,3 +263,24 @@ def test_narrative_sample_on_a_joint_reads_the_right_hand_regime():
     assert regime_narrative(fit) == (
         "DID then DDS then DID; joint at D=5 (unstable), vertex at D=5.05 (stable)"
     )
+
+
+@pytest.mark.parametrize("kind, params", [
+    (ModelKind.LINEAR_QUADRATIC, {"a": 0.0, "b": 0.0, "c": 1.0, "d": 5.0, "e": -20.2}),
+    (ModelKind.QUADRATIC_QUADRATIC,
+     {"a": 1.0, "b": -0.2, "c": 0.004, "d": 5.0, "e": 0.002, "f": 0.05}),
+    (ModelKind.LOGISTIC, {"K": 4.741, "a": 0.026, "r": -0.206}),
+])
+def test_summary_takes_the_parameters_a_fixed_number_of_times(kind, params, monkeypatch):
+    """The narrative builds its slope once, so the parameter vector is taken
+    as often at 1,001 levels as at 101: five times for a piecewise kind."""
+    fit = manual_fit(kind, params, {}, 0.5, dominance_min=0.0, dominance_max=10.0)
+    take, calls = models.param_vector, []
+    monkeypatch.setattr(models, "param_vector", lambda *args: calls.append(1) or take(*args))
+    counts = []
+    for points in (101, 1001):
+        monkeypatch.setattr(selection, "_NARRATIVE_POINTS", points)
+        calls.clear()
+        summary(fit)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= (5 if kind.piecewise else 1)
