@@ -1,30 +1,20 @@
 """Least-squares fitting of the stability-response models.
 
-Three fitting routes, one per model family:
+Three fitting routes, one per model family, each taking its model formulas
+from the kind's card (``kind.card``, see :mod:`domstab.models`):
 
 * linear: closed-form ordinary least squares, Pearson R reported alongside.
-* logistic / logistic-sine: damped Gauss-Newton (Levenberg-style lambda
-  adaptation) with analytic Jacobians from a deterministic multi-start
-  grid, in two passes: the best-ranked starts are explored, each to its own
-  stop under a reduced budget, and the best endpoints are polished.  Every
-  ranking (the starts by initial SS, the endpoints, the winner: best
-  converged, else best) puts the lowest SS first, breaks ties by the
-  (K, a, r) vector in lexicographic numeric order and then by stack order
-  (:func:`_best`).  Each pass runs all its starts as one stack
-  (:func:`_lockstep`), and a batch
-  (:func:`fit_logistic_batch`) stacks every problem of one series length.
-  A start's arithmetic is elementwise or a matmul reduction over its own
-  row, so its result is bit for bit the one it would get alone.
+* logistic / logistic-sine: damped Gauss-Newton with analytic Jacobians
+  from a deterministic multi-start grid, explored and then polished
+  (:func:`fit_logistic_batch`); every start of a pass, over every problem
+  of one series length, advances as one stack (:func:`_lockstep`).  A
+  start's arithmetic is elementwise or a matmul reduction over its own row,
+  so its result is bit for bit the one it would get alone.
 * linear-quadratic / quadratic-quadratic: the breakpoint d is profiled over
-  a deterministic candidate grid (quartile points of every gap between
-  consecutive distinct dominance values); conditional on d the model is
-  linear in its remaining parameters and solved exactly.  A screen gives
-  every candidate an approximate sum of squares with one small QR per fit:
-  the design columns that do not depend on d are factored once, and each
-  candidate's two breakpoint columns are taken off them by Gram-Schmidt.
-  Only the candidates the screen cannot rule out are solved exactly, each
-  alone on the design built for its one breakpoint, so the winner and its
-  coefficients are those of solving every candidate.
+  a deterministic candidate grid, and given d the model is linear in its
+  other parameters.  A screen ranks every candidate with one small QR per
+  fit, and only the candidates it cannot rule out are solved exactly, so
+  the winner is that of solving every candidate (:func:`_fit_piecewise`).
 
 Every route ends in one assembly step (:func:`_assemble`), which adds the
 goodness of fit, the dominance range and the standard errors; a logistic
@@ -146,30 +136,13 @@ def _goodness_from_ss(ss_res: float, chg: np.ndarray, p: int) -> tuple[float, fl
 # ---------------------------------------------------------------- std errors
 
 
-def _bend_gap(kind: ModelKind, d: np.ndarray, dom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(m, n)`` design columns that depend on the breakpoints ``d``: the bend
-    ``|D - d| (D + d)`` (plus ``D**2`` for linear-quadratic) and the gap ``|D - d|``."""
-    d = d[:, np.newaxis]
-    gap = np.abs(dom - d)
-    bend = gap * (dom + d)
-    if kind is ModelKind.LINEAR_QUADRATIC:
-        bend = dom**2 + bend
-    return bend, gap
-
-
-def _piecewise_design(kind: ModelKind, d: float, dom: np.ndarray) -> np.ndarray:
-    """The ``(n, p)`` design of the model given the breakpoint ``d``; columns a, b, c, e(, f)."""
-    (bend,), (gap,) = _bend_gap(kind, np.array([d]), dom)
-    return np.column_stack([np.vander(dom, kind.arity - 3, increasing=True), bend, gap])
-
-
 def _std_errors(
     kind: ModelKind, design: np.ndarray | None, ss: float, n: int, d_se: float
 ) -> dict[str, float]:
-    """sqrt(diag(s^2 (J^T J)^-1)) for the design J and s^2 = ss / (n - p); a
-    piecewise fit's breakpoint takes ``d_se``.  Every standard error is +inf
-    when J is missing or not finite, J^T J cannot be inverted or the
-    diagonal of its inverse is not finite."""
+    """sqrt(diag(s^2 (J^T J)^-1)), roundoff below 0 taken as 0, for the design J
+    (one column per parameter but a piecewise joint ``d``, which takes ``d_se``)
+    and s^2 = ss / (n - p).  Every standard error is +inf when J is missing or
+    not finite, J^T J cannot be inverted or its inverse's diagonal is not finite."""
     diag = np.array([math.inf])
     if design is not None and np.all(np.isfinite(design)):
         try:
@@ -178,10 +151,8 @@ def _std_errors(
             pass
     if not np.all(np.isfinite(diag)):
         return dict.fromkeys(kind.param_names, math.inf)
-    se = np.sqrt(np.where(diag < 0.0, 0.0, diag) * (ss / (n - kind.arity)))  # roundoff guard
-    if kind.piecewise:
-        se = np.insert(se, 3, d_se)
-    return dict(zip(kind.param_names, map(float, se)))
+    se = iter(np.sqrt(np.where(diag < 0.0, 0.0, diag) * (ss / (n - kind.arity))).tolist())
+    return {name: d_se if name == "d" else next(se) for name in kind.param_names}
 
 
 def _assemble(
@@ -194,17 +165,10 @@ def _assemble(
     d_se: float = math.nan,
     **fields,
 ) -> ModelFit:
-    """The one place a ModelFit is built, for every family.
-
-    The family gives its parameters, residual SS ``ss``, the ``design`` it
-    solved (for the logistic family the Jacobian at the optimum; None where
-    the information is singular by construction), whether it ``converged``
-    and the extra ``fields`` (``iterations`` and, for a linear fit,
-    ``pearson_r``).  This adds the goodness of ``ss`` on the input, the
-    input's dominance range and the standard errors from ``design`` and
-    ``ss`` (:func:`_std_errors`); a piecewise fit gives the breakpoint's
-    own error as ``d_se``.
-    """
+    """The one place a ModelFit is built, for every family: the family's
+    parameters, residual SS, the ``design`` it solved (None where the
+    information is singular by construction) and extra ``fields``, plus the
+    goodness of fit, dominance range and standard errors (:func:`_std_errors`)."""
     r2, r2_adj = _goodness_from_ss(ss, inp.change_rate, kind.arity)
     lo, hi = inp.dominance_range
     return ModelFit(
@@ -239,7 +203,7 @@ def _fit_linear(inp: FitInput) -> ModelFit:
         pearson = math.nan
     return _assemble(
         kind, inp, {"a": intercept, "b": slope}, ss_res,
-        np.column_stack([np.ones_like(dom), dom]), iterations=0, pearson_r=pearson,
+        kind.card.gradient(dom), iterations=0, pearson_r=pearson,
     )
 
 
@@ -273,56 +237,29 @@ def default_starts(inp: FitInput) -> list[tuple[float, float, float]]:
 
 def _stack_problems(problems: Sequence[tuple[ModelKind, FitInput]]) -> np.ndarray:
     """Logistic-family problems of one series length as one ``(problems, 3,
-    n)`` stack: each problem's dominance, sine factor and change-rate rows.
+    n)`` stack: each problem's dominance, factor and change-rate rows.
 
-    The sine factor is sin(D / pi) for logistic-sine and ones for logistic;
-    ``x * 1.0`` is exact, so both kinds share one stack.  The evaluations
-    below take a stack of problem rows (``rows[..., 0, :]`` is dominance) and
-    a stack of (K, a, r) rows that broadcasts against it.  Every result row
-    is computed by the same elementwise operations, and every reduction by
-    the same BLAS/LAPACK call, as a lone start of a lone problem would get,
-    so a row's result does not depend on what else is in the stack.  Only
-    stacked matmul reductions keep that property (see :func:`_dots`).
+    The factor row is the kind card's, so the logistic card's stacked forms
+    evaluate the rows of either kind against a stack of (K, a, r) rows.
+    Every result row is computed by the same elementwise operations, and
+    every reduction by the same BLAS/LAPACK call, as a lone start of a lone
+    problem would get, so a row's result does not depend on what else is in
+    the stack.  Only stacked matmul reductions keep that property (see
+    :func:`_dots`).
     """
     return np.array([
-        (inp.dominance,
-         np.sin(inp.dominance / math.pi) if kind is ModelKind.LOGISTIC_SINE
-         else np.ones(inp.n),
-         inp.change_rate)
+        (inp.dominance, kind.card.factor(inp.dominance), inp.change_rate)
         for kind, inp in problems
     ])
 
 
-def _predict(rows: np.ndarray, params: np.ndarray) -> np.ndarray:
-    big_k, a, r = params[..., 0:1], params[..., 1:2], params[..., 2:3]
-    return big_k / (1.0 + a * np.exp(-r * rows[..., 0, :])) * rows[..., 1, :]
-
-
 def _residuals(rows: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residual rows and their sums of squares (+inf where non-finite)."""
-    resid = rows[..., 2, :] - _predict(rows, params)
+    model = ModelKind.LOGISTIC.card.response(params)
+    resid = rows[..., 2, :] - model(rows[..., 0, :], rows[..., 1, :])
     ss = _dots(resid, resid)  # a sum of squares is NaN or inf where resid is not finite
     ss[np.isnan(ss)] = math.inf
     return resid, ss
-
-
-def _jacobian(rows: np.ndarray, params: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Model Jacobians of ``(m, 3)`` parameter rows written into ``out``, an
-    ``(m, n, 3)`` stack with one column per parameter, and returned."""
-    dom, sine = rows[:, 0], rows[:, 1]
-    big_k, a, r = params[:, 0:1], params[:, 1:2], params[:, 2:3]
-    expo = np.exp(-r * dom)
-    phi = 1.0 / (1.0 + a * expo)
-    d_k, d_a, d_r = out[..., 0], out[..., 1], out[..., 2]
-    np.multiply(phi, sine, out=d_k)
-    np.multiply(-big_k, expo, out=d_a)
-    np.multiply(big_k * a, dom, out=d_r)
-    d_r *= expo
-    for column in (d_a, d_r):
-        column *= phi
-        column *= phi
-        column *= sine
-    return out
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -410,7 +347,7 @@ def _lockstep(
                 x[keep] for x in (idx, rows, vec, res, cur, lam, its))
         if not idx.size:
             break
-        jac = _jacobian(rows, vec, jac_out[:idx.size])
+        jac = ModelKind.LOGISTIC.card.gradient(vec, rows[:, 0], rows[:, 1], jac_out[:idx.size])
         failed = ~np.isfinite(jac).all(axis=(1, 2))  # its trials do not count
         jac_t = jac.transpose(0, 2, 1)
         normal = jac_t @ jac
@@ -483,7 +420,8 @@ def _project_k(mine: np.ndarray, starts: np.ndarray) -> np.ndarray:
     in K; K stays NaN where that shape is non-finite or zero."""
     starts = starts.copy()
     free = np.flatnonzero(np.isnan(starts[:, 0]))
-    shape = _predict(mine, np.column_stack([np.ones(free.size), starts[free, 1:]]))
+    shape = ModelKind.LOGISTIC.card.response(
+        np.column_stack([np.ones(free.size), starts[free, 1:]]))(mine[0], mine[1])
     denom = _dots(shape, shape)
     usable = np.isfinite(shape).all(axis=1) & (denom > 0.0)
     starts[free, 0] = np.where(usable, _dots(shape, mine[2]) / denom, math.nan)
@@ -547,8 +485,9 @@ def fit_logistic_batch(
             owner = owner[ends]
             polished = _lockstep(problem, owner, explored.params[ends], GN_MAX_ITER)
             win = _best(owner, polished.ss, polished.params, 1, prefer=polished.converged)
-            jac = _jacobian(problem[owner[win]], polished.params[win],
-                            np.empty((win.size, problem.shape[-1], 3)))
+            mine = problem[owner[win]]
+            jac = ModelKind.LOGISTIC.card.gradient(polished.params[win], mine[:, 0], mine[:, 1],
+                                                   np.empty((win.size, problem.shape[-1], 3)))
         winner = dict(zip(owner[win].tolist(), zip(win.tolist(), jac)))
         for p, (i, _) in enumerate(group):
             kind, inp = items[i]
@@ -613,9 +552,9 @@ def _screen(
 ) -> np.ndarray:
     """Approximate residual SS of every candidate, with one QR per call.
 
-    Of the columns of the one-breakpoint design (:func:`_piecewise_design`),
-    only the last two depend on d, and the screen builds only those
-    (:func:`_bend_gap`).  The shared columns, ``[1, D]`` or ``[1, D, D**2]``,
+    Of the columns of the one-breakpoint design (the kind card's
+    ``gradient``), only the last two depend on d, and the screen builds only
+    those.  The shared columns, ``[1, D]`` or ``[1, D, D**2]``,
     are factored once by Householder QR and the response is projected off
     them once.  Each candidate projects its two columns off that basis and
     takes the residual by Gram-Schmidt on them, in residual form:
@@ -627,12 +566,13 @@ def _screen(
     chunk.  Candidates go through in chunks of as many as fill
     ``_SCREEN_BYTES`` with their two columns, so the working arrays stay
     bounded."""
-    basis = np.linalg.qr(np.vander(dom, kind.arity - 3, increasing=True))[0]
+    shared, moving = kind.card.gradient(dom)
+    basis = np.linalg.qr(shared)[0]
     rest = chg - basis @ (chg @ basis)
     step = max(1, _SCREEN_BYTES // (dom.size * 2 * 8))
     screened = np.empty(cand.size)
     for lo in range(0, cand.size, step):
-        bend, gap = _bend_gap(kind, cand[lo:lo + step], dom)
+        bend, gap = moving(cand[lo:lo + step])
         q1 = _unit(_off(bend, basis))
         gap = _off(gap, basis)
         q2 = _unit(gap - q1 * _dots(q1, gap)[:, None])
@@ -683,10 +623,12 @@ def _fit_piecewise(kind: ModelKind, inp: FitInput) -> ModelFit:
     screened = _screen(kind, cand, dom, chg)
     slack = _CERTIFY_ATOL * float(chg @ chg)
     best_ss, best = math.inf, None
+    shared, moving = kind.card.gradient(dom)
     for i in np.argsort(screened, kind="stable").tolist():
         if screened[i] > best_ss * (1.0 + _CERTIFY_RTOL) + slack:
             break
-        design = _piecewise_design(kind, cand[i], dom)
+        (bend,), (gap,) = moving(cand[i:i + 1])
+        design = np.column_stack([shared, bend, gap])
         beta = np.linalg.lstsq(design, chg, rcond=None)[0]
         resid = chg - design @ beta
         ss = float(_dots(resid, resid))

@@ -429,11 +429,7 @@ def _stopped(analysis: SubjectAnalysis, header: list[str], reason: str) -> list:
 def _fit_table(
     kind: ModelKind, analyses: list[SubjectAnalysis], config: RunConfig, out_dir: Path
 ) -> Path:
-    extra: list[str] = []  # the columns only some kinds have; each row reads them by name
-    if kind is ModelKind.LINEAR:
-        extra = ["pearson_r"]
-    elif kind.piecewise:
-        extra = ["b1", "c1", "c2"]
+    extra = kind.card.columns  # the columns only some kinds have; each row reads them by name
     header = ["subject", *kind.param_names, *(f"se_{p}" for p in kind.param_names),
               "r2", "r2_adj", *extra, "residual_ss", "n", "converged", "valid", "reasons", "error"]
     rows = []
@@ -443,8 +439,7 @@ def _fit_table(
             rows.append(_stopped(analysis, header, _stop_reason(analysis, kind)))
             continue
         report = validate(fit, config.policy)
-        extras = (derived_params(kind, fit.params) if kind.piecewise
-                  else {"pearson_r": fit.pearson_r})
+        extras = {"pearson_r": fit.pearson_r, **derived_params(kind, fit.params)}
         rows.append([
             analysis.series.subject_id,
             *(fit.params[p] for p in kind.param_names),

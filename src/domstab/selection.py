@@ -5,9 +5,10 @@ three checks:
 
 * fit quality: r2 at or above ``r2_min``;
 * parameter precision: every standard error at most ``se_ratio_max`` times
-  the parameter magnitude.  The logistic-family shape parameter ``a`` is
-  exempt: its fitted values are routinely near zero with a wide but harmless
-  error band, and penalizing that would throw away otherwise tight fits;
+  the parameter magnitude.  The kind card's ``se_exempt``, the logistic
+  shape parameter ``a``, is exempt: its fitted values are routinely near zero
+  with a wide but harmless error band, and penalizing that would throw away
+  otherwise tight fits;
 * parameter sanity: every parameter magnitude at most ``magnitude_max``
   (a carrying-capacity estimate in the millions is a divergence artifact,
   not biology).
@@ -25,8 +26,7 @@ from typing import Mapping
 
 from .errors import DomstabError, InputError
 from .fitting import ModelFit
-from .models import ModelKind, Regime, derived_params, slope
-from .models import qualitative_equilibria
+from .models import ModelKind, Regime, derived_params, param_vector
 
 __all__ = [
     "PRIORITY",
@@ -82,9 +82,7 @@ def validate(fit: ModelFit, policy: SelectionPolicy = SelectionPolicy()) -> Vali
     if not (math.isfinite(fit.r2) and fit.r2 >= policy.r2_min):
         reasons.append(f"r2 {_short(fit.r2)} below {_short(policy.r2_min)}")
 
-    for name in fit.kind.param_names:
-        if name == "a" and fit.kind.logistic_family:
-            continue
+    for name in (n for n in fit.kind.param_names if n not in fit.kind.card.se_exempt):
         value = fit.params[name]
         se = fit.std_errors.get(name, math.inf)
         if not math.isfinite(se):
@@ -145,14 +143,14 @@ def select(
 def regime_narrative(fit: ModelFit) -> str:
     """One-line description of how the regime changes over the observed
     dominance range, read off the sign of the slope (built once, read at
-    each level) plus, for piecewise kinds, the qualitative equilibrium
-    verdicts."""
+    each level), plus the kind card's suffix: for piecewise kinds the
+    qualitative equilibrium verdicts."""
     lo, hi = fit.dominance_min, fit.dominance_max
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return "no observed dominance range"
-    kind = fit.kind
+    card, vec = fit.kind.card, param_vector(fit.kind, fit.params).tolist()
     step = (hi - lo) / (_NARRATIVE_POINTS - 1)
-    slope_at = slope(kind, fit.params)
+    slope_at = card.slope(vec)
     regimes = [Regime.of(slope_at(lo + i * step)) for i in range(_NARRATIVE_POINTS)]
     runs = [r for i, r in enumerate(regimes) if i == 0 or r is not regimes[i - 1]]
 
@@ -163,33 +161,7 @@ def regime_narrative(fit: ModelFit) -> str:
     else:
         labels = sorted({r.value for r in runs})
         text = f"alternating {'/'.join(labels)} ({len(runs)} phases)"
-
-    if kind is ModelKind.LOGISTIC:
-        r = fit.params["r"]
-        if r < 0:
-            text += "; change rate flattens toward zero at high dominance"
-        elif r > 0:
-            text += "; change rate saturates toward K at high dominance"
-    elif kind is ModelKind.LOGISTIC_SINE:
-        text += "; zero-change crossings recur at the sine nodes"
-    elif kind.piecewise:
-        parts = []
-        for point in qualitative_equilibria(kind, fit.params):
-            where = f"{point.point_kind} at D={point.location:.3g}"
-            parts.append(f"{where} ({point.verdict})")
-        if parts:
-            text += "; " + ", ".join(parts)
-    return text
-
-
-def _sign_annotations(fit: ModelFit) -> str:
-    if fit.kind is ModelKind.LINEAR:
-        b = fit.params["b"]
-        return f"b{_sign_mark(b)}"
-    if fit.kind.logistic_family:
-        return f"r{_sign_mark(fit.params['r'])}"
-    derived = derived_params(fit.kind, fit.params)
-    return " ".join(f"{name}{_sign_mark(value)}" for name, value in derived.items())
+    return text + card.suffix(vec)
 
 
 def _sign_mark(x: float) -> str:
@@ -201,9 +173,11 @@ def _sign_mark(x: float) -> str:
 
 
 def summary(fit: ModelFit) -> tuple[str, str, str]:
-    """A selected fit's quality, branch signs and regime narrative."""
-    if fit.kind is ModelKind.LINEAR and fit.pearson_r is not None:
+    """A selected fit's quality, signs (its kind card's) and regime narrative."""
+    if fit.pearson_r is not None:  # only a linear fit has one
         quality = f"R={fit.pearson_r:.2f}"
     else:
         quality = f"r2={fit.r2:.2f}"
-    return quality, _sign_annotations(fit), regime_narrative(fit)
+    values = {**fit.params, **derived_params(fit.kind, fit.params)}
+    signs = " ".join(f"{name}{_sign_mark(values[name])}" for name in fit.kind.card.signed)
+    return quality, signs, regime_narrative(fit)

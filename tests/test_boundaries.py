@@ -12,13 +12,15 @@ exist.  Its wrappers also read attributes of what they wrap (``fit.iterations``,
 files must match an untraced run's.  A name a module imports is used there
 unless the harness wraps it on that module, and a name a module exports is
 called from ``src`` or ``bench``.  An error class is told apart outside the
-module that raises it.
+module that raises it.  Outside ``models.py``, which holds one card per model
+kind, only a few lines test the kind.
 """
 
 import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,16 +91,21 @@ def test_every_name_a_module_exports_is_defined_there():
     assert {stem: names for stem, names in undefined.items() if names} == {}
 
 
-# Paper metrics and library names kept public with no caller in src or bench.
-# metrics.mean_crowding the function is one: ``.mean_crowding`` reads the
-# CommunityStats field of that name.
+# Paper quantities and library names kept public with no caller in src or
+# bench, each with the reason it stays.
 UNCALLED_EXPORTS = {
-    ("metrics", "mean_crowding"),
-    ("metrics", "community_dominance"),
-    ("metrics", "species_dominance_distance"),
-    ("metrics", "species_dominance"),
-    ("metrics", "simpson_identity_residual"),
-    ("stability", "species_stability"),
+    ("metrics", "mean_crowding"):
+        "the paper's named quantity, Lloyd's index; callers read the CommunityStats field",
+    ("metrics", "community_dominance"):
+        "the paper's scalar D_com, the reference the dominance kernel is tested against",
+    ("metrics", "species_dominance_distance"):
+        "the paper's scalar species distance, a reference of the kernel",
+    ("metrics", "species_dominance"):
+        "the paper's scalar species dominance, a reference of the kernel",
+    ("metrics", "simpson_identity_residual"):
+        "the paper's Simpson linearity identity, checked by the acceptance tests",
+    ("stability", "species_stability"):
+        "the paper's per-species stability series, library API",
 }
 
 
@@ -149,7 +156,7 @@ def test_every_exported_name_has_a_caller():
         for name in getattr(importlib.import_module(f"domstab.{path.stem}"), "__all__", ())
     }
     assert ("models", "evaluate_array") in seen and ("models", "slope") in seen
-    assert exported - seen == UNCALLED_EXPORTS
+    assert exported - seen == set(UNCALLED_EXPORTS)
 
 
 def _pair(node: ast.AST, modules: set[str]) -> tuple[str, str] | None:
@@ -304,3 +311,25 @@ def test_every_error_class_is_caught_somewhere():
     classes, _, caught = _error_sites()
     assert caught["InputError"] == {"cli"}
     assert classes - set(caught) == set()
+
+
+# A line that tests a model kind: ``is (not) ModelKind.X``, ``.piecewise``,
+# ``.logistic_family`` or ``ModelKind.X (not) in``.
+KIND_TEST = re.compile(r"\bis\s+(?:not\s+)?ModelKind\.\w+|\.piecewise\b|\.logistic_family\b"
+                       r"|\bModelKind\.\w+\s+(?:not\s+)?in\b")
+# The lines that may: the fit routing and the logistic batch's guard
+# (fitting, three lines), the split of the logistic kinds into one batch
+# (report, two) and the linear-only resilience (dynamics, report).
+KIND_TEST_BUDGET = 7
+
+
+def test_kind_tests_outside_models_stay_in_budget():
+    """What a caller asks of a model kind is on its card in ``models.py``;
+    a new per-kind branch elsewhere goes on the card instead."""
+    sites = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "models.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if KIND_TEST.search(line)
+    ]
+    assert len(sites) <= KIND_TEST_BUDGET, "\n".join(sites)

@@ -144,6 +144,16 @@ def test_logistic_without_roots_returns_empty():
     assert points == []
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="F17: the scan takes an underflow plateau for roots (ROADMAP item 9)")
+def test_a_logistic_that_underflows_to_zero_has_no_fixed_point():
+    """S = K / (1 + a e^{-rD}) with K = 0.1 is never zero, but past D = 10.64
+    a e^{-rD} overflows, S underflows to exactly 0.0 and every grid point of
+    the scan there reads as a "marginal" root (4,680 of them)."""
+    points = fixed_points(ModelKind.LOGISTIC, {"K": 0.1, "a": 1.5e-95, "r": -66.7}, (0.0, 20.0))
+    assert points == []
+
+
 def test_fixed_points_multiplier_signs():
     # rising line: S' > 0 at the root, multiplier above one
     (point,) = fixed_points(ModelKind.LINEAR, {"a": -1.0, "b": 0.02}, (0.0, 100.0))

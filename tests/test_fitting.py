@@ -8,7 +8,9 @@ from domstab.errors import DomstabError
 from domstab.fitting import (
     FitInput,
     ModelFit,
+    _residuals,
     _solve,
+    _stack_problems,
     _std_errors,
     breakpoint_candidates,
     default_starts,
@@ -335,6 +337,21 @@ def test_default_starts_cover_both_r_signs():
     assert any(r > 0 for r in rs) and any(r < 0 for r in rs)
     a_values = {a for _, a, _ in starts}
     assert {1.0, -1.0} <= a_values
+
+
+@pytest.mark.parametrize("kind", [ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE],
+                         ids=lambda kind: kind.value)
+def test_search_rows_with_a_zero_are_k_where_the_exponential_overflows(kind):
+    """One a = 0 rule (F19): a = 0 leaves no exponential term, so the stacked
+    rows the search evaluates give S = K, bit for bit the response, also
+    where exp(-r*D) overflows, and their sum of squares is finite."""
+    dom = np.array([10.0, 0.1, 3.0])  # exp(1000 D) overflows at D = 10 and D = 3
+    inp = FitInput(dom, (0.5, -0.2, 0.3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid, ss = _residuals(_stack_problems([(kind, inp)])[0], np.array([[2.5, 0.0, -1000.0]]))
+    expected = inp.change_rate - evaluate_array(kind, (2.5, 0.0, -1000.0), dom)
+    assert resid.tobytes() == expected[np.newaxis].tobytes()
+    assert math.isfinite(ss[0])
 
 
 def test_exempt_shape_param_can_stay_loose():

@@ -153,13 +153,18 @@ def test_screen_chunking_moves_no_bits(cohort_inputs, monkeypatch):
     # chunks and a short one
     monkeypatch.setattr(fitting, "_SCREEN_BYTES", 7 * inp.n * 2 * 8)
     chunks = []
-    bend_gap = fitting._bend_gap
+    gradient = type(kind.card).gradient
 
-    def counted(kind, d, dom):
-        chunks.append(d.size)
-        return bend_gap(kind, d, dom)
+    def counted(card, dom):
+        shared, moving = gradient(card, dom)
 
-    monkeypatch.setattr(fitting, "_bend_gap", counted)
+        def counted_moving(d):
+            chunks.append(d.size)
+            return moving(d)
+
+        return shared, counted_moving
+
+    monkeypatch.setattr(type(kind.card), "gradient", counted)
     chunked = _screen(kind, cand, inp.dominance, inp.change_rate)
     assert cand.size == 72
     assert chunks == [7] * 10 + [2]

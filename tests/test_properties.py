@@ -574,6 +574,126 @@ def test_lockstep_rows_match_lone_runs_and_scalar_reference(search):
             assert (iterations, converged) == (ref_iterations, ref_converged)
 
 
+def _reference_predict(rows, params):
+    """The stacked logistic response written out: K / (1 + a e^{-rD}) times
+    each row's factor, for ``(..., 3)`` parameter rows."""
+    big_k, a, r = params[..., 0:1], params[..., 1:2], params[..., 2:3]
+    return big_k / (1.0 + a * np.exp(-r * rows[..., 0, :])) * rows[..., 1, :]
+
+
+def _reference_jacobian(rows, params):
+    """dS/d(K, a, r) of ``(m, 3)`` parameter rows, written out column by column."""
+    dom, factor = rows[:, 0], rows[:, 1]
+    big_k, a, r = params[:, 0:1], params[:, 1:2], params[:, 2:3]
+    expo = np.exp(-r * dom)
+    phi = 1.0 / (1.0 + a * expo)
+    out = np.empty(dom.shape + (3,))
+    out[..., 0] = phi * factor
+    out[..., 1] = -big_k * expo
+    out[..., 2] = big_k * a * dom
+    out[..., 2] *= expo
+    for j in (1, 2):
+        out[..., j] *= phi
+        out[..., j] *= phi
+        out[..., j] *= factor
+    return out
+
+
+@st.composite
+def logistic_rows(draw):
+    """Stacked logistic rows of one series, each of either kind, and one
+    parameter row each; a = 0 and exponentials that overflow included."""
+    n = draw(st.integers(1, 12))
+    dom = draw(arrays(np.float64, n, elements=st.floats(0.5, 60.0)))
+    inp = FitInput(dom, np.zeros(n))
+    kinds = draw(st.lists(st.sampled_from([ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE]),
+                          min_size=1, max_size=4))
+    k = st.floats(-5.0, 5.0)
+    a = st.sampled_from([0.0, -0.0, 1.5e-95, 1.0, -1.0, 1e4]) | st.floats(-10.0, 10.0)
+    r = st.sampled_from([-1000.0, -66.7, 0.0, 1000.0]) | st.floats(-100.0, 100.0)
+    params = draw(st.lists(st.tuples(k, a, r), min_size=len(kinds), max_size=len(kinds)))
+    return _stack_problems([(kind, inp) for kind in kinds]), np.array(params)
+
+
+@PROPERTY
+@given(logistic_rows())
+# a = 0 where exp(-r*D) overflows at D = 10 and D = 3 but not at D = 0.1
+@example((_stack_problems([(kind, FitInput([10.0, 0.1, 3.0], [0.0] * 3))
+                           for kind in (ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE)]),
+          np.array([[2.5, 0.0, -1000.0], [-1.0, -0.0, -1000.0]])))
+# a != 0 where a exp(-r*D) overflows past D = 10.64: S underflows to 0
+@example((_stack_problems([(kind, FitInput([5.0, 15.0, 20.0], [0.0] * 3))
+                           for kind in (ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE)]),
+          np.array([[0.1, 1.5e-95, -66.7], [-0.1, -1.5e-95, -66.7]])))
+def test_logistic_cards_stacked_forms_keep_the_bits(stack):
+    """Both logistic cards' stacked response and Jacobian, on single and on
+    trial-pair parameter stacks, against the forms written out here.  The
+    response differs only by the a = 0 rule: there it is K times the factor,
+    where the written-out form gives NaN once exp(-r*D) overflows."""
+    rows, params = stack
+    pairs = np.stack([params, params[::-1]], axis=1)  # as the lockstep's two trials
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for kind in (ModelKind.LOGISTIC, ModelKind.LOGISTIC_SINE):
+            card = kind.card
+            for stacked, at in ((rows, params), (rows[:, None], pairs)):
+                got = card.response(at)(stacked[..., 0, :], stacked[..., 1, :])
+                zero = at[..., 1:2] == 0.0
+                want = np.where(zero, at[..., 0:1] * stacked[..., 1, :],
+                                _reference_predict(stacked, at))
+                assert got.tobytes() == want.tobytes()
+            jac = card.gradient(params, rows[:, 0], rows[:, 1], np.empty(rows[:, 0].shape + (3,)))
+            assert jac.tobytes() == _reference_jacobian(rows, params).tobytes()
+
+
+def _reference_bend_gap(kind, d, dom):
+    """The two design columns that depend on the joints ``d``, written out."""
+    d = d[:, np.newaxis]
+    gap = np.abs(dom - d)
+    bend = gap * (dom + d)
+    if kind is ModelKind.LINEAR_QUADRATIC:
+        bend = dom**2 + bend
+    return bend, gap
+
+
+@st.composite
+def designs(draw):
+    """A dominance series, repeats included, and joints on its values, one
+    float below them, or anywhere in its range."""
+    dom = np.array(draw(st.lists(st.floats(0.5, 60.0), min_size=1, max_size=12)))
+    on = st.sampled_from(dom.tolist())
+    joint = on | on.map(lambda v: float(np.nextafter(v, -np.inf))) | st.floats(0.5, 60.0)
+    joints = np.array(draw(st.lists(joint, min_size=1, max_size=5)))
+    kind = draw(st.sampled_from([ModelKind.LINEAR_QUADRATIC, ModelKind.QUADRATIC_QUADRATIC]))
+    return kind, dom, joints
+
+
+@PROPERTY
+@given(designs())
+# joints exactly on a dominance value and one float below it
+@example((ModelKind.LINEAR_QUADRATIC, np.array([1.0, 2.5, 4.0]),
+          np.array([2.5, float(np.nextafter(2.5, -np.inf))])))
+@example((ModelKind.QUADRATIC_QUADRATIC, np.array([1.0, 2.5, 4.0]),
+          np.array([2.5, float(np.nextafter(2.5, -np.inf))])))
+def test_design_cards_keep_the_bits(problem):
+    """The linear and piecewise cards' design columns against the columns
+    written out here: [1, D] for linear; for the piecewise kinds the shared
+    columns, the bend and gap of every joint, and each joint's whole design
+    as the exact solve stacks it."""
+    kind, dom, joints = problem
+    assert (ModelKind.LINEAR.card.gradient(dom).tobytes()
+            == np.column_stack([np.ones_like(dom), dom]).tobytes())
+    shared, moving = kind.card.gradient(dom)
+    assert shared.tobytes() == np.vander(dom, kind.arity - 3, increasing=True).tobytes()
+    for got, want in zip(moving(joints), _reference_bend_gap(kind, joints, dom)):
+        assert got.tobytes() == want.tobytes()
+    for d in joints:
+        (bend,), (gap,) = moving(np.array([d]))
+        design = np.column_stack([shared, bend, gap])
+        (ref_bend,), (ref_gap,) = _reference_bend_gap(kind, np.array([d]), dom)
+        ref = np.column_stack([np.vander(dom, kind.arity - 3, increasing=True), ref_bend, ref_gap])
+        assert design.tobytes() == ref.tobytes()
+
+
 def _reference_best(owner, ss, params, take, distinct, prefer):
     """Each problem's picks by ``sorted()`` on the key (SS, vector tuple):
     the finite rows, best first; with ``distinct`` a vector already picked
